@@ -135,7 +135,8 @@ sharing-smoke: build
 # The analysis daemon end to end through the CLI: a socket server with
 # the slow-request fault armed, every method exercised by the one-shot
 # client, the in-band error taxonomy (SRV001 on a garbage payload,
-# SRV004 on a blown deadline), and a clean shutdown drain (exit 0).
+# SRV004 on a blown deadline, counted exactly once by a server that
+# still answers), and a clean shutdown drain (exit 0).
 serve-smoke: build
 	rm -rf _build/serve_smoke && mkdir -p _build/serve_smoke
 	set -e; \
@@ -155,6 +156,7 @@ serve-smoke: build
 	( $$N serve --connect $$S --call analyze \
 	    --file examples/programs/reverse.nml --deadline-ms 1 || true ) \
 	  | grep -q 'SRV004'; \
+	$$N serve --connect $$S --call status | grep -q '"timeouts": 1,'; \
 	$$N serve --connect $$S --call shutdown | grep -q '"stopping": true'; \
 	wait $$SRV
 

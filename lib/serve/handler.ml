@@ -50,10 +50,10 @@ let quarantine_key (req : Protocol.request) =
 (* A [Slow_request] stall that honors cooperative cancellation: 5 ms
    slices, stopping as soon as the client abandons the job. *)
 let cancellable_sleep (job : Pool.job) seconds =
-  let stop_at = Unix.gettimeofday () +. seconds in
+  let stop_at = Pool.now () +. seconds in
   while
     (not (Atomic.get job.Pool.cancelled))
-    && Unix.gettimeofday () < stop_at
+    && Pool.now () < stop_at
   do
     Thread.delay 0.005
   done
@@ -160,7 +160,7 @@ let handle t (job : Pool.job) : Pool.resp =
     { Pool.body = Protocol.error ?id:req.Protocol.id ?retry_after_ms ~code msg;
       is_error = true }
   in
-  if Pool.expired ~now:(Unix.gettimeofday ()) job then
+  if Pool.expired job then
     err ~code:Protocol.srv_deadline "deadline exceeded before analysis began"
   else if t.quarantined job.Pool.key then
     err ~code:Protocol.srv_quarantined

@@ -12,12 +12,15 @@
    500 ms), so a poisoned workload cannot turn the pool into a
    fork-bomb, while one successfully-served request resets the backoff.
 
-   Result handoff is a one-shot slot per job: the connection thread
-   polls it under its deadline; whoever loses the race (a worker
-   finishing after the client timed out, or a client abandoning a
-   result already posted) simply drops its side — a timed-out request
-   returns a structured SRV004 response and the stale result is
-   discarded, never delivered. *)
+   Result handoff is a one-shot slot per job plus a wake-up pipe per
+   connection.  [complete] posts the response and, still holding the
+   slot's mutex, writes one byte to the connection's pipe; the
+   connection thread blocks in [await] on the pipe's read end (under
+   its deadline) and re-checks the slot on every wakeup.  Whoever loses
+   the race (a worker finishing after the client timed out, or a client
+   abandoning a result already posted) simply drops its side — a
+   timed-out request returns a structured SRV004 response and the stale
+   result is discarded, never delivered, and never wakes anyone. *)
 
 type resp = { body : string; is_error : bool }
 
@@ -25,27 +28,46 @@ type slot = {
   sm : Mutex.t;
   mutable cell : resp option;
   mutable abandoned : bool;
+  waker : Unix.file_descr;  (* write end of the connection's wake-up pipe *)
 }
 
 type job = {
   req : Protocol.request;
   key : string;  (* quarantine identity of the input *)
-  deadline : float option;  (* absolute, [Unix.gettimeofday] basis *)
+  deadline : float option;  (* absolute, [now] basis *)
   cancelled : bool Atomic.t;  (* cooperative cancellation hint *)
   slot : slot;
 }
 
-let make_job ~req ~key ~deadline =
+(* Monotonic seconds: a wall-clock step cannot stretch or shorten a
+   deadline. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+(* Both ends non-blocking: [complete] must never block while it holds
+   the slot mutex (a full pipe already guarantees a wakeup), and
+   [await] drains until the pipe is empty. *)
+let waker () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock r;
+  Unix.set_nonblock w;
+  (r, w)
+
+let make_job ~req ~key ~deadline ~waker =
   {
     req;
     key;
     deadline;
     cancelled = Atomic.make false;
-    slot = { sm = Mutex.create (); cell = None; abandoned = false };
+    slot = { sm = Mutex.create (); cell = None; abandoned = false; waker };
   }
 
+let wake_byte = Bytes.make 1 '!'
+
 (* [true] if the response was accepted; [false] if the client already
-   abandoned the job (the result is discarded). *)
+   abandoned the job (the result is discarded).  The wake-up byte is
+   written under the slot mutex: once the waiter has seen the cell (or
+   abandoned the job) no write can follow, so it may close the pipe
+   without the byte landing in a reused descriptor. *)
 let complete job resp =
   let s = job.slot in
   Mutex.lock s.sm;
@@ -53,6 +75,8 @@ let complete job resp =
     if s.abandoned || s.cell <> None then false
     else begin
       s.cell <- Some resp;
+      (try ignore (Unix.single_write s.waker wake_byte 0 1)
+       with Unix.Unix_error _ -> ());
       true
     end
   in
@@ -67,15 +91,44 @@ let abandon job =
   Mutex.unlock s.sm;
   Atomic.set job.cancelled true
 
-let peek job =
-  let s = job.slot in
+let expired job =
+  match job.deadline with None -> false | Some d -> now () > d
+
+let peek s =
   Mutex.lock s.sm;
   let r = s.cell in
   Mutex.unlock s.sm;
   r
 
-let expired ~now job =
-  match job.deadline with None -> false | Some d -> now > d
+(* Wait for [job]'s response on [rfd], the read end of the pipe its
+   [waker] writes to.  The cell is checked before every sleep and after
+   every wakeup, so a completion posted before the call, or a leftover
+   byte from an earlier job on the same pipe, costs at most one extra
+   iteration.  [None] once the deadline has passed. *)
+let await job rfd =
+  let buf = Bytes.create 64 in
+  let rec drain () =
+    match Unix.read rfd buf 0 (Bytes.length buf) with
+    | n when n = Bytes.length buf -> drain ()
+    | _ -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  in
+  let rec loop () =
+    match peek job.slot with
+    | Some _ as r -> r
+    | None -> (
+        let timeout =
+          match job.deadline with None -> -1. | Some d -> d -. now ()
+        in
+        if job.deadline <> None && timeout <= 0. then None
+        else
+          match Unix.select [ rfd ] [] [] timeout with
+          | _ ->
+              drain ();
+              loop ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
+  in
+  loop ()
 
 (* ---- the pool ---------------------------------------------------------------- *)
 

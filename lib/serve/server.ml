@@ -154,9 +154,10 @@ let on_crash t job exn =
              is_error = true;
            })
 
-(* Enqueue one analysis request and wait (poll, 2 ms) for its slot
-   under the deadline.  Returns the rendered response. *)
-let submit t (req : Protocol.request) =
+(* Enqueue one analysis request and block on the connection's wake-up
+   pipe ([rfd] read end, [wfd] write end) until the job completes or
+   its deadline passes.  Returns the rendered response. *)
+let submit t ~waker:(rfd, wfd) (req : Protocol.request) =
   let n = 1 + Atomic.fetch_and_add t.req_count 1 in
   (match t.cfg.fault, t.cfg.store with
   | Fault.Cache_corrupt, Some store when n mod 5 = 0 ->
@@ -168,10 +169,10 @@ let submit t (req : Protocol.request) =
       | Some ms -> ms
       | None -> t.cfg.default_deadline_ms
     in
-    if ms <= 0 then None else Some (Unix.gettimeofday () +. (float_of_int ms /. 1000.))
+    if ms <= 0 then None else Some (Pool.now () +. (float_of_int ms /. 1000.))
   in
   let job =
-    Pool.make_job ~req ~key:(Handler.quarantine_key req) ~deadline
+    Pool.make_job ~req ~key:(Handler.quarantine_key req) ~deadline ~waker:wfd
   in
   let shed_resp (old : Pool.job) =
     Atomic.incr t.shed;
@@ -191,35 +192,38 @@ let submit t (req : Protocol.request) =
           Protocol.error ?id:req.Protocol.id ~code:Protocol.srv_draining
             "server is draining and accepts no new work";
         is_error = true }
-  | (`Ok | `Shed _) as pushed ->
+  | (`Ok | `Shed _) as pushed -> (
       (match pushed with `Shed old -> shed_resp old | `Ok -> ());
-      let rec wait () =
-        match Pool.peek job with
-        | Some resp -> resp
-        | None ->
-            if Pool.expired ~now:(Unix.gettimeofday ()) job then begin
-              Pool.abandon job;
-              Atomic.incr t.timeouts;
-              {
-                Pool.body =
-                  Protocol.error ?id:req.Protocol.id
-                    ~retry_after_ms:(retry_hint t)
-                    ~code:Protocol.srv_deadline
-                    "deadline exceeded; the in-flight analysis is abandoned";
-                is_error = true;
-              }
-            end
-            else begin
-              Thread.delay 0.002;
-              wait ()
-            end
-      in
-      wait ()
+      (* any way out of here must leave the job answered or abandoned,
+         so no completion can write to the pipe once it is closed *)
+      match Pool.await job rfd with
+      | Some resp -> resp
+      | None ->
+          Pool.abandon job;
+          Atomic.incr t.timeouts;
+          {
+            Pool.body =
+              Protocol.error ?id:req.Protocol.id ~retry_after_ms:(retry_hint t)
+                ~code:Protocol.srv_deadline
+                "deadline exceeded; the in-flight analysis is abandoned";
+            is_error = true;
+          }
+      | exception e ->
+          Pool.abandon job;
+          raise e)
 
 exception Peer_gone
 
-(* One connection: read frames until EOF/stop, answer each. *)
+(* One connection: read frames until EOF/stop, answer each.  Its
+   wake-up pipe serves every request and is closed on every way out. *)
 let connection t ~rfd ~wfd =
+  let waker = Pool.waker () in
+  let close_waker () =
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ fst waker; snd waker ]
+  in
+  Fun.protect ~finally:close_waker @@ fun () ->
   let frames = ref 0 in
   let send (resp : Pool.resp) =
     if resp.Pool.is_error then Atomic.incr t.failed else Atomic.incr t.served;
@@ -270,12 +274,19 @@ let connection t ~rfd ~wfd =
                     is_error = false };
                 loop ()
             | Protocol.Shutdown ->
-                send
-                  { Pool.body =
-                      Protocol.ok ?id:req.Protocol.id
-                        (J.Obj [ ("stopping", J.Bool true) ]);
-                    is_error = false };
-                Atomic.set t.stop true
+                (* stop before acknowledging, so any request the client
+                   sends after the ack is refused with SRV008; in flight
+                   meanwhile, so the drain waits for the ack to go out *)
+                Atomic.incr t.in_flight;
+                Atomic.set t.stop true;
+                Fun.protect
+                  ~finally:(fun () -> Atomic.decr t.in_flight)
+                  (fun () ->
+                    send
+                      { Pool.body =
+                          Protocol.ok ?id:req.Protocol.id
+                            (J.Obj [ ("stopping", J.Bool true) ]);
+                        is_error = false })
             | Protocol.Analyze | Protocol.Vet | Protocol.Lint ->
                 if Atomic.get t.stop then begin
                   send_err ?id:req.Protocol.id ~code:Protocol.srv_draining
@@ -287,7 +298,7 @@ let connection t ~rfd ~wfd =
                   let resp =
                     Fun.protect
                       ~finally:(fun () -> Atomic.decr t.in_flight)
-                      (fun () -> submit t req)
+                      (fun () -> submit t ~waker req)
                   in
                   send resp;
                   loop ()

@@ -285,6 +285,94 @@ let stress_units =
           keys);
   ]
 
+(* ---- the job handoff: a completion wakes its waiter through the pipe -------- *)
+
+module Pool = Serve.Pool
+
+let analyze_req =
+  match
+    Protocol.parse
+      (J.to_string
+         (J.Obj
+            [
+              ("method", J.Str "analyze");
+              ("params", J.Obj [ ("path", J.Str "a.nml") ]);
+            ]))
+  with
+  | Ok req -> req
+  | Error _ -> failwith "analyze_req"
+
+let resp body = { Pool.body; is_error = false }
+
+let with_waker f =
+  let r, w = Pool.waker () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ r; w ])
+    (fun () -> f r w)
+
+let job ?(deadline_s = 5.) w =
+  Pool.make_job ~req:analyze_req ~key:"k"
+    ~deadline:(Some (Pool.now () +. deadline_s))
+    ~waker:w
+
+let pipe_empty r =
+  match Unix.select [ r ] [] [] 0. with [], _, _ -> true | _ -> false
+
+(* Completes [job] with [body] from another domain after [delay] s. *)
+let complete_later ~delay job body =
+  Domain.spawn (fun () ->
+      Unix.sleepf delay;
+      ignore (Pool.complete job (resp body)))
+
+let body_of = function
+  | Some r -> r.Pool.body
+  | None -> Alcotest.fail "await returned None"
+
+let handoff_units =
+  [
+    Alcotest.test_case "posted-before-await-returns-without-blocking" `Quick
+      (fun () ->
+        with_waker @@ fun r w ->
+        let j = job w in
+        checkb "accepted" true (Pool.complete j (resp "early"));
+        (* swallow the wake byte: only the cell check can return now *)
+        ignore (Unix.read r (Bytes.create 8) 0 8);
+        let t0 = Pool.now () in
+        checks "reply" "early" (body_of (Pool.await j r));
+        checkb "did not wait for the deadline" true (Pool.now () -. t0 < 1.));
+    Alcotest.test_case "cross-domain-completion-wakes-the-waiter" `Quick
+      (fun () ->
+        with_waker @@ fun r w ->
+        let j = job ~deadline_s:30. w in
+        let t0 = Pool.now () in
+        let d = complete_later ~delay:0.05 j "late" in
+        let got = Pool.await j r in
+        let waited = Pool.now () -. t0 in
+        Domain.join d;
+        checks "reply" "late" (body_of got);
+        checkb "woken well before the 30 s deadline" true (waited < 5.));
+    Alcotest.test_case "abandoned-job-completes-silently" `Quick (fun () ->
+        with_waker @@ fun r w ->
+        let j = job w in
+        Pool.abandon j;
+        checkb "complete refused" false (Pool.complete j (resp "stale"));
+        checkb "no wake byte" true (pipe_empty r));
+    Alcotest.test_case "leftover-byte-is-a-spurious-wakeup" `Quick (fun () ->
+        with_waker @@ fun r w ->
+        (* the first job's byte is never drained: its reply was already
+           posted when the waiter looked *)
+        let first = job w in
+        ignore (Pool.complete first (resp "first"));
+        checks "first" "first" (body_of (Pool.await first r));
+        checkb "byte left behind" false (pipe_empty r);
+        let second = job w in
+        let d = complete_later ~delay:0.05 second "second" in
+        let got = Pool.await second r in
+        Domain.join d;
+        checks "the second job's own reply" "second" (body_of got));
+  ]
+
 (* ---- satellite: one crashing file never aborts the pool --------------------- *)
 
 let pool_units =
@@ -326,6 +414,7 @@ let pool_units =
         | [ r ] -> checki "code" 124 r.Batch.code
         | _ -> Alcotest.fail "expected one result");
   ]
+  @ handoff_units
 
 (* ---- the in-process server -------------------------------------------------- *)
 
@@ -371,28 +460,31 @@ let wait_for_socket sock =
     Thread.delay 0.01
   done
 
+(* one request/response on an open connection *)
+let ask fd payload =
+  if not (Frame.write fd payload) then Alcotest.fail "request not written";
+  match Frame.read fd with
+  | Ok resp -> J.parse resp
+  | Error e -> Alcotest.fail (Format.asprintf "no response: %a" Frame.pp_error e)
+
 (* one request/response over a fresh connection *)
 let rpc sock payload =
   let fd = Chaos_client.connect sock in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      if not (Frame.write fd payload) then Alcotest.fail "request not written";
-      match Frame.read fd with
-      | Ok resp -> J.parse resp
-      | Error e ->
-          Alcotest.fail (Format.asprintf "no response: %a" Frame.pp_error e))
+    (fun () -> ask fd payload)
 
-let call sock ?boom ?deadline_ms ~meth path =
+let request ?(id = 1) ?boom ?deadline_ms ~meth path =
   let params =
     [ ("path", J.Str path) ]
     @ (match deadline_ms with Some d -> [ ("deadline_ms", J.int d) ] | None -> [])
     @ match boom with Some true -> [ ("boom", J.Bool true) ] | _ -> []
   in
-  rpc sock
-    (J.to_string
-       (J.Obj
-          [ ("id", J.int 1); ("method", J.Str meth); ("params", J.Obj params) ]))
+  J.to_string
+    (J.Obj [ ("id", J.int id); ("method", J.Str meth); ("params", J.Obj params) ])
+
+let call sock ?boom ?deadline_ms ~meth path =
+  rpc sock (request ?boom ?deadline_ms ~meth path)
 
 let error_code json =
   match J.member "error" json with
@@ -486,6 +578,59 @@ let server_units =
         let files = corpus dir in
         let json = call sock ~deadline_ms:30 ~meth:"analyze" (List.hd files) in
         checkb "SRV004" true (error_code json = Some "SRV004"));
+    Alcotest.test_case "persistent-connection-survives-a-timeout" `Quick (fun () ->
+        with_server ~fault:Fault.Slow_request ~jobs:1 @@ fun ~dir ~sock ~store:_ ->
+        let path = List.hd (corpus dir) in
+        let fd_count () =
+          if Sys.file_exists "/proc/self/fd" then
+            Some (Array.length (Sys.readdir "/proc/self/fd"))
+          else None
+        in
+        let before = fd_count () in
+        let fd = Chaos_client.connect sock in
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            let id json =
+              match J.member "id" json with
+              | Some (J.Num n) -> int_of_float n
+              | _ -> -1
+            in
+            let first = ask fd (request ~id:1 ~deadline_ms:30 ~meth:"analyze" path) in
+            checkb "id 1 times out" true (error_code first = Some "SRV004");
+            (* the late result of id 1 must neither answer id 2 nor
+               leave the connection's waker unusable *)
+            let second =
+              ask fd (request ~id:2 ~deadline_ms:10_000 ~meth:"analyze" path)
+            in
+            checkb "id 2 served" true (error_code second = None);
+            checki "id 2 echoed" 2 (id second);
+            let third =
+              ask fd (request ~id:3 ~deadline_ms:10_000 ~meth:"analyze" path)
+            in
+            checkb "id 3 served" true (error_code third = None);
+            checki "id 3 echoed" 3 (id third));
+        for _ = 1 to 50 do
+          ignore (rpc sock (J.to_string (J.Obj [ ("method", J.Str "status") ])))
+        done;
+        match before with
+        | None -> ()  (* no /proc: the descriptor check is skipped *)
+        | Some before ->
+            (* connection threads close their descriptors after the
+               client's EOF, asynchronously *)
+            let deadline = Unix.gettimeofday () +. 5. in
+            let rec settle () =
+              match fd_count () with
+              | Some n when n > before && Unix.gettimeofday () < deadline ->
+                  Thread.delay 0.02;
+                  settle ()
+              | n -> Option.value ~default:before n
+            in
+            let after = settle () in
+            if after > before then
+              Alcotest.fail
+                (Printf.sprintf "%d descriptors leaked over 51 connections"
+                   (after - before)));
     Alcotest.test_case "overload-sheds-with-retry-hint" `Quick (fun () ->
         with_server ~fault:Fault.Slow_request ~jobs:1 ~queue_cap:1
         @@ fun ~dir ~sock ~store:_ ->
@@ -562,15 +707,7 @@ let server_units =
         Fun.protect
           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
           (fun () ->
-            let ask payload =
-              if not (Frame.write fd payload) then
-                Alcotest.fail "request not written";
-              match Frame.read fd with
-              | Ok resp -> J.parse resp
-              | Error e ->
-                  Alcotest.fail
-                    (Format.asprintf "no response: %a" Frame.pp_error e)
-            in
+            let ask = ask fd in
             (* prove the connection is accepted and served first *)
             checkb "status served" true
               (J.member "result" (ask (J.to_string (J.Obj [ ("method", J.Str "status") ]))) <> None);
