@@ -369,7 +369,9 @@ and join a b =
    re-runs the body until the approximation is stable.  The domain is
    finite and all operators are monotone, so the loop terminates; the
    iteration cap is a defensive backstop that widens to top (the safe
-   direction). *)
+   direction).  A first run that never re-entered stores the body's own
+   value: bottom joined with it is the same function, and keeping its id
+   keeps its own memo entries hitting. *)
 and apply f x =
   let st = current_state () in
   let key = (f.id, key_of x) in
@@ -408,12 +410,14 @@ and apply f x =
       let rec loop n =
         e.reentered <- false;
         let r = f.app x in
-        let widened = join e.value r in
-        if e.reentered && not (equal widened e.value) then begin
-          e.value <- widened;
-          if n >= 64 then e.value <- top ~d:st.d result_ty else loop (n + 1)
-        end
-        else e.value <- widened
+        if n = 0 && not e.reentered then e.value <- with_ty result_ty r
+        else
+          let widened = join e.value r in
+          if e.reentered && not (equal widened e.value) then begin
+            e.value <- widened;
+            if n >= 64 then e.value <- top ~d:st.d result_ty else loop (n + 1)
+          end
+          else e.value <- widened
       in
       (try loop 0
        with exn ->

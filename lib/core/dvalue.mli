@@ -25,7 +25,11 @@
     the result type); when the body's result exceeds the approximation
     the application is re-run until it stabilizes.  Domains are finite
     (section 3.5), so this terminates and computes the least fixpoint of
-    the self-application.  Completed entries also serve as a memo table,
+    the self-application.  An activation that was not re-entered stores
+    the body's own value, not its join with the initial bottom: the two
+    are the same function, but the value's [id] is the memo key of every
+    later application of it, and a join would mint a fresh id nobody
+    has applied yet.  Completed entries also serve as a memo table,
     which makes evaluation polynomial where naive unfolding is
     exponential in the Kleene depth.
 

@@ -225,3 +225,84 @@ let gen_any_program =
   (* the union the soundness harness draws from: int-list, pair-list and
      tree recursions, weighted towards the richer list programs *)
   frequency [ (2, gen_program); (1, gen_pair_program); (1, gen_tree_program) ]
+
+(* Random curried definitions over int lists with an accumulator and,
+   sometimes, an int parameter:
+     f l a = if null l then <base> else <step>
+     f l a n = if null l then <base> else <step>
+   The recursive call passes (cdr l) and fresh accumulator (and int)
+   expressions, so evaluation still terminates.  Applying such a
+   definition to its first argument yields a function: the arrow-valued
+   intermediate results [gen_def]'s one-parameter corpus never reaches. *)
+
+let rec gen_cint ~ints n =
+  let leaves =
+    [ (2, lit); (2, return "(car l)") ] @ if ints then [ (2, return "n") ] else []
+  in
+  if n <= 1 then frequency leaves
+  else
+    frequency
+      (( 2,
+         let* a = gen_cint ~ints (n / 2) in
+         let* b = gen_cint ~ints (n / 2) in
+         return (Printf.sprintf "(%s + %s)" a b) )
+      :: leaves)
+
+let gen_cbool ~ints n =
+  if n <= 1 then oneofl [ "true"; "false"; "(null (cdr l))"; "(null a)" ]
+  else
+    let* a = gen_cint ~ints (n / 2) in
+    let* b = gen_cint ~ints (n / 2) in
+    oneofl
+      [ "(null a)"; Printf.sprintf "(%s = %s)" a b; Printf.sprintf "(%s < %s)" a b ]
+
+(* the accumulator passed down: a list built from what is in scope *)
+let gen_acc ~ints n =
+  frequency
+    [
+      (3, oneofl [ "a"; "nil"; "l"; "(cdr l)" ]);
+      ( 2,
+        let* x = gen_cint ~ints (n / 3) in
+        oneofl [ Printf.sprintf "(cons %s a)" x; Printf.sprintf "(cons %s (cdr l))" x ] );
+    ]
+
+let gen_call ~ints n =
+  let* acc = gen_acc ~ints n in
+  if ints then
+    let* i = gen_cint ~ints (n / 3) in
+    return (Printf.sprintf "(f (cdr l) %s %s)" acc i)
+  else return (Printf.sprintf "(f (cdr l) %s)" acc)
+
+let rec gen_clist ~ints n =
+  let leaf = oneofl [ "nil"; "l"; "(cdr l)"; "a" ] in
+  if n <= 1 then frequency [ (3, leaf); (1, gen_call ~ints n) ]
+  else
+    frequency
+      [
+        (1, leaf);
+        (2, gen_call ~ints n);
+        ( 3,
+          let* hd = gen_cint ~ints (n / 3) in
+          let* tl = gen_clist ~ints (n / 2) in
+          return (Printf.sprintf "(cons %s %s)" hd tl) );
+        ( 1,
+          let* c = gen_cbool ~ints (n / 3) in
+          let* x = gen_clist ~ints (n / 3) in
+          let* y = gen_clist ~ints (n / 3) in
+          return (Printf.sprintf "(if %s then %s else %s)" c x y) );
+      ]
+
+let gen_cbase ~ints =
+  (* l is nil in the base branch: car l / cdr l would crash *)
+  let* x = if ints then oneof [ lit; return "n" ] else lit in
+  oneofl [ "nil"; "l"; "a"; Printf.sprintf "(cons %s a)" x ]
+
+let gen_curried_def =
+  let* ints = bool in
+  let* ns = int_range 1 12 in
+  let* base = gen_cbase ~ints in
+  let* step = gen_clist ~ints ns in
+  return
+    (Printf.sprintf "f l a%s = if null l then %s else %s"
+       (if ints then " n" else "")
+       base step)

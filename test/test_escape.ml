@@ -138,6 +138,47 @@ let dvalue_units =
         checki "base probes" (List.length (B.all ~d:(D.current_d ()))) (List.length (D.probes ilist)));
   ]
 
+(* The pending application engine, driven directly.  Each case runs in a
+   fresh solver state so the memo and its counters start cold. *)
+let apply_units =
+  let fresh f = D.with_state (D.create_state ()) f in
+  let int_int = Ty.Arrow (Ty.Int, Ty.Int) in
+  let x = D.base ~ty:Ty.Int (one 0) in
+  [
+    Alcotest.test_case "not-re-entered-keeps-the-body-value" `Quick (fun () ->
+        fresh @@ fun () ->
+        let g =
+          D.v ~ty:int_int ~esc:zero ~app:(fun y -> D.base ~ty:Ty.Int y.D.esc)
+        in
+        let f = D.v ~ty:(Ty.Arrow (Ty.Int, int_int)) ~esc:zero ~app:(fun _ -> g) in
+        (* the stored value is g itself, so g's own memo entries serve
+           every later application of it *)
+        checki "same id" g.D.id (D.apply f x).D.id;
+        let p = D.base ~ty:Ty.Int (one 1) in
+        ignore (D.apply g p);
+        D.reset_stats ();
+        ignore (D.apply (D.apply f x) p);
+        let hits, misses = D.cache_stats () in
+        checki "hits" 2 hits;
+        checki "misses" 0 misses);
+    Alcotest.test_case "re-entered-joins-to-the-fixpoint" `Quick (fun () ->
+        fresh @@ fun () ->
+        (* f x = f x ⊔ c: the re-entry yields bottom, the first run gives
+           c, the second confirms it *)
+        let c = D.base ~ty:Ty.Int (one 1) in
+        let self = ref (D.bottom int_int) in
+        let runs = ref 0 in
+        let f =
+          D.v ~ty:int_int ~esc:zero ~app:(fun y ->
+              incr runs;
+              D.join (D.apply !self y) c)
+        in
+        self := f;
+        let r = D.apply f x in
+        checkb "converges to c" true (D.equal r c);
+        checki "body runs" 2 !runs);
+  ]
+
 let prim ~ty p = Sem.prim_value ~ty p
 
 let semantics_units =
@@ -606,21 +647,39 @@ let tree_units =
 
 (* ---- the enumeration engine (ablation) ------------------------------------- *)
 
+(* The global verdict of every argument of every definition agrees with
+   the enumeration tables, which share no code with [Dvalue]; returns the
+   number of arguments checked. *)
+let enumeration_agrees src =
+  let e = Escape.Enumerate.of_source src in
+  let t = solver_of src in
+  List.fold_left
+    (fun n (name, _) ->
+      List.fold_left
+        (fun n (v : An.verdict) ->
+          Alcotest.check besc
+            (Printf.sprintf "%s arg %d in %s" name v.An.arg src)
+            (Escape.Enumerate.global e name ~arg:v.An.arg)
+            v.An.esc;
+          n + 1)
+        n (An.global_all t name))
+    0 (Surface.of_string src).Surface.defs
+
 let enumerate_units =
   [
     Alcotest.test_case "appendix-agreement" `Quick (fun () ->
-        let e = Escape.Enumerate.of_source Examples.partition_sort_program in
-        let t = solver_of Examples.partition_sort_program in
+        (* T8's first-order programs: append 2 + split 4 + ps 1; insert 2
+           + isort 1; append, split, ps, create_list, length, sum *)
         List.iter
-          (fun (name, n) ->
-            for i = 1 to n do
-              let probe = (An.global t name ~arg:i).An.esc in
-              Alcotest.check besc
-                (Printf.sprintf "%s arg %d" name i)
-                probe
-                (Escape.Enumerate.global e name ~arg:i)
-            done)
-          [ ("append", 2); ("split", 4); ("ps", 1) ]);
+          (fun (src, n) -> checki "arguments checked" n (enumeration_agrees src))
+          [
+            (Examples.partition_sort_program, 7);
+            (wrapped [ Examples.insert_def; Examples.isort_def ], 3);
+            ( wrapped
+                [ Examples.append_def; Examples.split_def; Examples.ps_def;
+                  Examples.create_list_def; Examples.length_def; Examples.sum_def ],
+              10 );
+          ]);
     Alcotest.test_case "entry-count" `Quick (fun () ->
         (* d=2: chain has 4 points; append 4^2 + split 4^4 + ps 4^1 *)
         let e = Escape.Enumerate.of_source Examples.partition_sort_program in
@@ -641,11 +700,15 @@ let enumerate_units =
         let rand = Random.State.make [| 7 |] in
         for _ = 1 to 40 do
           let def = QCheck.Gen.generate1 ~rand Gen.gen_def in
-          let src = Examples.wrap [ def ] "0" in
-          let e = Escape.Enumerate.of_source src in
-          let t = solver_of src in
-          Alcotest.check besc def (An.global t "f" ~arg:1).An.esc
-            (Escape.Enumerate.global e "f" ~arg:1)
+          checki def 1 (enumeration_agrees (wrapped [ def ]))
+        done;
+        (* curried definitions: every argument after the first is applied
+           to an arrow-valued intermediate result *)
+        let rand = Random.State.make [| 13 |] in
+        for _ = 1 to 100 do
+          let def = QCheck.Gen.generate1 ~rand Gen.gen_curried_def in
+          let arity = if String.starts_with ~prefix:"f l a n " def then 3 else 2 in
+          checki def arity (enumeration_agrees (wrapped [ def ]))
         done);
   ]
 
@@ -797,6 +860,7 @@ let () =
       ("besc", besc_units);
       ("besc-laws", besc_props);
       ("dvalue", dvalue_units);
+      ("apply", apply_units);
       ("semantics-constants", semantics_units);
       ("global-test", analysis_units);
       ("fixpoint", fixpoint_units);
