@@ -162,13 +162,16 @@ serve-smoke: build
 
 # The bytecode backend end to end through the CLI: every shipped example
 # runs on the VM with the same result and storage counters as the
-# interpreter (optimized, generational), the compile command disassembles,
-# and the differential oracle passes with the VM as its third leg.
+# interpreter (optimized, generational), with the arena escape check on
+# at every arena exit of both, the compile command disassembles, and the
+# differential oracle passes with the VM as its third leg.
 vm-smoke: build
 	set -e; N=_build/default/bin/nmlc.exe; \
 	for f in examples/programs/*.nml; do \
-	  $$N run $$f -O --policy generational --backend vm > _build/vm_smoke_vm.out; \
-	  $$N run $$f -O --policy generational > _build/vm_smoke_interp.out; \
+	  $$N run $$f -O --policy generational --check-arenas --backend vm \
+	    > _build/vm_smoke_vm.out; \
+	  $$N run $$f -O --policy generational --check-arenas \
+	    > _build/vm_smoke_interp.out; \
 	  cmp _build/vm_smoke_vm.out _build/vm_smoke_interp.out \
 	    || { echo "vm-smoke: $$f diverges between backends"; exit 1; }; \
 	done

@@ -46,7 +46,11 @@ type report = {
   max_env : int;
 }
 
-type prog = { funs : fundef array; entry : kanf; report : report }
+type prog = {
+  funs : fundef array;  (** indexed by function id: [funs.(i).fid = i] *)
+  entry : kanf;
+  report : report;
+}
 
 exception Internal of string
 

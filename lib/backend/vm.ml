@@ -19,7 +19,14 @@
    letrec right-hand sides) are cleared with [Kill] when their scope
    exits, so the arena escape check and the poison-marking check see
    the same root precision the machine gets from its environment
-   discipline. *)
+   discipline.
+
+   Dispatch allocates nothing per instruction beyond the value the
+   instruction produces: operands are of fixed arity (a primitive takes
+   one or two, an allocation two or three, a reuse three or four) and
+   are loaded straight into the primitive's parameters, constants are
+   shared values, and a known call loads its arguments directly into
+   the callee's fresh register file. *)
 
 module Ast = Nml.Ast
 module Ir = Runtime.Ir
@@ -51,16 +58,16 @@ and slot = { sname : string; mutable sv : value option }
 type opnd =
   | Reg of int
   | Envv of int
-  | Kint of int
-  | Kbool of bool
-  | Knil
-  | Kleaf
+  | Const of value  (** an int, bool, nil or leaf, shared by every load *)
 
 type instr =
   | Move of int * opnd
-  | Prim of int * Ast.prim * opnd array
-  | Alloc of int * Anf.shape * Ir.alloc * opnd array
-  | Reuse of int * Anf.reuse * opnd array
+  | Prim1 of int * Ast.prim * opnd
+  | Prim2 of int * Ast.prim * opnd * opnd
+  | Alloc of int * Anf.shape * Ir.alloc * opnd * opnd  (** cons or pair *)
+  | Node of int * Ir.alloc * opnd * opnd * opnd  (** left, label, right *)
+  | Dcons of int * opnd * opnd * opnd  (** cell, head, tail *)
+  | Dnode of int * opnd * opnd * opnd * opnd  (** cell, left, label, right *)
   | Clo of int * int * opnd array  (** dst, function id, raw captures *)
   | Call of int * int * opnd * opnd array
       (** dst, function id, the closure, the full argument row *)
@@ -102,13 +109,20 @@ let internal fmt = Format.kasprintf (fun m -> raise (Internal m)) fmt
 module SMap = Map.Make (String)
 
 type emitter = {
-  mutable instrs : instr list;  (* reversed *)
+  mutable instrs : instr array;  (* the first [len] slots are emitted *)
   mutable len : int;
   mutable maxreg : int;
 }
 
+let emitter () = { instrs = [||]; len = 0; maxreg = 0 }
+
 let emit e i =
-  e.instrs <- i :: e.instrs;
+  if e.len = Array.length e.instrs then begin
+    let bigger = Array.make (max 16 (2 * e.len)) i in
+    Array.blit e.instrs 0 bigger 0 e.len;
+    e.instrs <- bigger
+  end;
+  e.instrs.(e.len) <- i;
   e.len <- e.len + 1
 
 (* emit a placeholder jump, returning its index for later patching *)
@@ -117,17 +131,16 @@ let emit_hole e i =
   emit e i;
   at
 
-let patch e at i =
-  e.instrs <-
-    List.mapi (fun j x -> if j = e.len - 1 - at then i else x) e.instrs
+let patch e at i = e.instrs.(at) <- i
+let emitted e = Array.sub e.instrs 0 e.len
 
 let note e depth = if depth > e.maxreg then e.maxreg <- depth
 
 let opnd_of_atom map = function
-  | Anf.Aconst (Ast.Cint n) -> Kint n
-  | Anf.Aconst (Ast.Cbool b) -> Kbool b
-  | Anf.Aconst Ast.Cnil -> Knil
-  | Anf.Aconst Ast.Cleaf -> Kleaf
+  | Anf.Aconst (Ast.Cint n) -> Const (Int n)
+  | Anf.Aconst (Ast.Cbool b) -> Const (Bool b)
+  | Anf.Aconst Ast.Cnil -> Const Nil
+  | Anf.Aconst Ast.Cleaf -> Const Leaf
   | Anf.Avar x -> (
       match SMap.find_opt x map with
       | Some o -> o
@@ -135,8 +148,9 @@ let opnd_of_atom map = function
 
 let compile_prog (p : Closure.prog) : code =
   let compiled = Array.make (Array.length p.Closure.funs) None in
-  let rec comp_fun (f : Closure.fundef) =
-    let e = { instrs = []; len = 0; maxreg = 0 } in
+  let rec compile_fid fid = compiled.(fid) <- Some (comp_fun p.Closure.funs.(fid))
+  and comp_fun (f : Closure.fundef) =
+    let e = emitter () in
     let map, nparams =
       List.fold_left
         (fun (m, i) x -> (SMap.add x (Reg i) m, i + 1))
@@ -156,7 +170,7 @@ let compile_prog (p : Closure.prog) : code =
       arity = nparams;
       nregs = e.maxreg;
       nenv = List.length f.Closure.free;
-      code = Array.of_list (List.rev e.instrs);
+      code = emitted e;
     }
   (* compile [a]; in tail position every path ends in Ret/Tailcall and
      [None] is returned, otherwise the result operand comes back *)
@@ -232,23 +246,29 @@ let compile_prog (p : Closure.prog) : code =
   (* non-tail compilation of a computation into register [dst];
      temporaries live at [depth] and above and die with the scope *)
   and comp_ce e map ~dst ~depth (ce : Closure.cexpr) : unit =
-    let opnds az = Array.of_list (List.map (opnd_of_atom map) az) in
+    let o = opnd_of_atom map in
+    let opnds az = Array.of_list (List.map o az) in
     match ce with
-    | Closure.Katom at -> emit e (Move (dst, opnd_of_atom map at))
-    | Closure.Kprim (p, az) -> emit e (Prim (dst, p, opnds az))
-    | Closure.Kalloc (al, sh, az) -> emit e (Alloc (dst, sh, al, opnds az))
-    | Closure.Kreuse (r, az) -> emit e (Reuse (dst, r, opnds az))
+    | Closure.Katom at -> emit e (Move (dst, o at))
+    | Closure.Kprim (p, [ a ]) -> emit e (Prim1 (dst, p, o a))
+    | Closure.Kprim (p, [ a; b ]) -> emit e (Prim2 (dst, p, o a, o b))
+    | Closure.Kprim (p, az) ->
+        internal "compile: primitive %s applied to %d arguments" (Ast.prim_name p)
+          (List.length az)
+    | Closure.Kalloc (al, ((Anf.Scons | Anf.Spair) as sh), [ a; b ]) ->
+        emit e (Alloc (dst, sh, al, o a, o b))
+    | Closure.Kalloc (al, Anf.Snode, [ l; x; r ]) ->
+        emit e (Node (dst, al, o l, o x, o r))
+    | Closure.Kalloc _ -> internal "compile: malformed allocation"
+    | Closure.Kreuse (Anf.Rcons, [ c; hd; tl ]) ->
+        emit e (Dcons (dst, o c, o hd, o tl))
+    | Closure.Kreuse (Anf.Rnode, [ c; l; x; r ]) ->
+        emit e (Dnode (dst, o c, o l, o x, o r))
+    | Closure.Kreuse _ -> internal "compile: malformed reuse"
     | Closure.Kclos (fid, caps) ->
-        (if compiled.(fid) = None then
-           match
-             Array.to_list p.Closure.funs
-             |> List.find_opt (fun f -> f.Closure.fid = fid)
-           with
-           | Some f ->
-               compiled.(fid) <- Some (comp_fun f)
-               (* recursion through [comp_fun] terminates: each id is
-                  compiled at most once, marked before its body *)
-           | None -> internal "compile: unknown function %d" fid);
+        (* recursion through [comp_fun] terminates: a body only builds
+           closures of the lambdas nested inside it *)
+        if compiled.(fid) = None then compile_fid fid;
         emit e (Clo (dst, fid, opnds caps))
     | Closure.Kcall (fid, f, az) ->
         emit e (Call (dst, fid, opnd_of_atom map f, opnds az))
@@ -282,7 +302,7 @@ let compile_prog (p : Closure.prog) : code =
         emit e (Kill depth)
   in
   let entry =
-    let e = { instrs = []; len = 0; maxreg = 0 } in
+    let e = emitter () in
     (match comp_anf e SMap.empty 0 ~tail:false p.Closure.entry with
     | Some o -> emit e (Ret o)
     | None -> internal "compile: entry has no result");
@@ -292,20 +312,12 @@ let compile_prog (p : Closure.prog) : code =
       arity = 0;
       nregs = e.maxreg;
       nenv = 0;
-      code = Array.of_list (List.rev e.instrs);
+      code = emitted e;
     }
   in
   (* compile anything not reached from the entry (dead letrec bindings
      still need bodies: a [Clo] for them may sit on a dead path) *)
-  Array.iteri
-    (fun i c ->
-      if c = None then
-        match
-          Array.to_list p.Closure.funs |> List.find_opt (fun f -> f.Closure.fid = i)
-        with
-        | Some f -> compiled.(i) <- Some (comp_fun f)
-        | None -> internal "compile: unknown function %d" i)
-    compiled;
+  Array.iteri (fun i c -> if c = None then compile_fid i) compiled;
   let funcs =
     Array.map
       (function Some f -> f | None -> internal "compile: missing function")
@@ -451,10 +463,8 @@ let unmark_closures m =
   List.iter (fun c -> c.cmark <- false) m.marked_closures;
   m.marked_closures <- []
 
-let now_ns () = Unix.gettimeofday () *. 1e9
-
 let collect m =
-  let t0 = now_ns () in
+  let t0 = Stats.now_ns () in
   let marked0 = m.stats.Stats.marked and swept0 = m.stats.Stats.swept in
   m.stats.Stats.gc_runs <- m.stats.Stats.gc_runs + 1;
   if H.is_generational m.heap then
@@ -463,10 +473,10 @@ let collect m =
   H.sweep_all m.heap;
   unmark_closures m;
   let cells = m.stats.Stats.marked - marked0 + (m.stats.Stats.swept - swept0) in
-  Stats.record_pause m.stats ~cells ~ns:(now_ns () -. t0)
+  Stats.record_pause m.stats ~cells ~ns:(Stats.now_ns () -. t0)
 
 let minor_collect m =
-  let t0 = now_ns () in
+  let t0 = Stats.now_ns () in
   let marked0 = m.stats.Stats.marked and swept0 = m.stats.Stats.swept in
   let scanned = H.remembered_size m.heap in
   m.stats.Stats.gc_runs <- m.stats.Stats.gc_runs + 1;
@@ -484,7 +494,7 @@ let minor_collect m =
   let cells =
     m.stats.Stats.marked - marked0 + (m.stats.Stats.swept - swept0) + scanned
   in
-  Stats.record_pause m.stats ~cells ~ns:(now_ns () -. t0)
+  Stats.record_pause m.stats ~cells ~ns:(Stats.now_ns () -. t0)
 
 (* ---- allocation ----------------------------------------------------------- *)
 
@@ -556,97 +566,100 @@ let alloc_cell m target hd tl =
 let as_int = function Int n -> n | v -> error "expected an int, got a %s" (type_name v)
 let as_bool = function Bool b -> b | v -> error "expected a bool, got a %s" (type_name v)
 
-let delta m p (args : value array) =
-  match (p, args) with
-  | Ast.Add, [| a; b |] -> Int (as_int a + as_int b)
-  | Ast.Sub, [| a; b |] -> Int (as_int a - as_int b)
-  | Ast.Mul, [| a; b |] -> Int (as_int a * as_int b)
-  | Ast.Div, [| a; b |] ->
+let of_bool b = if b then Bool true else Bool false
+
+let delta1 m p a =
+  match (p, a) with
+  | Ast.Not, a -> of_bool (not (as_bool a))
+  | Ast.Car, Ptr a -> (cell_read m "car" a).H.car
+  | Ast.Car, Nil -> error "car of nil"
+  | Ast.Car, v -> error "car of a %s" (type_name v)
+  | Ast.Cdr, Ptr a -> (cell_read m "cdr" a).H.cdr
+  | Ast.Cdr, Nil -> error "cdr of nil"
+  | Ast.Cdr, v -> error "cdr of a %s" (type_name v)
+  | Ast.Null, Nil -> Bool true
+  | Ast.Null, Ptr _ -> Bool false
+  | Ast.Null, v -> error "null of a %s" (type_name v)
+  | Ast.Fst, Pair a -> (cell_read m "fst" a).H.car
+  | Ast.Fst, v -> error "fst of a %s" (type_name v)
+  | Ast.Snd, Pair a -> (cell_read m "snd" a).H.cdr
+  | Ast.Snd, v -> error "snd of a %s" (type_name v)
+  | Ast.Isleaf, Leaf -> Bool true
+  | Ast.Isleaf, Tree _ -> Bool false
+  | Ast.Isleaf, v -> error "isleaf of a %s" (type_name v)
+  | Ast.Label, Tree a -> (cell_read m "label" a).H.lbl
+  | Ast.Label, Leaf -> error "label of leaf"
+  | Ast.Label, v -> error "label of a %s" (type_name v)
+  | Ast.Left, Tree a -> (cell_read m "left" a).H.car
+  | Ast.Left, Leaf -> error "left of leaf"
+  | Ast.Left, v -> error "left of a %s" (type_name v)
+  | Ast.Right, Tree a -> (cell_read m "right" a).H.cdr
+  | Ast.Right, Leaf -> error "right of leaf"
+  | Ast.Right, v -> error "right of a %s" (type_name v)
+  | _ -> internal "primitive %s applied to 1 argument" (Ast.prim_name p)
+
+let delta2 p a b =
+  match p with
+  | Ast.Add -> Int (as_int a + as_int b)
+  | Ast.Sub -> Int (as_int a - as_int b)
+  | Ast.Mul -> Int (as_int a * as_int b)
+  | Ast.Div ->
       let d = as_int b in
       if d = 0 then error "division by zero" else Int (as_int a / d)
-  | Ast.Mod, [| a; b |] ->
+  | Ast.Mod ->
       let d = as_int b in
       if d = 0 then error "modulo by zero" else Int (as_int a mod d)
-  | Ast.Eq, [| a; b |] -> Bool (as_int a = as_int b)
-  | Ast.Ne, [| a; b |] -> Bool (as_int a <> as_int b)
-  | Ast.Lt, [| a; b |] -> Bool (as_int a < as_int b)
-  | Ast.Le, [| a; b |] -> Bool (as_int a <= as_int b)
-  | Ast.Gt, [| a; b |] -> Bool (as_int a > as_int b)
-  | Ast.Ge, [| a; b |] -> Bool (as_int a >= as_int b)
-  | Ast.And, [| a; b |] -> Bool (as_bool a && as_bool b)
-  | Ast.Or, [| a; b |] -> Bool (as_bool a || as_bool b)
-  | Ast.Not, [| a |] -> Bool (not (as_bool a))
-  | Ast.Car, [| Ptr a |] -> (cell_read m "car" a).H.car
-  | Ast.Car, [| Nil |] -> error "car of nil"
-  | Ast.Car, [| v |] -> error "car of a %s" (type_name v)
-  | Ast.Cdr, [| Ptr a |] -> (cell_read m "cdr" a).H.cdr
-  | Ast.Cdr, [| Nil |] -> error "cdr of nil"
-  | Ast.Cdr, [| v |] -> error "cdr of a %s" (type_name v)
-  | Ast.Null, [| Nil |] -> Bool true
-  | Ast.Null, [| Ptr _ |] -> Bool false
-  | Ast.Null, [| v |] -> error "null of a %s" (type_name v)
-  | Ast.Fst, [| Pair a |] -> (cell_read m "fst" a).H.car
-  | Ast.Fst, [| v |] -> error "fst of a %s" (type_name v)
-  | Ast.Snd, [| Pair a |] -> (cell_read m "snd" a).H.cdr
-  | Ast.Snd, [| v |] -> error "snd of a %s" (type_name v)
-  | Ast.Isleaf, [| Leaf |] -> Bool true
-  | Ast.Isleaf, [| Tree _ |] -> Bool false
-  | Ast.Isleaf, [| v |] -> error "isleaf of a %s" (type_name v)
-  | Ast.Label, [| Tree a |] -> (cell_read m "label" a).H.lbl
-  | Ast.Label, [| Leaf |] -> error "label of leaf"
-  | Ast.Label, [| v |] -> error "label of a %s" (type_name v)
-  | Ast.Left, [| Tree a |] -> (cell_read m "left" a).H.car
-  | Ast.Left, [| Leaf |] -> error "left of leaf"
-  | Ast.Left, [| v |] -> error "left of a %s" (type_name v)
-  | Ast.Right, [| Tree a |] -> (cell_read m "right" a).H.cdr
-  | Ast.Right, [| Leaf |] -> error "right of leaf"
-  | Ast.Right, [| v |] -> error "right of a %s" (type_name v)
-  | (Ast.Cons | Ast.Pair | Ast.Node), _ -> internal "allocating primitive in Prim"
-  | _ -> internal "primitive %s applied to %d arguments" (Ast.prim_name p)
-           (Array.length args)
+  | Ast.Eq -> of_bool (as_int a = as_int b)
+  | Ast.Ne -> of_bool (as_int a <> as_int b)
+  | Ast.Lt -> of_bool (as_int a < as_int b)
+  | Ast.Le -> of_bool (as_int a <= as_int b)
+  | Ast.Gt -> of_bool (as_int a > as_int b)
+  | Ast.Ge -> of_bool (as_int a >= as_int b)
+  | Ast.And -> of_bool (as_bool a && as_bool b)
+  | Ast.Or -> of_bool (as_bool a || as_bool b)
+  | _ -> internal "primitive %s applied to 2 arguments" (Ast.prim_name p)
 
-let do_reuse m r (args : value array) =
-  match (r, args) with
-  | Anf.Rcons, [| p; hd; tl |] -> (
-      match p with
-      | Ptr a ->
-          let c = H.get m.heap a in
-          if c.H.free then error "DCONS on a freed cell";
-          c.H.car <- hd;
-          c.H.cdr <- tl;
-          H.barrier m.heap a;
-          m.stats.Stats.dcons_reuses <- m.stats.Stats.dcons_reuses + 1;
-          Ptr a
-      | Nil -> error "DCONS on nil (no cell to reuse)"
-      | v -> error "DCONS on a %s (no cell to reuse)" (type_name v))
-  | Anf.Rnode, [| p; l; x; r |] -> (
-      match p with
-      | Tree a ->
-          let c = H.get m.heap a in
-          if c.H.free then error "DNODE on a freed cell";
-          c.H.car <- l;
-          c.H.lbl <- x;
-          c.H.cdr <- r;
-          H.barrier m.heap a;
-          m.stats.Stats.dcons_reuses <- m.stats.Stats.dcons_reuses + 1;
-          Tree a
-      | Leaf -> error "DNODE on leaf (no cell to reuse)"
-      | v -> error "DNODE on a %s (no cell to reuse)" (type_name v))
-  | _ -> internal "malformed reuse"
+let do_dcons m p hd tl =
+  match p with
+  | Ptr a ->
+      let c = H.get m.heap a in
+      if c.H.free then error "DCONS on a freed cell";
+      c.H.car <- hd;
+      c.H.cdr <- tl;
+      H.barrier m.heap a;
+      m.stats.Stats.dcons_reuses <- m.stats.Stats.dcons_reuses + 1;
+      p
+  | Nil -> error "DCONS on nil (no cell to reuse)"
+  | v -> error "DCONS on a %s (no cell to reuse)" (type_name v)
 
-let do_alloc m sh al (args : value array) =
-  match (sh, args) with
-  | Anf.Scons, [| hd; tl |] -> Ptr (alloc_cell m al hd tl)
-  | Anf.Spair, [| a; b |] -> Pair (alloc_cell m al a b)
-  | Anf.Snode, [| l; x; r |] ->
-      (match (l, r) with
-      | (Leaf | Tree _), (Leaf | Tree _) -> ()
-      | _ -> error "node: children must be trees");
-      let addr = alloc_cell m al l r in
-      (H.get m.heap addr).H.lbl <- x;
-      H.barrier m.heap addr;
-      Tree addr
-  | _ -> internal "malformed allocation"
+let do_dnode m p l x r =
+  match p with
+  | Tree a ->
+      let c = H.get m.heap a in
+      if c.H.free then error "DNODE on a freed cell";
+      c.H.car <- l;
+      c.H.lbl <- x;
+      c.H.cdr <- r;
+      H.barrier m.heap a;
+      m.stats.Stats.dcons_reuses <- m.stats.Stats.dcons_reuses + 1;
+      p
+  | Leaf -> error "DNODE on leaf (no cell to reuse)"
+  | v -> error "DNODE on a %s (no cell to reuse)" (type_name v)
+
+let do_alloc m sh al a b =
+  match sh with
+  | Anf.Scons -> Ptr (alloc_cell m al a b)
+  | Anf.Spair -> Pair (alloc_cell m al a b)
+  | Anf.Snode -> internal "malformed allocation"
+
+let do_node m al l x r =
+  (match (l, r) with
+  | (Leaf | Tree _), (Leaf | Tree _) -> ()
+  | _ -> error "node: children must be trees");
+  let addr = alloc_cell m al l r in
+  (H.get m.heap addr).H.lbl <- x;
+  H.barrier m.heap addr;
+  Tree addr
 
 (* ---- arena safety check --------------------------------------------------- *)
 
@@ -687,164 +700,188 @@ let deref = function
             s.sname)
   | v -> v
 
+let load fr = function
+  | Reg i -> deref fr.regs.(i)
+  | Envv i -> deref fr.env.(i)
+  | Const v -> v
+
+let load_raw fr = function
+  | Reg i -> fr.regs.(i)
+  | Envv i -> fr.env.(i)
+  | Const v -> v
+
 (* count accepted liveness hints: a call binding a hinted-dead
    parameter to an actual spine is the moment the collector's advisory
    metadata pays off, and the counter makes that observable *)
-let note_hints m (c : clos) (args : value array) =
+let note_hints m (c : clos) callee =
   match c.hints with
   | [] -> ()
   | hints ->
       List.iter
         (fun i ->
-          if i >= 1 && i <= Array.length args then
-            match args.(i - 1) with
+          if i >= 1 && i <= callee.func.arity then
+            match callee.regs.(i - 1) with
             | Ptr _ | Nil ->
                 m.stats.Stats.hints_accepted <- m.stats.Stats.hints_accepted + 1
             | _ -> ())
         hints
 
+(* tag a letrec-bound closure with the advisory dead-spine hints of its
+   binder, so calls through it are counted *)
+let tag_hints m funcs name v =
+  let cfg = H.config m.heap in
+  if cfg.H.liveness_hints <> [] then
+    match v with
+    | Clos ({ pap = []; _ } as c) ->
+        let arity =
+          if c.fn >= 0 && c.fn < Array.length funcs then funcs.(c.fn).arity else 0
+        in
+        let idxs = ref [] in
+        for i = arity downto 1 do
+          if H.hinted_dead_spine cfg ~fname:name ~arg:i then idxs := i :: !idxs
+        done;
+        if !idxs <> [] then begin
+          c.hints <- !idxs;
+          m.stats.Stats.hint_sites <- m.stats.Stats.hint_sites + List.length !idxs
+        end
+    | _ -> ()
+
+(* the frame a call of [c] enters; the caller fills the parameter
+   registers in place *)
+let callee_frame funcs (c : clos) ~dst =
+  if c.fn < 0 || c.fn >= Array.length funcs then
+    internal "call of unknown function %d" c.fn;
+  let f = funcs.(c.fn) in
+  { func = f; pc = 0; regs = Array.make (max f.nregs f.arity) Nil; env = c.env; dst }
+
+(* a known call: the argument row is loaded left to right from the
+   caller's operands straight into the callee's registers *)
+let known_frame funcs fr (c : clos) (az : opnd array) ~dst =
+  let callee = callee_frame funcs c ~dst in
+  let f = callee.func in
+  if Array.length az <> f.arity then
+    internal "function %s/%d called with %d arguments" f.fname f.arity
+      (Array.length az);
+  for k = 0 to f.arity - 1 do
+    callee.regs.(k) <- load fr az.(k)
+  done;
+  callee
+
+let rec fill_args regs k a = function
+  | [] -> regs.(k) <- a
+  | v :: rest ->
+      regs.(k) <- v;
+      fill_args regs (k + 1) a rest
+
+(* a generic application completing [c]'s arguments with [a] *)
+let saturated_frame funcs (c : clos) a ~dst =
+  let callee = callee_frame funcs c ~dst in
+  fill_args callee.regs 0 a c.pap;
+  callee
+
+let enter m (c : clos) callee ~tail =
+  note_hints m c callee;
+  if tail then m.frames <- callee :: List.tl m.frames
+  else m.frames <- callee :: m.frames
+
+let extend (c : clos) a =
+  Clos { fn = c.fn; env = c.env; pap = c.pap @ [ a ]; cmark = false; hints = c.hints }
+
 let exec m (code : code) : value =
   let funcs = code.funcs in
-  let frame_of ~dst (f : func) (env : value array) (args : value array) =
-    let regs = Array.make (max f.nregs f.arity) Nil in
-    Array.blit args 0 regs 0 (Array.length args);
-    { func = f; pc = 0; regs; env; dst }
-  in
-  let invoke m (c : clos) (args : value array) ~dst ~tail =
-    let f =
-      if c.fn < 0 || c.fn >= Array.length funcs then
-        internal "call of unknown function %d" c.fn
-      else funcs.(c.fn)
-    in
-    if Array.length args <> f.arity then
-      internal "function %s/%d called with %d arguments" f.fname f.arity
-        (Array.length args);
-    note_hints m c args;
-    let fr = frame_of ~dst f c.env args in
-    if tail then m.frames <- fr :: List.tl m.frames
-    else m.frames <- fr :: m.frames
-  in
-  let result = ref None in
-  m.frames <- [ frame_of ~dst:(-1) code.entry [||] [||] ];
-  while !result = None do
+  let running = ref true and result = ref Nil in
+  m.frames <-
+    [ { func = code.entry; pc = 0; regs = Array.make code.entry.nregs Nil;
+        env = [||]; dst = -1 } ];
+  while !running do
     match m.frames with
     | [] -> internal "no active frame"
     | fr :: callers -> (
         tick m;
-        let load o =
-          match o with
-          | Reg i -> deref fr.regs.(i)
-          | Envv i -> deref fr.env.(i)
-          | Kint n -> Int n
-          | Kbool b -> Bool b
-          | Knil -> Nil
-          | Kleaf -> Leaf
-        in
-        let load_raw o =
-          match o with
-          | Reg i -> fr.regs.(i)
-          | Envv i -> fr.env.(i)
-          | Kint n -> Int n
-          | Kbool b -> Bool b
-          | Knil -> Nil
-          | Kleaf -> Leaf
-        in
-        let loads az = Array.map load az in
         let i = fr.func.code.(fr.pc) in
         fr.pc <- fr.pc + 1;
         match i with
-        | Move (d, o) -> fr.regs.(d) <- load o
-        | Prim (d, p, az) -> fr.regs.(d) <- delta m p (loads az)
-        | Alloc (d, sh, al, az) -> fr.regs.(d) <- do_alloc m sh al (loads az)
-        | Reuse (d, r, az) -> fr.regs.(d) <- do_reuse m r (loads az)
+        | Move (d, o) -> fr.regs.(d) <- load fr o
+        | Prim1 (d, p, a) -> fr.regs.(d) <- delta1 m p (load fr a)
+        | Prim2 (d, p, a, b) ->
+            let a = load fr a in
+            fr.regs.(d) <- delta2 p a (load fr b)
+        | Alloc (d, sh, al, a, b) ->
+            let a = load fr a in
+            fr.regs.(d) <- do_alloc m sh al a (load fr b)
+        | Node (d, al, l, x, r) ->
+            let l = load fr l in
+            let x = load fr x in
+            fr.regs.(d) <- do_node m al l x (load fr r)
+        | Dcons (d, c, hd, tl) ->
+            let c = load fr c in
+            let hd = load fr hd in
+            fr.regs.(d) <- do_dcons m c hd (load fr tl)
+        | Dnode (d, c, l, x, r) ->
+            let c = load fr c in
+            let l = load fr l in
+            let x = load fr x in
+            fr.regs.(d) <- do_dnode m c l x (load fr r)
         | Clo (d, fid, caps) ->
-            fr.regs.(d) <-
-              Clos
-                { fn = fid; env = Array.map load_raw caps; pap = []; cmark = false;
-                  hints = [] }
+            let env = Array.make (Array.length caps) Nil in
+            for k = 0 to Array.length caps - 1 do
+              env.(k) <- load_raw fr caps.(k)
+            done;
+            fr.regs.(d) <- Clos { fn = fid; env; pap = []; cmark = false; hints = [] }
         | Call (d, fid, fo, az) -> (
-            match load fo with
-            | Clos c when c.fn = fid && c.pap = [] ->
-                invoke m c (loads az) ~dst:d ~tail:false
+            match load fr fo with
+            | Clos ({ pap = []; _ } as c) when c.fn = fid ->
+                enter m c (known_frame funcs fr c az ~dst:d) ~tail:false
             | Clos _ -> internal "known call resolved to the wrong function"
             | v -> error "cannot apply a %s as a function" (type_name v))
         | Tailcall (fid, fo, az) -> (
-            match load fo with
-            | Clos c when c.fn = fid && c.pap = [] ->
-                invoke m c (loads az) ~dst:fr.dst ~tail:true
+            match load fr fo with
+            | Clos ({ pap = []; _ } as c) when c.fn = fid ->
+                enter m c (known_frame funcs fr c az ~dst:fr.dst) ~tail:true
             | Clos _ -> internal "known call resolved to the wrong function"
             | v -> error "cannot apply a %s as a function" (type_name v))
         | Apply (d, fo, ao) -> (
-            let a = load ao in
-            match load fo with
+            let a = load fr ao in
+            match load fr fo with
             | Clos c ->
-                let f = funcs.(c.fn) in
-                let have = List.length c.pap + 1 in
-                if have = f.arity then
-                  invoke m c (Array.of_list (c.pap @ [ a ])) ~dst:d ~tail:false
-                else
-                  fr.regs.(d) <-
-                    Clos
-                      { fn = c.fn; env = c.env; pap = c.pap @ [ a ];
-                        cmark = false; hints = c.hints }
+                if List.length c.pap + 1 = funcs.(c.fn).arity then
+                  enter m c (saturated_frame funcs c a ~dst:d) ~tail:false
+                else fr.regs.(d) <- extend c a
             | v -> error "cannot apply a %s as a function" (type_name v))
         | Tailapply (fo, ao) -> (
-            let a = load ao in
-            match load fo with
+            let a = load fr ao in
+            match load fr fo with
             | Clos c ->
-                let f = funcs.(c.fn) in
-                let have = List.length c.pap + 1 in
-                if have = f.arity then
-                  invoke m c (Array.of_list (c.pap @ [ a ])) ~dst:fr.dst ~tail:true
+                if List.length c.pap + 1 = funcs.(c.fn).arity then
+                  enter m c (saturated_frame funcs c a ~dst:fr.dst) ~tail:true
                 else begin
                   (* a partial application is a value: return it *)
-                  let v =
-                    Clos
-                      { fn = c.fn; env = c.env; pap = c.pap @ [ a ];
-                        cmark = false; hints = c.hints }
-                  in
+                  let v = extend c a in
                   m.frames <- callers;
                   match callers with
-                  | [] -> result := Some v
+                  | [] ->
+                      result := v;
+                      running := false
                   | caller :: _ -> caller.regs.(fr.dst) <- v
                 end
             | v -> error "cannot apply a %s as a function" (type_name v))
         | Jmp t -> fr.pc <- t
-        | Jifnot (o, t) -> if not (as_bool (load o)) then fr.pc <- t
+        | Jifnot (o, t) -> if not (as_bool (load fr o)) then fr.pc <- t
         | Ret o -> (
-            let v = load o in
+            let v = load fr o in
             m.frames <- callers;
             match callers with
-            | [] -> result := Some v
+            | [] ->
+                result := v;
+                running := false
             | caller :: _ -> caller.regs.(fr.dst) <- v)
         | Mkslot (d, name) -> fr.regs.(d) <- Slotv { sname = name; sv = None }
-        | Setslot (d, o, name) -> (
-            let v = load o in
+        | Setslot (d, o, name) ->
+            let v = load fr o in
             (match fr.regs.(d) with
             | Slotv s -> s.sv <- Some v
             | _ -> internal "Setslot on a non-slot register");
-            (* tag letrec-bound closures with the advisory dead-spine
-               hints so calls through them are counted *)
-            let cfg = H.config m.heap in
-            if cfg.H.liveness_hints <> [] then
-              match v with
-              | Clos c when c.pap = [] ->
-                  let arity =
-                    if c.fn >= 0 && c.fn < Array.length funcs then
-                      funcs.(c.fn).arity
-                    else 0
-                  in
-                  let idxs = ref [] in
-                  for i = arity downto 1 do
-                    if H.hinted_dead_spine cfg ~fname:name ~arg:i then
-                      idxs := i :: !idxs
-                  done;
-                  if !idxs <> [] then begin
-                    c.hints <- !idxs;
-                    m.stats.Stats.hint_sites <-
-                      m.stats.Stats.hint_sites + List.length !idxs
-                  end
-              | _ -> ())
+            tag_hints m funcs name v
         | Openarena (kind, sid) ->
             if (H.config m.heap).H.regions then begin
               let a = H.open_arena m.heap ~kind in
@@ -863,7 +900,7 @@ let exec m (code : code) : value =
               Hashtbl.replace m.arena_stacks sid stack;
               if m.check_arenas then begin
                 let roots =
-                  load o
+                  load fr o
                   :: List.concat_map
                        (fun fr ->
                          Array.to_list fr.regs @ Array.to_list fr.env)
@@ -880,7 +917,7 @@ let exec m (code : code) : value =
               fr.regs.(i) <- Nil
             done)
   done;
-  match !result with Some v -> v | None -> internal "no result"
+  !result
 
 let eval m code =
   let before = Stats.snapshot m.stats in
@@ -928,10 +965,11 @@ let cell_values m a =
 let pp_opnd ppf = function
   | Reg i -> Format.fprintf ppf "r%d" i
   | Envv i -> Format.fprintf ppf "e%d" i
-  | Kint n -> Format.pp_print_int ppf n
-  | Kbool b -> Format.pp_print_bool ppf b
-  | Knil -> Format.pp_print_string ppf "nil"
-  | Kleaf -> Format.pp_print_string ppf "leaf"
+  | Const (Int n) -> Format.pp_print_int ppf n
+  | Const (Bool b) -> Format.pp_print_bool ppf b
+  | Const Nil -> Format.pp_print_string ppf "nil"
+  | Const Leaf -> Format.pp_print_string ppf "leaf"
+  | Const v -> internal "constant operand of type %s" (type_name v)
 
 let pp_opnds ppf az =
   Array.iteri
@@ -947,13 +985,21 @@ let pp_alloc ppf = function
 
 let pp_instr ppf = function
   | Move (d, o) -> Format.fprintf ppf "r%d <- %a" d pp_opnd o
-  | Prim (d, p, az) ->
-      Format.fprintf ppf "r%d <- %s %a" d (Ast.prim_name p) pp_opnds az
-  | Alloc (d, sh, al, az) ->
+  | Prim1 (d, p, a) -> Format.fprintf ppf "r%d <- %s %a" d (Ast.prim_name p) pp_opnd a
+  | Prim2 (d, p, a, b) ->
+      Format.fprintf ppf "r%d <- %s %a" d (Ast.prim_name p) pp_opnds [| a; b |]
+  | Alloc (d, sh, al, a, b) ->
       Format.fprintf ppf "r%d <- %s%a %a" d (Anf.shape_name sh) pp_alloc al
-        pp_opnds az
-  | Reuse (d, r, az) ->
-      Format.fprintf ppf "r%d <- %s! %a" d (Anf.reuse_name r) pp_opnds az
+        pp_opnds [| a; b |]
+  | Node (d, al, l, x, r) ->
+      Format.fprintf ppf "r%d <- %s%a %a" d (Anf.shape_name Anf.Snode) pp_alloc al
+        pp_opnds [| l; x; r |]
+  | Dcons (d, c, hd, tl) ->
+      Format.fprintf ppf "r%d <- %s! %a" d (Anf.reuse_name Anf.Rcons) pp_opnds
+        [| c; hd; tl |]
+  | Dnode (d, c, l, x, r) ->
+      Format.fprintf ppf "r%d <- %s! %a" d (Anf.reuse_name Anf.Rnode) pp_opnds
+        [| c; l; x; r |]
   | Clo (d, fid, az) ->
       Format.fprintf ppf "r%d <- closure f%d [%a]" d fid pp_opnds az
   | Call (d, fid, fo, az) ->

@@ -176,12 +176,10 @@ let unmark_closures m =
   List.iter (fun c -> c.cmark <- false) m.marked_closures;
   m.marked_closures <- []
 
-let now_ns () = Unix.gettimeofday () *. 1e9
-
 (* a full mark-sweep; under the generational policy this is the major
    collection, promoting every survivor *)
 let collect m =
-  let t0 = now_ns () in
+  let t0 = Stats.now_ns () in
   let marked0 = m.stats.Stats.marked and swept0 = m.stats.Stats.swept in
   m.stats.Stats.gc_runs <- m.stats.Stats.gc_runs + 1;
   if H.is_generational m.heap then
@@ -193,13 +191,13 @@ let collect m =
   let cells =
     m.stats.Stats.marked - marked0 + (m.stats.Stats.swept - swept0)
   in
-  Stats.record_pause m.stats ~cells ~ns:(now_ns () -. t0)
+  Stats.record_pause m.stats ~cells ~ns:(Stats.now_ns () -. t0)
 
 (* a nursery collection: mark from the roots stopping at old cells, scan
    the remembered sets for old-to-young edges, sweep only the nursery
    chain, promote the survivors *)
 let minor_collect m =
-  let t0 = now_ns () in
+  let t0 = Stats.now_ns () in
   let marked0 = m.stats.Stats.marked and swept0 = m.stats.Stats.swept in
   let scanned = H.remembered_size m.heap in
   m.stats.Stats.gc_runs <- m.stats.Stats.gc_runs + 1;
@@ -218,7 +216,7 @@ let minor_collect m =
   let cells =
     m.stats.Stats.marked - marked0 + (m.stats.Stats.swept - swept0) + scanned
   in
-  Stats.record_pause m.stats ~cells ~ns:(now_ns () -. t0)
+  Stats.record_pause m.stats ~cells ~ns:(Stats.now_ns () -. t0)
 
 let collect_minor m = if H.is_generational m.heap then minor_collect m else collect m
 

@@ -83,6 +83,8 @@ let gc_work t = t.marked + t.swept
 
 (* ---- pause samples ------------------------------------------------------- *)
 
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
+
 let record_pause t ~cells ~ns =
   let cap = Array.length t.pause_cells in
   if t.pauses >= cap then begin

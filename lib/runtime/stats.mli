@@ -53,6 +53,11 @@ val total_allocs : t -> int
 val gc_work : t -> int
 (** [marked + swept]: cells the collector had to touch. *)
 
+val now_ns : unit -> float
+(** A monotonic clock in nanoseconds, for timing pauses: unlike the
+    wall clock it never steps, so a pause is never negative or inflated
+    by a clock adjustment. *)
+
 val record_pause : t -> cells:int -> ns:float -> unit
 (** Appends one collection-pause sample.  [cells] is the deterministic
     pause proxy (cells marked + swept + remembered-set entries scanned);

@@ -4,7 +4,8 @@
    ANF verifier as a property over generated programs, known-call and
    closure-conversion unit checks on the report counters, exact
    agreement of the storage counters between machine and VM on optimized
-   IR, and the VM's resource-limit exceptions. *)
+   IR, the VM's resource-limit exceptions, its fault messages against the
+   machine's, and its exact one-step-per-instruction accounting. *)
 
 module H = Check.Harness
 module Anf = Backend.Anf
@@ -243,6 +244,67 @@ let vm_tests =
         check_stats "vm" (Vm.stats v));
   ]
 
+(* ---- fault-message parity and step accounting ------------------------------- *)
+
+(* the harness counts any two crashes as agreeing, so the VM's error
+   text is pinned here against the machine's, message for message *)
+let fault_programs =
+  [
+    "car nil";
+    "cdr nil";
+    "7 div 0";
+    "7 mod 0";
+    "label leaf";
+    "left leaf";
+    "right leaf";
+    "fst (car nil)";
+    "letrec x = x + 1 in x";
+    (* reached through a known (tail) call *)
+    "letrec f l n = if n = 0 then cdr l else f l (n - 1) in f nil 3";
+  ]
+
+let examples_dir =
+  let local = Filename.concat (Filename.concat ".." "examples") "programs" in
+  if Sys.file_exists local then local else Filename.concat "examples" "programs"
+
+(* [Stats.steps] of [reverse.nml] compiled with every optimization:
+   one tick per executed instruction *)
+let reverse_opt_steps = 305
+
+let fault_tests =
+  [
+    Alcotest.test_case "vm-error-text-matches-machine" `Quick (fun () ->
+        List.iter
+          (fun src ->
+            List.iter
+              (fun (label, ir) ->
+                let expect =
+                  match machine_run ir with
+                  | _ -> Alcotest.failf "%s (%s): machine did not fail" src label
+                  | exception M.Error m -> m
+                in
+                match vm_run ir with
+                | _ -> Alcotest.failf "%s (%s): VM did not fail" src label
+                | exception Vm.Error m ->
+                    Alcotest.check Alcotest.string
+                      (Printf.sprintf "%s (%s)" src label) expect m)
+              [ ("baseline", baseline_ir src); ("-O", opt_ir src) ])
+          fault_programs);
+    Alcotest.test_case "one-step-per-instruction" `Quick (fun () ->
+        let ir =
+          opt_ir
+            (In_channel.with_open_text
+               (Filename.concat examples_dir "reverse.nml")
+               In_channel.input_all)
+        in
+        let v, m = vm_run ir in
+        checki "steps" reverse_opt_steps (Vm.stats m).Runtime.Stats.steps;
+        let v', _ = vm_run ~fuel:reverse_opt_steps ir in
+        checkb "exact fuel suffices" true (Nml.Eval.equal_value v v');
+        Alcotest.check_raises "one short" Vm.Out_of_fuel (fun () ->
+            ignore (vm_run ~fuel:(reverse_opt_steps - 1) ir)));
+  ]
+
 let () =
   Alcotest.run "backend"
     [
@@ -250,4 +312,5 @@ let () =
       ("anf", anf_tests);
       ("closure", closure_tests);
       ("vm", vm_tests);
+      ("fault", fault_tests);
     ]
