@@ -1,4 +1,4 @@
-.PHONY: all build test check vet bench bench-smoke bench-gate batch-smoke lint-smoke serve-smoke framework-smoke sharing-smoke vm-smoke ci clean
+.PHONY: all build test goldens check vet bench bench-smoke bench-gate batch-smoke lint-smoke serve-smoke framework-smoke sharing-smoke vm-smoke ci clean
 
 all: build
 
@@ -7,6 +7,22 @@ build:
 
 test: build
 	dune runtest
+
+# Regenerates every golden capture in test/golden/ from the CLI into
+# _build/goldens/ and diffs the two trees: the committed goldens must be
+# exactly what today's nmlc prints.  To accept an intended change, copy
+# the regenerated files over test/golden/.
+goldens: build
+	rm -rf _build/goldens && mkdir -p _build/goldens
+	set -e; N=_build/default/bin/nmlc.exe; \
+	for f in examples/programs/*.nml; do \
+	  b=_build/goldens/$$(basename $$f .nml); \
+	  $$N analyze $$f > $$b.report; \
+	  $$N analyze $$f --stats > $$b.stats; \
+	  $$N optimize $$f > $$b.optimized; \
+	  $$N compile $$f -O --dump-bytecode > $$b.bytecode; \
+	done
+	diff -r _build/goldens test/golden
 
 # The differential soundness harness with fault injection on.
 check: build
@@ -182,6 +198,7 @@ vm-smoke: build
 # Everything a merge must survive.
 ci: build
 	dune runtest
+	$(MAKE) goldens
 	dune build @soundness
 	$(MAKE) vet
 	$(MAKE) vm-smoke

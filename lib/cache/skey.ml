@@ -33,16 +33,16 @@ type t = {
 let sccs t = t.sccs
 let key_of_def t name = Hashtbl.find_opt t.by_def name
 
-let cone_depth prog name =
-  let d = ref 0 in
+(* A member's descriptor and its cone depth, from one inference of its
+   simplest instance. *)
+let member prog name =
   let tast = Infer.instantiate_def prog name None in
+  let d = ref 0 in
   Nml.Tast.iter_tys (fun ty -> d := max !d (Ty.max_list_depth ty)) tast;
-  !d
-
-let member_descriptor prog name =
-  let inst = Infer.simplest_instance prog name in
-  let body = Nml.Surface.def prog.Infer.surface name in
-  Printf.sprintf "%s : %s = %s" name (Ty.to_string inst) (Nml.Pretty.to_string body)
+  let body = Infer.def_rhs prog name in
+  ( Printf.sprintf "%s : %s = %s" name (Ty.to_string tast.Nml.Tast.ty)
+      (Nml.Pretty.to_string body),
+    !d )
 
 let of_program ?(analysis = "escape") prog =
   let cg = Nml.Callgraph.of_program prog in
@@ -51,8 +51,8 @@ let of_program ?(analysis = "escape") prog =
     List.map
       (fun members ->
         let sorted = List.sort String.compare members in
-        let descriptors = List.map (member_descriptor prog) sorted in
-        let d = List.fold_left (fun acc m -> max acc (cone_depth prog m)) 0 sorted in
+        let descriptors, depths = List.split (List.map (member prog) sorted) in
+        let d = List.fold_left max 0 depths in
         let callee_keys =
           List.concat_map
             (fun m ->

@@ -137,14 +137,8 @@ let pp_path ppf path =
       path
 
 let typed_call t fname args =
-  let prog = Fixpoint.program t in
-  let env =
-    List.fold_left
-      (fun acc (x, s) -> Infer.bind_scheme x s acc)
-      Infer.empty_env prog.Infer.schemes
-  in
   let call_ast = Ast.app (Ast.var fname) args in
-  let tcall = Infer.infer_expr ~env call_ast in
+  let tcall = Infer.infer_expr ~env:(Fixpoint.program t).Infer.env call_ast in
   Tast.default_ground tcall;
   tcall
 

@@ -45,5 +45,3 @@ let iterations (ctx : ctx) = ctx.Semantics.iters
 let record_iteration (ctx : ctx) = ctx.Semantics.iters <- ctx.Semantics.iters + 1
 let capped (ctx : ctx) = ctx.Semantics.capped
 let set_capped (ctx : ctx) = ctx.Semantics.capped <- true
-
-let demand_key name ty = name ^ " @ " ^ Nml.Ty.to_string ty

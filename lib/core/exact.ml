@@ -123,12 +123,7 @@ let observe_call ?fuel (p : Nml.Surface.t) ~fname ~args ~arg =
     invalid_arg "Exact.observe_call: argument position out of range";
   (* type the interesting argument to learn its spine count *)
   let prog = Infer.infer_program p in
-  let tenv =
-    List.fold_left
-      (fun acc (x, s) -> Infer.bind_scheme x s acc)
-      Infer.empty_env prog.Infer.schemes
-  in
-  let targ = Infer.infer_expr ~env:tenv (List.nth args (arg - 1)) in
+  let targ = Infer.infer_expr ~env:prog.Infer.env (List.nth args (arg - 1)) in
   Nml.Tast.default_ground targ;
   let spines = Ty.spines targ.Nml.Tast.ty in
   let env = Eval.defs_env ?fuel p in

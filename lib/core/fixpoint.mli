@@ -6,7 +6,8 @@
     is used, the solver memoizes abstract values per
     {e (definition, ground instance type)} pair, re-typing the definition
     at each demanded instance ({!Nml.Infer.instantiate_def}) — the lazy
-    equivalent of whole-program monomorphization.
+    equivalent of whole-program monomorphization.  The solver keys those
+    pairs itself, by {!Nml.Ty.key} of the instance.
 
     Two engines solve the resulting equation system:
 
@@ -63,7 +64,11 @@ val value : t -> string -> Nml.Ty.t option -> Dvalue.t
     if [ty] is not an instance of [f]'s scheme. *)
 
 val instance_ty : t -> string -> Nml.Ty.t
-(** Ground type of the simplest instance of a definition. *)
+(** Ground type of the simplest instance of a definition.  Memoized per
+    solver: by Theorem 1 that instance is a fixed fact of the program, so
+    it is inferred on the first call only and every later call returns
+    the same (fully ground) type.
+    @raise Invalid_argument for unknown definitions. *)
 
 val eval_expr : t -> Nml.Tast.texpr -> Dvalue.t
 (** Abstract value of an arbitrary ground typed expression (local

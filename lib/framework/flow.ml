@@ -481,5 +481,4 @@ module Make (F : FLAGS) () = struct
   let equal ~d:_ a b = equal_v a b
   let leq ~d:_ a b = leq_v a b
   let widen ~d ty _v = top ~d ty
-  let demand_key name ty = name ^ " @ " ^ Ty.to_string ty
 end

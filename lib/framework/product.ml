@@ -149,6 +149,4 @@ end = struct
   let set_capped ctx =
     A.set_capped ctx.ca;
     B.set_capped ctx.cb
-
-  let demand_key fname ty = name ^ ": " ^ fname ^ " @ " ^ Nml.Ty.to_string ty
 end

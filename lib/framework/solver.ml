@@ -6,6 +6,14 @@
    per-solver state isolation, cap-and-widen — is inherited by any Spec
    instance.
 
+   The solver also owns the per-definition facts every lookup needs.  By
+   Theorem 1 only the simplest monomorphic instance of a definition has
+   to be analysed, so that instance's type is a fixed fact of the
+   program: [instance_ty] infers it once per solver and memoizes it, and
+   the same table answers [is_def].  Entries are keyed by the definition
+   and {!Nml.Ty.key} of the instance — written into a buffer, one key
+   per printed type.
+
    The [engine] and [stats] types live outside the functor on purpose:
    they are shared across all instantiations, so [Escape.Fixpoint.Worklist]
    and [Analyses]-side pattern matches are the same constructors. *)
@@ -67,7 +75,8 @@ module Make (S : Spec.S) = struct
     prog : Infer.program;
     engine : engine;
     state : S.state;  (* this solver's private engine state *)
-    cache : (string, entry) Hashtbl.t;  (* key: [S.demand_key] *)
+    cache : (string * string, entry) Hashtbl.t;  (* (name, [Ty.key] of the instance) *)
+    simplest : (string, Ty.t Lazy.t) Hashtbl.t;  (* one per definition: its simplest instance *)
     by_sid : (int, entry) Hashtbl.t;  (* source id -> entry *)
     mutable order : entry list;  (* insertion order, newest first *)
     mutable dbound : int;
@@ -87,7 +96,13 @@ module Make (S : Spec.S) = struct
     Tast.iter_tys (fun ty -> t.dbound <- max t.dbound (Ty.max_list_depth ty)) tast;
     S.ensure_d t.dbound
 
-  let is_def t name = List.mem_assoc name t.prog.Infer.schemes
+  let is_def t name = Hashtbl.mem t.simplest name
+
+  (* The result is fully ground, so sharing it between callers is safe. *)
+  let instance_ty t name =
+    match Hashtbl.find_opt t.simplest name with
+    | Some ty -> Lazy.force ty
+    | None -> invalid_arg (Printf.sprintf "Fixpoint.instance_ty: unknown definition %s" name)
 
   (* ---- evaluation -------------------------------------------------------- *)
 
@@ -146,7 +161,7 @@ module Make (S : Spec.S) = struct
     done
 
   and demand t name ty =
-    let k = S.demand_key name ty in
+    let k = (name, Ty.key ty) in
     match Hashtbl.find_opt t.cache k with
     | Some e -> e
     | None ->
@@ -188,12 +203,18 @@ module Make (S : Spec.S) = struct
   let make ?(max_iters = 200) ?(engine = Worklist) prog =
     let state = S.create_state () in
     let hits0, misses0 = S.with_state state S.memo_stats in
+    let simplest = Hashtbl.create 32 in
+    List.iter
+      (fun (name, _) ->
+        Hashtbl.replace simplest name (lazy (Infer.simplest_instance prog name)))
+      prog.Infer.schemes;
     let t =
       {
         prog;
         engine;
         state;
         cache = Hashtbl.create 32;
+        simplest;
         by_sid = Hashtbl.create 32;
         order = [];
         dbound = 0;
@@ -364,21 +385,10 @@ module Make (S : Spec.S) = struct
     if not (is_def t name) then
       invalid_arg (Printf.sprintf "Fixpoint.value: unknown definition %s" name);
     with_state t @@ fun () ->
-    let e =
-      match inst with
-      | Some ty -> demand t name ty
-      | None ->
-          (* materialize the simplest instance, then demand it by its
-             ground type so repeated calls share the entry *)
-          let tast = Infer.instantiate_def t.prog name None in
-          demand t name tast.Tast.ty
-    in
+    let ty = match inst with Some ty -> ty | None -> instance_ty t name in
+    let e = demand t name ty in
     stabilize t;
     e.value
-
-  let instance_ty t name =
-    let tast = Infer.instantiate_def t.prog name None in
-    tast.Tast.ty
 
   let eval_expr t tast =
     with_state t @@ fun () ->

@@ -17,7 +17,8 @@
     - a {e transfer function} over the typed AST, evaluated under a
       context whose [global] hook resolves top-level definitions at
       ground instance types (the solver supplies it and memoizes per
-      {e (definition, instance)} demand key).
+      {e (definition, instance)}, keying instances itself with
+      {!Nml.Ty.key}; a Spec has no [demand_key]).
 
     An implementation with no cross-evaluation application memo can
     leave [clear_memo] a no-op and report zero
@@ -109,9 +110,4 @@ module type S = sig
   val record_iteration : ctx -> unit
   val capped : ctx -> bool
   val set_capped : ctx -> unit
-
-  (** {2 Demand keys} *)
-
-  val demand_key : string -> Nml.Ty.t -> string
-  (** Memo key for a (definition, ground instance) pair. *)
 end

@@ -467,7 +467,7 @@ let rec spine_cells = function
    dependency cone, so the finding is cacheable per SCC like the
    escape-backed rules. *)
 let wasted_spine_in ctx e =
-  let is_def g = List.mem_assoc g ctx.Rule.prog.Nml.Infer.schemes in
+  let is_def = Nml.Infer.is_def ctx.Rule.prog in
   let flatten e =
     let rec go acc = function A.App (_, f, a) -> go (a :: acc) f | h -> (h, acc) in
     go [] e

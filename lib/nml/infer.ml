@@ -200,10 +200,14 @@ and check_distinct loc bs =
 
 let infer_expr ?(env = empty_env) e = infer ~level:1 env e
 
+type defs = Ast.expr Env.t
+
 type program = {
   surface : Surface.t;
   schemes : (string * scheme) list;
   main : Tast.texpr;
+  env : env;
+  defs : defs;
 }
 
 let infer_group ~level env (defs : (string * Ast.expr) list) =
@@ -226,23 +230,23 @@ let infer_program (surface : Surface.t) : program =
   let schemes = List.map (fun (x, trhs) -> (x, generalize ~level:0 trhs.Tast.ty)) typed in
   let env = List.fold_left (fun env (x, s) -> Env.add x s env) empty_env schemes in
   let main = infer ~level:1 env surface.Surface.main in
-  { surface; schemes; main }
+  let defs = List.fold_left (fun m (x, rhs) -> Env.add x rhs m) Env.empty surface.Surface.defs in
+  { surface; schemes; main; env; defs }
 
-let def_scheme p name = List.assoc name p.schemes
+let def_scheme p name = Env.find name p.env
+let is_def p name = Env.mem name p.env
+let def_rhs p name = Env.find name p.defs
 
+(* The program's environment with [name] rebound monomorphically: a
+   recursive occurrence is typed at the instance itself. *)
 let instantiate_def p name inst =
   let rhs =
-    try Surface.def p.surface name
-    with Not_found -> invalid_arg (Printf.sprintf "Infer.instantiate_def: unknown definition %s" name)
+    match Env.find_opt name p.defs with
+    | Some rhs -> rhs
+    | None -> invalid_arg (Printf.sprintf "Infer.instantiate_def: unknown definition %s" name)
   in
   let self_ty = match inst with Some t -> t | None -> Ty.fresh_var ~level:1 in
-  let env =
-    List.fold_left
-      (fun env (x, s) ->
-        if String.equal x name then Env.add x (mono self_ty) env else Env.add x s env)
-      empty_env p.schemes
-  in
-  let trhs = infer ~level:1 env rhs in
+  let trhs = infer ~level:1 (Env.add name (mono self_ty) p.env) rhs in
   unify (Ast.loc rhs) trhs.Tast.ty self_ty;
   Tast.default_ground trhs;
   trhs

@@ -16,6 +16,9 @@ exception Error of Loc.t * string
 type scheme
 (** A type scheme [forall a1...an. t]. *)
 
+val mono : Ty.t -> scheme
+(** The monomorphic scheme of a type (no quantified variables). *)
+
 val scheme_ty : scheme -> Ty.t
 (** A fresh instantiation of the scheme (new variables every call). *)
 
@@ -33,10 +36,18 @@ val infer_expr : ?env:env -> Ast.expr -> Tast.texpr
 (** Types a standalone expression (no generalization anywhere).  Unbound
     identifiers, type clashes and infinite types raise {!Error}. *)
 
+val unify : Loc.t -> Ty.t -> Ty.t -> unit
+(** Unifies two types in place.  @raise Error on a clash. *)
+
+type defs
+(** Right-hand sides by name. *)
+
 type program = {
   surface : Surface.t;
   schemes : (string * scheme) list;  (** one scheme per definition, in order *)
   main : Tast.texpr;  (** typed main expression *)
+  env : env;  (** every definition bound to its scheme, built once *)
+  defs : defs;  (** see {!def_rhs} *)
 }
 
 val infer_program : Surface.t -> program
@@ -47,6 +58,13 @@ val infer_program : Surface.t -> program
 val def_scheme : program -> string -> scheme
 (** @raise Not_found for unknown names. *)
 
+val is_def : program -> string -> bool
+(** Is the name a top-level definition?  O(log defs). *)
+
+val def_rhs : program -> string -> Ast.expr
+(** Surface right-hand side of a definition, O(log defs).
+    @raise Not_found for unknown names. *)
+
 val instantiate_def : program -> string -> Ty.t option -> Tast.texpr
 (** [instantiate_def p f (Some ty)] re-types the right-hand side of [f]
     with recursive occurrences of [f] fixed at type [ty] (monomorphic
@@ -54,7 +72,11 @@ val instantiate_def : program -> string -> Ty.t option -> Tast.texpr
     [instantiate_def p f None] produces the {e simplest monotyped
     instance} of [f] (section 5): a fresh instance grounded to [int].
     The resulting tree is fully ground: every [car] has a definite spine
-    annotation. *)
+    annotation.
+
+    It costs O(body + log defs): the right-hand side is typed under the
+    program's prebuilt [p.env] with only [f] rebound, never an
+    environment rebuilt from every scheme. *)
 
 val simplest_instance : program -> string -> Ty.t
 (** Ground type of the simplest monotyped instance of a definition. *)

@@ -9,7 +9,7 @@ module S = Set.Make (String)
 
 let monomorphize ?(max_instances = 1000) (prog : Infer.program) =
   let def_names = List.map fst prog.Infer.schemes in
-  let is_def x = List.mem x def_names in
+  let is_def = Infer.is_def prog in
   (* (original, instance key) -> specialized name *)
   let names : (string * string, string) Hashtbl.t = Hashtbl.create 16 in
   let used = ref (S.of_list def_names) in
@@ -18,7 +18,7 @@ let monomorphize ?(max_instances = 1000) (prog : Infer.program) =
   (* worklist of (def, ground instance) still to specialize *)
   let pending = Queue.create () in
   let name_for def inst =
-    let key = (def, Ty.to_string inst) in
+    let key = (def, Ty.key inst) in
     match Hashtbl.find_opt names key with
     | Some n -> n
     | None ->
@@ -58,12 +58,12 @@ let monomorphize ?(max_instances = 1000) (prog : Infer.program) =
             List.map (fun (x, b) -> (x, conv bound b)) bs,
             conv bound body )
   in
-  let specialized = ref [] in
+  let specialized = Hashtbl.create 16 in
   let drain () =
     while not (Queue.is_empty pending) do
       let def, inst, sname = Queue.pop pending in
       let tast = Infer.instantiate_def prog def (Some inst) in
-      specialized := (sname, conv S.empty tast) :: !specialized
+      Hashtbl.replace specialized sname (conv S.empty tast)
     done
   in
   let main_ast = conv S.empty (Infer.main_ground prog) in
@@ -84,7 +84,7 @@ let monomorphize ?(max_instances = 1000) (prog : Infer.program) =
         List.filter_map
           (fun (d, n, _) ->
             if String.equal d def then
-              Some (n, List.assoc n !specialized)
+              Some (n, Hashtbl.find specialized n)
             else None)
           (List.rev !order))
       def_names

@@ -131,3 +131,44 @@ let pp ppf t =
   go 0 ppf t
 
 let to_string t = Format.asprintf "%a" pp t
+
+(* One tag per constructor in pre-order, so the string is a prefix code;
+   variables are numbered by first occurrence in the same left-to-right
+   order [pp] names them, so two types get one key exactly when they
+   print alike. *)
+let key t =
+  let b = Buffer.create 32 in
+  let vars = ref [] in
+  let rec go t =
+    match repr t with
+    | Int -> Buffer.add_char b 'i'
+    | Bool -> Buffer.add_char b 'b'
+    | List e ->
+        Buffer.add_char b 'l';
+        go e
+    | Tree e ->
+        Buffer.add_char b 't';
+        go e
+    | Prod (x, y) ->
+        Buffer.add_char b '*';
+        go x;
+        go y
+    | Arrow (x, y) ->
+        Buffer.add_char b '>';
+        go x;
+        go y
+    | Var { contents = Unbound (id, _) } ->
+        let n =
+          match List.assoc_opt id !vars with
+          | Some n -> n
+          | None ->
+              let n = List.length !vars in
+              vars := (id, n) :: !vars;
+              n
+        in
+        Buffer.add_char b '\'';
+        Buffer.add_string b (string_of_int n)
+    | Var { contents = Link _ } -> assert false
+  in
+  go t;
+  Buffer.contents b

@@ -80,3 +80,9 @@ val pp : Format.formatter -> t -> unit
     named ['a], ['b], ... deterministically within one call. *)
 
 val to_string : t -> string
+
+val key : t -> string
+(** A compact canonical encoding, for hashing instances: [key a = key b]
+    exactly when [to_string a = to_string b] (variables are numbered by
+    first occurrence, as {!pp} names them).  Written into a [Buffer],
+    without [Format]. *)

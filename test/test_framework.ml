@@ -5,9 +5,10 @@
      pre-framework solver ([Support.Legacy_fixpoint]) on verdicts AND on
      solver behaviour (entry evaluations, passes, chain bound) — on the
      builtin corpus and a 40-program random corpus.
-   - Golden files: the rendered report and solver-stats block of every
-     example program must be byte-identical to the pre-refactor captures
-     in [test/golden/].
+   - Golden files: the rendered report, solver-stats block, optimized
+     program and optimized bytecode of every example program must be
+     byte-identical to the captures in [test/golden/] ([make goldens]
+     regenerates them from the CLI).
    - Lattice laws per registered domain (escape's B_e, usage's bits,
      spine-liveness' bits): partial order, join laws, widening is an
      upper bound.  The bit domains are finite, so the laws are checked
@@ -160,7 +161,20 @@ let golden_units =
           let stats = Format.asprintf "%a" Fix.pp_stats (Fix.stats t) in
           checks "solver stats byte-identical"
             (solver_block (read_file (Filename.concat golden_dir (base ^ ".stats"))))
-            stats))
+            stats;
+          (* [nmlc optimize] and [nmlc compile -O --dump-bytecode] *)
+          let r =
+            Optimize.Transform.optimize ~options:Optimize.Transform.all
+              (Nml.Surface.of_string src)
+          in
+          checks "optimized program byte-identical"
+            (read_file (Filename.concat golden_dir (base ^ ".optimized")))
+            (Format.asprintf "%a@.%a@." Optimize.Transform.pp_report r Runtime.Ir.pp
+               r.Optimize.Transform.ir);
+          checks "bytecode byte-identical"
+            (read_file (Filename.concat golden_dir (base ^ ".bytecode")))
+            (Format.asprintf "%a@." Backend.Vm.pp_code
+               (Backend.Vm.compile r.Optimize.Transform.ir))))
     programs
 
 (* ---- lattice laws --------------------------------------------------------- *)

@@ -594,6 +594,139 @@ let qcheck_tests =
           | exception Nml.Parser.Error _ -> true);
     ]
 
+(* ---- instantiate_def against the environment fold ---------------------- *)
+
+(* [Infer.instantiate_def] as it was when it rebuilt the environment from
+   every scheme on each call; the prebuilt-environment version must type
+   every definition identically. *)
+let fold_instantiate_def (p : Infer.program) name inst =
+  let rhs = Surface.def p.Infer.surface name in
+  let self_ty = match inst with Some t -> t | None -> Ty.fresh_var ~level:1 in
+  let env =
+    List.fold_left
+      (fun env (x, s) ->
+        if String.equal x name then Infer.bind_scheme x (Infer.mono self_ty) env
+        else Infer.bind_scheme x s env)
+      Infer.empty_env p.Infer.schemes
+  in
+  let trhs = Infer.infer_expr ~env rhs in
+  Infer.unify (A.loc rhs) trhs.Tast.ty self_ty;
+  Tast.default_ground trhs;
+  trhs
+
+let examples_dir =
+  let local = Filename.concat (Filename.concat ".." "examples") "programs" in
+  if Sys.file_exists local then local else Filename.concat "examples" "programs"
+
+let equivalence_corpus () =
+  let examples =
+    Sys.readdir examples_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".nml")
+    |> List.sort String.compare
+    |> List.map (fun f ->
+           (f, In_channel.with_open_text (Filename.concat examples_dir f) In_channel.input_all))
+  in
+  let rand = Random.State.make [| 16 |] in
+  let generated =
+    List.init 100 (fun i ->
+        (Printf.sprintf "gen-%d" i, QCheck.Gen.generate1 ~rand Gen.gen_program))
+  in
+  (* a recursive reference whose type nothing else fixes: only the
+     monomorphic self binding types it at the instance being re-typed *)
+  let self_reference =
+    ( "self-reference",
+      "letrec len l = if null l then 0 else (let again = len in 1 + len (cdr l)) in \
+       len [[1]]" )
+  in
+  (self_reference :: examples) @ Check.Harness.builtin_corpus @ generated
+
+let instantiate_tests =
+  [
+    Alcotest.test_case "prebuilt-env-matches-fold" `Quick (fun () ->
+        (* the tree and the type of every node: the spine annotations
+           read the inner types *)
+        let typed t =
+          let tys = ref [] in
+          Tast.iter_tys (fun ty -> tys := Ty.to_string ty :: !tys) t;
+          String.concat "\n" (Format.asprintf "%a" Tast.pp_typed t :: List.rev !tys)
+        in
+        let compared = ref 0 in
+        List.iter
+          (fun (label, src) ->
+            let surface = Surface.of_string src in
+            let p = Infer.infer_program surface in
+            let instances = (Nml.Mono.run surface).Nml.Mono.instances in
+            List.iter
+              (fun (name, _) ->
+                let insts =
+                  None
+                  :: List.filter_map
+                       (fun (d, _, ty) -> if String.equal d name then Some (Some ty) else None)
+                       instances
+                in
+                List.iter
+                  (fun inst ->
+                    incr compared;
+                    checks
+                      (Printf.sprintf "%s: %s" label name)
+                      (typed (fold_instantiate_def p name inst))
+                      (typed (Infer.instantiate_def p name inst)))
+                  insts)
+              p.Infer.schemes)
+          (equivalence_corpus ());
+        checkb "compared a real corpus" true (!compared > 200));
+  ]
+
+(* ---- instance keys ----------------------------------------------------- *)
+
+(* Small random types over a pool of three shared variables, so that
+   equal-printing pairs (same shape, same variable pattern, different
+   variables) turn up often. *)
+let gen_ty =
+  let pool = Array.init 3 (fun _ -> Ty.fresh_var ~level:1) in
+  let open QCheck.Gen in
+  let leaf =
+    frequency [ (2, return Ty.Int); (1, return Ty.Bool); (2, map (fun i -> pool.(i)) (int_bound 2)) ]
+  in
+  let ground = frequency [ (2, return Ty.Int); (1, return Ty.Bool) ] in
+  let rec go leaf n =
+    if n <= 0 then leaf
+    else
+      frequency
+        [
+          (1, leaf);
+          (2, map (fun t -> Ty.List t) (go leaf (n - 1)));
+          (1, map (fun t -> Ty.Tree t) (go leaf (n - 1)));
+          (1, map2 (fun a b -> Ty.Prod (a, b)) (go leaf (n / 2)) (go leaf (n / 2)));
+          (2, map2 (fun a b -> Ty.Arrow (a, b)) (go leaf (n / 2)) (go leaf (n / 2)));
+        ]
+  in
+  int_range 0 5 >>= fun n -> oneof [ go leaf n; go ground n ]
+
+let arb_ty_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> Ty.to_string a ^ "  vs  " ^ Ty.to_string b)
+    QCheck.Gen.(pair gen_ty gen_ty)
+
+let key_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~name:"key-agrees-with-to-string" ~count:2000 arb_ty_pair
+        (fun (a, b) ->
+          (Ty.key a = Ty.key b) = (Ty.to_string a = Ty.to_string b));
+    ]
+  @ [
+      Alcotest.test_case "key-names-variables-by-first-occurrence" `Quick (fun () ->
+          let a = Ty.fresh_var ~level:1 and b = Ty.fresh_var ~level:1 in
+          checkb "'a -> 'b = 'b -> 'a" true
+            (Ty.key (Ty.Arrow (a, b)) = Ty.key (Ty.Arrow (b, a)));
+          checkb "'a -> 'a <> 'a -> 'b" false
+            (Ty.key (Ty.Arrow (a, a)) = Ty.key (Ty.Arrow (a, b)));
+          checkb "(int * int) * int <> int * (int * int)" false
+            (Ty.key (Ty.Prod (Ty.Prod (Ty.Int, Ty.Int), Ty.Int))
+            = Ty.key (Ty.Prod (Ty.Int, Ty.Prod (Ty.Int, Ty.Int)))));
+    ]
+
 let () =
   Alcotest.run "nml"
     [
@@ -604,5 +737,7 @@ let () =
       ("inference", infer_tests);
       ("evaluation", eval_tests);
       ("monomorphization", mono_tests);
+      ("instantiate-def", instantiate_tests);
+      ("instance-keys", key_tests);
       ("properties", qcheck_tests);
     ]

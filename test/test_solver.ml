@@ -245,6 +245,36 @@ let efficiency_units =
         checki "largest scc" 1 s.Fix.stats_largest_scc);
   ]
 
+(* ---- per-solver definition facts ----------------------------------------- *)
+
+let memo_units =
+  [
+    Alcotest.test_case "instance-ty-is-memoized" `Quick (fun () ->
+        let src = Examples.map_pair_program in
+        let t = Fix.of_source src in
+        let first = Fix.instance_ty t "map" in
+        let again = Fix.instance_ty t "map" in
+        checkb "the same type on a repeat call" true (first == again);
+        checks "prints like the simplest instance"
+          (Ty.to_string (Nml.Infer.simplest_instance (infer src) "map"))
+          (Ty.to_string again);
+        (match Fix.instance_ty t "no_such_definition" with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "unknown definitions are rejected"));
+    Alcotest.test_case "memo-is-per-solver" `Quick (fun () ->
+        (* both programs define [f], at different types *)
+        let a = Fix.of_source (Examples.wrap [ "f x = x + 1" ] "f 1") in
+        let b = Fix.of_source (Examples.wrap [ "f l = cons 1 l" ] "f nil") in
+        let fa = Ty.to_string (Fix.instance_ty a "f") in
+        let fb = Ty.to_string (Fix.instance_ty b "f") in
+        checks "a's f" "int -> int" fa;
+        checks "b's f" "int list -> int list" fb;
+        checks "a unaffected by b" fa (Ty.to_string (Fix.instance_ty a "f"));
+        ignore (Fix.value a "f" None);
+        checks "value demanded at a's instance" fa
+          (Ty.to_string (List.assoc "f" (Fix.instances a))));
+  ]
+
 let () =
   Alcotest.run "solver"
     [
@@ -253,4 +283,5 @@ let () =
       ("appendix", appendix_units);
       ("isolation", isolation_units);
       ("efficiency", efficiency_units);
+      ("memo", memo_units);
     ]
