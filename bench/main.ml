@@ -5,8 +5,19 @@
 
      dune exec bench/main.exe
 
-   or a subset with  dune exec bench/main.exe -- T1 T4 F1.
-   EXPERIMENTS.md records paper-vs-measured for each experiment. *)
+   or a subset with  dune exec bench/main.exe -- T1 T4 F1.  Experiments
+   that write records (S1..S6, L1, E1, H1/H2, V1/V2) add --json FILE and
+   --smoke; --all regenerates and validates every committed BENCH_*.json
+   artifact, --validate FILE checks one, and --gate [FILE...] re-measures
+   their deterministic headline counts.  EXPERIMENTS.md records
+   paper-vs-measured for each experiment.
+
+   Adding an experiment is one entry of the table [experiments] at the
+   end of this file: a paper table is a printing function; a recorded
+   experiment is a [spec] -- its points and [measure], the fields its
+   records carry, its invariants and, optionally, what the gate
+   re-derives.  Validation, the gate, the history and the artifact map
+   all read the table. *)
 
 module An = Escape.Analysis
 module B = Escape.Besc
@@ -41,8 +52,16 @@ let print_table header rows =
   print_row (List.map (fun w -> String.make w '-') widths);
   List.iter print_row rows
 
-(* Wall time per run (nanoseconds) via bechamel's OLS estimate. *)
+let smoke = ref false
+
+(* Off while the gate re-measures: it compares only deterministic
+   counts, so the repeated-run wall estimates are skipped. *)
+let timed = ref true
+
+(* Wall time per run (nanoseconds) via bechamel's OLS estimate; 0 when
+   not [timed]. *)
 let measure_ns name fn =
+  if not !timed then 0. else
   let open Bechamel in
   let test = Test.make ~name (Staged.stage fn) in
   let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) ~kde:None () in
@@ -76,6 +95,61 @@ let run_machine ?(heap = 4096) ir =
   M.stats m
 
 let optimized options surface = (T.optimize ~options surface).T.ir
+
+(* The T4-T6 storage workloads, run on the machine by T4-T6 and on the
+   VM by V2: (workload, optimizer options, heap, source of size n). *)
+let storage_workloads =
+  [
+    ( "t4-ps",
+      { T.none with T.reuse = true },
+      1024,
+      fun n ->
+        Ex.wrap
+          [ Ex.append_def; Ex.split_def; Ex.ps_def ]
+          ("ps " ^ int_list_src (lcg_list ~seed:42 n)) );
+    ( "t4-rev",
+      { T.none with T.reuse = true },
+      1024,
+      fun n ->
+        Ex.wrap [ Ex.append_def; Ex.rev_def ]
+          ("rev " ^ int_list_src (lcg_list ~seed:7 n)) );
+    ( "t5-map-pair",
+      { T.none with T.stack = true },
+      256,
+      fun n ->
+        let pairs =
+          List.init n (fun i -> Printf.sprintf "[%d, %d]" (2 * i) ((2 * i) + 1))
+        in
+        Ex.wrap [ Ex.map_def; Ex.pair_def ]
+          (Printf.sprintf "map pair [%s]" (String.concat ", " pairs)) );
+    ( "t6-ps-create",
+      { T.none with T.block = true },
+      512,
+      fun n ->
+        Ex.wrap
+          [ Ex.append_def; Ex.split_def; Ex.ps_def; Ex.create_list_def ]
+          (Printf.sprintf "ps (create_list %d)" n) );
+  ]
+
+let storage workload = List.find (fun (w, _, _, _) -> w = workload) storage_workloads
+
+(* A storage workload on the machine: per size, one row of
+   [cells n s0 s1 t0 t1] from the unoptimized and the optimized
+   program's counters and wall times. *)
+let storage_table workload sizes header cells =
+  let _, options, heap, mk_src = storage workload in
+  print_table header
+    (List.map
+       (fun n ->
+         let surface = Surface.of_string (mk_src n) in
+         let base_ir = Runtime.Ir.of_program surface in
+         let opt_ir = optimized options surface in
+         let s0 = run_machine ~heap base_ir in
+         let s1 = run_machine ~heap opt_ir in
+         let t0 = measure_ns "base" (fun () -> run_machine ~heap base_ir) in
+         let t1 = measure_ns "opt" (fun () -> run_machine ~heap opt_ir) in
+         cells n s0 s1 t0 t1)
+       sizes)
 
 (* ---- F1: Figure 1, spines of a list ---------------------------------------- *)
 
@@ -192,20 +266,15 @@ let t3 () =
 
 let t4 () =
   section "T4" "A.3.2 -- in-place reuse: PS vs PS'' and REV vs REV'";
-  let reuse_only = { T.none with T.reuse = true } in
-  let bench name mk_src sizes =
-    Printf.printf "\n%s:\n" name;
-    let rows =
-      List.map
-        (fun n ->
-          let src = mk_src n in
-          let surface = Surface.of_string src in
-          let base_ir = Runtime.Ir.of_program surface in
-          let opt_ir = optimized reuse_only surface in
-          let s0 = run_machine ~heap:1024 base_ir in
-          let s1 = run_machine ~heap:1024 opt_ir in
-          let t0 = measure_ns "base" (fun () -> run_machine ~heap:1024 base_ir) in
-          let t1 = measure_ns "opt" (fun () -> run_machine ~heap:1024 opt_ir) in
+  List.iter
+    (fun (name, workload, sizes) ->
+      Printf.printf "\n%s:\n" name;
+      storage_table workload sizes
+        [
+          "n"; "allocs"; "allocs'"; "reuses"; "gc"; "gc'"; "gc-work"; "gc-work'";
+          "ms"; "ms'";
+        ]
+        (fun n s0 s1 t0 t1 ->
           [
             string_of_int n;
             string_of_int s0.Stats.heap_allocs;
@@ -217,28 +286,11 @@ let t4 () =
             string_of_int (Stats.gc_work s1);
             ms t0;
             ms t1;
-          ])
-        sizes
-    in
-    print_table
-      [
-        "n"; "allocs"; "allocs'"; "reuses"; "gc"; "gc'"; "gc-work"; "gc-work'";
-        "ms"; "ms'";
-      ]
-      rows
-  in
-  bench "partition sort (random list)"
-    (fun n ->
-      Ex.wrap
-        [ Ex.append_def; Ex.split_def; Ex.ps_def ]
-        ("ps " ^ int_list_src (lcg_list ~seed:42 n)))
-    [ 50; 100; 200; 400; 800 ];
-  bench "naive reverse"
-    (fun n ->
-      Ex.wrap
-        [ Ex.append_def; Ex.rev_def ]
-        ("rev " ^ int_list_src (lcg_list ~seed:7 n)))
-    [ 16; 32; 64; 128; 256 ];
+          ]))
+    [
+      ("partition sort (random list)", "t4-ps", [ 50; 100; 200; 400; 800 ]);
+      ("naive reverse", "t4-rev", [ 16; 32; 64; 128; 256 ]);
+    ];
   Printf.printf
     "\nexpected shape: allocs' << allocs (spine cells recycled), gc' <= gc.\n"
 
@@ -246,43 +298,23 @@ let t4 () =
 
 let t5 () =
   section "T5" "A.3.1 -- stack allocation of non-escaping argument spines";
-  let stack_only = { T.none with T.stack = true } in
-  let mk_src n =
-    let pairs =
-      List.init n (fun i -> Printf.sprintf "[%d, %d]" (2 * i) ((2 * i) + 1))
-    in
-    Ex.wrap [ Ex.map_def; Ex.pair_def ]
-      (Printf.sprintf "map pair [%s]" (String.concat ", " pairs))
-  in
-  let rows =
-    List.map
-      (fun n ->
-        let surface = Surface.of_string (mk_src n) in
-        let base_ir = Runtime.Ir.of_program surface in
-        let opt_ir = optimized stack_only surface in
-        let s0 = run_machine ~heap:256 base_ir in
-        let s1 = run_machine ~heap:256 opt_ir in
-        let t0 = measure_ns "base" (fun () -> run_machine ~heap:256 base_ir) in
-        let t1 = measure_ns "opt" (fun () -> run_machine ~heap:256 opt_ir) in
-        [
-          string_of_int n;
-          string_of_int s0.Stats.heap_allocs;
-          string_of_int s1.Stats.heap_allocs;
-          string_of_int s1.Stats.arena_allocs;
-          string_of_int s1.Stats.arena_freed;
-          string_of_int (Stats.gc_work s0);
-          string_of_int (Stats.gc_work s1);
-          us t0;
-          us t1;
-        ])
-      [ 8; 16; 32; 64; 128 ]
-  in
-  print_table
+  storage_table "t5-map-pair" [ 8; 16; 32; 64; 128 ]
     [
       "pairs"; "heap"; "heap'"; "region"; "region-freed"; "gc-work"; "gc-work'";
       "us"; "us'";
     ]
-    rows;
+    (fun n s0 s1 t0 t1 ->
+      [
+        string_of_int n;
+        string_of_int s0.Stats.heap_allocs;
+        string_of_int s1.Stats.heap_allocs;
+        string_of_int s1.Stats.arena_allocs;
+        string_of_int s1.Stats.arena_freed;
+        string_of_int (Stats.gc_work s0);
+        string_of_int (Stats.gc_work s1);
+        us t0;
+        us t1;
+      ]);
   Printf.printf
     "\nexpected shape: both spine levels of the literal move from the heap to\n\
      the region and are freed wholesale; GC work drops accordingly.\n"
@@ -291,38 +323,20 @@ let t5 () =
 
 let t6 () =
   section "T6" "A.3.3 -- block allocation: ps (create_list n)";
-  let block_only = { T.none with T.block = true } in
-  let mk_src n =
-    Ex.wrap
-      [ Ex.append_def; Ex.split_def; Ex.ps_def; Ex.create_list_def ]
-      (Printf.sprintf "ps (create_list %d)" n)
-  in
-  let rows =
-    List.map
-      (fun n ->
-        let surface = Surface.of_string (mk_src n) in
-        let base_ir = Runtime.Ir.of_program surface in
-        let opt_ir = optimized block_only surface in
-        let s0 = run_machine ~heap:512 base_ir in
-        let s1 = run_machine ~heap:512 opt_ir in
-        let t0 = measure_ns "base" (fun () -> run_machine ~heap:512 base_ir) in
-        let t1 = measure_ns "opt" (fun () -> run_machine ~heap:512 opt_ir) in
-        [
-          string_of_int n;
-          string_of_int s0.Stats.heap_allocs;
-          string_of_int s1.Stats.heap_allocs;
-          string_of_int s1.Stats.arena_allocs;
-          string_of_int s1.Stats.arena_freed;
-          string_of_int s0.Stats.swept;
-          string_of_int s1.Stats.swept;
-          ms t0;
-          ms t1;
-        ])
-      [ 25; 50; 100; 200; 400 ]
-  in
-  print_table
+  storage_table "t6-ps-create" [ 25; 50; 100; 200; 400 ]
     [ "n"; "heap"; "heap'"; "block"; "block-freed"; "swept"; "swept'"; "ms"; "ms'" ]
-    rows;
+    (fun n s0 s1 t0 t1 ->
+      [
+        string_of_int n;
+        string_of_int s0.Stats.heap_allocs;
+        string_of_int s1.Stats.heap_allocs;
+        string_of_int s1.Stats.arena_allocs;
+        string_of_int s1.Stats.arena_freed;
+        string_of_int s0.Stats.swept;
+        string_of_int s1.Stats.swept;
+        ms t0;
+        ms t1;
+      ]);
   Printf.printf
     "\nexpected shape: the n spine cells of create_list's result live in the\n\
      block and return to the free list wholesale, without being swept\n\
@@ -649,14 +663,137 @@ let x2 () =
   in
   print_table [ "n"; "allocs"; "allocs'"; "reuses" ] rows
 
-(* ---- S1/S2: solver stress and the JSON benchmark trajectory ----------------------- *)
+
+(* ---- the experiment table: records, shapes, invariants, gates ----------------- *)
 
 (* Machine-checkable benchmark artifact without new dependencies: the
    shared hand-rolled JSON tree lives in [Nml.Json]. *)
 module J = Nml.Json
 
-let smoke = ref false
-let json_records : J.t list ref = ref []
+(* One artifact record: its fields in emission order. *)
+type record = (string * J.t) list
+
+let num k (r : record) =
+  match List.assoc_opt k r with Some (J.Num f) -> f | _ -> Float.nan
+
+let str k (r : record) = match List.assoc_opt k r with Some (J.Str s) -> s | _ -> ""
+
+let text k (r : record) =
+  match List.assoc_opt k r with
+  | Some (J.Str s) -> s
+  | Some (J.Num f) -> Printf.sprintf "%.0f" f
+  | Some (J.Bool b) -> string_of_bool b
+  | _ -> "-"
+
+let ns wall = J.int (int_of_float wall)
+
+(* The fields a record must carry, by JSON type. *)
+type shape = { strs : string list; nums : string list; bools : string list }
+
+let shape ?(bools = []) strs nums = { strs; nums; bools }
+
+(* An experiment that writes records.  [measure] runs one point and
+   returns its records without the "experiment" field, which the driver
+   prepends.  A run measures every point in order and prints one table
+   per workload, a column per required field (wall nanoseconds shown in
+   milliseconds), then the invariants and [note].
+   [fields] and [invariants] are what [--validate] checks of an
+   artifact's records, [gate] what [--gate] measures again. *)
+type 'p spec = {
+  id : string;
+  title : string;
+  artifact : string option;  (* the committed file its records belong to *)
+  points : unit -> 'p list;
+  measure : 'p -> record list;
+  fields : string -> shape;  (* by workload *)
+  invariants : (string * (record list -> bool)) list;
+  note : record list -> string;
+  gate : 'p gate option;
+}
+
+(* The recorded rows [rows] selects are measured again at [point].
+   Each [counters] field may exceed its recorded value by at most 20 %
+   (+2, so a recorded 0 stays checkable); each ratio (field, (axis, off,
+   on)) between the row whose [axis] is [off] and its twin at [on] must
+   keep 80 % of the recorded one (+1 on both sides keeps a zero
+   denominator harmless); a [nonzero] total the artifact recorded
+   positive must not vanish.  Only deterministic counts are named here,
+   never wall clock. *)
+and 'p gate = {
+  rows : record list -> record list;
+  point : record -> 'p;
+  counters : string list;
+  ratios : (string * (string * string * string)) list;
+  nonzero : string list;
+}
+
+type experiment = Paper of string * (unit -> unit) | Exp : 'p spec -> experiment
+
+let exp =
+  {
+    id = "";
+    title = "";
+    artifact = None;
+    points = (fun () -> []);
+    measure = (fun _ -> []);
+    fields = (fun _ -> shape [] []);
+    invariants = [];
+    note = (fun _ -> "");
+    gate = None;
+  }
+
+let gated =
+  {
+    rows = Fun.id;
+    point = (fun _ -> ());
+    counters = [];
+    ratios = [];
+    nonzero = [];
+  }
+
+(* ---- invariant vocabulary ---------------------------------------------------------- *)
+
+(* [xs] without repeats, in order of first appearance *)
+let uniq xs =
+  List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] xs
+
+let where k v rs = List.filter (fun r -> String.equal (str k r) v) rs
+let sum k rs =
+  List.fold_left
+    (fun a r -> match List.assoc_opt k r with Some (J.Num f) -> a +. f | _ -> a)
+    0. rs
+
+let zero k rs = List.for_all (fun r -> num k r = 0.) rs
+let positive k rs = List.for_all (fun r -> num k r > 0.) rs
+
+(* [rs] split by the values of [keys] *)
+let group keys rs =
+  let key r = List.map (fun k -> text k r) keys in
+  List.map
+    (fun v -> List.filter (fun r -> key r = v) rs)
+    (List.sort_uniq compare (List.map key rs))
+
+(* the rows of [rs] at the smallest ([( < )]) or largest ([( > )]) size
+   of their workload *)
+let extreme beats rs =
+  let beaten r r' =
+    str "workload" r' = str "workload" r && beats (num "size" r') (num "size" r)
+  in
+  List.filter (fun r -> not (List.exists (beaten r) rs)) rs
+
+(* [rs] is non-empty and every group of it satisfies [p] *)
+let every_group keys rs p = rs <> [] && List.for_all p (group keys rs)
+
+(* [f] of the rows of [g] whose [k] is [a] and [b]; false unless both exist *)
+let pair g k a b f =
+  let at v = List.find_opt (fun r -> str k r = v) g in
+  match (at a, at b) with Some x, Some y -> f x y | _ -> false
+
+(* a summary cache's warm rerun solves nothing its cold run did not *)
+let warm_free cold warm =
+  num "evaluations" cold > 0. && num "evaluations" warm = 0. && num "scc_misses" warm = 0.
+
+(* ---- S1/S2: solver stress ------------------------------------------------------- *)
 
 (* Wide program: a chain of n non-recursive wrappers.  Dependency-driven
    solving needs exactly one evaluation per definition; the round-robin
@@ -683,6 +820,19 @@ let rec_chain_src k =
   in
   Ex.wrap defs "0"
 
+(* the two stress shapes: (workload, source, demanded entry and instance);
+   the deep nests are demanded at chain bound d = 3 *)
+let stress_shapes =
+  let rec deep k = if k = 0 then Ty.Int else Ty.List (deep (k - 1)) in
+  [
+    ("wide-chain", wide_chain_src, fun n -> (Printf.sprintf "w%d" (n - 1), None));
+    ( "deep-recursion",
+      rec_chain_src,
+      fun k ->
+        ( Printf.sprintf "f%d" (k - 1),
+          Some (Ty.Arrow (deep 3, Ty.Arrow (deep 3, deep 3))) ) );
+  ]
+
 (* One cold-start solver run: every [Fix.of_source] owns a fresh private
    solver state, so each run is cold by construction — solve, snapshot
    the statistics, then time identical runs. *)
@@ -697,14 +847,18 @@ let run_engine ~engine ~demand src =
   in
   (stats, wall)
 
-let push_record ~experiment ~workload ~size ~wall (s : Fix.stats) =
-  json_records :=
-    J.Obj
+let stress workload n =
+  let _, src_of, entry = List.find (fun (w, _, _) -> w = workload) stress_shapes in
+  let name, inst = entry n in
+  List.map
+    (fun engine ->
+      let s, wall =
+        run_engine ~engine ~demand:(fun t -> ignore (Fix.value t name inst)) (src_of n)
+      in
       [
-        ("experiment", J.Str experiment);
         ("workload", J.Str workload);
-        ("size", J.int size);
-        ("engine", J.Str (Fix.engine_name s.Fix.stats_engine));
+        ("size", J.int n);
+        ("engine", J.Str (Fix.engine_name engine));
         ("entries", J.int s.Fix.stats_entries);
         ("evaluations", J.int s.Fix.stats_evaluations);
         ("passes", J.int s.Fix.stats_passes);
@@ -716,67 +870,54 @@ let push_record ~experiment ~workload ~size ~wall (s : Fix.stats) =
         ("cache_invalidated", J.int s.Fix.stats_cache_invalidated);
         ("dbound", J.int s.Fix.stats_dbound);
         ("capped", J.Bool s.Fix.stats_capped);
-        ("wall_ns", J.int (int_of_float wall));
-      ]
-    :: !json_records
+        ("wall_ns", ns wall);
+      ])
+    [ Fix.Worklist; Fix.Round_robin ]
 
-let solver_row size (s : Fix.stats) wall =
-  [
-    string_of_int size;
-    Fix.engine_name s.Fix.stats_engine;
-    string_of_int s.Fix.stats_entries;
-    string_of_int s.Fix.stats_evaluations;
-    string_of_int s.Fix.stats_passes;
-    string_of_int s.Fix.stats_iterations;
-    string_of_int s.Fix.stats_sccs;
-    string_of_int s.Fix.stats_cache_hits;
-    string_of_int s.Fix.stats_cache_invalidated;
-    ms wall;
-  ]
+let stress_exp =
+  {
+    exp with
+    fields =
+      (fun _ ->
+        shape ~bools:[ "capped" ] [ "workload"; "engine" ]
+          [ "size"; "entries"; "evaluations"; "passes"; "iterations"; "sccs";
+            "largest_scc"; "cache_hits"; "cache_misses"; "cache_invalidated"; "dbound";
+            "wall_ns" ]);
+    invariants =
+      [
+        ( "worklist needs strictly fewer entry evaluations on every size",
+          fun rs ->
+            every_group [ "size" ] rs (fun g ->
+                pair g "engine" "worklist" "round-robin" (fun w r ->
+                    num "evaluations" w < num "evaluations" r)) );
+      ];
+  }
 
-let solver_header =
-  [ "size"; "engine"; "entries"; "evals"; "passes"; "iters"; "sccs"; "hits";
-    "invalidated"; "ms" ]
+let s1 =
+  {
+    stress_exp with
+    id = "S1";
+    title = "solver stress -- wide chain of non-recursive definitions";
+    points = (fun () -> if !smoke then [ 6; 12 ] else [ 10; 20; 40; 80 ]);
+    measure = stress "wide-chain";
+    gate =
+      Some
+        {
+          gated with
+          rows = (fun rs -> extreme ( > ) (where "engine" "worklist" rs));
+          point = (fun r -> int_of_float (num "size" r));
+          counters = [ "evaluations" ];
+        };
+  }
 
-let stress workload ~experiment ~sizes ~src_of ~demand_of =
-  let rows = ref [] in
-  let wins = ref true in
-  List.iter
-    (fun n ->
-      let src = src_of n in
-      let demand = demand_of n in
-      let wl, wl_ns = run_engine ~engine:Fix.Worklist ~demand src in
-      let rr, rr_ns = run_engine ~engine:Fix.Round_robin ~demand src in
-      push_record ~experiment ~workload ~size:n ~wall:wl_ns wl;
-      push_record ~experiment ~workload ~size:n ~wall:rr_ns rr;
-      if wl.Fix.stats_evaluations >= rr.Fix.stats_evaluations then wins := false;
-      rows := solver_row n rr rr_ns :: solver_row n wl wl_ns :: !rows)
-    sizes;
-  print_table solver_header (List.rev !rows);
-  Printf.printf "\nworklist needs strictly fewer entry evaluations on every size: %s\n"
-    (if !wins then "yes" else "NO (regression)")
-
-let s1 () =
-  section "S1" "solver stress -- wide chain of non-recursive definitions";
-  let sizes = if !smoke then [ 6; 12 ] else [ 10; 20; 40; 80 ] in
-  stress "wide-chain" ~experiment:"S1" ~sizes ~src_of:wide_chain_src
-    ~demand_of:(fun n t -> ignore (Fix.value t (Printf.sprintf "w%d" (n - 1)) None));
-  Printf.printf
-    "expected shape: worklist evaluations grow linearly in the chain length,\n\
-     round-robin quadratically (every pass re-evaluates the whole prefix).\n"
-
-let s2 () =
-  section "S2" "solver stress -- deep recursion nests at chain bound d = 3";
-  let ks = if !smoke then [ 3 ] else [ 4; 8; 16 ] in
-  let rec deep k = if k = 0 then Ty.Int else Ty.List (deep (k - 1)) in
-  let inst = Ty.Arrow (deep 3, Ty.Arrow (deep 3, deep 3)) in
-  stress "deep-recursion" ~experiment:"S2" ~sizes:ks ~src_of:rec_chain_src
-    ~demand_of:(fun k t ->
-      ignore (Fix.value t (Printf.sprintf "f%d" (k - 1)) (Some inst)));
-  Printf.printf
-    "expected shape: every definition is cyclic, so both engines iterate; the\n\
-     worklist still wins by re-evaluating only entries whose dependencies moved\n\
-     and by keeping application memos alive across passes.\n"
+let s2 =
+  {
+    stress_exp with
+    id = "S2";
+    title = "solver stress -- deep recursion nests at chain bound d = 3";
+    points = (fun () -> if !smoke then [ 3 ] else [ 4; 8; 16 ]);
+    measure = stress "deep-recursion";
+  }
 
 (* ---- S3/S4: batch scaling and the persistent summary cache ------------------------- *)
 
@@ -795,7 +936,8 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let scratch_dir name =
+(* [f] of a fresh private directory, removed afterwards *)
+let with_scratch name f =
   let d =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -803,159 +945,145 @@ let scratch_dir name =
   in
   if Sys.file_exists d then rm_rf d;
   Sys.mkdir d 0o755;
-  d
+  Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
 
-(* The batch corpus: every named program of the soundness harness written
-   out as a file, plus the shipped examples when run from the repo root. *)
-let batch_corpus dir =
-  let builtin =
-    List.map
-      (fun (name, src) ->
-        let path = Filename.concat dir (name ^ ".nml") in
-        Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc src);
-        path)
-      Check.Harness.builtin_corpus
-  in
-  let shipped =
-    let root = Filename.concat "examples" "programs" in
-    if Sys.file_exists root && Sys.is_directory root then
-      Sys.readdir root |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".nml")
-      |> List.sort compare
-      |> List.map (Filename.concat root)
-    else []
-  in
-  builtin @ shipped
+let write_file path src =
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc src)
 
-let batch_totals results =
-  List.fold_left
-    (fun (ev, hits, misses, errs) (r : Cache.Batch.result) ->
-      ( ev + r.Cache.Batch.evaluations,
-        hits + r.Cache.Batch.scc_hits,
-        misses + r.Cache.Batch.scc_misses,
-        errs + if r.Cache.Batch.code = 0 then 0 else 1 ))
-    (0, 0, 0, 0) results
+let examples_dir = Filename.concat "examples" "programs"
 
-let s3 () =
-  section "S3" "batch scaling -- domain pool over the soundness corpus + examples";
-  let cores = Domain.recommended_domain_count () in
-  let dir = scratch_dir "s3" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let files = batch_corpus dir in
-  let jobs_list = if !smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let base = ref Float.nan in
-  let rows =
-    List.map
-      (fun jobs ->
-        let results = Cache.Batch.run ~jobs files in
-        let ev, _, _, errs = batch_totals results in
-        let wall =
-          measure_ns
-            (Printf.sprintf "jobs%d" jobs)
-            (fun () -> ignore (Cache.Batch.run ~jobs files))
-        in
-        if jobs = 1 then base := wall;
-        json_records :=
-          J.Obj
+(* the shipped examples, when run from the repository root *)
+let example_files () =
+  if Sys.file_exists examples_dir && Sys.is_directory examples_dir then
+    Sys.readdir examples_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".nml")
+    |> List.sort compare
+    |> List.map (Filename.concat examples_dir)
+  else []
+
+(* every named program of the soundness harness, written out under [dir] *)
+let builtin_files dir =
+  List.map
+    (fun (name, src) ->
+      let path = Filename.concat dir (name ^ ".nml") in
+      write_file path src;
+      path)
+    Check.Harness.builtin_corpus
+
+(* The batch corpus: the soundness harness's programs plus the shipped
+   examples. *)
+let batch_corpus dir = builtin_files dir @ example_files ()
+
+(* The cold and warm phases of a summary-cache experiment, as
+   (phase, wall, results): the cold run is timed once (a second run
+   would be warm), the warm rerun repeatedly. *)
+let cold_warm run =
+  let cold = ref [] in
+  let cold_ns = time_once (fun () -> cold := run ()) in
+  let warm = run () in
+  let warm_ns = measure_ns "warm" (fun () -> ignore (run ())) in
+  (("cold", cold_ns, !cold), ("warm", warm_ns, warm))
+
+let phase_fields ?(findings = false) (phase, wall, (results : Cache.Batch.result list)) =
+  let total f = J.int (List.fold_left (fun a r -> a + f r) 0 results) in
+  [ ("phase", J.Str phase); ("files", J.int (List.length results)) ]
+  @ (if findings then [ ("findings", total (fun r -> r.Cache.Batch.findings)) ] else [])
+  @ [
+      ("evaluations", total (fun r -> r.Cache.Batch.evaluations));
+      ("scc_hits", total (fun r -> r.Cache.Batch.scc_hits));
+      ("scc_misses", total (fun r -> r.Cache.Batch.scc_misses));
+      ("wall_ns", ns wall);
+    ]
+
+let cache_shape strs =
+  shape ("workload" :: strs)
+    [ "files"; "evaluations"; "scc_hits"; "scc_misses"; "wall_ns" ]
+
+let s3 =
+  {
+    exp with
+    id = "S3";
+    title = "batch scaling -- domain pool over the soundness corpus + examples";
+    points = (fun () -> [ () ]);
+    measure =
+      (fun () ->
+        let cores = Domain.recommended_domain_count () in
+        with_scratch "s3" @@ fun dir ->
+        let files = batch_corpus dir in
+        List.map
+          (fun jobs ->
+            let results = Cache.Batch.run ~jobs files in
+            let count f = List.fold_left (fun a r -> a + f r) 0 results in
+            let wall =
+              measure_ns
+                (Printf.sprintf "jobs%d" jobs)
+                (fun () -> ignore (Cache.Batch.run ~jobs files))
+            in
             [
-              ("experiment", J.Str "S3");
               ("workload", J.Str "batch-scaling");
               ("jobs", J.int jobs);
               ("files", J.int (List.length files));
               ("cores", J.int cores);
-              ("evaluations", J.int ev);
-              ("errors", J.int errs);
-              ("wall_ns", J.int (int_of_float wall));
-            ]
-          :: !json_records;
-        [
-          string_of_int jobs;
-          string_of_int (List.length files);
-          string_of_int ev;
-          string_of_int errs;
-          ms wall;
-          Printf.sprintf "%.2fx" (!base /. wall);
-        ])
-      jobs_list
-  in
-  print_table [ "jobs"; "files"; "evals"; "errors"; "ms"; "speedup" ] rows;
-  Printf.printf
-    "\nthis machine reports %d available core(s); speedups above 1x are only\n\
-     reachable when the pool actually gets more than one core.\n"
-    cores
+              ("evaluations", J.int (count (fun r -> r.Cache.Batch.evaluations)));
+              ("errors", J.int (count (fun r -> Bool.to_int (r.Cache.Batch.code <> 0))));
+              ("wall_ns", ns wall);
+            ])
+          (if !smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ]));
+    fields =
+      (fun _ ->
+        shape [ "workload" ]
+          [ "jobs"; "files"; "cores"; "evaluations"; "errors"; "wall_ns" ]);
+  }
 
-let s4 () =
-  section "S4" "persistent summary cache -- cold, warm, and one-definition edits";
-  let dir = scratch_dir "s4" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let corpus = Filename.concat dir "corpus" in
-  Sys.mkdir corpus 0o755;
-  let edited_file = Filename.concat corpus "zz_edit.nml" in
-  let edit_src body =
-    Ex.wrap
+let s4 =
+  {
+    exp with
+    id = "S4";
+    title = "persistent summary cache -- cold, warm, and one-definition edits";
+    points = (fun () -> [ () ]);
+    measure =
+      (fun () ->
+        with_scratch "s4" @@ fun dir ->
+        let edited_file = Filename.concat dir "zz_edit.nml" in
+        let edit_src body =
+          Ex.wrap
+            [
+              Printf.sprintf "callee l = %s" body;
+              "reader l = callee (cons (car l) l)";
+              "loner l = cons 1 l";
+            ]
+            "reader [1, 2]"
+        in
+        write_file edited_file (edit_src "cons (car l) nil");
+        let files = batch_corpus dir @ [ edited_file ] in
+        let store = Cache.Store.create (Filename.concat dir "cache") in
+        let run () = Cache.Batch.run ~store ~jobs:1 files in
+        let cold, warm = cold_warm run in
+        (* edited: one definition's body changes, so only its SCC and the
+           readers above it re-solve; everything else still hits *)
+        write_file edited_file (edit_src "cons 7 nil");
+        let edited = ref [] in
+        let edited_ns = time_once (fun () -> edited := run ()) in
+        List.map
+          (fun phase -> ("workload", J.Str "summary-cache") :: phase_fields phase)
+          [ cold; warm; ("edited", edited_ns, !edited) ]);
+    fields = (fun _ -> cache_shape [ "phase" ]);
+    invariants =
       [
-        Printf.sprintf "callee l = %s" body;
-        "reader l = callee (cons (car l) l)";
-        "loner l = cons 1 l";
-      ]
-      "reader [1, 2]"
-  in
-  let write path src =
-    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc src)
-  in
-  write edited_file (edit_src "cons (car l) nil");
-  let files = batch_corpus corpus @ [ edited_file ] in
-  let store = Cache.Store.create (Filename.concat dir "cache") in
-  let rows = ref [] in
-  let record phase wall results =
-    let ev, hits, misses, _ = batch_totals results in
-    json_records :=
-      J.Obj
-        [
-          ("experiment", J.Str "S4");
-          ("workload", J.Str "summary-cache");
-          ("phase", J.Str phase);
-          ("files", J.int (List.length files));
-          ("evaluations", J.int ev);
-          ("scc_hits", J.int hits);
-          ("scc_misses", J.int misses);
-          ("wall_ns", J.int (int_of_float wall));
-        ]
-      :: !json_records;
-    rows :=
-      [
-        phase; string_of_int (List.length files); string_of_int ev;
-        string_of_int hits; string_of_int misses; ms wall;
-      ]
-      :: !rows
-  in
-  (* cold: empty store, every SCC is solved and written (timed once --
-     a second run would be warm) *)
-  let cold = ref [] in
-  let cold_ns = time_once (fun () -> cold := Cache.Batch.run ~store ~jobs:1 files) in
-  record "cold" cold_ns !cold;
-  (* warm: nothing changed, the whole corpus is served from the store *)
-  let warm = Cache.Batch.run ~store ~jobs:1 files in
-  let warm_ns =
-    measure_ns "warm" (fun () -> ignore (Cache.Batch.run ~store ~jobs:1 files))
-  in
-  record "warm" warm_ns warm;
-  (* edited: one definition's body changes, so only its SCC and the
-     readers above it re-solve; everything else still hits *)
-  write edited_file (edit_src "cons 7 nil");
-  let edited = ref [] in
-  let edited_ns =
-    time_once (fun () -> edited := Cache.Batch.run ~store ~jobs:1 files)
-  in
-  record "edited" edited_ns !edited;
-  print_table
-    [ "phase"; "files"; "evals"; "scc hits"; "scc misses"; "ms" ]
-    (List.rev !rows);
-  let ev_of rs = let ev, _, _, _ = batch_totals rs in ev in
-  Printf.printf
-    "\nexpected shape: warm = 0 evaluations with bit-identical reports;\n\
-     the edit re-solves only its invalidation cone (%d of %d cold evaluations).\n"
-    (ev_of !edited) (ev_of !cold)
+        ( "warm is evaluation-free, cold is not, and an edit costs less than cold",
+          fun rs ->
+            let phase p = where "phase" p rs in
+            phase "warm" <> []
+            && zero "evaluations" (phase "warm")
+            && positive "evaluations" (phase "cold")
+            && List.exists
+                 (fun e ->
+                   List.exists
+                     (fun c -> num "evaluations" e < num "evaluations" c)
+                     (phase "cold"))
+                 (phase "edited") );
+      ];
+  }
 
 (* ---- S5: the analysis framework -- functor overhead and per-analysis caching -------- *)
 
@@ -973,139 +1101,108 @@ let s4 () =
    the reduced product) over the soundness corpus through its own cache
    namespace: the cold run solves and writes, the warm rerun must be
    completely evaluation-free. *)
-let s5 () =
-  section "S5" "analysis framework -- functorized solver overhead, per-analysis cache";
-  let shapes =
-    if !smoke then [ ("wide-chain", [ 12 ]); ("deep-recursion", [ 3 ]) ]
-    else [ ("wide-chain", [ 20; 40; 80 ]); ("deep-recursion", [ 4; 8; 16 ]) ]
-  in
-  let src_of shape n =
-    match shape with
-    | "wide-chain" -> wide_chain_src n
-    | _ -> rec_chain_src n
-  in
-  let demand_of shape n =
-    match shape with
-    | "wide-chain" ->
-        fun value -> value (Printf.sprintf "w%d" (n - 1)) None
-    | _ ->
-        let rec deep k = if k = 0 then Ty.Int else Ty.List (deep (k - 1)) in
-        let inst = Ty.Arrow (deep 3, Ty.Arrow (deep 3, deep 3)) in
-        fun value -> value (Printf.sprintf "f%d" (n - 1)) (Some inst)
-  in
-  let rows = ref [] in
-  let legacy_total = ref 0. and framework_total = ref 0. in
-  List.iter
-    (fun (shape, sizes) ->
-      List.iter
-        (fun n ->
-          let src = src_of shape n in
-          let demand = demand_of shape n in
-          let lt = Legacy_fixpoint.of_source ~max_iters:1000 src in
-          demand (fun name inst -> ignore (Legacy_fixpoint.value lt name inst));
-          let l_ev = Legacy_fixpoint.evaluations lt in
-          let l_ns =
-            measure_ns "legacy" (fun () ->
-                let t = Legacy_fixpoint.of_source ~max_iters:1000 src in
-                demand (fun name inst -> ignore (Legacy_fixpoint.value t name inst)))
-          in
-          let ft = Fix.of_source ~max_iters:1000 src in
-          demand (fun name inst -> ignore (Fix.value ft name inst));
-          let f_ev = Fix.evaluations ft in
-          let f_ns =
-            measure_ns "framework" (fun () ->
-                let t = Fix.of_source ~max_iters:1000 src in
-                demand (fun name inst -> ignore (Fix.value t name inst)))
-          in
-          legacy_total := !legacy_total +. l_ns;
-          framework_total := !framework_total +. f_ns;
-          List.iter
-            (fun (solver, ev, ns) ->
-              json_records :=
-                J.Obj
-                  [
-                    ("experiment", J.Str "S5");
-                    ("workload", J.Str "framework-overhead");
-                    ("shape", J.Str shape);
-                    ("solver", J.Str solver);
-                    ("size", J.int n);
-                    ("evaluations", J.int ev);
-                    ("wall_ns", J.int (int_of_float ns));
-                  ]
-                :: !json_records)
-            [ ("legacy", l_ev, l_ns); ("framework", f_ev, f_ns) ];
-          rows :=
-            [
-              shape; string_of_int n; string_of_int l_ev; string_of_int f_ev;
-              ms l_ns; ms f_ns; Printf.sprintf "%.3fx" (f_ns /. l_ns);
-            ]
-            :: !rows)
-        sizes)
-    shapes;
-  print_table
-    [ "shape"; "size"; "legacy evals"; "fw evals"; "legacy ms"; "fw ms"; "ratio" ]
-    (List.rev !rows);
-  Printf.printf
-    "\naggregate framework/legacy wall ratio: %.3fx (budget 1.05x)\n"
-    (!framework_total /. !legacy_total);
-  (* part B: cold/warm of every registered analysis, each in its own
-     cache namespace inside one shared store *)
-  let dir = scratch_dir "s5" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let corpus = Filename.concat dir "corpus" in
-  Sys.mkdir corpus 0o755;
-  let files =
-    List.map
-      (fun (name, src) ->
-        let path = Filename.concat corpus (name ^ ".nml") in
-        Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc src);
-        path)
-      Check.Harness.builtin_corpus
-  in
-  let store = Cache.Store.create (Filename.concat dir "cache") in
-  let crows = ref [] in
-  List.iter
-    (fun (e : Analyses.Registry.entry) ->
-      let sweep () =
-        List.map (fun p -> Analyses.Registry.batch_job e ~store:(Some store) p) files
+type s5_point = Overhead of string * int | Analysis_cache
+
+let s5_measure = function
+  | Overhead (workload, n) ->
+      let _, src_of, entry = List.find (fun (w, _, _) -> w = workload) stress_shapes in
+      let src = src_of n and name, inst = entry n in
+      let legacy () =
+        let t = Legacy_fixpoint.of_source ~max_iters:1000 src in
+        ignore (Legacy_fixpoint.value t name inst);
+        t
       in
-      let cold = ref [] in
-      let cold_ns = time_once (fun () -> cold := sweep ()) in
-      let warm = sweep () in
-      let warm_ns = measure_ns "warm" (fun () -> ignore (sweep ())) in
-      let record phase wall results =
-        let ev, hits, misses, _ = batch_totals results in
-        json_records :=
-          J.Obj
-            [
-              ("experiment", J.Str "S5");
-              ("workload", J.Str "analysis-cache");
-              ("analysis", J.Str e.Analyses.Registry.name);
-              ("phase", J.Str phase);
-              ("files", J.int (List.length files));
-              ("evaluations", J.int ev);
-              ("scc_hits", J.int hits);
-              ("scc_misses", J.int misses);
-              ("wall_ns", J.int (int_of_float wall));
-            ]
-          :: !json_records;
-        crows :=
+      let l_ev = Legacy_fixpoint.evaluations (legacy ()) in
+      let l_ns = measure_ns "legacy" (fun () -> ignore (legacy ())) in
+      let f, f_ns =
+        run_engine ~engine:Fix.Worklist
+          ~demand:(fun t -> ignore (Fix.value t name inst))
+          src
+      in
+      List.map
+        (fun (solver, ev, wall) ->
           [
-            e.Analyses.Registry.name; phase; string_of_int ev;
-            string_of_int hits; string_of_int misses; ms wall;
-          ]
-          :: !crows
-      in
-      record "cold" cold_ns !cold;
-      record "warm" warm_ns warm)
-    Analyses.Registry.all;
-  print_table
-    [ "analysis"; "phase"; "evals"; "scc hits"; "scc misses"; "ms" ]
-    (List.rev !crows);
-  Printf.printf
-    "\nexpected shape: per (shape, size) the two solvers' evaluation counts\n\
-     are identical; every analysis' warm rerun is evaluation-free in its\n\
-     own key namespace.\n"
+            ("workload", J.Str "framework-overhead");
+            ("shape", J.Str workload);
+            ("solver", J.Str solver);
+            ("size", J.int n);
+            ("evaluations", J.int ev);
+            ("wall_ns", ns wall);
+          ])
+        [ ("legacy", l_ev, l_ns); ("framework", f.Fix.stats_evaluations, f_ns) ]
+  | Analysis_cache ->
+      (* each analysis in its own cache namespace inside one shared store *)
+      with_scratch "s5" @@ fun dir ->
+      let files = builtin_files dir in
+      let store = Cache.Store.create (Filename.concat dir "cache") in
+      List.concat_map
+        (fun (e : Analyses.Registry.entry) ->
+          let cold, warm =
+            cold_warm (fun () ->
+                List.map
+                  (fun p -> Analyses.Registry.batch_job e ~store:(Some store) p)
+                  files)
+          in
+          List.map
+            (fun phase ->
+              ("workload", J.Str "analysis-cache")
+              :: ("analysis", J.Str e.Analyses.Registry.name)
+              :: phase_fields phase)
+            [ cold; warm ])
+        Analyses.Registry.all
+
+let s5 =
+  let overhead = where "workload" "framework-overhead" in
+  let wall solver rs = sum "wall_ns" (where "solver" solver (overhead rs)) in
+  {
+    exp with
+    id = "S5";
+    title = "analysis framework -- functorized solver overhead, per-analysis cache";
+    points =
+      (fun () ->
+        let sizes = function
+          | "wide-chain" -> if !smoke then [ 12 ] else [ 20; 40; 80 ]
+          | _ -> if !smoke then [ 3 ] else [ 4; 8; 16 ]
+        in
+        List.concat_map
+          (fun (w, _, _) -> List.map (fun n -> Overhead (w, n)) (sizes w))
+          stress_shapes
+        @ [ Analysis_cache ]);
+    measure = s5_measure;
+    fields =
+      (function
+      | "framework-overhead" ->
+          shape [ "workload"; "shape"; "solver" ] [ "size"; "evaluations"; "wall_ns" ]
+      | _ -> cache_shape [ "analysis"; "phase" ]);
+    invariants =
+      [
+        ( "the functorized solver performs exactly the frozen solver's evaluations",
+          fun rs ->
+            every_group [ "shape"; "size" ] (overhead rs) (fun g ->
+                pair g "solver" "legacy" "framework" (fun l f ->
+                    num "evaluations" l = num "evaluations" f)) );
+        ( "aggregate framework/legacy wall within 1.05x (+0.5 ms)",
+          fun rs ->
+            overhead rs <> []
+            && wall "framework" rs <= (wall "legacy" rs *. 1.05) +. 5e5 );
+        ( "every analysis' warm rerun is evaluation-free",
+          fun rs ->
+            every_group [ "analysis" ] (where "workload" "analysis-cache" rs) (fun g ->
+                pair g "phase" "cold" "warm" warm_free) );
+      ];
+    note =
+      (fun rs ->
+        Printf.sprintf "aggregate framework/legacy wall ratio: %.3fx (budget 1.05x)\n"
+          (wall "framework" rs /. wall "legacy" rs));
+    gate =
+      Some
+        {
+          gated with
+          rows = (fun rs -> where "phase" "cold" (where "workload" "analysis-cache" rs));
+          point = (fun _ -> Analysis_cache);
+          counters = [ "evaluations" ];
+        };
+  }
 
 (* ---- S6: sharing-licensed reuse vs the Theorem-2 baseline --------------------------- *)
 
@@ -1117,227 +1214,138 @@ let s5 () =
    where a DCONS recycles a spine the baseline could not prove fresh.
    Part B is the sharing analysis' persistent summary cache over the same
    corpus: the warm rerun must be evaluation-free in its own namespace. *)
-let s6_examples () =
-  let root = Filename.concat "examples" "programs" in
-  if Sys.file_exists root && Sys.is_directory root then
-    Sys.readdir root |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".nml")
-    |> List.sort compare
-    |> List.map (fun f ->
-           ( Filename.chop_suffix f ".nml",
-             In_channel.with_open_text (Filename.concat root f)
-               In_channel.input_all ))
-  else []
+type s6_point = Reuse of string | Sharing_cache
 
-let s6_modes =
-  [
-    ("t2-baseline", { T.none with T.monomorphize = true; T.reuse = true });
-    ( "alias-informed",
-      { T.none with T.monomorphize = true; T.reuse = true; T.alias_reuse = true }
-    );
-  ]
+let s6_measure = function
+  | Reuse path ->
+      let src = In_channel.with_open_text path In_channel.input_all in
+      let surface = Surface.of_string src in
+      List.map
+        (fun (mode, options) ->
+          let optimize () =
+            let r = T.optimize ~options surface in
+            (Option.get r.T.reuse_report, run_machine r.T.ir)
+          in
+          let rep, stats = optimize () in
+          let wall =
+            if !smoke then time_once (fun () -> ignore (optimize ()))
+            else measure_ns mode (fun () -> ignore (optimize ()))
+          in
+          [
+            ("workload", J.Str "alias-reuse");
+            ("example", J.Str (Filename.chop_suffix (Filename.basename path) ".nml"));
+            ("mode", J.Str mode);
+            ("candidates", J.int (List.length rep.Optimize.Reuse.candidates));
+            ("substituted_calls", J.int rep.Optimize.Reuse.substituted_calls);
+            ("alias_licensed", J.int rep.Optimize.Reuse.alias_licensed);
+            ("heap_allocs", J.int stats.Stats.heap_allocs);
+            ("dcons_reuses", J.int stats.Stats.dcons_reuses);
+            ("wall_ns", ns wall);
+          ])
+        [
+          ("t2-baseline", { T.none with T.monomorphize = true; T.reuse = true });
+          ( "alias-informed",
+            { T.none with T.monomorphize = true; T.reuse = true; T.alias_reuse = true } );
+        ]
+  | Sharing_cache ->
+      let e = Option.get (Analyses.Registry.find "sharing") in
+      with_scratch "s6" @@ fun dir ->
+      let store = Cache.Store.create (Filename.concat dir "cache") in
+      let files = example_files () in
+      let cold, warm =
+        cold_warm (fun () ->
+            List.map (fun p -> Analyses.Registry.batch_job e ~store:(Some store) p) files)
+      in
+      List.map
+        (fun phase -> ("workload", J.Str "sharing-cache") :: phase_fields phase)
+        [ cold; warm ]
 
-let s6_measure options surface =
-  let r = T.optimize ~options surface in
-  let rep = Option.get r.T.reuse_report in
-  (rep, run_machine r.T.ir)
-
-let s6 () =
-  section "S6" "sharing-licensed reuse -- Theorem-2 baseline vs alias-informed";
-  let examples = s6_examples () in
-  if examples = [] then
-    Printf.printf
-      "examples/programs/ not found (run from the repository root); skipping\n"
-  else begin
-    let rows =
-      List.concat_map
-        (fun (name, src) ->
-          let surface = Surface.of_string src in
-          List.map
-            (fun (mode, options) ->
-              let rep, stats = s6_measure options surface in
-              let wall =
-                if !smoke then time_once (fun () -> ignore (s6_measure options surface))
-                else measure_ns mode (fun () -> ignore (s6_measure options surface))
-              in
-              json_records :=
-                J.Obj
-                  [
-                    ("experiment", J.Str "S6");
-                    ("workload", J.Str "alias-reuse");
-                    ("example", J.Str name);
-                    ("mode", J.Str mode);
-                    ("candidates", J.int (List.length rep.Optimize.Reuse.candidates));
-                    ( "substituted_calls",
-                      J.int rep.Optimize.Reuse.substituted_calls );
-                    ("alias_licensed", J.int rep.Optimize.Reuse.alias_licensed);
-                    ("heap_allocs", J.int stats.Stats.heap_allocs);
-                    ("dcons_reuses", J.int stats.Stats.dcons_reuses);
-                    ("wall_ns", J.int (int_of_float wall));
-                  ]
-                :: !json_records;
-              [
-                name; mode;
-                string_of_int (List.length rep.Optimize.Reuse.candidates);
-                string_of_int rep.Optimize.Reuse.substituted_calls;
-                string_of_int rep.Optimize.Reuse.alias_licensed;
-                string_of_int stats.Stats.heap_allocs;
-                string_of_int stats.Stats.dcons_reuses;
-                ms wall;
-              ])
-            s6_modes)
-        examples
-    in
-    print_table
+let s6 =
+  let reuse = where "workload" "alias-reuse" in
+  let baseline_vs_alias f g = pair g "mode" "t2-baseline" "alias-informed" f in
+  {
+    exp with
+    id = "S6";
+    title = "sharing-licensed reuse -- Theorem-2 baseline vs alias-informed";
+    points =
+      (fun () ->
+        match example_files () with
+        | [] ->
+            prerr_endline
+              "S6: examples/programs/ not found (run from the repository root); skipping";
+            []
+        | files -> List.map (fun f -> Reuse f) files @ [ Sharing_cache ]);
+    measure = s6_measure;
+    fields =
+      (function
+      | "alias-reuse" ->
+          shape [ "workload"; "example"; "mode" ]
+            [ "candidates"; "substituted_calls"; "alias_licensed"; "heap_allocs";
+              "dcons_reuses"; "wall_ns" ]
+      | _ -> cache_shape [ "phase" ]);
+    invariants =
       [
-        "example"; "mode"; "cands"; "redirected"; "alias-only"; "heap";
-        "reuses"; "ms";
-      ]
-      rows;
-    (* part B: the sharing analysis' cold/warm cache over the examples *)
-    match Analyses.Registry.find "sharing" with
-    | None -> Printf.printf "\nno registered sharing analysis?\n"
-    | Some e ->
-        let dir = scratch_dir "s6" in
-        Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-        let corpus = Filename.concat dir "corpus" in
-        Sys.mkdir corpus 0o755;
-        let files =
-          List.map
-            (fun (name, src) ->
-              let path = Filename.concat corpus (name ^ ".nml") in
-              Out_channel.with_open_text path (fun oc ->
-                  Out_channel.output_string oc src);
-              path)
-            examples
-        in
-        let store = Cache.Store.create (Filename.concat dir "cache") in
-        let sweep () =
-          List.map (fun p -> Analyses.Registry.batch_job e ~store:(Some store) p) files
-        in
-        let cold = ref [] in
-        let cold_ns = time_once (fun () -> cold := sweep ()) in
-        let warm = sweep () in
-        let warm_ns = measure_ns "warm" (fun () -> ignore (sweep ())) in
-        let crows = ref [] in
-        let record phase wall results =
-          let ev, hits, misses, _ = batch_totals results in
-          json_records :=
-            J.Obj
-              [
-                ("experiment", J.Str "S6");
-                ("workload", J.Str "sharing-cache");
-                ("phase", J.Str phase);
-                ("files", J.int (List.length files));
-                ("evaluations", J.int ev);
-                ("scc_hits", J.int hits);
-                ("scc_misses", J.int misses);
-                ("wall_ns", J.int (int_of_float wall));
-              ]
-            :: !json_records;
-          crows :=
-            [
-              phase; string_of_int (List.length files); string_of_int ev;
-              string_of_int hits; string_of_int misses; ms wall;
-            ]
-            :: !crows
-        in
-        record "cold" cold_ns !cold;
-        record "warm" warm_ns warm;
-        Printf.printf "\nsharing summary cache over the same corpus:\n";
-        print_table
-          [ "phase"; "files"; "evals"; "scc hits"; "scc misses"; "ms" ]
-          (List.rev !crows);
-        Printf.printf
-          "\nexpected shape: alias-informed redirects at least as many call sites\n\
-           as the Theorem-2 baseline and allocates no more; on the branch-,\n\
-           stitch- and let-spine examples it redirects strictly more (the\n\
-           alias-only column) and heap allocations drop.  The warm cache rerun\n\
-           is evaluation-free.\n"
-  end
+        ( "alias-informed redirects no fewer calls and allocates no more than the \
+           baseline, which licenses nothing itself",
+          fun rs ->
+            every_group [ "example" ] (reuse rs)
+              (baseline_vs_alias (fun t2 al ->
+                   num "substituted_calls" al >= num "substituted_calls" t2
+                   && num "heap_allocs" al <= num "heap_allocs" t2
+                   && num "alias_licensed" t2 = 0.)) );
+        ( "some sites are licensed only by the sharing analysis",
+          fun rs -> sum "alias_licensed" (reuse rs) > 0. );
+        ( "heap allocations drop on at least three examples",
+          fun rs ->
+            List.length
+              (List.filter
+                 (baseline_vs_alias (fun t2 al ->
+                      num "heap_allocs" al < num "heap_allocs" t2))
+                 (group [ "example" ] (reuse rs)))
+            >= 3 );
+        ( "the warm sharing-cache rerun is evaluation-free",
+          fun rs ->
+            pair (where "workload" "sharing-cache" rs) "phase" "cold" "warm" warm_free );
+      ];
+    gate =
+      Some
+        {
+          rows = where "workload" "alias-reuse";
+          point =
+            (fun r -> Reuse (Filename.concat examples_dir (str "example" r ^ ".nml")));
+          counters = [ "substituted_calls"; "heap_allocs" ];
+          ratios = [ ("heap_allocs", ("mode", "t2-baseline", "alias-informed")) ];
+          nonzero = [ "alias_licensed" ];
+        };
+  }
 
 (* ---- L1: lint throughput through the summary cache --------------------------------- *)
 
-let l1 () =
-  section "L1" "lint cache -- cold vs warm batch linting over a mixed corpus";
-  let dir = scratch_dir "l1" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+let l1_measure () =
+  with_scratch "l1" @@ fun dir ->
   (* the soundness corpus and shipped examples, plus a deterministic batch
      of random programs so per-SCC lint records face unfamiliar shapes *)
   let random_count = if !smoke then 8 else 40 in
   let rand = Random.State.make [| 20260807 |] in
   let random_files =
     List.init random_count (fun i ->
-        let src = QCheck.Gen.generate1 ~rand Gen.gen_any_program in
         let path = Filename.concat dir (Printf.sprintf "rand%02d.nml" i) in
-        Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc src);
+        write_file path (QCheck.Gen.generate1 ~rand Gen.gen_any_program);
         path)
   in
   let files = batch_corpus dir @ random_files in
   let store = Cache.Store.create (Filename.concat dir "cache") in
   let lint ~store path = Lint.Batch.analyze_file ~store path in
-  let totals results =
-    List.fold_left
-      (fun (f, ev, hits, misses) (r : Cache.Batch.result) ->
-        ( f + r.Cache.Batch.findings,
-          ev + r.Cache.Batch.evaluations,
-          hits + r.Cache.Batch.scc_hits,
-          misses + r.Cache.Batch.scc_misses ))
-      (0, 0, 0, 0) results
-  in
-  let rows = ref [] in
-  let record phase wall ?identical results =
-    let f, ev, hits, misses = totals results in
-    let extra =
-      match identical with None -> [] | Some b -> [ ("identical", J.Bool b) ]
-    in
-    json_records :=
-      J.Obj
-        ([
-           ("experiment", J.Str "L1");
-           ("workload", J.Str "lint-cache");
-           ("phase", J.Str phase);
-           ("files", J.int (List.length files));
-           ("findings", J.int f);
-           ("evaluations", J.int ev);
-           ("scc_hits", J.int hits);
-           ("scc_misses", J.int misses);
-           ("wall_ns", J.int (int_of_float wall));
-         ]
-        @ extra)
-      :: !json_records;
-    rows :=
-      [
-        phase; string_of_int (List.length files); string_of_int f;
-        string_of_int ev; string_of_int hits; string_of_int misses; ms wall;
-      ]
-      :: !rows
-  in
-  (* cold: every SCC's findings are computed and written (timed once --
-     a second run would be warm) *)
-  let cold = ref [] in
-  let cold_ns =
-    time_once (fun () -> cold := Cache.Batch.run ~analyze:lint ~store ~jobs:1 files)
-  in
-  record "cold" cold_ns !cold;
   (* warm: every record replays without forcing the fixpoint solver *)
-  let warm = Cache.Batch.run ~analyze:lint ~store ~jobs:1 files in
-  let warm_ns =
-    measure_ns "warm" (fun () ->
-        ignore (Cache.Batch.run ~analyze:lint ~store ~jobs:1 files))
+  let ((_, _, cold) as c), ((_, _, warm) as w) =
+    cold_warm (fun () -> Cache.Batch.run ~analyze:lint ~store ~jobs:1 files)
   in
   let identical =
-    List.length !cold = List.length warm
-    && List.for_all2
-         (fun (c : Cache.Batch.result) (w : Cache.Batch.result) ->
-           String.equal c.Cache.Batch.output w.Cache.Batch.output)
-         !cold warm
+    List.equal
+      (fun (c : Cache.Batch.result) (w : Cache.Batch.result) ->
+        String.equal c.Cache.Batch.output w.Cache.Batch.output)
+      cold warm
   in
-  record "warm" warm_ns ~identical warm;
-  print_table
-    [ "phase"; "files"; "findings"; "evals"; "scc hits"; "scc misses"; "ms" ]
-    (List.rev !rows);
-  let _, warm_ev, _, _ = totals warm in
   (* per-rule audit: count each code's tag in the rendered findings *)
   let count_tag tag =
     let needle = Printf.sprintf "[%s]" tag in
@@ -1350,17 +1358,45 @@ let l1 () =
           if String.equal (String.sub s i nlen) needle then incr n
         done;
         acc + !n)
-      0 !cold
+      0 cold
   in
-  Printf.printf "\nper-rule findings over the corpus:\n";
+  Printf.printf "per-rule findings over the corpus (cold run):\n";
   print_table [ "rule"; "findings" ]
     (List.map
        (fun code -> [ code; string_of_int (count_tag code) ])
        (Lint.Registry.codes ()));
-  Printf.printf
-    "\nexpected shape: the warm rerun performs zero entry evaluations (got %d)\n\
-     and replays byte-identical findings (got %b).\n"
-    warm_ev identical
+  print_newline ();
+  [
+    ("workload", J.Str "lint-cache") :: phase_fields ~findings:true c;
+    (("workload", J.Str "lint-cache") :: phase_fields ~findings:true w)
+    @ [ ("identical", J.Bool identical) ];
+  ]
+
+let l1 =
+  {
+    exp with
+    id = "L1";
+    title = "lint cache -- cold vs warm batch linting over a mixed corpus";
+    points = (fun () -> [ () ]);
+    measure = l1_measure;
+    fields =
+      (fun _ ->
+        shape [ "workload"; "phase" ]
+          [ "files"; "findings"; "evaluations"; "scc_hits"; "scc_misses"; "wall_ns" ]);
+    invariants =
+      [
+        ( "the warm rerun is evaluation-free and replays identical findings",
+          fun rs ->
+            let phase p = where "phase" p rs in
+            phase "warm" <> []
+            && phase "cold" <> []
+            && zero "evaluations" (phase "warm")
+            && List.for_all
+                 (fun r -> List.assoc_opt "identical" r = Some (J.Bool true))
+                 (phase "warm")
+            && sum "findings" (phase "warm") = sum "findings" (phase "cold") );
+      ];
+  }
 
 (* ---- E1: per-edit re-analysis latency through the daemon ---------------------------- *)
 
@@ -1370,10 +1406,8 @@ let l1 () =
    whose one definition body just changed, so exactly its invalidation
    cone re-solves).  Latencies are per-request wall times over one
    persistent connection; the headline numbers are p50/p99. *)
-let e1 () =
-  section "E1" "analysis daemon -- per-edit re-analysis latency under an edit storm";
-  let dir = scratch_dir "e1" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+let e1_measure () =
+  with_scratch "e1" @@ fun dir ->
   let nfiles = if !smoke then 6 else 12 in
   let requests = if !smoke then 30 else 120 in
   let path i = Filename.concat dir (Printf.sprintf "edit%02d.nml" i) in
@@ -1381,14 +1415,13 @@ let e1 () =
      cache keys digest normalized bodies, so only a body change -- not
      a reformat -- invalidates the file's cone *)
   let write i c =
-    Out_channel.with_open_text (path i) (fun oc ->
-        Out_channel.output_string oc
-          (Ex.wrap
-             [
-               Printf.sprintf "gen x = cons %d (cons x nil)" ((1000 * i) + c);
-               "use l = gen (car l)";
-             ]
-             "use [1]"))
+    write_file (path i)
+      (Ex.wrap
+         [
+           Printf.sprintf "gen x = cons %d (cons x nil)" ((1000 * i) + c);
+           "use l = gen (car l)";
+         ]
+         "use [1]")
   in
   let files = List.init nfiles (fun i -> write i 0; path i) in
   let sock = Filename.concat dir "s.sock" in
@@ -1433,12 +1466,10 @@ let e1 () =
     | Ok resp ->
         let t1 = Unix.gettimeofday () in
         let ev =
-          match J.member "result" (J.parse resp) with
-          | Some r -> (
-              match J.member "evaluations" r with
-              | Some (J.Num f) -> int_of_float f
-              | _ -> failwith "E1: result without evaluations")
-          | None -> failwith ("E1: error response: " ^ resp)
+          let result = J.member "result" (J.parse resp) in
+          match Option.bind result (J.member "evaluations") with
+          | Some (J.Num f) -> int_of_float f
+          | _ -> failwith ("E1: response without evaluations: " ^ resp)
         in
         ((t1 -. t0) *. 1e9, ev)
   in
@@ -1447,49 +1478,65 @@ let e1 () =
   let percentile sorted q =
     sorted.(min (Array.length sorted - 1) (Array.length sorted * q / 100))
   in
-  let rows = ref [] in
   let run_phase phase mutate =
     let lat = Array.make requests 0. in
     let evs = ref 0 in
     for r = 0 to requests - 1 do
       let i = r mod nfiles in
       mutate i r;
-      let ns, ev = analyze (path i) in
-      lat.(r) <- ns;
+      let latency, ev = analyze (path i) in
+      lat.(r) <- latency;
       evs := !evs + ev
     done;
     Array.sort compare lat;
-    let p50 = percentile lat 50 and p99 = percentile lat 99 in
-    json_records :=
-      J.Obj
-        [
-          ("experiment", J.Str "E1");
-          ("workload", J.Str "edit-storm");
-          ("phase", J.Str phase);
-          ("files", J.int nfiles);
-          ("requests", J.int requests);
-          ("p50_ns", J.int (int_of_float p50));
-          ("p99_ns", J.int (int_of_float p99));
-          ("evaluations", J.int !evs);
-        ]
-      :: !json_records;
-    rows :=
-      [
-        phase; string_of_int requests; string_of_int !evs; ms p50; ms p99;
-      ]
-      :: !rows;
-    (p50, p99, !evs)
+    [
+      ("workload", J.Str "edit-storm");
+      ("phase", J.Str phase);
+      ("files", J.int nfiles);
+      ("requests", J.int requests);
+      ("p50_ns", ns (percentile lat 50));
+      ("p99_ns", ns (percentile lat 99));
+      ("evaluations", J.int !evs);
+    ]
   in
   (* warm: nothing changes, every request is a hot-tier replay *)
-  let _, _, warm_evs = run_phase "warm" (fun _ _ -> ()) in
+  let warm = run_phase "warm" (fun _ _ -> ()) in
   (* edit storm: before each request, the target file's definition body
      changes, so its cone (and nothing else) re-solves *)
-  let _, _, edit_evs = run_phase "edit" (fun i r -> write i (1 + r)) in
-  print_table [ "phase"; "requests"; "evals"; "p50 ms"; "p99 ms" ] (List.rev !rows);
-  Printf.printf
-    "\nexpected shape: the warm phase is evaluation-free (got %d) while every\n\
-     edit re-solves just its file's cone (%d evaluations over %d edits).\n"
-    warm_evs edit_evs requests
+  [ warm; run_phase "edit" (fun i r -> write i (1 + r)) ]
+
+let e1 =
+  {
+    exp with
+    id = "E1";
+    title = "analysis daemon -- per-edit re-analysis latency under an edit storm";
+    points = (fun () -> [ () ]);
+    measure = e1_measure;
+    fields =
+      (fun _ ->
+        shape [ "workload"; "phase" ]
+          [ "files"; "requests"; "p50_ns"; "p99_ns"; "evaluations" ]);
+    invariants =
+      [
+        ( "the warm phase is evaluation-free with p50 <= the edit storm's p99, \
+           p50 <= p99 everywhere",
+          fun rs ->
+            let phase p = where "phase" p rs in
+            phase "warm" <> []
+            && phase "edit" <> []
+            && List.for_all
+                 (fun r -> num "p50_ns" r <= num "p99_ns" r && num "requests" r > 0.)
+                 rs
+            && zero "evaluations" (phase "warm")
+            && positive "evaluations" (phase "edit")
+            && List.for_all
+                 (fun w ->
+                   List.for_all
+                     (fun e -> num "p50_ns" w <= num "p99_ns" e)
+                     (phase "edit"))
+                 (phase "warm") );
+      ];
+  }
 
 (* ---- H1/H2: escape-guided heap -- throughput and pause distribution --------------- *)
 
@@ -1502,10 +1549,12 @@ let e1 () =
    double-tracked: wall-clock nanoseconds for the headline, the
    deterministic cells-touched proxy for gates. *)
 
+(* (experiment, workload, (smoke size, sizes), source of size n) *)
 let h_sources =
   [
     ( "H1",
       "stream-pipeline",
+      (200, [ 2000; 5000; 10000 ]),
       fun n ->
         Ex.wrap
           [ Ex.create_list_def; Ex.filter_def; Ex.map_def; Ex.sum_def ]
@@ -1514,6 +1563,7 @@ let h_sources =
              (n / 2) n) );
     ( "H2",
       "sort-pipeline",
+      (50, [ 100; 200; 400 ]),
       fun n ->
         Ex.wrap
           [ Ex.create_list_def; Ex.filter_def; Ex.map_def; Ex.insert_def;
@@ -1524,13 +1574,15 @@ let h_sources =
              (n / 2) n) );
   ]
 
-let h_sizes experiment =
-  match experiment with
-  | "H1" -> if !smoke then [ 200 ] else [ 2000; 5000; 10000 ]
-  | _ -> if !smoke then [ 50 ] else [ 100; 200; 400 ]
+(* the points (workload, size) of one source *)
+let h_points (_, workload, (small, sizes), _) =
+  List.map (fun n -> (workload, n)) (if !smoke then [ small ] else sizes)
 
-(* (config, policy, ir, heap configuration) -- the three measured setups *)
-let h_configs surface =
+(* The three measured setups of a point (workload, size) of H1/H2 and
+   V1: (config, policy, ir, heap configuration). *)
+let h_setups (workload, n) =
+  let _, _, _, mk_src = List.find (fun (_, w, _, _) -> w = workload) h_sources in
+  let surface = Surface.of_string (mk_src n) in
   let base_ir = Runtime.Ir.of_program surface in
   (* Placement only: stack/block verdicts route intermediates into
      regions and pretenuring routes the escaping spine past the
@@ -1538,12 +1590,10 @@ let h_configs surface =
      call sites the region story is about and change the allocation
      counts the H invariants compare. *)
   let opt_ir =
-    (T.optimize
-       ~options:
-         { T.none with T.monomorphize = true; T.stack = true; T.block = true;
-           T.pretenure = true }
-       surface)
-      .T.ir
+    optimized
+      { T.none with T.monomorphize = true; T.stack = true; T.block = true;
+        T.pretenure = true }
+      surface
   in
   let gen = Runtime.Heap.generational in
   [
@@ -1551,6 +1601,18 @@ let h_configs surface =
     ("analysis-off", "generational", base_ir, gen);
     ("analysis-on", "generational", opt_ir, gen);
   ]
+
+(* What H1/H2, V1 and V2 gate: their smallest recorded size of each
+   workload, measured again. *)
+let smallest ?(ratios = []) counters =
+  Some
+    {
+      gated with
+      rows = extreme ( < );
+      point = (fun r -> (str "workload" r, int_of_float (num "size" r)));
+      counters;
+      ratios;
+    }
 
 (* arena validation off: it is a debugging oracle that taxes exactly the
    config under measurement; the soundness harness runs it instead *)
@@ -1560,104 +1622,109 @@ let h_exec ir hcfg =
   ignore (M.read_value m w);
   M.stats m
 
-let h_run ~experiment ~workload n src =
-  List.map
-    (fun (config, policy, ir, hcfg) ->
-      let stats = h_exec ir hcfg in
-      let wall = time_once (fun () -> ignore (h_exec ir hcfg)) in
-      let cp50, cp95, cmax =
-        match Stats.pause_percentiles_cells stats with
-        | Some t -> t
-        | None -> (0, 0, 0)
-      in
-      let np50, np95, nmax =
-        match Stats.pause_percentiles_ns stats with
-        | Some t -> t
-        | None -> (0., 0., 0.)
-      in
-      (* Headline throughput is workload items per second -- the
-         optimized program allocates {e fewer} cells by design, so an
-         allocation-count rate would punish exactly the win being
-         measured.  The raw allocation rate is still recorded.  Like the
-         pauses, throughput is double-tracked: machine_work (evaluation
-         steps + GC work) is the deterministic proxy the gates compare;
-         wall-clock is the headline. *)
-      let throughput = float_of_int n /. (wall /. 1e9) in
-      let alloc_rate =
-        float_of_int (Stats.total_allocs stats) /. (wall /. 1e9)
-      in
-      let machine_work = stats.Stats.steps + Stats.gc_work stats in
-      json_records :=
-        J.Obj
-          [
-            ("experiment", J.Str experiment);
-            ("workload", J.Str workload);
-            ("config", J.Str config);
-            ("policy", J.Str policy);
-            ("size", J.int n);
-            ("heap_allocs", J.int stats.Stats.heap_allocs);
-            ("arena_allocs", J.int stats.Stats.arena_allocs);
-            ("gc_runs", J.int stats.Stats.gc_runs);
-            ("minor_gcs", J.int stats.Stats.minor_gcs);
-            ("major_gcs", J.int stats.Stats.major_gcs);
-            ("gc_work", J.int (Stats.gc_work stats));
-            ("promoted", J.int stats.Stats.promoted);
-            ("pretenured", J.int stats.Stats.pretenured);
-            ("regions_reclaimed", J.int stats.Stats.regions_reclaimed);
-            ("pause_cells_p50", J.int cp50);
-            ("pause_cells_p95", J.int cp95);
-            ("pause_cells_max", J.int cmax);
-            ("pause_ns_p50", J.int (int_of_float np50));
-            ("pause_ns_p95", J.int (int_of_float np95));
-            ("pause_ns_max", J.int (int_of_float nmax));
-            ("wall_ns", J.int (int_of_float wall));
-            ("machine_work", J.int machine_work);
-            ("throughput_ips", J.int (int_of_float throughput));
-            ("alloc_rate_cps", J.int (int_of_float alloc_rate));
-          ]
-        :: !json_records;
-      [
-        config;
-        policy;
-        string_of_int n;
-        string_of_int stats.Stats.heap_allocs;
-        string_of_int stats.Stats.arena_allocs;
-        string_of_int stats.Stats.gc_runs;
-        string_of_int stats.Stats.minor_gcs;
-        string_of_int (Stats.gc_work stats);
-        string_of_int cmax;
-        us nmax;
-        Printf.sprintf "%.1f" (float_of_int machine_work /. float_of_int n);
-        ms wall;
-        Printf.sprintf "%.1f" (throughput /. 1e3);
-      ])
-    (h_configs (Surface.of_string src))
-
-let h_bench experiment =
-  let _, workload, mk_src =
-    List.find (fun (e, _, _) -> String.equal e experiment) h_sources
+(* One run of an H/V1 setup.  Headline throughput is workload items per
+   second -- the optimized program allocates {e fewer} cells by design,
+   so an allocation-count rate would punish exactly the win being
+   measured.  The raw allocation rate is still recorded.  Like the
+   pauses, throughput is double-tracked: machine_work (evaluation steps
+   + GC work) is the deterministic proxy the gates compare; wall-clock
+   is the headline. *)
+let heap_record ~workload ~n ?interp_wall (config, policy, _, _) stats wall =
+  let cp50, cp95, cmax =
+    Option.value (Stats.pause_percentiles_cells stats) ~default:(0, 0, 0)
   in
-  section experiment
-    (Printf.sprintf "escape-guided heap -- %s: throughput and pauses" workload);
-  let rows =
-    List.concat_map
-      (fun n -> h_run ~experiment ~workload n (mk_src n))
-      (h_sizes experiment)
+  let np50, np95, nmax =
+    Option.value (Stats.pause_percentiles_ns stats) ~default:(0., 0., 0.)
   in
-  print_table
-    [
-      "config"; "policy"; "n"; "heap"; "arena"; "gc"; "minor"; "gc-work";
-      "pause-max"; "pause-us-max"; "work/item"; "wall-ms"; "kitems/s";
+  let per_second count = ns (float_of_int count /. (wall /. 1e9)) in
+  [
+    ("workload", J.Str workload);
+    ("config", J.Str config);
+    ("policy", J.Str policy);
+    ("size", J.int n);
+    ("heap_allocs", J.int stats.Stats.heap_allocs);
+    ("arena_allocs", J.int stats.Stats.arena_allocs);
+    ("gc_runs", J.int stats.Stats.gc_runs);
+    ("minor_gcs", J.int stats.Stats.minor_gcs);
+    ("major_gcs", J.int stats.Stats.major_gcs);
+    ("gc_work", J.int (Stats.gc_work stats));
+    ("promoted", J.int stats.Stats.promoted);
+    ("pretenured", J.int stats.Stats.pretenured);
+    ("regions_reclaimed", J.int stats.Stats.regions_reclaimed);
+    ("pause_cells_p50", J.int cp50);
+    ("pause_cells_p95", J.int cp95);
+    ("pause_cells_max", J.int cmax);
+    ("pause_ns_p50", ns np50);
+    ("pause_ns_p95", ns np95);
+    ("pause_ns_max", ns nmax);
+    ("wall_ns", ns wall);
+  ]
+  @ Option.fold ~none:[] ~some:(fun w -> [ ("interp_wall_ns", ns w) ]) interp_wall
+  @ [
+      ("machine_work", J.int (stats.Stats.steps + Stats.gc_work stats));
+      ("throughput_ips", per_second n);
+      ("alloc_rate_cps", per_second (Stats.total_allocs stats));
     ]
-    rows;
-  Printf.printf
-    "\nexpected shape: analysis-on moves the intermediates into regions and the\n\
-     escaping result out of the nursery, so gc-work and the pause maxima\n\
-     collapse while allocation throughput rises; analysis-off generational\n\
-     already bounds pauses by the nursery, legacy marks the whole live heap.\n"
 
-let h1 () = h_bench "H1"
-let h2 () = h_bench "H2"
+let h_nums =
+  [ "size"; "heap_allocs"; "arena_allocs"; "gc_runs"; "minor_gcs"; "major_gcs"; "gc_work";
+    "pause_cells_max"; "pause_ns_max"; "machine_work"; "wall_ns"; "throughput_ips";
+    "alloc_rate_cps" ]
+
+(* On every workload size, analysis-on must not do more GC work or pause
+   longer (deterministic cells proxy) than analysis-off on the same
+   generational heap, and must not pause longer than legacy wherever
+   legacy paused at all (a growing legacy heap dodges collection on small
+   inputs by spending footprint instead -- nothing beats zero pauses).
+   Where the optimization had real room (>4096 cells of GC work saved --
+   above the whole working set of a smoke run) the throughput must
+   follow on the deterministic proxy: strictly less machine_work (steps
+   + GC work) per run.  [slack] absorbs the VM's frame/register roots,
+   which differ from the machine's environment chains by a handful of
+   cells at any given collection point. *)
+let heap_beats ~slack =
+  ( "analysis-on beats analysis-off in gc_work and max pause, and in machine work \
+     where the gap is real",
+    fun rs ->
+      every_group [ "workload"; "size" ] rs (fun g ->
+          let at config policy =
+            List.find_opt (fun r -> str "config" r = config && str "policy" r = policy) g
+          in
+          match
+            ( at "analysis-on" "generational",
+              at "analysis-off" "legacy",
+              at "analysis-off" "generational" )
+          with
+          | Some on, Some leg, Some gen ->
+              num "gc_work" on <= num "gc_work" gen
+              && num "pause_cells_max" on <= num "pause_cells_max" gen +. slack
+              && (num "pause_cells_max" leg = 0.
+                 || num "pause_cells_max" on <= num "pause_cells_max" leg +. slack)
+              && (num "gc_work" gen -. num "gc_work" on <= 4096.
+                 || num "machine_work" on < num "machine_work" gen)
+          | _ -> false) )
+
+let h_exp experiment =
+  let ((_, workload, _, _) as source) =
+    List.find (fun (e, _, _, _) -> e = experiment) h_sources
+  in
+  {
+    exp with
+    id = experiment;
+    title = Printf.sprintf "escape-guided heap -- %s: throughput and pauses" workload;
+    points = (fun () -> h_points source);
+    measure =
+      (fun ((_, n) as point) ->
+        List.map
+          (fun ((_, _, ir, hcfg) as setup) ->
+            let stats = h_exec ir hcfg in
+            heap_record ~workload ~n setup stats
+              (time_once (fun () -> ignore (h_exec ir hcfg))))
+          (h_setups point));
+    fields = (fun _ -> shape [ "workload"; "config"; "policy" ] h_nums);
+    invariants = [ heap_beats ~slack:0. ];
+    gate = smallest [ "heap_allocs"; "gc_work"; "pause_cells_max" ];
+  }
 
 (* ---- V1/V2: the bytecode VM -- storage optimizations at compiled speed ------------ *)
 
@@ -1676,127 +1743,29 @@ let v_exec ?(heap = 2048) code hcfg =
   ignore (Vm.read_value m (Vm.eval m code));
   Vm.stats m
 
-let v1_run ~workload n src =
-  List.map
-    (fun (config, policy, ir, hcfg) ->
-      let code = Vm.compile ir in
-      let stats = v_exec code hcfg in
-      let wall = time_once (fun () -> ignore (v_exec code hcfg)) in
-      let interp_wall = time_once (fun () -> ignore (h_exec ir hcfg)) in
-      let cp50, cp95, cmax =
-        match Stats.pause_percentiles_cells stats with
-        | Some t -> t
-        | None -> (0, 0, 0)
-      in
-      let np50, np95, nmax =
-        match Stats.pause_percentiles_ns stats with
-        | Some t -> t
-        | None -> (0., 0., 0.)
-      in
-      let throughput = float_of_int n /. (wall /. 1e9) in
-      let alloc_rate = float_of_int (Stats.total_allocs stats) /. (wall /. 1e9) in
-      let machine_work = stats.Stats.steps + Stats.gc_work stats in
-      json_records :=
-        J.Obj
-          [
-            ("experiment", J.Str "V1");
-            ("workload", J.Str workload);
-            ("config", J.Str config);
-            ("policy", J.Str policy);
-            ("size", J.int n);
-            ("heap_allocs", J.int stats.Stats.heap_allocs);
-            ("arena_allocs", J.int stats.Stats.arena_allocs);
-            ("gc_runs", J.int stats.Stats.gc_runs);
-            ("minor_gcs", J.int stats.Stats.minor_gcs);
-            ("major_gcs", J.int stats.Stats.major_gcs);
-            ("gc_work", J.int (Stats.gc_work stats));
-            ("promoted", J.int stats.Stats.promoted);
-            ("pretenured", J.int stats.Stats.pretenured);
-            ("regions_reclaimed", J.int stats.Stats.regions_reclaimed);
-            ("pause_cells_p50", J.int cp50);
-            ("pause_cells_p95", J.int cp95);
-            ("pause_cells_max", J.int cmax);
-            ("pause_ns_p50", J.int (int_of_float np50));
-            ("pause_ns_p95", J.int (int_of_float np95));
-            ("pause_ns_max", J.int (int_of_float nmax));
-            ("wall_ns", J.int (int_of_float wall));
-            ("interp_wall_ns", J.int (int_of_float interp_wall));
-            ("machine_work", J.int machine_work);
-            ("throughput_ips", J.int (int_of_float throughput));
-            ("alloc_rate_cps", J.int (int_of_float alloc_rate));
-          ]
-        :: !json_records;
-      [
-        config;
-        policy;
-        string_of_int n;
-        string_of_int stats.Stats.heap_allocs;
-        string_of_int stats.Stats.arena_allocs;
-        string_of_int (Stats.gc_work stats);
-        string_of_int cmax;
-        ms wall;
-        ms interp_wall;
-        Printf.sprintf "%.1fx" (interp_wall /. wall);
-      ])
-    (h_configs (Surface.of_string src))
-
-let v1 () =
-  section "V1" "bytecode VM -- the H1/H2 streaming pipelines, analysis on/off";
-  List.iter
-    (fun (hexp, workload, mk_src) ->
-      Printf.printf "\n%s on the VM:\n" workload;
-      let rows =
-        List.concat_map
-          (fun n -> v1_run ~workload n (mk_src n))
-          (h_sizes hexp)
-      in
-      print_table
-        [
-          "config"; "policy"; "n"; "heap"; "arena"; "gc-work"; "pause-max";
-          "vm-ms"; "interp-ms"; "speedup";
-        ]
-        rows)
-    h_sources;
-  Printf.printf
-    "\nexpected shape: the storage counters replay the machine's H1/H2 story\n\
-     exactly (the VM honors the same annotations against the same heap);\n\
-     the wall column shows the compiled backend running each configuration\n\
-     faster than the tree-walking interpreter (advisory, never gated).\n"
-
-(* T4-T6 workloads, shared with the gate so it can re-derive today's
-   opts-off/opts-on ratios: (workload, optimizer options, heap, source) *)
-let v2_workloads =
-  [
-    ( "t4-ps",
-      { T.none with T.reuse = true },
-      1024,
-      fun n ->
-        Ex.wrap
-          [ Ex.append_def; Ex.split_def; Ex.ps_def ]
-          ("ps " ^ int_list_src (lcg_list ~seed:42 n)) );
-    ( "t4-rev",
-      { T.none with T.reuse = true },
-      1024,
-      fun n ->
-        Ex.wrap [ Ex.append_def; Ex.rev_def ]
-          ("rev " ^ int_list_src (lcg_list ~seed:7 n)) );
-    ( "t5-map-pair",
-      { T.none with T.stack = true },
-      256,
-      fun n ->
-        let pairs =
-          List.init n (fun i -> Printf.sprintf "[%d, %d]" (2 * i) ((2 * i) + 1))
-        in
-        Ex.wrap [ Ex.map_def; Ex.pair_def ]
-          (Printf.sprintf "map pair [%s]" (String.concat ", " pairs)) );
-    ( "t6-ps-create",
-      { T.none with T.block = true },
-      512,
-      fun n ->
-        Ex.wrap
-          [ Ex.append_def; Ex.split_def; Ex.ps_def; Ex.create_list_def ]
-          (Printf.sprintf "ps (create_list %d)" n) );
-  ]
+let v1 =
+  {
+    exp with
+    id = "V1";
+    title = "bytecode VM -- the H1/H2 streaming pipelines, analysis on/off";
+    points = (fun () -> List.concat_map h_points h_sources);
+    measure =
+      (fun ((workload, n) as point) ->
+        List.map
+          (fun ((_, _, ir, hcfg) as setup) ->
+            let code = Vm.compile ir in
+            let stats = v_exec code hcfg in
+            let wall = time_once (fun () -> ignore (v_exec code hcfg)) in
+            let interp_wall = time_once (fun () -> ignore (h_exec ir hcfg)) in
+            heap_record ~workload ~n ~interp_wall setup stats wall)
+          (h_setups point));
+    fields =
+      (fun _ -> shape [ "workload"; "config"; "policy" ] (h_nums @ [ "interp_wall_ns" ]));
+    invariants = [ heap_beats ~slack:16. ];
+    gate =
+      smallest [ "heap_allocs"; "gc_work" ]
+        ~ratios:[ ("gc_work", ("config", "analysis-off", "analysis-on")) ];
+  }
 
 let v2_sizes workload =
   if !smoke then
@@ -1808,1066 +1777,380 @@ let v2_sizes workload =
     | "t5-map-pair" -> [ 16; 32; 64 ]
     | _ -> [ 50; 100; 200 ]
 
-(* the two measured setups of a V2 workload: (config, ir) on the legacy heap *)
-let v2_configs options surface =
-  [
-    ("opts-off", Runtime.Ir.of_program surface);
-    ("opts-on", (T.optimize ~options surface).T.ir);
-  ]
+let v2_measure (workload, n) =
+  let _, options, heap, mk_src = storage workload in
+  let surface = Surface.of_string (mk_src n) in
+  List.map
+    (fun (config, ir) ->
+      let code = Vm.compile ir in
+      let stats = v_exec ~heap code Runtime.Heap.legacy in
+      let wall = time_once (fun () -> ignore (v_exec ~heap code Runtime.Heap.legacy)) in
+      let interp_wall = time_once (fun () -> ignore (run_machine ~heap ir)) in
+      [
+        ("workload", J.Str workload);
+        ("config", J.Str config);
+        ("size", J.int n);
+        ("heap_allocs", J.int stats.Stats.heap_allocs);
+        ("arena_allocs", J.int stats.Stats.arena_allocs);
+        ("dcons_reuses", J.int stats.Stats.dcons_reuses);
+        ("gc_runs", J.int stats.Stats.gc_runs);
+        ("gc_work", J.int (Stats.gc_work stats));
+        ("swept", J.int stats.Stats.swept);
+        ("machine_work", J.int (stats.Stats.steps + Stats.gc_work stats));
+        ("wall_ns", ns wall);
+        ("interp_wall_ns", ns interp_wall);
+        ("alloc_rate_cps", ns (float_of_int (Stats.total_allocs stats) /. (wall /. 1e9)));
+      ])
+    [
+      ("opts-off", Runtime.Ir.of_program surface);
+      ("opts-on", optimized options surface);
+    ]
 
-let v2_exec ~heap ir =
-  let code = Vm.compile ir in
-  v_exec ~heap code Runtime.Heap.legacy
-
-let v2 () =
-  section "V2" "bytecode VM -- the T4-T6 storage optimizations, opts on/off";
-  List.iter
-    (fun (workload, options, heap, mk_src) ->
-      Printf.printf "\n%s on the VM:\n" workload;
-      let rows =
+let v2 =
+  let axis = ("config", "opts-off", "opts-on") in
+  {
+    exp with
+    id = "V2";
+    title = "bytecode VM -- the T4-T6 storage optimizations, opts on/off";
+    points =
+      (fun () ->
         List.concat_map
-          (fun n ->
-            let surface = Surface.of_string (mk_src n) in
-            List.map
-              (fun (config, ir) ->
-                let code = Vm.compile ir in
-                let stats = v_exec ~heap code Runtime.Heap.legacy in
-                let wall =
-                  time_once (fun () ->
-                      ignore (v_exec ~heap code Runtime.Heap.legacy))
-                in
-                let interp_wall =
-                  time_once (fun () -> ignore (run_machine ~heap ir))
-                in
-                let alloc_rate =
-                  float_of_int (Stats.total_allocs stats) /. (wall /. 1e9)
-                in
-                let machine_work = stats.Stats.steps + Stats.gc_work stats in
-                json_records :=
-                  J.Obj
-                    [
-                      ("experiment", J.Str "V2");
-                      ("workload", J.Str workload);
-                      ("config", J.Str config);
-                      ("size", J.int n);
-                      ("heap_allocs", J.int stats.Stats.heap_allocs);
-                      ("arena_allocs", J.int stats.Stats.arena_allocs);
-                      ("dcons_reuses", J.int stats.Stats.dcons_reuses);
-                      ("gc_runs", J.int stats.Stats.gc_runs);
-                      ("gc_work", J.int (Stats.gc_work stats));
-                      ("swept", J.int stats.Stats.swept);
-                      ("machine_work", J.int machine_work);
-                      ("wall_ns", J.int (int_of_float wall));
-                      ("interp_wall_ns", J.int (int_of_float interp_wall));
-                      ("alloc_rate_cps", J.int (int_of_float alloc_rate));
-                    ]
-                  :: !json_records;
-                [
-                  config;
-                  string_of_int n;
-                  string_of_int stats.Stats.heap_allocs;
-                  string_of_int stats.Stats.arena_allocs;
-                  string_of_int stats.Stats.dcons_reuses;
-                  string_of_int (Stats.gc_work stats);
-                  ms wall;
-                  ms interp_wall;
-                  Printf.sprintf "%.1fx" (interp_wall /. wall);
-                ])
-              (v2_configs options surface))
-          (v2_sizes workload)
+          (fun (w, _, _, _) -> List.map (fun n -> (w, n)) (v2_sizes w))
+          storage_workloads);
+    measure = v2_measure;
+    fields =
+      (fun _ ->
+        shape [ "workload"; "config" ]
+          [ "size"; "heap_allocs"; "arena_allocs"; "dcons_reuses"; "gc_runs"; "gc_work";
+            "swept"; "machine_work"; "wall_ns"; "interp_wall_ns"; "alloc_rate_cps" ]);
+    invariants =
+      [
+        ( "opts-on allocates no more heap cells and does no more GC work than \
+           opts-off, with the optimization firing",
+          fun rs ->
+            every_group [ "workload"; "size" ] rs (fun g ->
+                pair g "config" "opts-off" "opts-on" (fun off on ->
+                    num "heap_allocs" on <= num "heap_allocs" off
+                    && num "gc_work" on <= num "gc_work" off
+                    && num "dcons_reuses" on +. num "arena_allocs" on > 0.)) );
+      ];
+    gate =
+      smallest [ "heap_allocs"; "gc_work" ]
+        ~ratios:[ ("heap_allocs", axis); ("gc_work", axis) ];
+  }
+
+(* ---- the table ------------------------------------------------------------------ *)
+
+(* Every experiment, each recorded one under the committed artifact its
+   records belong to. *)
+let experiments =
+  let artifact file =
+    List.map (function Exp e -> Exp { e with artifact = Some file } | x -> x)
+  in
+  [
+    Paper ("F1", f1); Paper ("T1", t1); Paper ("T2", t2); Paper ("T3", t3);
+    Paper ("T4", t4); Paper ("T5", t5); Paper ("T6", t6); Paper ("T7", t7);
+    Paper ("T8", t8); Paper ("T9", t9); Paper ("X1", x1); Paper ("X2", x2);
+  ]
+  @ artifact "BENCH_PR2.json" [ Exp s1; Exp s2 ]
+  @ artifact "BENCH_PR4.json" [ Exp s3; Exp s4 ]
+  @ artifact "BENCH_PR5.json" [ Exp l1 ]
+  @ artifact "BENCH_PR6.json" [ Exp e1 ]
+  @ artifact "BENCH_PR7.json" [ Exp (h_exp "H1"); Exp (h_exp "H2") ]
+  @ artifact "BENCH_PR8.json" [ Exp s5 ]
+  @ artifact "BENCH_PR9.json" [ Exp v1; Exp v2 ]
+  @ artifact "BENCH_PR10.json" [ Exp s6 ]
+
+let id_of = function Paper (id, _) -> id | Exp e -> e.id
+let artifact_of = function Paper _ -> None | Exp e -> e.artifact
+
+(* every artifact the table names, in table order *)
+let artifacts = uniq (List.filter_map artifact_of experiments)
+
+(* Runs one experiment and returns its records. *)
+let run = function
+  | Paper (_, f) ->
+      f ();
+      []
+  | Exp e ->
+      section e.id e.title;
+      let rs =
+        List.concat_map
+          (fun p -> List.map (fun r -> ("experiment", J.Str e.id) :: r) (e.measure p))
+          (e.points ())
       in
-      print_table
-        [
-          "config"; "n"; "heap"; "arena"; "reuses"; "gc-work"; "vm-ms";
-          "interp-ms"; "speedup";
-        ]
-        rows)
-    v2_workloads;
-  Printf.printf
-    "\nexpected shape: per size, opts-on allocates fewer heap cells and does\n\
-     less GC work than opts-off (T4 recycles spine cells with DCONS, T5/T6\n\
-     divert spines into regions/blocks), and every optimization actually\n\
-     fires (reuses or arena cells > 0); the VM-vs-interpreter speedup is\n\
-     the headline, never the gate.\n"
+      let workloads = uniq (List.map (str "workload") rs) in
+      List.iter
+        (fun w ->
+          if List.length workloads > 1 then Printf.printf "\n%s:\n" w;
+          let sh = e.fields w in
+          let cols =
+            List.map
+              (fun k ->
+                if Filename.check_suffix k "_ns" then
+                  (Filename.chop_suffix k "_ns" ^ "_ms", fun r -> ms (num k r))
+                else (k, text k))
+              (List.filter (( <> ) "workload") sh.strs @ sh.nums @ sh.bools)
+          in
+          print_table (List.map fst cols)
+            (List.map
+               (fun r -> List.map (fun (_, cell) -> cell r) cols)
+               (where "workload" w rs)))
+        workloads;
+      print_newline ();
+      List.iter
+        (fun (name, holds) ->
+          Printf.printf "%s: %s\n" name (if holds rs then "yes" else "NO (regression)"))
+        e.invariants;
+      print_string (e.note rs);
+      rs
 
-(* ---- JSON validation ---------------------------------------------------------------- *)
+let write_artifact file rs =
+  let doc =
+    J.Obj
+      [
+        ("schema", J.Str "escape-bench/solver-v1");
+        ("records", J.Arr (List.map (fun r -> J.Obj r) rs));
+      ]
+  in
+  write_file file (J.to_string doc);
+  Printf.printf "\nwrote %d records to %s\n" (List.length rs) file
 
-let field = J.member
-
-(* Three record families share one "records" array: solver runs (S1/S2,
-   recognized by their "engine" field), batch-scaling runs (S3) and
-   summary-cache runs (S4).  Each family carries its own shape and its
-   own headline invariant, checked from the artifact itself. *)
-let validate_json file =
-  let src = In_channel.with_open_text file In_channel.input_all in
-  match J.parse src with
-  | exception J.Parse_error msg ->
-      Printf.eprintf "%s: invalid JSON: %s\n" file msg;
-      false
+let read_records file =
+  match J.parse (In_channel.with_open_text file In_channel.input_all) with
+  | exception Sys_error msg -> Error msg
+  | exception J.Parse_error msg -> Error (Printf.sprintf "%s: invalid JSON: %s" file msg)
   | json -> (
-      match field "records" json with
-      | Some (J.Arr records) when records <> [] ->
-          let get_num k r = match field k r with Some (J.Num f) -> f | _ -> Float.nan in
-          let get_str k r = match field k r with Some (J.Str s) -> s | _ -> "" in
-          let shaped ~strs ~nums r =
-            List.for_all
-              (fun k -> match field k r with Some (J.Str _) -> true | _ -> false)
-              strs
-            && List.for_all
-                 (fun k -> match field k r with Some (J.Num _) -> true | _ -> false)
-                 nums
-          in
-          let well_formed r =
-            match get_str "experiment" r with
-            | "S3" ->
-                shaped ~strs:[ "workload" ]
-                  ~nums:[ "jobs"; "files"; "cores"; "evaluations"; "errors"; "wall_ns" ]
-                  r
-            | "S4" ->
-                shaped
-                  ~strs:[ "workload"; "phase" ]
-                  ~nums:[ "files"; "evaluations"; "scc_hits"; "scc_misses"; "wall_ns" ]
-                  r
-            | "L1" ->
-                shaped
-                  ~strs:[ "workload"; "phase" ]
-                  ~nums:
-                    [ "files"; "findings"; "evaluations"; "scc_hits"; "scc_misses";
-                      "wall_ns" ]
-                  r
-            | "E1" ->
-                shaped
-                  ~strs:[ "workload"; "phase" ]
-                  ~nums:[ "files"; "requests"; "p50_ns"; "p99_ns"; "evaluations" ]
-                  r
-            | "S5" -> (
-                match get_str "workload" r with
-                | "framework-overhead" ->
-                    shaped
-                      ~strs:[ "workload"; "shape"; "solver" ]
-                      ~nums:[ "size"; "evaluations"; "wall_ns" ]
-                      r
-                | _ ->
-                    shaped
-                      ~strs:[ "workload"; "analysis"; "phase" ]
-                      ~nums:
-                        [ "files"; "evaluations"; "scc_hits"; "scc_misses";
-                          "wall_ns" ]
-                      r)
-            | "S6" -> (
-                match get_str "workload" r with
-                | "alias-reuse" ->
-                    shaped
-                      ~strs:[ "workload"; "example"; "mode" ]
-                      ~nums:
-                        [ "candidates"; "substituted_calls"; "alias_licensed";
-                          "heap_allocs"; "dcons_reuses"; "wall_ns" ]
-                      r
-                | _ ->
-                    shaped
-                      ~strs:[ "workload"; "phase" ]
-                      ~nums:
-                        [ "files"; "evaluations"; "scc_hits"; "scc_misses";
-                          "wall_ns" ]
-                      r)
-            | "H1" | "H2" ->
-                shaped
-                  ~strs:[ "workload"; "config"; "policy" ]
-                  ~nums:
-                    [ "size"; "heap_allocs"; "arena_allocs"; "gc_runs"; "minor_gcs";
-                      "major_gcs"; "gc_work"; "pause_cells_max"; "pause_ns_max";
-                      "machine_work"; "wall_ns"; "throughput_ips";
-                      "alloc_rate_cps" ]
-                  r
-            | "V1" ->
-                shaped
-                  ~strs:[ "workload"; "config"; "policy" ]
-                  ~nums:
-                    [ "size"; "heap_allocs"; "arena_allocs"; "gc_runs"; "minor_gcs";
-                      "major_gcs"; "gc_work"; "pause_cells_max"; "pause_ns_max";
-                      "machine_work"; "wall_ns"; "interp_wall_ns";
-                      "throughput_ips"; "alloc_rate_cps" ]
-                  r
-            | "V2" ->
-                shaped
-                  ~strs:[ "workload"; "config" ]
-                  ~nums:
-                    [ "size"; "heap_allocs"; "arena_allocs"; "dcons_reuses";
-                      "gc_runs"; "gc_work"; "swept"; "machine_work"; "wall_ns";
-                      "interp_wall_ns"; "alloc_rate_cps" ]
-                  r
-            | _ ->
-                shaped
-                  ~strs:[ "workload"; "engine" ]
-                  ~nums:
-                    [ "size"; "entries"; "evaluations"; "passes"; "iterations";
-                      "sccs"; "largest_scc"; "cache_hits"; "cache_misses";
-                      "cache_invalidated"; "dbound"; "wall_ns" ]
-                  r
-                && (match field "capped" r with Some (J.Bool _) -> true | _ -> false)
-          in
-          let shape_ok = List.for_all well_formed records in
-          if not shape_ok then
-            Printf.eprintf "%s: record with missing/ill-typed fields\n" file;
-          let solver =
-            List.filter (fun r -> match field "engine" r with Some _ -> true | None -> false) records
-          in
-          let s4 = List.filter (fun r -> get_str "experiment" r = "S4") records in
-          (* solver headline: strictly fewer entry evaluations on every
-             wide-chain size *)
-          let wide = List.filter (fun r -> get_str "workload" r = "wide-chain") solver in
-          let sizes =
-            List.sort_uniq compare (List.map (fun r -> get_num "size" r) wide)
-          in
-          let beats =
-            solver = []
-            || wide <> []
-               && List.for_all
-                    (fun sz ->
-                      let of_engine e =
-                        List.find_opt
-                          (fun r -> get_num "size" r = sz && get_str "engine" r = e)
-                          wide
-                      in
-                      match (of_engine "worklist", of_engine "round-robin") with
-                      | Some w, Some r ->
-                          get_num "evaluations" w < get_num "evaluations" r
-                      | _ -> false)
-                    sizes
-          in
-          if not beats then
-            Printf.eprintf
-              "%s: worklist does not beat round-robin on every wide-chain size\n" file;
-          (* cache headline: a warm rerun performs zero entry evaluations,
-             and an edit costs strictly less than the cold solve *)
-          let phase p = List.filter (fun r -> get_str "phase" r = p) s4 in
-          let cache_ok =
-            s4 = []
-            || phase "warm" <> []
-               && List.for_all (fun r -> get_num "evaluations" r = 0.) (phase "warm")
-               && List.for_all (fun r -> get_num "evaluations" r > 0.) (phase "cold")
-               && List.exists
-                    (fun e ->
-                      List.exists
-                        (fun c -> get_num "evaluations" e < get_num "evaluations" c)
-                        (phase "cold"))
-                    (phase "edited")
-          in
-          if not cache_ok then
-            Printf.eprintf
-              "%s: cache invariants broken (warm must be 0 evaluations, an edit \
-               cheaper than cold)\n"
-              file;
-          (* lint headline: a warm lint rerun is evaluation-free and replays
-             the cold run's findings byte for byte *)
-          let l1r = List.filter (fun r -> get_str "experiment" r = "L1") records in
-          let lphase p = List.filter (fun r -> get_str "phase" r = p) l1r in
-          let get_bool k r =
-            match field k r with Some (J.Bool b) -> b | _ -> false
-          in
-          let sum_findings p =
-            List.fold_left (fun a r -> a +. get_num "findings" r) 0. (lphase p)
-          in
-          let lint_ok =
-            l1r = []
-            || lphase "warm" <> []
-               && lphase "cold" <> []
-               && List.for_all
-                    (fun r ->
-                      get_num "evaluations" r = 0. && get_bool "identical" r)
-                    (lphase "warm")
-               && sum_findings "warm" = sum_findings "cold"
-          in
-          if not lint_ok then
-            Printf.eprintf
-              "%s: lint-cache invariants broken (warm must be 0 evaluations with \
-               identical findings)\n"
-              file;
-          (* daemon headline: the warm phase is evaluation-free, and its
-             median latency does not exceed the edit storm's *)
-          let e1r = List.filter (fun r -> get_str "experiment" r = "E1") records in
-          let ephase p = List.filter (fun r -> get_str "phase" r = p) e1r in
-          let serve_ok =
-            e1r = []
-            || ephase "warm" <> []
-               && ephase "edit" <> []
-               && List.for_all
-                    (fun r ->
-                      get_num "p50_ns" r <= get_num "p99_ns" r
-                      && get_num "requests" r > 0.)
-                    e1r
-               && List.for_all (fun r -> get_num "evaluations" r = 0.) (ephase "warm")
-               && List.for_all (fun r -> get_num "evaluations" r > 0.) (ephase "edit")
-               && List.for_all
-                    (fun w ->
-                      List.for_all
-                        (fun e -> get_num "p50_ns" w <= get_num "p99_ns" e)
-                        (ephase "edit"))
-                    (ephase "warm")
-          in
-          if not serve_ok then
-            Printf.eprintf
-              "%s: daemon invariants broken (warm phase must be 0 evaluations with \
-               p50 <= the edit storm's p99, and p50 <= p99 everywhere)\n"
-              file;
-          (* framework headline: the functorized escape solver performs
-             exactly the frozen solver's entry evaluations on every
-             (shape, size), the aggregate wall overhead stays within
-             1.05x (plus a 0.5ms noise floor for smoke-sized runs), and
-             every registered analysis' warm rerun is evaluation-free *)
-          let s5r = List.filter (fun r -> get_str "experiment" r = "S5") records in
-          let overhead =
-            List.filter (fun r -> get_str "workload" r = "framework-overhead") s5r
-          in
-          let s5cache =
-            List.filter (fun r -> get_str "workload" r = "analysis-cache") s5r
-          in
-          let framework_ok =
-            s5r = []
-            || overhead <> []
-               && s5cache <> []
-               && (let keys =
-                     List.sort_uniq compare
-                       (List.map
-                          (fun r -> (get_str "shape" r, get_num "size" r))
-                          overhead)
-                   in
-                   List.for_all
-                     (fun (shape, sz) ->
-                       let of_solver s =
-                         List.find_opt
-                           (fun r ->
-                             get_str "solver" r = s
-                             && get_str "shape" r = shape
-                             && get_num "size" r = sz)
-                           overhead
-                       in
-                       match (of_solver "legacy", of_solver "framework") with
-                       | Some l, Some f ->
-                           get_num "evaluations" l = get_num "evaluations" f
-                       | _ -> false)
-                     keys)
-               && (let total s =
-                     List.fold_left
-                       (fun a r ->
-                         if get_str "solver" r = s then a +. get_num "wall_ns" r
-                         else a)
-                       0. overhead
-                   in
-                   total "framework" <= (total "legacy" *. 1.05) +. 5e5)
-               && (let analyses =
-                     List.sort_uniq compare (List.map (get_str "analysis") s5cache)
-                   in
-                   analyses <> []
-                   && List.for_all
-                        (fun a ->
-                          let at p =
-                            List.find_opt
-                              (fun r ->
-                                get_str "analysis" r = a && get_str "phase" r = p)
-                              s5cache
-                          in
-                          match (at "cold", at "warm") with
-                          | Some c, Some w ->
-                              get_num "evaluations" c > 0.
-                              && get_num "evaluations" w = 0.
-                              && get_num "scc_misses" w = 0.
-                          | _ -> false)
-                        analyses)
-          in
-          if not framework_ok then
-            Printf.eprintf
-              "%s: framework invariants broken (functorized evaluations must equal \
-               the frozen solver's, aggregate wall overhead within 1.05x, and every \
-               analysis' warm rerun evaluation-free)\n"
-              file;
-          (* heap headline: on every workload size, analysis-on must not
-             do more GC work or pause longer (deterministic cells proxy)
-             than analysis-off on the same generational heap, and must
-             not pause longer than legacy wherever legacy paused at all
-             (a growing legacy heap dodges collection on small inputs by
-             spending footprint instead -- nothing beats zero pauses).
-             Where the optimization had real room (>4096 cells of GC
-             work saved -- above the whole working set of a smoke run)
-             the throughput must follow on the deterministic proxy:
-             strictly less machine_work (steps + GC work) per run.  Both
-             the pause and throughput beats are gated on deterministic
-             proxies; the recorded wall-clock numbers are the headline,
-             not the gate. *)
-          let hrec =
-            List.filter
-              (fun r ->
-                let e = get_str "experiment" r in
-                String.equal e "H1" || String.equal e "H2"
-                || String.equal e "V1")
-              records
-          in
-          let heap_ok =
-            hrec = []
-            || List.for_all
-                 (fun exp ->
-                   let recs =
-                     List.filter (fun r -> get_str "experiment" r = exp) hrec
-                   in
-                   recs = []
-                   ||
-                   let sizes =
-                     List.sort_uniq compare
-                       (List.map
-                          (fun r -> (get_str "workload" r, get_num "size" r))
-                          recs)
-                   in
-                   sizes <> []
-                   && List.for_all
-                        (fun (wl, sz) ->
-                          let at config policy =
-                            List.find_opt
-                              (fun r ->
-                                get_str "workload" r = wl
-                                && get_num "size" r = sz
-                                && get_str "config" r = config
-                                && get_str "policy" r = policy)
-                              recs
-                          in
-                          (* the VM's frame/register roots differ from the
-                             machine's environment chains by a handful of
-                             cells at any given collection point, so its
-                             pause comparisons get a small absolute slack *)
-                          let slack =
-                            if String.equal exp "V1" then 16. else 0.
-                          in
-                          match
-                            ( at "analysis-on" "generational",
-                              at "analysis-off" "legacy",
-                              at "analysis-off" "generational" )
-                          with
-                          | Some on, Some leg, Some gen ->
-                              get_num "gc_work" on <= get_num "gc_work" gen
-                              && get_num "pause_cells_max" on
-                                 <= get_num "pause_cells_max" gen +. slack
-                              && (get_num "pause_cells_max" leg = 0.
-                                 || get_num "pause_cells_max" on
-                                    <= get_num "pause_cells_max" leg +. slack)
-                              && (get_num "gc_work" gen -. get_num "gc_work" on
-                                  <= 4096.
-                                 || get_num "machine_work" on
-                                    < get_num "machine_work" gen)
-                          | _ -> false)
-                        sizes)
-                 [ "H1"; "H2"; "V1" ]
-          in
-          if not heap_ok then
-            Printf.eprintf
-              "%s: heap invariants broken (analysis-on must beat analysis-off in \
-               gc_work and max pause, and in throughput where the gap is real)\n"
-              file;
-          (* VM headline: per (workload, size), opts-on allocates no more
-             heap cells and does no more GC work than opts-off, and the
-             optimization actually fires (reuses or arena cells).  The
-             recorded wall and allocation-rate numbers stay advisory. *)
-          let v2r = List.filter (fun r -> get_str "experiment" r = "V2") records in
-          let vm_ok =
-            v2r = []
-            || (let keys =
-                  List.sort_uniq compare
-                    (List.map
-                       (fun r -> (get_str "workload" r, get_num "size" r))
-                       v2r)
-                in
-                keys <> []
-                && List.for_all
-                     (fun (wl, sz) ->
-                       let at config =
-                         List.find_opt
-                           (fun r ->
-                             get_str "workload" r = wl
-                             && get_num "size" r = sz
-                             && get_str "config" r = config)
-                           v2r
-                       in
-                       match (at "opts-off", at "opts-on") with
-                       | Some off, Some on ->
-                           get_num "heap_allocs" on <= get_num "heap_allocs" off
-                           && get_num "gc_work" on <= get_num "gc_work" off
-                           && get_num "dcons_reuses" on
-                              +. get_num "arena_allocs" on
-                              > 0.
-                       | _ -> false)
-                     keys)
-          in
-          if not vm_ok then
-            Printf.eprintf
-              "%s: VM invariants broken (opts-on must allocate no more heap cells \
-               and do no more GC work than opts-off, with the optimization firing)\n"
-              file;
-          (* sharing headline: per example, alias-informed reuse redirects
-             at least as many call sites and allocates no more heap cells
-             than the Theorem-2 baseline; the baseline licenses nothing of
-             its own ([alias_licensed = 0]); some sites are licensed only
-             by the sharing analysis, and on at least three examples the
-             heap-allocation count strictly drops; the sharing analysis'
-             warm summary-cache rerun is evaluation-free *)
-          let s6r = List.filter (fun r -> get_str "experiment" r = "S6") records in
-          let s6reuse =
-            List.filter (fun r -> get_str "workload" r = "alias-reuse") s6r
-          in
-          let s6cache =
-            List.filter (fun r -> get_str "workload" r = "sharing-cache") s6r
-          in
-          let sharing_ok =
-            s6r = []
-            || s6reuse <> []
-               && s6cache <> []
-               && (let names =
-                     List.sort_uniq compare
-                       (List.map (get_str "example") s6reuse)
-                   in
-                   let at name mode =
-                     List.find_opt
-                       (fun r ->
-                         get_str "example" r = name && get_str "mode" r = mode)
-                       s6reuse
-                   in
-                   let drops =
-                     List.filter
-                       (fun name ->
-                         match (at name "t2-baseline", at name "alias-informed") with
-                         | Some t2, Some al ->
-                             get_num "heap_allocs" al < get_num "heap_allocs" t2
-                         | _ -> false)
-                       names
-                   in
-                   names <> []
-                   && List.for_all
-                        (fun name ->
-                          match
-                            (at name "t2-baseline", at name "alias-informed")
-                          with
-                          | Some t2, Some al ->
-                              get_num "substituted_calls" al
-                              >= get_num "substituted_calls" t2
-                              && get_num "heap_allocs" al
-                                 <= get_num "heap_allocs" t2
-                              && get_num "alias_licensed" t2 = 0.
-                          | _ -> false)
-                        names
-                   && List.fold_left
-                        (fun a r -> a +. get_num "alias_licensed" r)
-                        0. s6reuse
-                      > 0.
-                   && List.length drops >= 3)
-               && (let at p =
-                     List.find_opt (fun r -> get_str "phase" r = p) s6cache
-                   in
-                   match (at "cold", at "warm") with
-                   | Some c, Some w ->
-                       get_num "evaluations" c > 0.
-                       && get_num "evaluations" w = 0.
-                       && get_num "scc_misses" w = 0.
-                   | _ -> false)
-          in
-          if not sharing_ok then
-            Printf.eprintf
-              "%s: sharing invariants broken (alias-informed reuse must redirect \
-               at least as much and allocate no more than the Theorem-2 baseline, \
-               license sites of its own with heap allocs dropping on >=3 examples, \
-               and the warm sharing-cache rerun must be evaluation-free)\n"
-              file;
-          if shape_ok && beats && cache_ok && lint_ok && serve_ok && heap_ok
-             && framework_ok && vm_ok && sharing_ok
-          then
-            Printf.printf
-              "%s: OK (%d records; %d solver, %d cache, %d lint, %d serve, %d heap, \
-               %d framework, %d vm, %d sharing)\n"
-              file (List.length records) (List.length solver) (List.length s4)
-              (List.length l1r) (List.length e1r) (List.length hrec)
-              (List.length s5r) (List.length v2r) (List.length s6r);
-          shape_ok && beats && cache_ok && lint_ok && serve_ok && heap_ok
-          && framework_ok && vm_ok && sharing_ok
-      | _ ->
-          Printf.eprintf "%s: no \"records\" array\n" file;
-          false)
+      match J.member "records" json with
+      | Some (J.Arr (_ :: _ as rs)) ->
+          Ok (List.map (function J.Obj r -> r | _ -> []) rs)
+      | _ -> Error (Printf.sprintf "%s: no \"records\" array" file))
 
-(* ---- the benchmark time series ------------------------------------------------------- *)
+(* ---- validate, gate, history: folds over the table ------------------------------ *)
 
-(* Every committed artifact (BENCH_PR2 .. BENCH_PR7) folds into one
-   schema-stable series: whatever family a record belongs to, it
-   contributes to the same five columns, so the trajectory stays
-   comparable as new PRs add new experiment families. *)
-let history files =
-  let ok = ref true in
-  let rows =
-    List.concat_map
-      (fun file ->
-        match J.parse (In_channel.with_open_text file In_channel.input_all) with
-        | exception Sys_error msg ->
-            Printf.eprintf "%s\n" msg;
-            ok := false;
-            []
-        | exception J.Parse_error msg ->
-            Printf.eprintf "%s: invalid JSON: %s\n" file msg;
-            ok := false;
-            []
-        | json -> (
-            match field "records" json with
-            | Some (J.Arr records) when records <> [] ->
-                let exp_of r =
-                  match field "experiment" r with Some (J.Str s) -> s | _ -> "?"
-                in
-                let exps = List.sort_uniq compare (List.map exp_of records) in
-                List.map
-                  (fun e ->
-                    let rs = List.filter (fun r -> String.equal (exp_of r) e) records in
-                    let total k =
-                      List.fold_left
-                        (fun a r ->
-                          a +. (match field k r with Some (J.Num f) -> f | _ -> 0.))
-                        0. rs
-                    in
-                    [
-                      Filename.basename file;
-                      e;
-                      string_of_int (List.length rs);
-                      Printf.sprintf "%.0f" (total "evaluations");
-                      ms (total "wall_ns");
-                    ])
-                  exps
-            | _ ->
-                Printf.eprintf "%s: no \"records\" array\n" file;
-                ok := false;
-                []))
-      files
-  in
-  print_table [ "artifact"; "experiment"; "records"; "evaluations"; "wall ms" ] rows;
-  Printf.printf "\nhistory: %d artifact(s), %d series row(s)\n" (List.length files)
-    (List.length rows);
-  !ok
-
-(* ---- the perf-trajectory gate -------------------------------------------------------- *)
-
-(* CI smoke: every committed artifact must still validate, and the
-   deterministic headline metrics must be reproducible today within 20%
-   of what the artifact recorded.  Wall-clock metrics are never gated
-   (E1 and the throughput fields are machine-dependent); the gated
-   quantities are evaluation and cell counts, which the engines produce
-   exactly. *)
-let gate files =
-  let ok = ref true in
-  let failgate fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf "bench-gate: %s\n" msg;
-        ok := false)
-      fmt
-  in
-  List.iter (fun f -> if not (validate_json f) then ok := false) files;
-  let records =
-    List.concat_map
-      (fun file ->
-        match J.parse (In_channel.with_open_text file In_channel.input_all) with
-        | exception _ -> []
-        | json -> (
-            match field "records" json with Some (J.Arr rs) -> rs | _ -> []))
-      files
-  in
-  let get_num k r = match field k r with Some (J.Num f) -> f | _ -> Float.nan in
-  let get_str k r = match field k r with Some (J.Str s) -> s | _ -> "" in
-  let within_120pct ~what ~recorded ~now =
-    (* regression = today exceeds the recorded count by more than 20%
-       (+2 absolute slack so a recorded 0 stays checkable) *)
-    if float_of_int now > (recorded *. 1.2) +. 2. then
-      failgate "%s regressed: recorded %.0f, now %d" what recorded now
-  in
-  (* S1: the worklist engine's entry evaluations on the largest recorded
-     wide-chain size are exact; re-run and compare *)
-  let s1_wide =
-    List.filter
-      (fun r ->
-        get_str "experiment" r = "S1"
-        && get_str "workload" r = "wide-chain"
-        && get_str "engine" r = "worklist")
-      records
-  in
-  (match
-     List.sort (fun a b -> compare (get_num "size" b) (get_num "size" a)) s1_wide
-   with
-  | [] -> ()
-  | biggest :: _ ->
-      let n = int_of_float (get_num "size" biggest) in
-      let stats, _ =
-        run_engine ~engine:Fix.Worklist
-          ~demand:(fun t -> ignore (Fix.value t (Printf.sprintf "w%d" (n - 1)) None))
-          (wide_chain_src n)
+(* Every record belongs to an experiment of the table and carries the
+   fields its workload requires; every experiment with records in the
+   file satisfies its invariants over them. *)
+let validate file =
+  match read_records file with
+  | Error msg ->
+      prerr_endline msg;
+      false
+  | Ok records ->
+      let ok = ref true in
+      let fail fmt =
+        Printf.ksprintf (fun m -> Printf.eprintf "%s: %s\n" file m; ok := false) fmt
       in
-      within_120pct
-        ~what:(Printf.sprintf "S1 worklist evaluations (wide chain of %d)" n)
-        ~recorded:(get_num "evaluations" biggest) ~now:stats.Fix.stats_evaluations);
-  (* S5: each registered analysis' cold evaluation count over the builtin
-     soundness corpus is exact; re-run coldly (no store) and compare *)
-  let s5_cold =
-    List.filter
-      (fun r ->
-        get_str "experiment" r = "S5"
-        && get_str "workload" r = "analysis-cache"
-        && get_str "phase" r = "cold")
-      records
-  in
-  List.iter
-    (fun recorded ->
-      let name = get_str "analysis" recorded in
-      match Analyses.Registry.find name with
-      | None -> failgate "S5 records unknown analysis %s" name
-      | Some e ->
-          let now =
-            List.fold_left
-              (fun acc (_, src) ->
-                let prog = Nml.Infer.infer_program (Surface.of_string src) in
-                let o = e.Analyses.Registry.run prog in
-                acc + o.Analyses.Registry.evaluations)
-              0 Check.Harness.builtin_corpus
-          in
-          within_120pct
-            ~what:(Printf.sprintf "S5 %s cold evaluations (builtin corpus)" name)
-            ~recorded:(get_num "evaluations" recorded) ~now)
-    s5_cold;
-  (* H1/H2: re-run the smallest recorded size of each workload and compare
-     the deterministic storage counters per configuration *)
-  List.iter
-    (fun (experiment, _, mk_src) ->
-      let recs =
-        List.filter (fun r -> get_str "experiment" r = experiment) records
-      in
-      match List.sort compare (List.map (get_num "size") recs) with
-      | [] -> ()
-      | sz :: _ ->
-          let n = int_of_float sz in
-          List.iter
-            (fun (config, policy, ir, hcfg) ->
-              match
-                List.find_opt
-                  (fun r ->
-                    get_num "size" r = sz
-                    && get_str "config" r = config
-                    && get_str "policy" r = policy)
-                  recs
-              with
-              | None ->
-                  failgate "%s has no recorded %s/%s row at size %d" experiment
-                    config policy n
-              | Some recorded ->
-                  let stats = h_exec ir hcfg in
-                  let cmax =
-                    match Stats.pause_percentiles_cells stats with
-                    | Some (_, _, m) -> m
-                    | None -> 0
-                  in
-                  let check what r n = within_120pct
-                    ~what:(Printf.sprintf "%s %s/%s (n=%d) %s" experiment config
-                             policy (int_of_float sz) what)
-                    ~recorded:r ~now:n
-                  in
-                  check "heap_allocs" (get_num "heap_allocs" recorded)
-                    stats.Stats.heap_allocs;
-                  check "gc_work" (get_num "gc_work" recorded) (Stats.gc_work stats);
-                  check "pause_cells_max" (get_num "pause_cells_max" recorded) cmax)
-            (h_configs (Surface.of_string (mk_src n))))
-    h_sources;
-  (* V1/V2: the optimization speedup itself is gated, not just the raw
-     counters -- today's opts-off/opts-on ratio on the deterministic
-     metrics must be at least 80% of what the artifact recorded.  (+1 on
-     both sides keeps a zero denominator harmless.)  Wall-clock speedups
-     are re-derived and printed, never gated. *)
-  let vratio off on = (off +. 1.) /. (on +. 1.) in
-  let check_ratio ~what ~recorded ~now =
-    if now < 0.8 *. recorded then
-      failgate "%s speedup regressed: artifact %.2fx, now %.2fx" what recorded
-        now
-  in
-  let v1r =
-    List.filter (fun r -> get_str "experiment" r = "V1") records
-  in
-  List.iter
-    (fun (hexp, workload, mk_src) ->
-      let recs =
-        List.filter (fun r -> get_str "workload" r = workload) v1r
-      in
-      match List.sort compare (List.map (get_num "size") recs) with
-      | [] -> ()
-      | sz :: _ ->
-          let n = int_of_float sz in
-          ignore hexp;
-          let at config policy =
-            List.find_opt
-              (fun r ->
-                get_num "size" r = sz
-                && get_str "config" r = config
-                && get_str "policy" r = policy)
-              recs
-          in
-          let now =
-            List.map
-              (fun (config, policy, ir, hcfg) ->
-                let stats = v_exec (Vm.compile ir) hcfg in
-                (match at config policy with
-                | None ->
-                    failgate "V1 %s has no recorded %s/%s row at size %d"
-                      workload config policy n
-                | Some recorded ->
-                    let check what r v =
-                      within_120pct
-                        ~what:
-                          (Printf.sprintf "V1 %s %s/%s (n=%d) %s" workload
-                             config policy n what)
-                        ~recorded:r ~now:v
-                    in
-                    check "heap_allocs"
-                      (get_num "heap_allocs" recorded)
-                      stats.Stats.heap_allocs;
-                    check "gc_work" (get_num "gc_work" recorded)
-                      (Stats.gc_work stats));
-                ((config, policy), float_of_int (Stats.gc_work stats)))
-              (h_configs (Surface.of_string (mk_src n)))
-          in
-          let gc_of config policy which =
-            match which with
-            | `Now -> List.assoc_opt (config, policy) now
-            | `Recorded ->
-                Option.map (get_num "gc_work") (at config policy)
-          in
-          (match
-             ( gc_of "analysis-off" "generational" `Recorded,
-               gc_of "analysis-on" "generational" `Recorded,
-               gc_of "analysis-off" "generational" `Now,
-               gc_of "analysis-on" "generational" `Now )
-           with
-          | Some roff, Some ron, Some noff, Some non ->
-              check_ratio
-                ~what:(Printf.sprintf "V1 %s (n=%d) gc_work" workload n)
-                ~recorded:(vratio roff ron) ~now:(vratio noff non)
-          | _ -> ()))
-    h_sources;
-  List.iter
-    (fun (workload, options, heap, mk_src) ->
-      let recs =
-        List.filter
-          (fun r ->
-            get_str "experiment" r = "V2" && get_str "workload" r = workload)
-          records
-      in
-      match List.sort compare (List.map (get_num "size") recs) with
-      | [] -> ()
-      | sz :: _ ->
-          let n = int_of_float sz in
-          let at config =
-            List.find_opt
-              (fun r ->
-                get_num "size" r = sz && get_str "config" r = config)
-              recs
-          in
-          let surface = Surface.of_string (mk_src n) in
-          let now =
-            List.map
-              (fun (config, ir) ->
-                let stats = v2_exec ~heap ir in
-                (match at config with
-                | None ->
-                    failgate "V2 %s has no recorded %s row at size %d" workload
-                      config n
-                | Some recorded ->
-                    let check what r v =
-                      within_120pct
-                        ~what:
-                          (Printf.sprintf "V2 %s %s (n=%d) %s" workload config
-                             n what)
-                        ~recorded:r ~now:v
-                    in
-                    check "heap_allocs"
-                      (get_num "heap_allocs" recorded)
-                      stats.Stats.heap_allocs;
-                    check "gc_work" (get_num "gc_work" recorded)
-                      (Stats.gc_work stats));
-                (config, stats))
-              (v2_configs options surface)
-          in
-          (match (at "opts-off", at "opts-on", List.assoc_opt "opts-off" now,
-                  List.assoc_opt "opts-on" now)
-           with
-          | Some roff, Some ron, Some noff, Some non ->
-              List.iter
-                (fun (what, key, nval) ->
-                  check_ratio
-                    ~what:(Printf.sprintf "V2 %s (n=%d) %s" workload n what)
-                    ~recorded:(vratio (get_num key roff) (get_num key ron))
-                    ~now:nval)
-                [
-                  ( "heap_allocs", "heap_allocs",
-                    vratio
-                      (float_of_int noff.Stats.heap_allocs)
-                      (float_of_int non.Stats.heap_allocs) );
-                  ( "gc_work", "gc_work",
-                    vratio
-                      (float_of_int (Stats.gc_work noff))
-                      (float_of_int (Stats.gc_work non)) );
-                ];
-              (* advisory: today's wall speedup of the optimization *)
-              let now_wall =
-                let t c =
-                  let _, ir = List.find (fun (k, _) -> k = c) (v2_configs options surface) in
-                  let code = Vm.compile ir in
-                  time_once (fun () -> ignore (v_exec ~heap code Runtime.Heap.legacy))
-                in
-                vratio (t "opts-off") (t "opts-on")
+      List.iter
+        (fun r ->
+          match List.find_opt (fun x -> id_of x = str "experiment" r) experiments with
+          | Some (Exp e) ->
+              let sh = e.fields (str "workload" r) in
+              let typed p =
+                List.for_all (fun k ->
+                    Option.fold ~none:false ~some:p (List.assoc_opt k r))
               in
-              Printf.printf
-                "bench-gate: V2 %s (n=%d) wall speedup %.2fx now vs %.2fx \
-                 recorded (advisory)\n"
-                workload n now_wall
-                (vratio (get_num "wall_ns" roff) (get_num "wall_ns" ron))
-          | _ -> ()))
-    v2_workloads;
-  (* S6: the sharing analysis' licensing power is a deterministic counter,
-     so it is re-derived exactly -- per recorded example, today's counts
-     must stay within the 20% band, today's Theorem-2-to-alias allocation
-     ratio must keep at least 80% of the recorded speedup, and the sites
-     only the sharing analysis licenses must not vanish *)
-  let s6recs =
-    List.filter
-      (fun r ->
-        get_str "experiment" r = "S6" && get_str "workload" r = "alias-reuse")
-      records
+              if
+                not
+                  (typed (function J.Str _ -> true | _ -> false) sh.strs
+                  && typed (function J.Num _ -> true | _ -> false) sh.nums
+                  && typed (function J.Bool _ -> true | _ -> false) sh.bools)
+              then fail "%s record with missing/ill-typed fields" e.id
+          | _ -> fail "record of unknown experiment %S" (str "experiment" r))
+        records;
+      List.iter
+        (function
+          | Exp e ->
+              let rs = where "experiment" e.id records in
+              List.iter
+                (fun (name, holds) ->
+                  if rs <> [] && not (holds rs) then
+                    fail "%s invariant broken: %s" e.id name)
+                e.invariants
+          | Paper _ -> ())
+        experiments;
+      if !ok then Printf.printf "%s: OK (%d records)\n" file (List.length records);
+      !ok
+
+(* The rows [g] re-derives of one experiment's [recorded] rows are
+   measured again and compared; [report] gets each regression. *)
+let gate_exp report e g recorded =
+  let fail fmt = Printf.ksprintf report fmt in
+  let key r =
+    let sh = e.fields (str "workload" r) in
+    let sized = List.filter (String.equal "size") sh.nums in
+    List.map (fun k -> (k, text k r)) (sh.strs @ sized)
   in
-  (if s6recs <> [] then
-     let examples = s6_examples () in
-     if examples = [] then
-       failgate
-         "S6 rows recorded but examples/programs/ not found (run bench-gate \
-          from the repository root)"
-     else begin
-       let licensed_now = ref 0. in
-       let licensed_rec = ref 0. in
-       List.iter
-         (fun (name, src) ->
-           let at mode =
-             List.find_opt
-               (fun r ->
-                 get_str "example" r = name && get_str "mode" r = mode)
-               s6recs
-           in
-           match (at "t2-baseline", at "alias-informed") with
-           | Some rt2, Some ral ->
-               let surface = Surface.of_string src in
-               let now =
-                 List.map
-                   (fun (mode, options) ->
-                     let rep, stats = s6_measure options surface in
-                     (mode, (rep, stats)))
-                   s6_modes
-               in
-               let nt2 = List.assoc "t2-baseline" now in
-               let nal = List.assoc "alias-informed" now in
-               let check mode what r v =
-                 within_120pct
-                   ~what:(Printf.sprintf "S6 %s %s %s" name mode what)
-                   ~recorded:r ~now:v
-               in
-               List.iter
-                 (fun (mode, recorded, (rep, stats)) ->
-                   check mode "substituted_calls"
-                     (get_num "substituted_calls" recorded)
-                     rep.Optimize.Reuse.substituted_calls;
-                   check mode "heap_allocs"
-                     (get_num "heap_allocs" recorded)
-                     stats.Stats.heap_allocs)
-                 [ ("t2-baseline", rt2, nt2); ("alias-informed", ral, nal) ];
-               licensed_rec := !licensed_rec +. get_num "alias_licensed" ral;
-               licensed_now :=
-                 !licensed_now
-                 +. float_of_int (fst nal).Optimize.Reuse.alias_licensed;
-               check_ratio
-                 ~what:(Printf.sprintf "S6 %s heap_allocs" name)
-                 ~recorded:
-                   (vratio
-                      (get_num "heap_allocs" rt2)
-                      (get_num "heap_allocs" ral))
-                 ~now:
-                   (vratio
-                      (float_of_int (snd nt2).Stats.heap_allocs)
-                      (float_of_int (snd nal).Stats.heap_allocs))
-           | _ -> ())
-         examples;
-       if !licensed_rec > 0. && !licensed_now <= 0. then
-         failgate
-           "S6 alias-licensed reuse sites vanished: artifact recorded %.0f, \
-            now 0"
-           !licensed_rec
-     end);
+  let rows = g.rows recorded in
+  let now =
+    List.concat_map
+      (fun p ->
+        try e.measure p
+        with exn ->
+          fail "%s re-measurement failed: %s" e.id (Printexc.to_string exn);
+          [])
+      (List.sort_uniq compare (List.map g.point rows))
+    |> g.rows
+  in
+  let find k rs = List.find_opt (fun r -> key r = k) rs in
+  let label r = String.concat " " (e.id :: List.map snd (key r)) in
+  List.iter
+    (fun r ->
+      match find (key r) now with
+      | None -> fail "%s: not measured again" (label r)
+      | Some m ->
+          List.iter
+            (fun c ->
+              if num c m > (num c r *. 1.2) +. 2. then
+                fail "%s %s regressed: recorded %.0f, now %.0f" (label r) c (num c r)
+                  (num c m))
+            g.counters)
+    rows;
+  List.iter
+    (fun (c, (axis, off, on)) ->
+      let ratio a b = (num c a +. 1.) /. (num c b +. 1.) in
+      List.iter
+        (fun r ->
+          let twin = List.map (fun (k, v) -> (k, if k = axis then on else v)) (key r) in
+          match (find twin rows, find (key r) now, find twin now) with
+          | Some r_on, Some m, Some m_on when str axis r = off ->
+              if ratio m m_on < 0.8 *. ratio r r_on then
+                fail "%s %s %s/%s ratio regressed: recorded %.2fx, now %.2fx" (label r) c
+                  off on (ratio r r_on) (ratio m m_on)
+          | _ -> ())
+        rows)
+    g.ratios;
+  List.iter
+    (fun c ->
+      if sum c rows > 0. && sum c now <= 0. then
+        fail "%s %s vanished: recorded %.0f, now 0" e.id c (sum c rows))
+    g.nonzero
+
+(* CI smoke: every artifact must still validate, and the deterministic
+   headline counts each experiment's gate names must be reproducible
+   today, by the experiment's own [measure], within the gate's bounds.
+   With no files, every artifact the table names. *)
+let gate files =
+  let files = if files = [] then artifacts else files in
+  let ok = ref true in
+  let report m =
+    Printf.eprintf "bench-gate: %s\n" m;
+    ok := false
+  in
+  List.iter (fun f -> if not (validate f) then ok := false) files;
+  let records =
+    List.concat_map (fun f -> Result.value (read_records f) ~default:[]) files
+  in
+  (* repeated-run wall estimates are never gated: skip them *)
+  timed := false;
+  List.iter
+    (function
+      | Exp ({ gate = Some g; _ } as e) ->
+          gate_exp report e g (where "experiment" e.id records)
+      | _ -> ())
+    experiments;
   if !ok then
     Printf.printf
       "bench-gate: OK (%d artifact(s), %d record(s); headline metrics within 20%%)\n"
       (List.length files) (List.length records);
   !ok
 
+(* The artifacts fold into one schema-stable series: whatever family a
+   record belongs to, it contributes to the same five columns, so the
+   trajectory stays comparable as new experiments join the table. *)
+let history files =
+  let rows =
+    List.concat_map
+      (fun file ->
+        let records = Result.value (read_records file) ~default:[] in
+        List.filter_map
+          (fun x ->
+            match where "experiment" (id_of x) records with
+            | [] -> None
+            | rs ->
+                Some
+                  [
+                    Filename.basename file;
+                    id_of x;
+                    string_of_int (List.length rs);
+                    Printf.sprintf "%.0f" (sum "evaluations" rs);
+                    ms (sum "wall_ns" rs);
+                  ])
+          experiments)
+      files
+  in
+  print_table [ "artifact"; "experiment"; "records"; "evaluations"; "wall ms" ] rows;
+  Printf.printf "\nhistory: %d artifact(s), %d series row(s)\n" (List.length files)
+    (List.length rows)
+
 (* ---- driver -------------------------------------------------------------------------- *)
 
-let experiments =
-  [
-    ("F1", f1); ("T1", t1); ("T2", t2); ("T3", t3); ("T4", t4); ("T5", t5);
-    ("T6", t6); ("T7", t7); ("T8", t8); ("T9", t9); ("X1", x1); ("X2", x2);
-    ("S1", s1); ("S2", s2); ("S3", s3); ("S4", s4); ("S5", s5); ("S6", s6);
-    ("L1", l1);
-    ("E1", e1); ("H1", h1); ("H2", h2); ("V1", v1); ("V2", v2);
-  ]
-
 let () =
-  let json_file = ref None in
-  let validate = ref None in
-  let mode = ref `Run in
-  let rec parse_args ids = function
-    | [] -> List.rev ids
+  let json = ref None and mode = ref `Run and args = ref [] in
+  let bad msg =
+    Printf.eprintf
+      "bench: %s\n\
+       usage: main.exe [ID...] [--smoke] [--json FILE]\n\
+      \       main.exe --validate FILE | --gate [FILE...] | --all [--smoke]\n\
+       known experiments: %s\n"
+      msg
+      (String.concat ", " (List.map id_of experiments));
+    exit 2
+  in
+  let is_flag s = String.length s > 1 && s.[0] = '-' in
+  let rec parse = function
+    | [] -> ()
     | "--smoke" :: rest ->
         smoke := true;
-        parse_args ids rest
-    | "--json" :: file :: rest ->
-        json_file := Some file;
-        parse_args ids rest
-    | "--validate" :: file :: rest ->
-        validate := Some file;
-        parse_args ids rest
-    | "--history" :: rest ->
-        mode := `History;
-        parse_args ids rest
+        parse rest
+    | "--json" :: file :: rest when not (is_flag file) ->
+        json := Some file;
+        parse rest
+    | "--validate" :: file :: rest when not (is_flag file) ->
+        mode := `Validate file;
+        parse rest
     | "--gate" :: rest ->
         mode := `Gate;
-        parse_args ids rest
-    | id :: rest -> parse_args (id :: ids) rest
+        parse rest
+    | "--all" :: rest ->
+        mode := `All;
+        parse rest
+    | flag :: _ when is_flag flag -> bad ("unknown option or missing argument: " ^ flag)
+    | arg :: rest ->
+        args := arg :: !args;
+        parse rest
   in
-  let ids = parse_args [] (List.tl (Array.to_list Sys.argv)) in
-  match (!mode, !validate) with
-  | `History, _ -> if not (history ids) then exit 1
-  | `Gate, _ -> if not (gate ids) then exit 1
-  | `Run, Some file -> if not (validate_json file) then exit 1
-  | `Run, None -> (
-      let requested = if ids = [] then List.map fst experiments else ids in
-      List.iter
-        (fun id ->
-          match List.assoc_opt (String.uppercase_ascii id) experiments with
-          | Some f -> f ()
-          | None ->
-              Printf.eprintf
-                "unknown experiment %s (known: F1, T1..T9, X1, X2, S1..S6, L1, E1, \
-                 H1, H2, V1, V2)\n"
-                id)
-        requested;
-      match !json_file with
-      | None -> ()
-      | Some file ->
-          let doc =
-            J.Obj
-              [
-                ("schema", J.Str "escape-bench/solver-v1");
-                ("records", J.Arr (List.rev !json_records));
-              ]
-          in
-          Out_channel.with_open_text file (fun oc ->
-              Out_channel.output_string oc (J.to_string doc));
-          Printf.printf "\nwrote %d records to %s\n" (List.length !json_records) file)
+  parse (List.tl (Array.to_list Sys.argv));
+  let args = List.rev !args in
+  match !mode with
+  | `Validate file -> if not (validate file) then exit 1
+  | `Gate -> if not (gate args) then exit 1
+  | `All ->
+      if args <> [] then bad "--all takes no experiment or file";
+      (* each artifact: regenerate, write, validate; then the series *)
+      let valid =
+        List.map
+          (fun file ->
+            write_artifact file
+              (List.concat_map run
+                 (List.filter (fun x -> artifact_of x = Some file) experiments));
+            validate file)
+          artifacts
+      in
+      history artifacts;
+      if not (List.for_all Fun.id valid) then exit 1
+  | `Run -> (
+      let selected =
+        if args = [] then experiments
+        else
+          List.map
+            (fun id ->
+              match
+                List.find_opt (fun x -> id_of x = String.uppercase_ascii id) experiments
+              with
+              | Some x -> x
+              | None -> bad ("unknown experiment " ^ id))
+            args
+      in
+      let records = List.concat_map run selected in
+      match !json with None -> () | Some file -> write_artifact file records)
