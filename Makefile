@@ -1,4 +1,4 @@
-.PHONY: all build test goldens check vet bench bench-smoke bench-gate bench-tables batch-smoke lint-smoke serve-smoke framework-smoke sharing-smoke vm-smoke ci clean
+.PHONY: all build test goldens goldens-update goldens-regen check vet bench bench-smoke bench-gate bench-tables batch-smoke lint-smoke serve-smoke framework-smoke sharing-smoke vm-smoke ci clean
 
 all: build
 
@@ -10,9 +10,16 @@ test: build
 
 # Regenerates every golden capture in test/golden/ from the CLI into
 # _build/goldens/ and diffs the two trees: the committed goldens must be
-# exactly what today's nmlc prints.  To accept an intended change, copy
-# the regenerated files over test/golden/.
-goldens: build
+# exactly what today's nmlc prints.  To accept an intended change, run
+# `make goldens-update`, which regenerates them the same way and copies
+# them over test/golden/.
+goldens: goldens-regen
+	diff -r _build/goldens test/golden
+
+goldens-update: goldens-regen
+	cp _build/goldens/* test/golden/
+
+goldens-regen: build
 	rm -rf _build/goldens && mkdir -p _build/goldens
 	set -e; N=_build/default/bin/nmlc.exe; \
 	for f in examples/programs/*.nml; do \
@@ -22,7 +29,6 @@ goldens: build
 	  $$N optimize $$f > $$b.optimized; \
 	  $$N compile $$f -O --dump-bytecode > $$b.bytecode; \
 	done
-	diff -r _build/goldens test/golden
 
 # The differential soundness harness with fault injection on.
 check: build
