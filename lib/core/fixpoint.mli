@@ -118,7 +118,10 @@ type stats = Framework.Solver.stats = {
   stats_evaluations : int;
   stats_sccs : int;  (** components in the last condensation (worklist) *)
   stats_largest_scc : int;
-  stats_cache_hits : int;  (** application-memo hits since [make] *)
+  stats_cache_hits : int;
+      (** application-memo hits since [make]; like the next two, counts
+          memoized applications only — direct ones ({!Dvalue.direct}:
+          primitives, arrow bottoms) never touch the memo *)
   stats_cache_misses : int;
   stats_cache_invalidated : int;  (** memos discarded as stale since [make] *)
   stats_dbound : int;

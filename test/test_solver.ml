@@ -67,10 +67,11 @@ let callgraph_units =
 
 (* ---- differential: worklist vs round-robin ------------------------------- *)
 
-(* Every global verdict of every definition, under the given engine.  The
-   solvers share the process-global application memo; agreement must hold
-   without any reset in between — that is the selective-invalidation
-   correctness claim. *)
+(* Every global verdict of every definition, under the given engine.  Each
+   solver owns a private engine state (application memo, probe tables),
+   so the two engines share no memo: agreement checks that selective
+   invalidation reaches the same fixpoint as the round-robin baseline,
+   which drops its memo every pass. *)
 let verdicts ~engine src =
   let t = Fix.of_source ~engine src in
   List.concat_map
