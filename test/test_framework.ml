@@ -17,6 +17,9 @@
    - Cache: per-analysis key namespacing, old-schema/corrupt records are
      clean misses, warm reruns of every registered analysis perform zero
      evaluations.
+   - Cache record format: the records the usage, spine-liveness and
+     sharing codecs write are pinned byte for byte, and every record
+     written over the builtin corpus round-trips.
    - The reduced product agrees with (is no coarser than) the component
      analyses run alone. *)
 
@@ -623,6 +626,197 @@ let cache_units =
           (Engine.record_of_json Registry.usage_spec ~key:"k" ~members j = None));
   ]
 
+(* ---- the cache record format, pinned ------------------------------------------
+
+   A store written by an earlier build must stay warm: these are the
+   records the usage, spine-liveness and sharing codecs write for
+   [pin_src], byte for byte.  Each must decode, re-encode to the same
+   bytes, and decode to the reports a fresh solve computes. *)
+
+let pin_src =
+  "letrec append l m = if null l then m else cons (car l) (append (cdr l) m);\n\
+  \       pick l m = if null l then m else l;\n\
+  \       ignore2 x y = cons (car x) nil\n\
+   in pick (append (cons 1 nil) (cons 2 nil)) (ignore2 (cons 3 nil) (cons 4 nil))"
+
+let pin_members = [ "append"; "pick"; "ignore2" ]
+
+let usage_record = {|{"schema": "nmlc/summary-cache-v2", "analysis": "usage", "key": "k", "defs": [
+  {"name": "append", "inst": "int list -> int list -> int list", "args": [
+    [
+      1,
+      "used"
+    ],
+    [
+      2,
+      "carried"
+    ]
+  ]},
+  {"name": "pick", "inst": "int list -> int list -> int list", "args": [
+    [
+      1,
+      "used"
+    ],
+    [
+      2,
+      "carried"
+    ]
+  ]},
+  {"name": "ignore2", "inst": "int list -> int -> int list", "args": [
+    [
+      1,
+      "used"
+    ],
+    [
+      2,
+      "unused"
+    ]
+  ]}
+]}
+|}
+
+let spinelive_record = {|{"schema": "nmlc/summary-cache-v2", "analysis": "spine-liveness", "key": "k", "defs": [
+  {"name": "append", "inst": "int list -> int list -> int list", "args": [
+    [
+      1,
+      "spine-live"
+    ],
+    [
+      2,
+      "live"
+    ]
+  ]},
+  {"name": "pick", "inst": "int list -> int list -> int list", "args": [
+    [
+      1,
+      "live"
+    ],
+    [
+      2,
+      "live"
+    ]
+  ]},
+  {"name": "ignore2", "inst": "int list -> int -> int list", "args": [
+    [
+      1,
+      "head-only"
+    ],
+    [
+      2,
+      "dead"
+    ]
+  ]}
+]}
+|}
+
+let sharing_record = {|{"schema": "nmlc/summary-cache-v2", "analysis": "sharing", "key": "k", "defs": [
+  {"name": "append", "inst": "int list -> int list -> int list", "args": [
+    [
+      1,
+      "unshared"
+    ],
+    [
+      2,
+      "spine-shared"
+    ]
+  ], "pairs": []},
+  {"name": "pick", "inst": "int list -> int list -> int list", "args": [
+    [
+      1,
+      "spine-shared"
+    ],
+    [
+      2,
+      "spine-shared"
+    ]
+  ], "pairs": [
+    [
+      1,
+      2
+    ]
+  ]},
+  {"name": "ignore2", "inst": "int list -> int -> int list", "args": [
+    [
+      1,
+      "unshared"
+    ],
+    [
+      2,
+      "unshared"
+    ]
+  ], "pairs": []}
+]}
+|}
+
+let render_reports pp defs =
+  Format.asprintf "@[<v 0>%a@]" (Format.pp_print_list pp) defs
+
+let check_pinned (type s) (spec : s Engine.spec) ~pp literal =
+  let module J = Nml.Json in
+  let name = spec.Engine.analysis in
+  match Engine.record_of_json spec ~key:"k" ~members:pin_members (J.parse literal) with
+  | None -> Alcotest.fail (name ^ ": the pinned record does not decode")
+  | Some defs ->
+      checks (name ^ " re-encodes byte for byte") literal
+        (J.to_string (Engine.record_to_json spec ~key:"k" defs));
+      let session = spec.Engine.session (infer pin_src) in
+      checks (name ^ " decodes to the solved reports")
+        (render_reports pp (List.map session.Engine.summarize pin_members))
+        (render_reports pp defs)
+
+(* Every record the codec writes over the builtin corpus decodes and
+   re-encodes to the same bytes. *)
+let check_corpus_roundtrip (type s) (spec : s Engine.spec) =
+  let module J = Nml.Json in
+  List.iter
+    (fun (name, src) ->
+      let prog = infer src in
+      let members = List.map fst prog.Nml.Infer.schemes in
+      let o = Engine.analyze spec prog in
+      let text = J.to_string (Engine.record_to_json spec ~key:name o.Engine.summaries) in
+      match Engine.record_of_json spec ~key:name ~members (J.parse text) with
+      | None -> Alcotest.fail (spec.Engine.analysis ^ ": " ^ name ^ " does not decode")
+      | Some defs ->
+          checks
+            (spec.Engine.analysis ^ " round-trips " ^ name)
+            text
+            (J.to_string (Engine.record_to_json spec ~key:name defs)))
+    Check.Harness.builtin_corpus
+
+let check_names name ~to_name ~of_name verdicts =
+  List.iter
+    (fun v -> checkb (name ^ " " ^ to_name v ^ " parses back") true (of_name (to_name v) = Some v))
+    verdicts;
+  let names = List.map to_name verdicts in
+  checki (name ^ " names are distinct") (List.length names)
+    (List.length (List.sort_uniq String.compare names))
+
+let codec_units =
+  [
+    Alcotest.test_case "pinned-usage-record" `Quick (fun () ->
+        check_pinned Registry.usage_spec ~pp:Usage.pp_def_report usage_record);
+    Alcotest.test_case "pinned-spine-liveness-record" `Quick (fun () ->
+        check_pinned Registry.spinelive_spec ~pp:Spinelive.pp_def_report spinelive_record);
+    Alcotest.test_case "pinned-sharing-record" `Quick (fun () ->
+        check_pinned Registry.alias_spec ~pp:Framework.Alias.pp_def_report sharing_record);
+    Alcotest.test_case "corpus-records-round-trip" `Quick (fun () ->
+        check_corpus_roundtrip Registry.usage_spec;
+        check_corpus_roundtrip Registry.spinelive_spec;
+        check_corpus_roundtrip Registry.alias_spec);
+    Alcotest.test_case "verdict-names-parse-back" `Quick (fun () ->
+        check_names "usage" ~to_name:Usage.verdict_name ~of_name:Usage.verdict_of_name
+          Usage.[ Unused; Carried; Consumed; Used ];
+        check_names "spine-liveness" ~to_name:Spinelive.verdict_name
+          ~of_name:Spinelive.verdict_of_name
+          Spinelive.[ Dead; Head_only; Spine_live; Live ];
+        check_names "sharing" ~to_name:Framework.Alias.verdict_name
+          ~of_name:Framework.Alias.verdict_of_name
+          Framework.Alias.[ Unshared; Shared_elem; Shared_spine ];
+        check_names "escape-x-usage" ~to_name:Product.verdict_name
+          ~of_name:Product.verdict_of_name
+          Product.[ Dead; Scratch; Spine_scratch; Retained ]);
+  ]
+
 (* ---- registry surface ------------------------------------------------------ *)
 
 let registry_units =
@@ -652,5 +846,6 @@ let () =
         [ QCheck_alcotest.to_alcotest qcheck_sharing_oracle ] );
       ("product", product_units);
       ("cache", cache_units);
+      ("codec", codec_units);
       ("registry", registry_units);
     ]
