@@ -10,6 +10,7 @@ module Engine = Cache.Engine
 module Usage = Framework.Usage
 module Spinelive = Framework.Spinelive
 module Alias = Framework.Alias
+module Verdict = Framework.Verdict
 
 type outcome = {
   output : string;  (* rendered report, one block per definition *)
@@ -63,174 +64,86 @@ let escape_run ?store prog =
     scc_misses = o.Cache.Summary.scc_misses;
   }
 
-(* ---- usage ------------------------------------------------------------------ *)
+(* ---- the flag analyses: one codec over each verdict table ------------------- *)
 
-let usage_def_to_json (r : Usage.def_report) =
-  J.Obj
-    [
-      ("name", J.Str r.Usage.r_name);
-      ("inst", J.Str r.Usage.r_ty);
-      ( "args",
-        J.Arr
-          (List.map
-             (fun (a : Usage.arg_report) ->
-               J.Arr [ J.int a.Usage.a_index; J.Str (Usage.verdict_name a.Usage.a_verdict) ])
-             r.Usage.r_args) );
-    ]
-
-let usage_def_of_json j =
-  {
-    Usage.r_name = str (get "name" j);
-    r_ty = str (get "inst" j);
-    r_args =
-      List.map
-        (function
-          | J.Arr [ i; v ] ->
-              {
-                Usage.a_index = num i;
-                a_verdict =
-                  (match Usage.verdict_of_name (str v) with
-                  | Some v -> v
-                  | None -> fail "bad usage verdict");
-              }
-          | _ -> fail "bad usage arg")
-        (arr (get "args" j));
-  }
-
-let usage_spec : Usage.def_report Engine.spec =
-  {
-    Engine.analysis = "usage";
-    def_name = (fun r -> r.Usage.r_name);
-    to_json = usage_def_to_json;
-    of_json = usage_def_of_json;
-    session =
-      (fun prog ->
-        let t = Usage.Solver.make prog in
+(* The cache spec of a flag analysis: a record stores each definition's
+   per-parameter verdicts by their names in [verdicts]; [extra] appends
+   fields derived from the report. *)
+let flag_spec ~analysis ?(extra = fun _ -> []) verdicts session :
+    _ Verdict.def_report Engine.spec =
+  let arg_of_json = function
+    | J.Arr [ i; v ] ->
         {
-          Engine.summarize = Usage.report t;
-          evaluations = (fun () -> Usage.Solver.evaluations t);
-        });
-  }
-
-let usage_run ?store prog =
-  let o = Engine.analyze usage_spec ?store prog in
-  of_engine (render Usage.pp_def_report o.Engine.summaries) o
-
-(* ---- spine-liveness --------------------------------------------------------- *)
-
-let spinelive_def_to_json (r : Spinelive.def_report) =
-  J.Obj
-    [
-      ("name", J.Str r.Spinelive.r_name);
-      ("inst", J.Str r.Spinelive.r_ty);
-      ( "args",
-        J.Arr
-          (List.map
-             (fun (a : Spinelive.arg_report) ->
+          Verdict.a_index = num i;
+          a_verdict =
+            (match Verdict.of_name verdicts (str v) with
+            | Some v -> v
+            | None -> fail ("bad " ^ analysis ^ " verdict"));
+        }
+    | _ -> fail ("bad " ^ analysis ^ " arg")
+  in
+  {
+    Engine.analysis;
+    def_name = (fun r -> r.Verdict.r_name);
+    to_json =
+      (fun r ->
+        J.Obj
+          ([
+             ("name", J.Str r.Verdict.r_name);
+             ("inst", J.Str r.Verdict.r_ty);
+             ( "args",
                J.Arr
-                 [
-                   J.int a.Spinelive.a_index;
-                   J.Str (Spinelive.verdict_name a.Spinelive.a_verdict);
-                 ])
-             r.Spinelive.r_args) );
-    ]
-
-let spinelive_def_of_json j =
-  {
-    Spinelive.r_name = str (get "name" j);
-    r_ty = str (get "inst" j);
-    r_args =
-      List.map
-        (function
-          | J.Arr [ i; v ] ->
-              {
-                Spinelive.a_index = num i;
-                a_verdict =
-                  (match Spinelive.verdict_of_name (str v) with
-                  | Some v -> v
-                  | None -> fail "bad liveness verdict");
-              }
-          | _ -> fail "bad liveness arg")
-        (arr (get "args" j));
-  }
-
-let spinelive_spec : Spinelive.def_report Engine.spec =
-  {
-    Engine.analysis = "spine-liveness";
-    def_name = (fun r -> r.Spinelive.r_name);
-    to_json = spinelive_def_to_json;
-    of_json = spinelive_def_of_json;
-    session =
-      (fun prog ->
-        let t = Spinelive.Solver.make prog in
+                 (List.map
+                    (fun a ->
+                      J.Arr
+                        [
+                          J.int a.Verdict.a_index;
+                          J.Str (Verdict.name verdicts a.Verdict.a_verdict);
+                        ])
+                    r.Verdict.r_args) );
+           ]
+          @ extra r));
+    of_json =
+      (fun j ->
         {
-          Engine.summarize = Spinelive.report t;
-          evaluations = (fun () -> Spinelive.Solver.evaluations t);
+          Verdict.r_name = str (get "name" j);
+          r_ty = str (get "inst" j);
+          r_args = List.map arg_of_json (arr (get "args" j));
         });
+    session;
   }
 
-let spinelive_run ?store prog =
-  let o = Engine.analyze spinelive_spec ?store prog in
-  of_engine (render Spinelive.pp_def_report o.Engine.summaries) o
+let usage_spec =
+  flag_spec ~analysis:"usage" Usage.verdicts (fun prog ->
+      let t = Usage.Solver.make prog in
+      { Engine.summarize = Usage.report t; evaluations = (fun () -> Usage.Solver.evaluations t) })
 
-(* ---- sharing ---------------------------------------------------------------- *)
+let spinelive_spec =
+  flag_spec ~analysis:"spine-liveness" Spinelive.verdicts (fun prog ->
+      let t = Spinelive.Solver.make prog in
+      {
+        Engine.summarize = Spinelive.report t;
+        evaluations = (fun () -> Spinelive.Solver.evaluations t);
+      })
 
-let alias_def_to_json (r : Alias.def_report) =
-  J.Obj
-    [
-      ("name", J.Str r.Alias.r_name);
-      ("inst", J.Str r.Alias.r_ty);
-      ( "args",
-        J.Arr
-          (List.map
-             (fun (a : Alias.arg_report) ->
-               J.Arr [ J.int a.Alias.a_index; J.Str (Alias.verdict_name a.Alias.a_verdict) ])
-             r.Alias.r_args) );
-      ( "pairs",
-        J.Arr (List.map (fun (i, j) -> J.Arr [ J.int i; J.int j ]) r.Alias.r_pairs) );
-    ]
+(* sharing also stores its may-alias pairs, derived from the verdicts *)
+let alias_spec =
+  flag_spec ~analysis:"sharing" Alias.verdicts
+    ~extra:(fun r ->
+      [
+        ( "pairs",
+          J.Arr
+            (List.map
+               (fun (i, j) -> J.Arr [ J.int i; J.int j ])
+               (Alias.may_alias_pairs r.Verdict.r_args)) );
+      ])
+    (fun prog ->
+      let t = Alias.Solver.make prog in
+      { Engine.summarize = Alias.report t; evaluations = (fun () -> Alias.Solver.evaluations t) })
 
-let alias_def_of_json j =
-  {
-    Alias.r_name = str (get "name" j);
-    r_ty = str (get "inst" j);
-    r_args =
-      List.map
-        (function
-          | J.Arr [ i; v ] ->
-              {
-                Alias.a_index = num i;
-                a_verdict =
-                  (match Alias.verdict_of_name (str v) with
-                  | Some v -> v
-                  | None -> fail "bad sharing verdict");
-              }
-          | _ -> fail "bad sharing arg")
-        (arr (get "args" j));
-    r_pairs =
-      List.map
-        (function J.Arr [ i; j' ] -> (num i, num j') | _ -> fail "bad alias pair")
-        (arr (get "pairs" j));
-  }
-
-let alias_spec : Alias.def_report Engine.spec =
-  {
-    Engine.analysis = "sharing";
-    def_name = (fun r -> r.Alias.r_name);
-    to_json = alias_def_to_json;
-    of_json = alias_def_of_json;
-    session =
-      (fun prog ->
-        let t = Alias.Solver.make prog in
-        {
-          Engine.summarize = Alias.report t;
-          evaluations = (fun () -> Alias.Solver.evaluations t);
-        });
-  }
-
-let alias_run ?store prog =
-  let o = Engine.analyze alias_spec ?store prog in
-  of_engine (render Alias.pp_def_report o.Engine.summaries) o
+let run_spec spec pp ?store prog =
+  let o = Engine.analyze spec ?store prog in
+  of_engine (render pp o.Engine.summaries) o
 
 (* ---- escape × usage reduced product ----------------------------------------- *)
 
@@ -295,10 +208,6 @@ let product_spec : Product.def_report Engine.spec =
         });
   }
 
-let product_run ?store prog =
-  let o = Engine.analyze product_spec ?store prog in
-  of_engine (render Product.pp_def_report o.Engine.summaries) o
-
 (* ---- the registry ----------------------------------------------------------- *)
 
 let all =
@@ -315,28 +224,28 @@ let all =
       aliases = [ "strictness" ];
       domain = "dep x use bits per argument";
       doc = "is each argument inspected, retained, both, or neither";
-      run = usage_run;
+      run = run_spec usage_spec Usage.pp_def_report;
     };
     {
       name = "spine-liveness";
       aliases = [ "liveness" ];
       domain = "dep x head x tail bits per argument (Karkare-style)";
       doc = "which part of each argument's heap structure the callee needs";
-      run = spinelive_run;
+      run = run_spec spinelive_spec Spinelive.pp_def_report;
     };
     {
       name = "escape-x-usage";
       aliases = [ "product" ];
       domain = "reduced product of escape and usage";
       doc = "storage verdicts per argument: dead / scratch / spine-scratch / retained";
-      run = product_run;
+      run = run_spec product_spec Product.pp_def_report;
     };
     {
       name = "sharing";
       aliases = [ "alias" ];
       domain = "dep x spine sharing pairs per argument (Hill-Spoto-style)";
       doc = "may the result share cells (or its spine) with each argument";
-      run = alias_run;
+      run = run_spec alias_spec Alias.pp_def_report;
     };
   ]
 

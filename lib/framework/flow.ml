@@ -316,6 +316,16 @@ module Make (F : FLAGS) () = struct
 
   let apply_all f xs = List.fold_left apply f xs
 
+  (* The global test on [f]'s value at instance [ty]: the flags of the
+     result of applying it to a probe at parameter [arg] and bottoms
+     elsewhere. *)
+  let probe_at f ty ~arg =
+    total
+      (apply_all f
+         (List.mapi
+            (fun j aty -> if j = arg - 1 then probe aty else bottom aty)
+            (Ty.arg_tys ty (Ty.arity ty))))
+
   (* ---- abstract semantics ------------------------------------------------ *)
 
   type ctx = {

@@ -390,6 +390,18 @@ module Make (S : Spec.S) = struct
     stabilize t;
     e.value
 
+  (* The harness of a per-parameter global test G(name, arg) at a ground
+     instance (default: the simplest): check the parameter position,
+     settle the definition's value and run [test] on it inside this
+     solver's state. *)
+  let global_test t ?inst name ~arg test =
+    let ty = match inst with Some ty -> ty | None -> instance_ty t name in
+    let m = Ty.arity ty in
+    if arg < 1 || arg > m then
+      invalid_arg (Printf.sprintf "%s global test: %s has arity %d" S.name name m);
+    let v = value t name (Some ty) in
+    with_state t (fun () -> test v ty)
+
   let eval_expr t tast =
     with_state t @@ fun () ->
     absorb_tree_depth t tast;
