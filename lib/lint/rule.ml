@@ -25,12 +25,9 @@ type ctx = {
   solver : Escape.Fixpoint.t Lazy.t;
       (* forced only when a rule actually needs fixpoint results, so a
          fully warm cache run never evaluates an entry *)
-  dead_params : (string * int) list Lazy.t;
-      (* (definition, 1-based parameter): occurs in the body but is
-         never truly used (see {!Rules.dead_params}) *)
   spinelive : Framework.Spinelive.Solver.t Lazy.t;
-      (* the spine-liveness solver (LINT007's evidence), forced only
-         when a rule needs liveness verdicts *)
+      (* the spine-liveness solver (the evidence of LINT004 and
+         LINT007), forced only when a rule needs liveness verdicts *)
   alias : Framework.Alias.Solver.t Lazy.t;
       (* the sharing solver (LINT008's evidence), forced only when a
          rule needs sharing verdicts *)

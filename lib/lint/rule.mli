@@ -21,12 +21,10 @@ type ctx = {
   prog : Nml.Infer.program;
   solver : Escape.Fixpoint.t Lazy.t;
       (** forced on first use; a fully warm cache run never forces it *)
-  dead_params : (string * int) list Lazy.t;
-      (** [(definition, 1-based parameter)] pairs that occur in their
-          body but are never truly used *)
   spinelive : Framework.Spinelive.Solver.t Lazy.t;
-      (** the spine-liveness solver backing LINT007; forced on first
-          use, so runs without liveness findings never solve it *)
+      (** the spine-liveness solver backing both LINT004 (at the
+          parameter binder) and LINT007 (at call sites passing a fresh
+          spine); forced on first use *)
   alias : Framework.Alias.Solver.t Lazy.t;
       (** the sharing solver backing LINT008; forced on first use *)
   fault : fault;

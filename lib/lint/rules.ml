@@ -8,8 +8,9 @@
    LINT003 invariance       Theorem-1 self-audit: s_i - k_i must agree
                             across the monomorphic instances Nml.Mono
                             demands (a solver-soundness cross-check)
-   LINT004 dead-spine       a parameter spine with global escape <0,0>
-                            that the function also never traverses
+   LINT004 dead-spine       a parameter with global escape <0,0> whose
+                            spine-liveness verdict is dead: it occurs
+                            in its body but no cell is ever needed
    LINT005 unused-binding   classic structural rule
    LINT006 unreachable      branch under a constant condition
    LINT007 wasted-spine     a fresh multi-cell spine is passed to a
@@ -48,121 +49,19 @@ let param_binder_loc rhs i =
   in
   walk 1 rhs
 
+(* Whether the [i]-th (1-based) leading parameter occurs free in the
+   rest of its definition. *)
+let rec param_occurs rhs i =
+  match rhs with
+  | A.Lam (_, x, b) -> if i = 1 then List.mem x (A.free_vars b) else param_occurs b (i - 1)
+  | _ -> false
+
 let member_defs ctx members =
   List.filter (fun (n, _) -> List.mem n members) ctx.Rule.surface.Nml.Surface.defs
 
 (* The underscore convention: [_acc] opts a binder out of the unused /
    dead-parameter rules. *)
 let exempt x = String.length x > 0 && x.[0] = '_'
-
-(* ---- dead-parameter analysis (evidence for LINT004) ------------------------- *)
-
-(* A leading parameter is *used* when some free occurrence in the body
-   sits anywhere other than being passed whole to a leading parameter
-   position of a top-level definition whose own parameter there is
-   unused.  The "else" cases form pass-through edges (f,i) -> (g,j) and
-   usedness is the least fixpoint over them, so a parameter that is only
-   ever forwarded — even through mutual recursion — stays dead:
-
-     f n l = if n < 1 then 0 else f (n - 1) l     l occurs, never used
-
-   while [g l = length l] marks (g,1) used because (length,1) is. *)
-let dead_params (surface : Nml.Surface.t) =
-  let defs = surface.Nml.Surface.defs in
-  let params_of =
-    List.map (fun (name, rhs) -> (name, List.map snd (fst (strip_lams rhs)))) defs
-  in
-  let arity g =
-    match List.assoc_opt g params_of with Some ps -> List.length ps | None -> 0
-  in
-  let occurs = Hashtbl.create 16 in
-  let hard = Hashtbl.create 16 in
-  let flows = Hashtbl.create 16 in
-  let add_flow k v =
-    Hashtbl.replace flows k (v :: Option.value ~default:[] (Hashtbl.find_opt flows k))
-  in
-  let flatten e =
-    let rec go acc = function A.App (_, f, a) -> go (a :: acc) f | h -> (h, acc) in
-    go [] e
-  in
-  List.iter
-    (fun (fname, rhs) ->
-      let params, body = strip_lams rhs in
-      let index = List.mapi (fun i (_, x) -> (x, i + 1)) params in
-      let rec walk bound e =
-        match e with
-        | A.Const _ | A.Prim _ -> ()
-        | A.Var (_, x) ->
-            if not (List.mem x bound) then (
-              match List.assoc_opt x index with
-              | Some i ->
-                  Hashtbl.replace occurs (fname, i) ();
-                  Hashtbl.replace hard (fname, i) ()
-              | None -> ())
-        | A.App _ -> (
-            let head, args = flatten e in
-            match head with
-            | A.Var (_, g)
-              when (not (List.mem g bound))
-                   && (not (List.mem_assoc g index))
-                   && List.mem_assoc g params_of ->
-                let n = arity g in
-                List.iteri
-                  (fun j a ->
-                    let j = j + 1 in
-                    match a with
-                    | A.Var (_, x)
-                      when j <= n
-                           && (not (List.mem x bound))
-                           && List.mem_assoc x index ->
-                        let i = List.assoc x index in
-                        Hashtbl.replace occurs (fname, i) ();
-                        add_flow (fname, i) (g, j)
-                    | _ -> walk bound a)
-                  args
-            | _ ->
-                walk bound head;
-                List.iter (walk bound) args)
-        | A.Lam (_, x, b) -> walk (x :: bound) b
-        | A.If (_, c, t, f) ->
-            walk bound c;
-            walk bound t;
-            walk bound f
-        | A.Letrec (_, bs, b) ->
-            let bound = List.map fst bs @ bound in
-            List.iter (fun (_, r) -> walk bound r) bs;
-            walk bound b
-      in
-      walk [] body)
-    defs;
-  let used = Hashtbl.create 16 in
-  Hashtbl.iter (fun k () -> Hashtbl.replace used k ()) hard;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun k targets ->
-        if
-          (not (Hashtbl.mem used k))
-          && List.exists (fun t -> Hashtbl.mem used t) targets
-        then begin
-          Hashtbl.replace used k ();
-          changed := true
-        end)
-      flows
-  done;
-  List.concat_map
-    (fun (name, rhs) ->
-      let params, _ = strip_lams rhs in
-      List.mapi (fun i (_, x) -> (i + 1, x)) params
-      |> List.filter_map (fun (i, x) ->
-             if
-               (not (exempt x))
-               && Hashtbl.mem occurs (name, i)
-               && not (Hashtbl.mem used (name, i))
-             then Some (name, i)
-             else None))
-    defs
 
 (* ---- LINT001: missed reuse -------------------------------------------------- *)
 
@@ -341,47 +240,49 @@ let invariance ctx =
 
 (* ---- LINT004: dead spine ----------------------------------------------------- *)
 
+(* A parameter that occurs in its body, yet whose spine-liveness verdict
+   is [Dead] (no cell of it is ever needed: it is at most forwarded to
+   parameters that are dead too) and whose spines escape nowhere
+   (G(f, i) = <0,0>).  LINT007 reads the same verdict at call sites that
+   pass a fresh spine; this rule reports it at the parameter binder. *)
 let dead_spine ctx ~members =
-  let dead = Lazy.force ctx.Rule.dead_params in
-  List.filter_map
-    (fun (name, i) ->
-      if not (List.mem name members) then None
+  let finding name rhs n i (_, param) ty =
+    let spine_desc =
+      match Ty.repr ty with
+      | Ty.List _ | Ty.Tree _ -> Some (Printf.sprintf "its %d spine(s) escape" (Ty.spines ty))
+      | Ty.Var _ -> Some "it is spine-polymorphic and escapes"
+      | _ -> None
+    in
+    match spine_desc with
+    | Some desc
+      when (not (exempt param))
+           && param_occurs rhs i
+           && Framework.Spinelive.arg_verdict (Lazy.force ctx.Rule.spinelive) name ~arg:i
+              = Framework.Spinelive.Dead
+           && B.equal (An.global ~arity:n (Rule.solver ctx) name ~arg:i).An.esc B.zero ->
+        Some
+          (D.make D.Warning ~code:"LINT004" (param_binder_loc rhs i)
+             (Printf.sprintf
+                "parameter %s of %s is a dead spine: %s nowhere (<0,0>) and %s \
+                 never traverses it — the whole structure is passed around \
+                 for nothing"
+                param name desc name))
+    | _ -> None
+  in
+  List.concat_map
+    (fun (name, rhs) ->
+      let params, _ = strip_lams rhs in
+      let n = List.length params in
+      (* the scheme, not the simplest instance: a parameter the
+         definition never constrains shows up as a bare variable, and it
+         is spiny at the instances that matter *)
+      let sty = Nml.Infer.scheme_ty (Nml.Infer.def_scheme ctx.Rule.prog name) in
+      if Ty.arity sty < n then []
       else
-        match List.assoc_opt name ctx.Rule.surface.Nml.Surface.defs with
-        | None -> None
-        | Some rhs ->
-            let params, _ = strip_lams rhs in
-            let n = List.length params in
-            (* the scheme, not the simplest instance: a parameter the
-               definition never constrains shows up as a bare variable,
-               and it is spiny at the instances that matter *)
-            let sty = Nml.Infer.scheme_ty (Nml.Infer.def_scheme ctx.Rule.prog name) in
-            if Ty.arity sty < n then None
-            else
-              let ty = List.nth (Ty.arg_tys sty n) (i - 1) in
-              let spine_desc =
-                match Ty.repr ty with
-                | Ty.List _ | Ty.Tree _ ->
-                    Some (Printf.sprintf "its %d spine(s) escape" (Ty.spines ty))
-                | Ty.Var _ -> Some "it is spine-polymorphic and escapes"
-                | _ -> None
-              in
-              match spine_desc with
-              | None -> None
-              | Some desc ->
-                  let t = Rule.solver ctx in
-                  let v = An.global ~arity:n t name ~arg:i in
-                  if B.equal v.An.esc B.zero then
-                    let _, param = List.nth params (i - 1) in
-                    Some
-                      (D.make D.Warning ~code:"LINT004" (param_binder_loc rhs i)
-                         (Printf.sprintf
-                            "parameter %s of %s is a dead spine: %s nowhere \
-                             (<0,0>) and %s never traverses it — the whole \
-                             structure is passed around for nothing"
-                            param name desc name))
-                  else None)
-    dead
+        List.combine params (Ty.arg_tys sty n)
+        |> List.mapi (fun k (p, ty) -> finding name rhs n (k + 1) p ty)
+        |> List.filter_map Fun.id)
+    (member_defs ctx members)
 
 (* ---- LINT005: unused binding ------------------------------------------------- *)
 

@@ -13,9 +13,10 @@
        the solver's verdicts at the monomorphic instances demanded by the
        program disagree on [s_i - k_i].  Firing means the solver (or a
        corrupted cache) is unsound.}
-    {- [LINT004] {e dead-spine} (warning): a parameter whose spines
-       escape nowhere ([<0,0>]) and that the function never actually
-       uses (only forwards); see {!dead_params}.}
+    {- [LINT004] {e dead-spine} (warning): a parameter that occurs in
+       its body, whose spines escape nowhere ([<0,0>]) and whose
+       spine-liveness verdict is [Dead]: no cell of it is ever needed,
+       it is at most forwarded.}
     {- [LINT005] {e unused-binding} (warning): a [lambda]/[letrec]/[let]
        binding never used.  Binders starting with [_] are exempt.}
     {- [LINT006] {e unreachable-branch} (warning): a conditional branch
@@ -23,13 +24,6 @@
 
 val all : Rule.t list
 (** In code order. *)
-
-val dead_params : Nml.Surface.t -> (string * int) list
-(** [(definition, 1-based parameter)] pairs that occur in their body but
-    are never truly used: every occurrence is a whole-argument
-    pass-through into a parameter position that is itself dead (least
-    fixpoint over the pass-through edges, so forwarding through mutual
-    recursion stays dead).  Underscore-prefixed binders are exempt. *)
 
 val invariant_rows : (bool * int) list -> bool
 (** The Theorem-1 comparison on [(escapes, kept top spines)] rows, one
