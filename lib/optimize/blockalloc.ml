@@ -1,25 +1,1 @@
-type annotation = {
-  consumer : string;
-  producer : string;
-  specialized : string;
-  arena : int;
-  loc : Nml.Loc.t;
-}
-
-type report = { annotations : annotation list }
-
-let annotate t surface =
-  let ir, r = Annotate.annotate ~stack:false ~block:true t surface in
-  let annotations =
-    List.map
-      (fun (a : Annotate.block_annotation) ->
-        {
-          consumer = a.Annotate.consumer;
-          producer = a.Annotate.producer;
-          specialized = a.Annotate.specialized;
-          arena = a.Annotate.arena;
-          loc = a.Annotate.loc;
-        })
-      r.Annotate.block
-  in
-  (ir, { annotations })
+type report = { annotations : Annotate.block_annotation list }

@@ -12,14 +12,6 @@
     specialized [g_blk] whose result-position conses allocate into a
     block, and wraps the call in [WithArena (Block, ...)]. *)
 
-type annotation = {
-  consumer : string;  (** [f], whose return frees the block *)
-  producer : string;  (** [g], whose result spine fills the block *)
-  specialized : string;  (** name of the block-allocating copy of [g] *)
-  arena : int;
-  loc : Nml.Loc.t;  (** surface position of the producer call argument *)
-}
-
-type report = { annotations : annotation list }
-
-val annotate : Escape.Fixpoint.t -> Nml.Surface.t -> Runtime.Ir.expr * report
+type report = { annotations : Annotate.block_annotation list }
+(** The producer calls {!Transform.optimize_with} moved into blocks; the
+    annotations are {!Annotate}'s own records. *)

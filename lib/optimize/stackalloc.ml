@@ -1,24 +1,1 @@
-type annotation = {
-  func : string;
-  arg : int;
-  levels : int;
-  arena : int;
-  loc : Nml.Loc.t;
-}
-type report = { annotations : annotation list }
-
-let annotate t surface =
-  let ir, r = Annotate.annotate ~stack:true ~block:false t surface in
-  let annotations =
-    List.map
-      (fun (a : Annotate.stack_annotation) ->
-        {
-          func = a.Annotate.func;
-          arg = a.Annotate.arg;
-          levels = a.Annotate.levels;
-          arena = a.Annotate.arena;
-          loc = a.Annotate.loc;
-        })
-      r.Annotate.stack
-  in
-  (ir, { annotations })
+type report = { annotations : Annotate.stack_annotation list }

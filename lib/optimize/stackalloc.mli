@@ -8,16 +8,6 @@
     (to the proven depth) into the arena: the machine frees them all,
     without garbage collection work, when the call returns. *)
 
-type annotation = {
-  func : string;  (** callee *)
-  arg : int;  (** annotated argument position *)
-  levels : int;  (** how many top spine levels go to the region *)
-  arena : int;  (** static arena id *)
-  loc : Nml.Loc.t;  (** surface position of the annotated literal *)
-}
-
-type report = { annotations : annotation list }
-
-val annotate : Escape.Fixpoint.t -> Nml.Surface.t -> Runtime.Ir.expr * report
-(** The program with definitions unchanged and the main expression's
-    eligible calls wrapped in regions. *)
+type report = { annotations : Annotate.stack_annotation list }
+(** The calls {!Transform.optimize_with} wrapped in regions; the
+    annotations are {!Annotate}'s own records. *)

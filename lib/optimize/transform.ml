@@ -66,40 +66,10 @@ let optimize_with t options (surface : Nml.Surface.t) =
           ~pretenure:options.pretenure t surface'
       in
       let stack_report =
-        if options.stack then
-          Some
-            {
-              Stackalloc.annotations =
-                List.map
-                  (fun (a : Annotate.stack_annotation) ->
-                    {
-                      Stackalloc.func = a.Annotate.func;
-                      arg = a.Annotate.arg;
-                      levels = a.Annotate.levels;
-                      arena = a.Annotate.arena;
-                      loc = a.Annotate.loc;
-                    })
-                  rep.Annotate.stack;
-            }
-        else None
+        if options.stack then Some { Stackalloc.annotations = rep.Annotate.stack } else None
       in
       let block_report =
-        if options.block then
-          Some
-            {
-              Blockalloc.annotations =
-                List.map
-                  (fun (a : Annotate.block_annotation) ->
-                    {
-                      Blockalloc.consumer = a.Annotate.consumer;
-                      producer = a.Annotate.producer;
-                      specialized = a.Annotate.specialized;
-                      arena = a.Annotate.arena;
-                      loc = a.Annotate.loc;
-                    })
-                  rep.Annotate.block;
-            }
-        else None
+        if options.block then Some { Blockalloc.annotations = rep.Annotate.block } else None
       in
       (ir, stack_report, block_report, rep.Annotate.pretenure_sites)
     end
@@ -139,19 +109,19 @@ let pp_report ppf r =
   (match r.stack_report with
   | Some sr ->
       List.iter
-        (fun (a : Stackalloc.annotation) ->
+        (fun (a : Annotate.stack_annotation) ->
           Format.fprintf ppf
             "stack: argument %d of %s allocated in region %d (%d level(s))@ "
-            a.Stackalloc.arg a.Stackalloc.func a.Stackalloc.arena a.Stackalloc.levels)
+            a.Annotate.arg a.Annotate.func a.Annotate.arena a.Annotate.levels)
         sr.Stackalloc.annotations
   | None -> ());
   (match r.block_report with
   | Some br ->
       List.iter
-        (fun (a : Blockalloc.annotation) ->
+        (fun (a : Annotate.block_annotation) ->
           Format.fprintf ppf "block: %s feeds %s via block %d (as %s)@ "
-            a.Blockalloc.producer a.Blockalloc.consumer a.Blockalloc.arena
-            a.Blockalloc.specialized)
+            a.Annotate.producer a.Annotate.consumer a.Annotate.arena
+            a.Annotate.specialized)
         br.Blockalloc.annotations
   | None -> ());
   if r.pretenure_sites > 0 then
