@@ -187,6 +187,17 @@ let stats_json stats =
       ("capped", J.Bool stats.Fix.stats_capped);
     ]
 
+(* The generational heap with the spine-liveness hints: parameters whose
+   argument spine the callee provably never needs past the head.
+   Advisory metadata — the stats rows are identical with and without
+   them. *)
+let generational_config surface =
+  let t = Framework.Spinelive.Solver.make (Nml.Infer.infer_program surface) in
+  {
+    Runtime.Heap.generational with
+    Runtime.Heap.liveness_hints = Framework.Spinelive.dead_spine_params t;
+  }
+
 (* Storage section of [analyze --stats]/[--json]: execute the optimized
    program on a generational heap with a bounded step budget and report
    the heap counters.  Deterministic — the machine is exact and the pause
@@ -196,15 +207,9 @@ let heap_row_of surface =
     { Optimize.Transform.all with Optimize.Transform.pretenure = true }
   in
   let ir = (Optimize.Transform.optimize ~options surface).Optimize.Transform.ir in
-  (* the same advisory dead-spine hints a [run --policy generational]
-     computes, so the hint-acceptance counters show up here too *)
-  let liveness_hints =
-    let t = Framework.Spinelive.Solver.make (Nml.Infer.infer_program surface) in
-    Framework.Spinelive.dead_spine_params t
-  in
-  let config =
-    { Runtime.Heap.generational with Runtime.Heap.liveness_hints }
-  in
+  (* the same heap a [run --policy generational] uses, so the
+     hint-acceptance counters show up here too *)
+  let config = generational_config surface in
   let m = Runtime.Machine.create ~heap_size:4096 ~fuel:1_000_000 ~config () in
   match Runtime.Machine.eval m ir with
   | _ -> Ok (Runtime.Stats.to_row (Runtime.Machine.stats m))
@@ -655,18 +660,7 @@ let run_cmd =
         let base =
           match policy with
           | `Legacy -> Runtime.Heap.legacy
-          | `Generational -> Runtime.Heap.generational
-        in
-        (* liveness hints for the generational collector: parameters
-           whose argument spine the callee provably never needs past the
-           head.  Advisory metadata — the stats rows are identical with
-           and without them. *)
-        let liveness_hints =
-          match policy with
-          | `Legacy -> []
-          | `Generational ->
-              let t = Framework.Spinelive.Solver.make (Nml.Infer.infer_program s) in
-              Framework.Spinelive.dead_spine_params t
+          | `Generational -> generational_config s
         in
         let config =
           {
@@ -677,7 +671,6 @@ let run_cmd =
               (match nursery with
               | Some n -> max 1 n
               | None -> base.Runtime.Heap.nursery);
-            liveness_hints;
           }
         in
         (* tenured-at-birth sites only exist if the optimizer emits them;
@@ -956,10 +949,8 @@ let vet_cmd =
                generational] would hand the heap — audited here instead
                of trusted *)
             let hints =
-              match
-                Framework.Spinelive.Solver.make (Nml.Infer.infer_program s)
-              with
-              | t -> Framework.Spinelive.dead_spine_params t
+              match generational_config s with
+              | config -> config.Runtime.Heap.liveness_hints
               | exception _ -> []
             in
             let ds, summary = Vet.Verify.audit ~hints ~source:s ir in
