@@ -100,8 +100,10 @@ lint-smoke: build
 
 # The pluggable-analysis surface end to end through the CLI: the registry
 # lists every analysis, each one reports over a shipped example, and a
-# warm cached batch rerun of a non-default analysis performs zero entry
-# evaluations out of its own key namespace.
+# warm cached batch rerun of the usage and spine-liveness analyses
+# performs zero entry evaluations out of its own key namespace and
+# replays the cold run's reports byte for byte (every record went
+# through the codec and the on-disk store).
 framework-smoke: build
 	dune exec bin/nmlc.exe -- analyze --list-analyses | grep -q 'escape-x-usage'
 	dune exec bin/nmlc.exe -- analyze examples/programs/reverse.nml \
@@ -110,11 +112,16 @@ framework-smoke: build
 	  --analysis spine-liveness | grep -q 'L(append, 1) = spine-live'
 	dune exec bin/nmlc.exe -- analyze examples/programs/reverse.nml \
 	  --analysis escape-x-usage | grep -q 'P(append, 1) = spine-scratch'
-	rm -rf _build/framework_smoke_cache
-	dune exec bin/nmlc.exe -- batch examples/programs --analysis usage --jobs 2 \
-	  --cache _build/framework_smoke_cache > /dev/null
-	dune exec bin/nmlc.exe -- batch examples/programs --analysis usage --jobs 2 \
-	  --cache _build/framework_smoke_cache | grep -q '; 0 entry evaluation(s)'
+	set -e; N=_build/default/bin/nmlc.exe; O=_build/framework_smoke; \
+	for a in usage spine-liveness; do \
+	  rm -rf $$O.cache; \
+	  $$N batch examples/programs --analysis $$a --jobs 2 --cache $$O.cache > $$O.cold; \
+	  $$N batch examples/programs --analysis $$a --jobs 2 --cache $$O.cache > $$O.warm; \
+	  grep -q '; 0 entry evaluation(s)' $$O.warm; \
+	  head -n -1 $$O.cold > $$O.cold.body; \
+	  head -n -1 $$O.warm > $$O.warm.body; \
+	  cmp $$O.cold.body $$O.warm.body; \
+	done
 
 # The sharing analysis end to end through the CLI: the registry lists it
 # with its own cache namespace, the per-argument verdicts over a shipped
@@ -122,7 +129,7 @@ framework-smoke: build
 # its second is stitched into the result), the alias-informed optimizer
 # actually licenses reuse beyond Theorem 2 on the witness example, and a
 # warm cached batch rerun performs zero entry evaluations out of the
-# sharing namespace.
+# sharing namespace and replays the cold run's reports byte for byte.
 sharing-smoke: build
 	dune exec bin/nmlc.exe -- analyze --list-analyses \
 	  | grep -q 'nmlc/summary-cache-v2/sharing'
@@ -134,9 +141,13 @@ sharing-smoke: build
 	  | grep -q 'dcons_reuses  5'
 	rm -rf _build/sharing_smoke_cache
 	dune exec bin/nmlc.exe -- batch examples/programs --analysis sharing --jobs 2 \
-	  --cache _build/sharing_smoke_cache > /dev/null
+	  --cache _build/sharing_smoke_cache > _build/sharing_smoke_cold.out
 	dune exec bin/nmlc.exe -- batch examples/programs --analysis sharing --jobs 2 \
-	  --cache _build/sharing_smoke_cache | grep -q '; 0 entry evaluation(s)'
+	  --cache _build/sharing_smoke_cache > _build/sharing_smoke_warm.out
+	grep -q '; 0 entry evaluation(s)' _build/sharing_smoke_warm.out
+	head -n -1 _build/sharing_smoke_cold.out > _build/sharing_smoke_cold.body
+	head -n -1 _build/sharing_smoke_warm.out > _build/sharing_smoke_warm.body
+	cmp _build/sharing_smoke_cold.body _build/sharing_smoke_warm.body
 
 # The analysis daemon end to end through the CLI: a socket server with
 # the slow-request fault armed, every method exercised by the one-shot
