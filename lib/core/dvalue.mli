@@ -56,8 +56,7 @@
     solvers (including solvers in different domains) are shared-nothing.  Value and source {e ids} are
     process-global atomics: they are pure identity tags, and keeping them
     globally unique makes values safe to carry across states (a foreign
-    value at worst misses a memo, it can never collide).  So is the touch
-    epoch: a touch in another domain at worst forces a re-check. *)
+    value at worst misses a memo, it can never collide). *)
 
 type t = private {
   id : int;  (** unique per constructed value *)
@@ -158,9 +157,13 @@ val current_d : unit -> int
     An entry records the (source, generation) pairs its computation read
     itself and links to the completed entries it hit or finished, not
     copies of their read sets: a hit costs one link and closing an entry
-    copies nothing.  Validity walks the links; a verdict of "valid" is
-    remembered until the next {!touch} anywhere, so each check visits an
-    entry at most once. *)
+    copies nothing.  An entry that read nothing, directly or below, can
+    never go stale and is not linked at all.  Each of those records also leaves a reverse link: a
+    source keeps the frames that read it, an entry the frames that
+    linked it.  Staleness is pushed along the reverse links by {!touch},
+    so a memo lookup only tests the entry's flag.  The meaning is the
+    pull one: an entry is stale exactly when some (source, generation)
+    pair in its transitive read set has been touched since. *)
 
 type source
 (** A generation-stamped cell of mutable analysis state (the solver
@@ -171,22 +174,60 @@ val source_id : source -> int
 (** Process-unique identifier, stable for the source's lifetime. *)
 
 val touch : source -> unit
-(** Advance the generation: every memo entry that read this source,
-    directly or through the entries it used, is now stale and will be
-    recomputed on its next lookup. *)
+(** Advance the generation and walk the reverse links upward from the
+    source: every memo entry that read it, directly or through the
+    entries it used, is marked stale — once, and for good — and will be
+    recomputed on its next lookup; every {!watch} frame reached is
+    notified, at most once in its lifetime.  The links walked are
+    dropped, so a second touch costs nothing for what the first one
+    reached. *)
 
 val note_read : source -> unit
 (** Record a read of the source (at its current generation) in the
     innermost open read frame; no-op outside any frame. *)
 
+type reads
+(** What one {!watch} frame recorded: its own reads and the memo entries
+    it linked, not yet flattened. *)
+
+val watch : notify:(unit -> unit) -> (unit -> 'a) -> 'a * reads
+(** [watch ~notify f] runs [f] in a fresh {e isolated} read frame: the
+    reads are not propagated to any enclosing frame, they belong to the
+    solver entry being evaluated, not to an enclosing application.
+    [notify] is called once, by the first {!touch} of a source in the
+    frame's transitive read set, or at once if the frame links a memo
+    entry that went stale while it was being computed.  The read set
+    itself is flattened only on demand, by {!sources}. *)
+
+val sources : reads -> (source * int) list
+(** The transitive read set of a frame: one (source,
+    generation-at-first-read) pair per source noted during the run,
+    directly or by any memo entry the run hit or computed, however deep.
+    Each call walks the links afresh, visiting each entry once. *)
+
 val with_reads : (unit -> 'a) -> 'a * (source * int) list
-(** [with_reads f] runs [f] in a fresh {e isolated} read frame and
-    returns its result together with its transitive read set: one
-    (source, generation-at-first-read) pair per source noted during the
-    run, directly or by any memo entry the run hit or computed, however
-    deep.  The links are flattened once, here.  Isolated means the reads
-    are not propagated to any enclosing frame: they belong to the solver
-    entry being evaluated, not to an enclosing application. *)
+(** [with_reads f] is {!watch} with nobody to notify, flattened at once
+    with {!sources}. *)
+
+(** {2 Memo inspection}
+
+    The memo's read links, as the pull definition of staleness needs
+    them: tests check the flags {!touch} maintains against it. *)
+
+type entry
+(** A memoized application. *)
+
+type event = Read of source * int | Used of entry
+
+val memo_entries : unit -> entry list
+(** The complete entries of the current state's application memo. *)
+
+val entry_trace : entry -> event list
+(** What the entry's computation read itself and the entries it hit or
+    finished that read anything, in the order it happened. *)
+
+val entry_stale : entry -> bool
+val generation : source -> int
 
 (** {2 Operations} *)
 

@@ -30,7 +30,10 @@ let new_source = Dvalue.new_source
 let source_id = Dvalue.source_id
 let touch = Dvalue.touch
 let note_read = Dvalue.note_read
-let with_reads = Dvalue.with_reads
+type reads = Dvalue.reads
+
+let with_reads = Dvalue.watch
+let sources = Dvalue.sources
 let clear_memo = Dvalue.clear_cache
 let memo_stats = Dvalue.cache_stats
 let invalidations = Dvalue.invalidations

@@ -13,17 +13,19 @@
 
     {ul
     {- {!Worklist} (default): dependency-driven.  Every evaluation runs
-       inside a read frame ({!Dvalue.with_reads}) that records which other
-       entries it consulted, giving the instance-level dependency graph
-       for free.  Fresh entries are solved by recursive descent
+       inside a read frame ({!Dvalue.watch}) that records which other
+       entries it consulted; the first touch of any of them marks the
+       entry dirty, and the frame's read set is the instance-level
+       dependency graph, flattened only when the sweep condenses it.
+       Fresh entries are solved by recursive descent
        (dependencies settle before their reader is evaluated, so a
        non-recursive definition is evaluated exactly once); the cyclic
        remainder is condensed into strongly connected components
        ({!Nml.Callgraph.Scc}) and settled bottom-up, re-evaluating only
        entries whose recorded dependencies actually changed.  Application
-       memos survive across the whole solve: a value change bumps the
-       entry's {!Dvalue.source} generation and only memos that read it
-       are invalidated.}
+       memos survive across the whole solve: a value change touches the
+       entry's {!Dvalue.source}, and only memos that read it are
+       invalidated.}
     {- {!Round_robin}: the original solver, retained as a differential
        baseline.  Every pass drops the application memo wholesale and
        re-evaluates every demanded instance until a pass changes
@@ -116,7 +118,9 @@ type stats = Framework.Solver.stats = {
   stats_iterations : int;
   stats_entries : int;
   stats_evaluations : int;
-  stats_sccs : int;  (** components in the last condensation (worklist) *)
+  stats_sccs : int;
+      (** components in the last sweep's condensation (worklist); 0 when
+          recursive descent settled every entry and no sweep ran *)
   stats_largest_scc : int;
   stats_cache_hits : int;
       (** application-memo hits since [make]; like the next two, counts

@@ -29,7 +29,9 @@
    The memo is valid within one solver evaluation (entry values it read
    may move between fixpoint iterations), so it is dropped whenever a
    fresh read frame opens; there is no cross-evaluation source tracking
-   to invalidate, hence [invalidations] is always 0.
+   to invalidate, hence [invalidations] is always 0.  A frame's reads are
+   kept flat, and each source keeps the frames that read it, so a touch
+   notifies exactly the solver entries that read the source.
 
    [Make] is generative: each instantiation owns private per-domain
    ambient state, and every solver installs its own [state], so two
@@ -105,7 +107,15 @@ module Make (F : FLAGS) () = struct
 
   (* ---- per-solver state -------------------------------------------------- *)
 
-  type source = { sid : int; mutable gen : int }
+  (* A solver evaluation's read frame: flat reads, and whom to tell when
+     one of them moves (once). *)
+  type frame = {
+    mutable reads : (source * int) list;  (* newest first *)
+    notify : unit -> unit;
+    mutable notified : bool;
+  }
+
+  and source = { sid : int; mutable gen : int; mutable readers : frame list }
 
   type akey = Kflags of F.t | Kid of int | Kpair of akey * akey
 
@@ -117,7 +127,7 @@ module Make (F : FLAGS) () = struct
 
   type state = {
     mutable d : int;  (* chain bound (kept for parity; flags ignore it) *)
-    mutable frames : (source * int) list ref list;  (* innermost first *)
+    mutable frames : frame list;  (* innermost first *)
     memo : (int * akey, centry) Hashtbl.t;  (* pending/memoized applications *)
     mutable hits : int;
     mutable misses : int;
@@ -143,30 +153,49 @@ module Make (F : FLAGS) () = struct
     let s = current_state () in
     if d > s.d then s.d <- d
 
-  let new_source () = { sid = Atomic.fetch_and_add next_sid 1; gen = 0 }
+  let new_source () = { sid = Atomic.fetch_and_add next_sid 1; gen = 0; readers = [] }
   let source_id s = s.sid
-  let touch s = s.gen <- s.gen + 1
+
+  let touch s =
+    s.gen <- s.gen + 1;
+    let readers = s.readers in
+    s.readers <- [];
+    List.iter
+      (fun fr ->
+        if not fr.notified then begin
+          fr.notified <- true;
+          fr.notify ()
+        end)
+      readers
 
   let note_read src =
     match (current_state ()).frames with
     | [] -> ()
-    | frame :: _ -> frame := (src, src.gen) :: !frame
+    | fr :: _ -> (
+        fr.reads <- (src, src.gen) :: fr.reads;
+        match src.readers with r :: _ when r == fr -> () | rs -> src.readers <- fr :: rs)
 
-  let with_reads f =
+  type reads = (source * int) list
+
+  let with_reads ~notify f =
     let s = current_state () in
     (* the memo's reads are not generation-tracked, so it must not
        outlive the evaluation it was filled by *)
     Hashtbl.reset s.memo;
-    let frame = ref [] in
+    let frame = { reads = []; notify; notified = false } in
     s.frames <- frame :: s.frames;
     let pop () = s.frames <- List.tl s.frames in
     match f () with
     | v ->
         pop ();
-        (v, List.rev !frame)
+        let reads = List.rev frame.reads in
+        frame.reads <- [];
+        (v, reads)
     | exception e ->
         pop ();
         raise e
+
+  let sources reads = reads
 
   let clear_memo () = Hashtbl.reset (current_state ()).memo
   let memo_stats () =

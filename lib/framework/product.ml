@@ -2,10 +2,10 @@
    engine.  Values, lattice operations and transfer functions are
    pointwise; a product source pairs one source of each component, so a
    read noted by the solver lands in both components' frames and a touch
-   stales both components' memos.  The product's [global] hook splits
-   the solver's paired answer back into the component each transfer
-   function expects, which is what lets e.g. [Espec] and [Usage.D] run
-   unmodified inside the pair.
+   stales both components' memos and reaches both components' watches.
+   The product's [global] hook splits the solver's paired answer back
+   into the component each transfer function expects, which is what lets
+   e.g. [Espec] and [Usage.D] run unmodified inside the pair.
 
    This is the {e direct} product; the reduction (one component's
    verdict sharpening the other's, e.g. usage [Consumed] licensing an
@@ -89,13 +89,27 @@ end = struct
     A.note_read s.a;
     B.note_read s.b
 
-  (* Both components collect their own frames; the union (mapped back to
-     product sources, deduplicated) is the product's read set.  A read
-     noted through [note_read] appears on both sides; a read a component
-     makes privately (e.g. probing inside [A.equal]) appears on one. *)
-  let with_reads f =
-    let st = current_state () in
-    let (x, breads), areads = A.with_reads (fun () -> B.with_reads f) in
+  (* Both components open their own frames, watched by one notification:
+     whichever side sees a touch first notifies, the other stays quiet. *)
+  type reads = { st : state; ra : A.reads; rb : B.reads }
+
+  let with_reads ~notify f =
+    let notified = ref false in
+    let notify () =
+      if not !notified then begin
+        notified := true;
+        notify ()
+      end
+    in
+    let (x, rb), ra = A.with_reads ~notify (fun () -> B.with_reads ~notify f) in
+    (x, { st = current_state (); ra; rb })
+
+  (* The union of both components' read sets (mapped back to product
+     sources, deduplicated) is the product's read set.  A read noted
+     through [note_read] appears on both sides; a read a component makes
+     privately (e.g. probing inside [A.equal]) appears on one. *)
+  let sources { st; ra; rb } =
+    let areads = A.sources ra and breads = B.sources rb in
     let seen = Hashtbl.create 16 in
     let out = ref [] in
     let add s gen =
@@ -116,7 +130,7 @@ end = struct
         | Some s -> add s gen
         | None -> ())
       breads;
-    (x, !out)
+    !out
 
   (* ---- memo (delegated) --------------------------------------------------- *)
 

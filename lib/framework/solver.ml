@@ -2,9 +2,9 @@
    up hard-wired to the escape domain in [lib/core/fixpoint.ml], factored
    over a {!Spec.S}.  Everything the escape solver learned — recorded
    read frames, recursive-descent fresh solves, Tarjan SCC condensation
-   settled dependencies-first, generation-stamped selective invalidation,
-   per-solver state isolation, cap-and-widen — is inherited by any Spec
-   instance.
+   settled dependencies-first, selective invalidation pushed from the
+   touched source, per-solver state isolation, cap-and-widen — is
+   inherited by any Spec instance.
 
    The solver also owns the per-definition facts every lookup needs.  By
    Theorem 1 only the simplest monomorphic instance of a definition has
@@ -33,6 +33,8 @@ type stats = {
   stats_entries : int;
   stats_evaluations : int;
   stats_sccs : int;
+      (* components of the last sweep's condensation: 0 when recursive
+         descent settled everything and no sweep ran *)
   stats_largest_scc : int;
   stats_cache_hits : int;
   stats_cache_misses : int;
@@ -63,8 +65,7 @@ module Make (S : Spec.S) = struct
     tast : Tast.texpr;
     source : S.source;  (* generation stamp; touched when [value] changes *)
     mutable value : S.value;
-    mutable deps : entry list;  (* entries read during the last evaluation *)
-    rdeps : (int, entry) Hashtbl.t;  (* reader's source id -> reader *)
+    mutable deps : entry list Lazy.t;  (* entries read during the last evaluation *)
     mutable dirty : bool;  (* a dependency changed since the last evaluation *)
     mutable evals : int;
     mutable in_progress : bool;  (* on the recursive-descent evaluation stack *)
@@ -110,38 +111,35 @@ module Make (S : Spec.S) = struct
      and compare against the current value, all inside one read frame.
      The comparison matters for the read set: evaluating a definition
      mostly builds closures, and the reads of other entries happen when
-     those closures are probed — which [S.equal] does.  The collected
-     sources are therefore the entry's true dependency set.  On a change
-     the value is joined upward, the entry's source is touched (staling
-     every memo that read it) and all recorded readers become dirty. *)
+     those closures are probed — which [S.equal] does.  The frame's read
+     set is therefore the entry's true dependency set.  The frame watches
+     it: the first touch of a source in it makes the entry dirty.  On a
+     change the value is joined upward and the entry's source is touched,
+     which stales every memo that read it and dirties every reader.  The
+     read set itself is flattened into [deps] only if a sweep needs it. *)
   let rec evaluate t e =
     e.dirty <- false;
     e.evals <- e.evals + 1;
     t.evaluated <- t.evaluated + 1;
     S.record_iteration t.ctx;
     let grown, reads =
-      S.with_reads (fun () ->
+      S.with_reads
+        ~notify:(fun () -> e.dirty <- true)
+        (fun () ->
           let v = S.transfer t.ctx e.tast in
           if S.equal ~d:t.dbound e.value v then None
           else Some (S.join e.value v))
     in
-    set_deps t e reads;
+    e.deps <-
+      lazy
+        (List.filter_map
+           (fun (s, _gen) -> Hashtbl.find_opt t.by_sid (S.source_id s))
+           (S.sources reads));
     match grown with
     | None -> ()
     | Some v ->
         e.value <- v;
-        S.touch e.source;
-        Hashtbl.iter (fun _ r -> r.dirty <- true) e.rdeps
-
-  and set_deps t e reads =
-    List.iter (fun d -> Hashtbl.remove d.rdeps (S.source_id e.source)) e.deps;
-    let ds =
-      List.filter_map
-        (fun (s, _gen) -> Hashtbl.find_opt t.by_sid (S.source_id s))
-        reads
-    in
-    e.deps <- ds;
-    List.iter (fun d -> Hashtbl.replace d.rdeps (S.source_id e.source) e) ds
+        S.touch e.source
 
   (* First solve of a freshly demanded entry, called from the global hook:
      recursive descent.  Dependencies demanded during the evaluation are
@@ -174,8 +172,7 @@ module Make (S : Spec.S) = struct
             tast;
             source = S.new_source ();
             value = S.bottom tast.Tast.ty;
-            deps = [];
-            rdeps = Hashtbl.create 4;
+            deps = Lazy.from_val [];
             dirty = false;
             evals = 0;
             in_progress = false;
@@ -257,14 +254,16 @@ module Make (S : Spec.S) = struct
   let d t = t.dbound
   let engine t = t.engine
 
+  (* Every touch may notify readers, so no entry is clean until all of
+     them are done. *)
   let widen_all t =
     List.iter
       (fun e ->
         e.value <- S.widen ~d:t.dbound e.tast.Tast.ty e.value;
         S.touch e.source;
-        e.dirty <- false;
         if e.evals = 0 then e.evals <- 1)
       t.order;
+    List.iter (fun e -> e.dirty <- false) t.order;
     S.set_capped t.ctx;
     t.stable <- true
 
@@ -275,8 +274,9 @@ module Make (S : Spec.S) = struct
   (* Condense the recorded instance-level dependency graph into SCCs and
      settle the components dependencies-first: within a component, a
      worklist re-evaluates dirty members until none remain (a change
-     re-dirties only its recorded readers); entries outside any cycle are
-     already final from the recursive descent and are not touched at all. *)
+     re-dirties only the entries whose read set holds it); entries outside
+     any cycle are already final from the recursive descent and are not
+     touched at all. *)
   let sweep t =
     let entries = Array.of_list (List.rev t.order) in
     let n = Array.length entries in
@@ -284,7 +284,7 @@ module Make (S : Spec.S) = struct
     let succs i =
       List.filter_map
         (fun d -> if d.idx >= 0 && d.idx < n && entries.(d.idx) == d then Some d.idx else None)
-        entries.(i).deps
+        (Lazy.force entries.(i).deps)
     in
     let comps = Nml.Callgraph.Scc.compute ~n ~succs in
     t.scc_count <- List.length comps;

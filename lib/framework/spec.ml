@@ -12,8 +12,9 @@
       concurrently live solvers — including solvers in different
       domains — are shared-nothing;
     - {e dependency sources} (generation-stamped cells with recorded
-      read frames), which is how the engine gets the instance-level
-      dependency graph for free and invalidates selectively;
+      read frames): a touch notifies the frames that read a source, which
+      is how the engine invalidates selectively, and a frame's read set
+      gives the instance-level dependency graph on demand;
     - a {e transfer function} over the typed AST, evaluated under a
       context whose [global] hook resolves top-level definitions at
       ground instance types (the solver supplies it and memoizes per
@@ -73,14 +74,27 @@ module type S = sig
   val source_id : source -> int
 
   val touch : source -> unit
-  (** Advance the generation: dependents become stale. *)
+  (** Advance the generation: dependents become stale, and every
+      {!with_reads} frame, open or closed, whose read set holds the
+      source is notified (once in the frame's lifetime). *)
 
   val note_read : source -> unit
   (** Record a read in the innermost open frame (no-op outside). *)
 
-  val with_reads : (unit -> 'a) -> 'a * (source * int) list
-  (** Run in a fresh isolated read frame; return the result and every
-      (source, generation-at-read) pair noted during the run. *)
+  type reads
+
+  val with_reads : notify:(unit -> unit) -> (unit -> 'a) -> 'a * reads
+  (** Run in a fresh isolated read frame and return the result with what
+      the frame read.  [notify] is called once, on the first {!touch} of
+      a source in the frame's read set (or at once, should the frame
+      consume something that already moved); that is how the solver
+      learns which entries to re-evaluate, without asking for the read
+      set. *)
+
+  val sources : reads -> (source * int) list
+  (** Every (source, generation-at-read) pair the frame read, flattened
+      on demand: the solver asks only when it condenses the dependency
+      graph. *)
 
   (** {2 Application memo (optional)} *)
 
