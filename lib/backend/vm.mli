@@ -8,7 +8,15 @@
     semantics — but flat closure environments, direct known calls, real
     tail calls, and heap primitives that honor the optimizer's verdicts
     natively ([Alloc] carries its placement, [Reuse] overwrites in
-    place, arenas bump-allocate and free wholesale). *)
+    place, arenas bump-allocate and free wholesale).
+
+    Every allocation decision is the machine's, so the allocation
+    counters ([heap_allocs], [arena_allocs], [dcons_reuses], ...) agree
+    exactly.  The collection counters ([marked], [promoted], [swept],
+    [major_gcs], [gc_work], ...) do not: the VM's collector roots only
+    the registers live at each frame's safepoint, while the machine
+    roots its whole environments, so the VM marks no more and usually
+    less. *)
 
 type value =
   | Int of int
@@ -97,3 +105,11 @@ val config : t -> Runtime.Heap.config
 
 val pp_code : Format.formatter -> code -> unit
 (** Disassembly, for [nmlc compile --dump-bytecode]. *)
+
+val dropping_root :
+  fname:string -> pc:int -> reg:int -> (unit -> 'a) -> 'a * int
+(** For tests only: runs the thunk while {!compile} removes register
+    [reg] from the root mask at [pc] of every function named [fname]
+    (["entry"] for the entry sequence) that holds it there, and returns
+    the thunk's result with the number of masks that lost the register.
+    A mask missing a live register must make the chaos oracle diverge. *)

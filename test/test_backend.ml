@@ -40,6 +40,27 @@ let chaos_cfg = { H.default with H.chaos = true }
 
 (* ---- three-way differential: Eval = machine = VM ---------------------------- *)
 
+(* the H1 stream and H2 sort pipelines of the heap experiments, sized to
+   collect on the generational 2048-cell heap, with the VM's [marked]
+   and [promoted] counts *)
+let pipelines =
+  let open Nml.Examples in
+  [
+    ( "h1-stream",
+      wrap
+        [ create_list_def; filter_def; map_def; sum_def ]
+        "sum (map (fun x -> x + 1) (filter (fun x -> x < 2000) (create_list 4000)))",
+      5120,
+      3072 );
+    ( "h2-sort",
+      wrap
+        [ create_list_def; filter_def; map_def; insert_def; isort_def; sum_def ]
+        "sum (isort (map (fun x -> x * x) (filter (fun x -> x < 200) (create_list \
+         400))))",
+      1355,
+      1355 );
+  ]
+
 let differential_tests =
   [
     (* [check_src] runs the VM as a third leg on every machine stage
@@ -53,6 +74,22 @@ let differential_tests =
         match H.check_corpus chaos_cfg H.builtin_corpus with
         | Ok s -> checki "all passed" s.H.checked s.H.passed
         | Error c -> fail_counterexample c);
+    (* map' holds its spine cell in r1 across the recursive call at pc 6
+       and reuses it in place when the call returns: with r1 missing
+       from that mask, the collections the callee's allocations trigger
+       free the cell, and the oracle must catch it *)
+    Alcotest.test_case "dropped-root-is-caught-under-chaos" `Quick (fun () ->
+        let result, dropped =
+          Vm.dropping_root ~fname:"map'" ~pc:6 ~reg:1 (fun () ->
+              H.check_corpus chaos_cfg H.builtin_corpus)
+        in
+        checkb "the mask held the register" true (dropped > 0);
+        match result with
+        | Ok _ -> Alcotest.fail "the oracle missed a mask without a live register"
+        | Error c ->
+            Alcotest.(check string) "program" "map-pair" c.H.name;
+            checkb "a VM stage diverges" true
+              (String.ends_with ~suffix:"(vm)" c.H.failure.H.stage));
     Alcotest.test_case "random-40-three-way-under-chaos" `Quick (fun () ->
         match H.check_random { chaos_cfg with H.seed = 2026 } ~count:40 with
         | Ok s -> checki "all checked" 40 s.H.checked
@@ -74,22 +111,43 @@ let differential_tests =
             | H.Crash m -> Alcotest.failf "%s: reference crashed: %s" name m)
           H.builtin_corpus);
     (* the VM honors the optimizer's annotations natively: on the same
-       optimized IR, machine and VM perform the identical storage work *)
+       optimized IR, machine and VM make the identical allocation
+       decisions; on the pipelines, which collect, the VM's precise
+       roots mark no more than the machine's environments *)
     Alcotest.test_case "corpus-vm-storage-counters-match-machine" `Quick
       (fun () ->
+        let same_allocations name ms vs =
+          let open Runtime.Stats in
+          checki (name ^ " heap_allocs") ms.heap_allocs vs.heap_allocs;
+          checki (name ^ " arena_allocs") ms.arena_allocs vs.arena_allocs;
+          checki (name ^ " dcons_reuses") ms.dcons_reuses vs.dcons_reuses;
+          checki (name ^ " pretenured") ms.pretenured vs.pretenured;
+          checki (name ^ " regions_reclaimed") ms.regions_reclaimed
+            vs.regions_reclaimed
+        in
         List.iter
           (fun (name, src) ->
             let ir = opt_ir src in
             let _, m = machine_run ir in
             let _, v = vm_run ir in
+            same_allocations name (M.stats m) (Vm.stats v))
+          H.builtin_corpus;
+        let config = Runtime.Heap.generational in
+        List.iter
+          (fun (name, src, marked, promoted) ->
+            let ir =
+              (T.optimize ~options:{ T.all with T.pretenure = true } (surface src)).T.ir
+            in
+            let _, m = machine_run ~heap:2048 ~config ir in
+            let _, v = vm_run ~heap:2048 ~config ir in
             let ms = M.stats m and vs = Vm.stats v in
-            checki (name ^ " heap_allocs") ms.Runtime.Stats.heap_allocs
-              vs.Runtime.Stats.heap_allocs;
-            checki (name ^ " arena_allocs") ms.Runtime.Stats.arena_allocs
-              vs.Runtime.Stats.arena_allocs;
-            checki (name ^ " dcons_reuses") ms.Runtime.Stats.dcons_reuses
-              vs.Runtime.Stats.dcons_reuses)
-          H.builtin_corpus);
+            same_allocations name ms vs;
+            checkb (name ^ " collects") true (vs.Runtime.Stats.gc_runs > 0);
+            checki (name ^ " vm marked") marked vs.Runtime.Stats.marked;
+            checki (name ^ " vm promoted") promoted vs.Runtime.Stats.promoted;
+            checkb (name ^ " vm marks no more than the machine") true
+              (vs.Runtime.Stats.marked <= ms.Runtime.Stats.marked))
+          pipelines);
   ]
 
 (* ---- the ANF verifier as a property ----------------------------------------- *)
@@ -269,7 +327,7 @@ let examples_dir =
 
 (* [Stats.steps] of [reverse.nml] compiled with every optimization:
    one tick per executed instruction *)
-let reverse_opt_steps = 305
+let reverse_opt_steps = 301
 
 let fault_tests =
   [
