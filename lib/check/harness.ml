@@ -266,6 +266,18 @@ let machine_stages cfg surface =
       chaos,
       { gen with Runtime.Heap.nursery = 3 } );
   ]
+  (* a full collection before every allocation, so each of the VM's
+     root masks is exercised wherever a frame can stop *)
+  @ (if cfg.chaos then
+       [
+         ( "optimized, collection at every allocation",
+           optimized,
+           tiny,
+           true,
+           { chaos with M.gc_period = 1 },
+           leg );
+       ]
+     else [])
   @
   match sabotage cfg.fault surface with
   | None -> []

@@ -61,7 +61,9 @@ val run_machine :
     selects the heap organization (default {!Runtime.Heap.legacy}); the
     oracle itself runs every program on legacy {e and} generational
     configurations (tiny nursery, regions off, a seed-drawn config), so
-    chaos collections also land mid-region on the generational heap. *)
+    chaos collections also land mid-region on the generational heap.
+    With chaos on, one more stage collects before every allocation, so
+    every safepoint of the VM's root masks is exercised. *)
 
 val run_vm :
   config ->
