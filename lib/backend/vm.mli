@@ -101,6 +101,13 @@ val cell_values : t -> int -> value * value * value
 
 val stats : t -> Runtime.Stats.t
 val live_cells : t -> int
+
+val free_cells : t -> int
+(** As {!Runtime.Machine.free_cells}. *)
+
+val used_cells : t -> int
+(** As {!Runtime.Machine.used_cells}. *)
+
 val config : t -> Runtime.Heap.config
 
 val pp_code : Format.formatter -> code -> unit

@@ -110,6 +110,12 @@ let create ?(heap_size = 4096) ~config ~nil ~scrub ~kind_of ~stats () =
 let get h a = h.cells.(a)
 let capacity h = Array.length h.cells
 let live h = h.live
+let used h = h.next
+
+(* bounded by the used prefix, so a cyclic list still ends *)
+let free_length h =
+  let rec go a n = if a < 0 || n > h.next then n else go h.cells.(a).link (n + 1) in
+  go h.free_head 0
 let config h = h.config
 let is_generational h = h.config.policy = Generational
 let young_count h = h.young
@@ -126,6 +132,8 @@ let take_free h =
     h.free_head <- h.cells.(a).link;
     Some a
   end
+
+let has_free h = h.free_head >= 0
 
 let bump h =
   if h.next < Array.length h.cells then begin

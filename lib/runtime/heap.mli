@@ -110,6 +110,14 @@ val capacity : 'w t -> int
 val live : 'w t -> int
 val config : 'w t -> config
 
+val used : 'w t -> int
+(** The bump pointer: cells ever handed out.  Every one of them is
+    either live or on the free list, so [live + free_length = used]
+    between allocations. *)
+
+val free_length : 'w t -> int
+(** Cells on the free list (walked; stops past [used] on a cycle). *)
+
 val is_generational : 'w t -> bool
 (** [config.policy = Generational]. *)
 
@@ -128,6 +136,9 @@ type 'w where =
 
 val take_free : 'w t -> int option
 (** Pop the intrusive free list. *)
+
+val has_free : 'w t -> bool
+(** Whether the free list is non-empty; pops nothing. *)
 
 val bump : 'w t -> int option
 (** Advance the bump pointer, if the store has never-used cells left. *)

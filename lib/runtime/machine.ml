@@ -109,6 +109,8 @@ let create ?(heap_size = 4096) ?(grow = true) ?(check_arenas = false) ?fuel
 
 let stats t = t.stats
 let live_cells t = H.live t.heap
+let free_cells t = H.free_length t.heap
+let used_cells t = H.used t.heap
 let config t = H.config t.heap
 
 let tick m =
@@ -270,7 +272,7 @@ let alloc_cell m target hd tl =
                  before resorting to a full one *)
               if gen && H.young_count h > 0 then begin
                 minor_collect m;
-                if H.take_free h = None then collect m
+                if not (H.has_free h) then collect m
               end
               else collect m;
               match H.take_free h with

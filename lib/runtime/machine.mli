@@ -88,6 +88,13 @@ val config : t -> Heap.config
 val live_cells : t -> int
 (** Currently live (allocated, unfreed) cells. *)
 
+val free_cells : t -> int
+(** Cells on the store's free list. *)
+
+val used_cells : t -> int
+(** Cells ever handed out (the bump pointer): after a run,
+    [live_cells + free_cells = used_cells], or a freed cell was lost. *)
+
 val eval : t -> Ir.expr -> word
 (** Evaluates a closed expression.
     @raise Error on dynamic type errors (cannot happen for well-typed
