@@ -28,10 +28,15 @@ let expect_ident st =
       x
   | t -> error st (Printf.sprintf "expected an identifier but found %s" (Token.to_string t))
 
+(* The names bound around an expression: only membership is asked. *)
+module Scope = Set.Make (String)
+
+let bind xs scope = List.fold_left (fun s x -> Scope.add x s) scope xs
+
 (* An identifier occurrence: a bound name is a variable; otherwise the
    alphabetic primitives (cons, car, cdr, null) denote constants. *)
 let resolve_ident loc scope x =
-  if List.mem x scope then Ast.Var (loc, x)
+  if Scope.mem x scope then Ast.Var (loc, x)
   else if String.equal x "leaf" then Ast.Const (loc, Ast.Cleaf)
   else
     match Ast.prim_of_name x with
@@ -72,7 +77,7 @@ and parse_lambda st scope =
     else expect_ident st
   in
   expect st Token.DOT;
-  let body = parse_expression st (x :: scope) in
+  let body = parse_expression st (Scope.add x scope) in
   Ast.Lam (Loc.merge start (Ast.loc body), x, body)
 
 (* fun x1 ... xn -> e *)
@@ -90,7 +95,7 @@ and parse_fun st scope =
   let xs = params [] in
   if xs = [] then error st "fun expression needs at least one parameter";
   expect st Token.ARROW;
-  let body = parse_expression st (List.rev_append xs scope) in
+  let body = parse_expression st (bind xs scope) in
   let e = Ast.lams xs body in
   (* restore the overall location on the outermost lambda *)
   match e with
@@ -113,7 +118,7 @@ and parse_let st scope =
   expect st Token.LET;
   let x, rhs = parse_binding st scope ~recursive_name:None in
   expect st Token.IN;
-  let body = parse_expression st (x :: scope) in
+  let body = parse_expression st (Scope.add x scope) in
   let l = Loc.merge start (Ast.loc body) in
   Ast.App (l, Ast.Lam (l, x, body), rhs)
 
@@ -122,7 +127,7 @@ and parse_letrec st scope =
   expect st Token.LETREC;
   (* All binding names are in scope in every right-hand side. *)
   let names = scan_binding_names st in
-  let scope' = List.rev_append names scope in
+  let scope' = bind names scope in
   let rec bindings acc =
     let x, rhs = parse_binding st scope' ~recursive_name:None in
     let acc = (x, rhs) :: acc in
@@ -178,7 +183,7 @@ and parse_binding st scope ~recursive_name:_ =
   in
   let ps = params [] in
   expect st Token.EQ;
-  let rhs_scope = List.rev_append ps (x :: scope) in
+  let rhs_scope = bind ps (Scope.add x scope) in
   let rhs = parse_expression st rhs_scope in
   (x, Ast.lams ps rhs)
 
@@ -329,7 +334,7 @@ and parse_atom st scope =
 let parse ?(file = "<string>") src =
   let toks = Array.of_list (Lexer.tokenize ~file src) in
   let st = { toks; pos = 0 } in
-  let e = parse_expression st [] in
+  let e = parse_expression st Scope.empty in
   (match peek st with
   | Token.EOF -> ()
   | t -> error st (Printf.sprintf "trailing input starting with %s" (Token.to_string t)));
