@@ -7,8 +7,10 @@
    outcomes are compared.  A run stopped by a resource limit proves
    nothing and is accepted; a run that crashes or answers differently
    while the reference interpreter produced a value is a soundness
-   divergence.  After every machine run the Stats counters are checked
-   against the store's bookkeeping identities.
+   divergence.  After every run on either backend the Stats counters
+   and the store are checked against the bookkeeping identities,
+   among them that every cell ever handed out is live or on the free
+   list.
 
    [fault] deliberately breaks one optimizer verdict, to demonstrate
    that the oracle catches exactly this kind of bug. *)
@@ -98,11 +100,16 @@ let run_vm cfg ?(config = Runtime.Heap.legacy) ~heap ~grow ~chaos ir =
 
 (* ---- invariant counters --------------------------------------------------- *)
 
-let stats_violations_of s ~live =
+let stats_violations_of s ~live ~free ~used =
   let total = Stats.total_allocs s in
   List.filter_map
     (fun (ok, msg) -> if ok then None else Some msg)
     [
+      (* a cell taken off the free list and never registered is lost
+         for good: no sweep returns a cell already marked free *)
+      ( live + free = used,
+        Printf.sprintf "live (%d) + free-list length (%d) <> bump pointer (%d)" live
+          free used );
       ( live = total - s.Stats.swept - s.Stats.arena_freed,
         Printf.sprintf "live (%d) <> allocs (%d) - swept (%d) - arena_freed (%d)" live
           total s.Stats.swept s.Stats.arena_freed );
@@ -122,10 +129,14 @@ let stats_violations_of s ~live =
         "minor + major collections exceed gc_runs" );
     ]
 
-let stats_violations m = stats_violations_of (M.stats m) ~live:(M.live_cells m)
+let stats_violations m =
+  stats_violations_of (M.stats m) ~live:(M.live_cells m) ~free:(M.free_cells m)
+    ~used:(M.used_cells m)
 
 let vm_stats_violations m =
-  stats_violations_of (Backend.Vm.stats m) ~live:(Backend.Vm.live_cells m)
+  let module V = Backend.Vm in
+  stats_violations_of (V.stats m) ~live:(V.live_cells m) ~free:(V.free_cells m)
+    ~used:(V.used_cells m)
 
 (* ---- comparison ------------------------------------------------------------ *)
 

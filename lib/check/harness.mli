@@ -8,9 +8,11 @@
     and all outcomes are compared.  A run stopped by a resource limit
     ({!Runtime.Machine.Out_of_memory}/[Out_of_fuel]) proves nothing and
     is accepted; a crash or a different answer where the reference
-    produced a value is a soundness divergence.  After every machine run
-    the {!Runtime.Stats} counters are checked against the store's
-    bookkeeping identities ([live = allocs - swept - arena_freed], ...).
+    produced a value is a soundness divergence.  After every run on
+    either backend the {!Runtime.Stats} counters and the store are
+    checked against the bookkeeping identities
+    ([live = allocs - swept - arena_freed],
+    [live + free-list length = bump pointer], ...).
 
     On a divergence the offending program is greedily minimized with
     {!Shrink} and reported as a {!counterexample}. *)
@@ -81,8 +83,10 @@ val run_vm :
     abort the oracle, not masquerade as a program crash. *)
 
 val stats_violations : Runtime.Machine.t -> string list
-(** Violated bookkeeping identities of the machine's counters, empty
-    when consistent. *)
+(** Violated bookkeeping identities of the machine's counters and
+    store, empty when consistent.  One of them, [live + free-list length
+    = bump pointer], catches a freed cell the allocator lost, which the
+    differential comparison cannot: both backends would lose it alike. *)
 
 val vm_stats_violations : Backend.Vm.t -> string list
 (** The same identities over a VM run's counters. *)
