@@ -111,7 +111,7 @@ type code = { funcs : func array; entry : func; report : Closure.report }
 let report (c : code) = c.report
 
 exception Error of string
-exception Out_of_memory
+exception Out_of_memory = H.Out_of_memory
 exception Out_of_fuel
 exception Internal of string
 
@@ -236,6 +236,14 @@ let dropping_root ~fname ~pc ~reg k =
   dropped_root := Some (fname, pc, reg, hits);
   let v = Fun.protect ~finally:(fun () -> dropped_root := None) k in
   (v, !hits)
+
+(* with [true], a return leaves the collector's mark above the caller,
+   for [keeping_mark_on_return] *)
+let return_keeps_mark = ref false
+
+let keeping_mark_on_return k =
+  return_keeps_mark := true;
+  Fun.protect ~finally:(fun () -> return_keeps_mark := false) k
 
 let compile_prog (p : Closure.prog) : code =
   let compiled = Array.make (Array.length p.Closure.funs) None in
@@ -438,17 +446,32 @@ type frame = {
   regs : value array;
   env : value array;
   dst : int;  (** caller register receiving the return value *)
+  caller : frame;  (** the frame a return resumes; [bottom] under the entry *)
+  depth : int;  (** active frames below this one *)
 }
+
+let rec bottom =
+  {
+    func = { fid = -2; fname = "bottom"; arity = 0; nregs = 0; nenv = 0; code = [||]; roots = [||] };
+    pc = 0;
+    regs = [||];
+    env = [||];
+    dst = -1;
+    caller = bottom;
+    depth = -1;
+  }
 
 type t = {
   heap : value H.t;
-  grow : bool;
   check_arenas : bool;
   stats : Stats.t;
   chaos : chaos;
   mutable rng : int;
   mutable fuel : int;  (** -1 = unlimited *)
-  mutable frames : frame list;  (** head = current *)
+  mutable top : frame;  (** the current frame, stored at each allocation *)
+  mutable low : int;
+      (** the lowest depth that ran since the last collection: a frame
+          below it still holds what the last collection saw *)
   arena_stacks : (int, value H.arena list) Hashtbl.t;
   mutable marked_closures : clos list;
 }
@@ -477,14 +500,14 @@ let create ?(heap_size = 4096) ?(grow = true) ?(check_arenas = false) ?fuel
     | Clos _ | Slotv _ -> H.Funval
   in
   {
-    heap = H.create ~heap_size ~config ~nil:Nil ~scrub ~kind_of ~stats ();
-    grow;
+    heap = H.create ~heap_size ~grow ~chaos_period:chaos.gc_period ~config ~nil:Nil ~scrub ~kind_of ~stats ();
     check_arenas;
     stats;
     chaos;
     rng = chaos.chaos_seed lxor 0x2545F4914F6CDD1D;
     fuel = (match fuel with Some f -> f | None -> -1);
-    frames = [];
+    top = bottom;
+    low = 0;
     arena_stacks = Hashtbl.create 8;
     marked_closures = [];
   }
@@ -549,12 +572,23 @@ let rec mark m ~stop_old v =
 (* a stopped frame sits on the safepoint it last executed *)
 let live_regs fr = fr.func.roots.(fr.pc - 1)
 
+(* A minor collection marks only the frames at or above [m.low].  One
+   below it has not run since the last collection, so its registers and
+   environment hold what that collection saw, and every young cell they
+   reached was promoted then; an old cell reaches a younger one only
+   through the remembered sets.  The frame at [m.low] is included: the
+   return that lowered the mark wrote into it. *)
 let mark_roots m ~stop_old =
-  List.iter
-    (fun fr ->
+  let floor = if stop_old then m.low else 0 in
+  let rec go fr =
+    if fr.depth >= floor then begin
       IS.iter (fun r -> mark m ~stop_old fr.regs.(r)) (live_regs fr);
-      Array.iter (mark m ~stop_old) fr.env)
-    m.frames
+      Array.iter (mark m ~stop_old) fr.env;
+      go fr.caller
+    end
+  in
+  go m.top;
+  m.low <- m.top.depth
 
 let unmark_closures m =
   List.iter (fun c -> c.cmark <- false) m.marked_closures;
@@ -602,61 +636,8 @@ let current_arena m = function
       | Some (a :: _) -> Some a
       | Some [] | None -> error "cons targets arena %d, but no such arena is open" sid)
 
-(* identical policy to the machine's allocator: chaos collections at
-   pseudo-random points, arena resolution, the nursery threshold,
-   free-list reuse, collection on exhaustion, growth or Out_of_memory *)
-let alloc_cell m target hd tl =
-  let h = m.heap in
-  let cfg = H.config h in
-  let gen = H.is_generational h in
-  if m.chaos.gc_period > 0 && chaos_draw m mod m.chaos.gc_period = 0 then begin
-    m.stats.Stats.chaos_gcs <- m.stats.Stats.chaos_gcs + 1;
-    if gen && chaos_draw m mod 4 <> 0 then minor_collect m else collect m
-  end;
-  let arena = if cfg.H.regions then current_arena m target else None in
-  let where =
-    match target with
-    | Ir.Pretenured when gen && cfg.H.pretenure && arena = None -> H.Old
-    | _ -> H.Young
-  in
-  (if gen && arena = None && where = H.Young
-   && H.young_count h >= max 1 cfg.H.nursery
-   then minor_collect m);
-  let addr =
-    match H.take_free h with
-    | Some a -> a
-    | None -> (
-        match H.bump h with
-        | Some a -> a
-        | None ->
-            if arena <> None then begin
-              H.grow_store h;
-              Option.get (H.bump h)
-            end
-            else begin
-              if gen && H.young_count h > 0 then begin
-                minor_collect m;
-                if not (H.has_free h) then collect m
-              end
-              else collect m;
-              match H.take_free h with
-              | Some a -> a
-              | None ->
-                  if m.grow then begin
-                    H.grow_store h;
-                    Option.get (H.bump h)
-                  end
-                  else raise Out_of_memory
-            end)
-  in
-  let c = H.get h addr in
-  c.H.car <- hd;
-  c.H.cdr <- tl;
-  H.register h addr (match arena with Some ar -> H.In_arena ar | None -> where);
-  (match (arena, where) with
-  | Some _, _ | None, H.Old -> H.barrier h addr
-  | None, _ -> ());
-  addr
+let hooks = { H.minor = minor_collect; major = collect; draw = chaos_draw; arena = current_arena }
+let alloc_cell m target hd tl = H.alloc m.heap hooks m target hd tl
 
 (* ---- primitives ----------------------------------------------------------- *)
 
@@ -858,18 +839,26 @@ let[@inline] regfile n =
   | 8 -> [| z; z; z; z; z; z; z; z |]
   | n -> Array.make n z
 
-(* the frame a call of [c] enters; the caller fills the parameter
-   registers in place *)
-let callee_frame funcs (c : clos) ~dst =
+(* the frame a call of [c] enters above [caller]; the caller fills the
+   parameter registers in place *)
+let callee_frame funcs (c : clos) ~dst ~caller =
   if c.fn < 0 || c.fn >= Array.length funcs then
     internal "call of unknown function %d" c.fn;
   let f = funcs.(c.fn) in
-  { func = f; pc = 0; regs = regfile (Int.max f.nregs f.arity); env = c.env; dst }
+  {
+    func = f;
+    pc = 0;
+    regs = regfile (Int.max f.nregs f.arity);
+    env = c.env;
+    dst;
+    caller;
+    depth = caller.depth + 1;
+  }
 
 (* a known call: the argument row is loaded left to right from the
    caller's operands straight into the callee's registers *)
-let known_frame funcs fr (c : clos) (az : opnd array) ~dst =
-  let callee = callee_frame funcs c ~dst in
+let known_frame funcs fr (c : clos) (az : opnd array) ~dst ~caller =
+  let callee = callee_frame funcs c ~dst ~caller in
   let f = callee.func in
   if Array.length az <> f.arity then
     internal "function %s/%d called with %d arguments" f.fname f.arity
@@ -886,21 +875,16 @@ let rec fill_args regs k a = function
       fill_args regs (k + 1) a rest
 
 (* a generic application completing [c]'s arguments with [a] *)
-let saturated_frame funcs (c : clos) a ~dst =
-  let callee = callee_frame funcs c ~dst in
+let saturated_frame funcs (c : clos) a ~dst ~caller =
+  let callee = callee_frame funcs c ~dst ~caller in
   fill_args callee.regs 0 a c.pap;
   callee
-
-let enter m (c : clos) callee ~tail =
-  note_hints m c callee;
-  if tail then m.frames <- callee :: List.tl m.frames
-  else m.frames <- callee :: m.frames
 
 let extend (c : clos) a =
   Clos { fn = c.fn; env = c.env; pap = c.pap @ [ a ]; cmark = false; hints = c.hints }
 
 (* leave arena [sid]; with [--check-arenas], first check that no cell
-   of it is reachable from [o] or any frame's roots *)
+   of it is reachable from [o] or the roots of [fr] and its callers *)
 let close_arena m fr sid o =
   let a, stack =
     match Hashtbl.find_opt m.arena_stacks sid with
@@ -909,20 +893,21 @@ let close_arena m fr sid o =
   in
   Hashtbl.replace m.arena_stacks sid stack;
   if m.check_arenas then begin
-    let roots =
-      load fr o
-      :: List.concat_map
-           (fun fr ->
-             IS.fold (fun r acc -> fr.regs.(r) :: acc) (live_regs fr) (Array.to_list fr.env))
-           m.frames
+    let rec frame_roots acc fr =
+      if fr == bottom then acc
+      else
+        frame_roots
+          (IS.fold (fun r acc -> fr.regs.(r) :: acc) (live_regs fr) (Array.to_list fr.env @ acc))
+          fr.caller
     in
+    let roots = load fr o :: frame_roots [] fr in
     if reachable_into_arena m roots a.H.dyn_id then
       error "arena safety violation: a cell of arena %d escapes its scope" sid
   end;
   H.close_arena m.heap a
 
-(* One instruction of frame [fr] (the head of [m.frames]) at [pc] of
-   its [code]; the header's "Dispatch" paragraph says when [fr.pc] is
+(* One instruction of the current frame [fr] at [pc] of its [code]; the
+   header's "Dispatch" paragraph says when [fr.pc] and [m.top] are
    written back. *)
 let rec step m funcs fr code pc =
   tick m;
@@ -956,6 +941,7 @@ let rec step m funcs fr code pc =
       let a = load fr a in
       let b = load fr b in
       fr.pc <- pc + 1;
+      m.top <- fr;
       fr.regs.(d) <- do_alloc m sh al a b;
       step m funcs fr code (pc + 1)
   | Node (d, al, l, x, r) ->
@@ -963,6 +949,7 @@ let rec step m funcs fr code pc =
       let x = load fr x in
       let r = load fr r in
       fr.pc <- pc + 1;
+      m.top <- fr;
       fr.regs.(d) <- do_node m al l x r;
       step m funcs fr code (pc + 1)
   | Dcons (d, c, hd, tl) ->
@@ -987,16 +974,16 @@ let rec step m funcs fr code pc =
       match load fr fo with
       | Clos ({ pap = []; _ } as c) when c.fn = fid ->
           fr.pc <- pc + 1;
-          let callee = known_frame funcs fr c az ~dst:d in
-          enter m c callee ~tail:false;
+          let callee = known_frame funcs fr c az ~dst:d ~caller:fr in
+          note_hints m c callee;
           step m funcs callee callee.func.code 0
       | Clos _ -> internal "known call resolved to the wrong function"
       | v -> error "cannot apply a %s as a function" (type_name v))
   | Tailcall (fid, fo, az) -> (
       match load fr fo with
       | Clos ({ pap = []; _ } as c) when c.fn = fid ->
-          let callee = known_frame funcs fr c az ~dst:fr.dst in
-          enter m c callee ~tail:true;
+          let callee = known_frame funcs fr c az ~dst:fr.dst ~caller:fr.caller in
+          note_hints m c callee;
           step m funcs callee callee.func.code 0
       | Clos _ -> internal "known call resolved to the wrong function"
       | v -> error "cannot apply a %s as a function" (type_name v))
@@ -1006,8 +993,8 @@ let rec step m funcs fr code pc =
       | Clos c ->
           if List.length c.pap + 1 = funcs.(c.fn).arity then begin
             fr.pc <- pc + 1;
-            let callee = saturated_frame funcs c a ~dst:d in
-            enter m c callee ~tail:false;
+            let callee = saturated_frame funcs c a ~dst:d ~caller:fr in
+            note_hints m c callee;
             step m funcs callee callee.func.code 0
           end
           else begin
@@ -1020,12 +1007,12 @@ let rec step m funcs fr code pc =
       match load fr fo with
       | Clos c ->
           if List.length c.pap + 1 = funcs.(c.fn).arity then begin
-            let callee = saturated_frame funcs c a ~dst:fr.dst in
-            enter m c callee ~tail:true;
+            let callee = saturated_frame funcs c a ~dst:fr.dst ~caller:fr.caller in
+            note_hints m c callee;
             step m funcs callee callee.func.code 0
           end
           else (* a partial application is a value: return it *)
-            ret m funcs fr.dst (extend c a)
+            ret m funcs fr (extend c a)
       | v -> error "cannot apply a %s as a function" (type_name v))
   | Jmp t -> step m funcs fr code t
   | Jifnot (o, t) -> (
@@ -1033,7 +1020,7 @@ let rec step m funcs fr code pc =
       | Bool true -> step m funcs fr code (pc + 1)
       | Bool false -> step m funcs fr code t
       | v -> not_a_bool v)
-  | Ret o -> ret m funcs fr.dst (load fr o)
+  | Ret o -> ret m funcs fr (load fr o)
   | Mkslot (d, name) ->
       fr.regs.(d) <- Slotv { sname = name; sv = None };
       step m funcs fr code (pc + 1)
@@ -1058,23 +1045,31 @@ let rec step m funcs fr code pc =
       end;
       step m funcs fr code (pc + 1)
 
-(* return [v] into register [dst] of the caller, or end the run *)
-and ret m funcs dst v =
-  match m.frames with
-  | _ :: (caller :: _ as callers) ->
-      m.frames <- callers;
-      caller.regs.(dst) <- v;
-      step m funcs caller caller.func.code caller.pc
-  | [ _ ] ->
-      m.frames <- [];
-      v
-  | [] -> internal "no active frame"
+(* return [v] from [fr] into its caller, or end the run; the caller now
+   differs from what the last collection saw, so the mark drops to it *)
+and ret m funcs fr v =
+  let caller = fr.caller in
+  if caller == bottom then v
+  else begin
+    if caller.depth < m.low && not !return_keeps_mark then m.low <- caller.depth;
+    caller.regs.(fr.dst) <- v;
+    step m funcs caller caller.func.code caller.pc
+  end
 
 let exec m (code : code) : value =
   let entry =
-    { func = code.entry; pc = 0; regs = regfile code.entry.nregs; env = [||]; dst = -1 }
+    {
+      func = code.entry;
+      pc = 0;
+      regs = regfile code.entry.nregs;
+      env = [||];
+      dst = -1;
+      caller = bottom;
+      depth = 0;
+    }
   in
-  m.frames <- [ entry ];
+  m.top <- entry;
+  m.low <- 0;
   step m code.funcs entry entry.func.code 0
 
 let eval m code =

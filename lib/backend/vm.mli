@@ -120,3 +120,9 @@ val dropping_root :
     (["entry"] for the entry sequence) that holds it there, and returns
     the thunk's result with the number of masks that lost the register.
     A mask missing a live register must make the chaos oracle diverge. *)
+
+val keeping_mark_on_return : (unit -> 'a) -> 'a
+(** For tests only: runs the thunk while a return leaves the minor
+    collector's low-water mark where it was, so a minor collection skips
+    a caller that a return has just written into.  The chaos oracle must
+    diverge. *)

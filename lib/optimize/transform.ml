@@ -50,8 +50,7 @@ let optimize_with t options (surface : Nml.Surface.t) =
       let alias =
         (* the sharing solver runs over the same (monomorphized) program
            the escape solver saw; Reuse takes the max of both judgments *)
-        if options.alias_reuse then
-          Some (Framework.Alias.Solver.make (Nml.Infer.infer_program surface))
+        if options.alias_reuse then Some (Framework.Alias.Solver.make (Fix.program t))
         else None
       in
       let p, m, r = Reuse.apply ?alias t surface in

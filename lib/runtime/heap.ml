@@ -64,6 +64,8 @@ type 'w t = {
   mutable free_head : int;  (* intrusive free list, -1 when empty *)
   mutable live : int;
   config : config;
+  grow : bool;
+  chaos_period : int;
   nil : 'w;
   scrub : 'w cell -> unit;
   kind_of : 'w -> kind;
@@ -87,7 +89,8 @@ let fresh_cell nil =
     link = -1;
   }
 
-let create ?(heap_size = 4096) ~config ~nil ~scrub ~kind_of ~stats () =
+let create ?(heap_size = 4096) ~grow ~chaos_period ~config ~nil ~scrub ~kind_of ~stats
+    () =
   stats.Stats.heap_capacity <- heap_size;
   stats.Stats.generational <- config.policy = Generational;
   {
@@ -96,6 +99,8 @@ let create ?(heap_size = 4096) ~config ~nil ~scrub ~kind_of ~stats () =
     free_head = -1;
     live = 0;
     config;
+    grow;
+    chaos_period;
     nil;
     scrub;
     kind_of;
@@ -118,39 +123,41 @@ let free_length h =
   go h.free_head 0
 let config h = h.config
 let is_generational h = h.config.policy = Generational
-let young_count h = h.young
 let remembered_size h = Hashtbl.length h.transient + Hashtbl.length h.sticky
 
 (* ---- allocation ---------------------------------------------------------- *)
 
 type 'w where = Young | Old | In_arena of 'w arena
 
+exception Out_of_memory
+
+(* the free list's head, popped, or -1 *)
 let take_free h =
-  if h.free_head < 0 then None
-  else begin
-    let a = h.free_head in
-    h.free_head <- h.cells.(a).link;
-    Some a
-  end
+  let a = h.free_head in
+  if a >= 0 then h.free_head <- h.cells.(a).link;
+  a
 
-let has_free h = h.free_head >= 0
-
-let bump h =
-  if h.next < Array.length h.cells then begin
-    let a = h.next in
+(* a free cell, else a never-used one, else -1 *)
+let take_free_or_bump h =
+  let a = take_free h in
+  if a >= 0 then a
+  else if h.next < Array.length h.cells then begin
     h.next <- h.next + 1;
-    Some a
+    h.next - 1
   end
-  else None
+  else -1
 
-let grow_store h =
+(* double the store and hand out its first new cell *)
+let grow_and_bump h =
   let old = h.cells in
   let cap = Array.length old in
   let bigger =
     Array.init (2 * cap) (fun i -> if i < cap then old.(i) else fresh_cell h.nil)
   in
   h.cells <- bigger;
-  h.stats.Stats.heap_capacity <- 2 * cap
+  h.stats.Stats.heap_capacity <- 2 * cap;
+  h.next <- h.next + 1;
+  h.next - 1
 
 let register h addr where =
   let c = h.cells.(addr) in
@@ -226,6 +233,68 @@ let iter_remembered h f =
   Hashtbl.iter (fun a () -> if not (Hashtbl.mem h.transient a) then f a) h.sticky
 
 let clear_transient h = Hashtbl.reset h.transient
+
+(* ---- the allocator --------------------------------------------------------- *)
+
+type ('m, 'w) hooks = {
+  minor : 'm -> unit;
+  major : 'm -> unit;
+  draw : 'm -> int;
+  arena : 'm -> Ir.alloc -> 'w arena option;
+}
+
+(* claim [addr] for a cell of [hd] and [tl]; an old or arena-resident
+   cell may be born holding young references *)
+let init h addr hd tl where =
+  let c = h.cells.(addr) in
+  assert c.free;
+  c.car <- hd;
+  c.cdr <- tl;
+  register h addr where;
+  match where with Young -> () | Old | In_arena _ -> barrier h addr
+
+let alloc h k m target hd tl =
+  let cfg = h.config in
+  let gen = match cfg.policy with Generational -> true | Legacy -> false in
+  (* gc chaos: force a collection at pseudo-random allocation points, so
+     any value the evaluator failed to root is swept out from under it;
+     generational runs force mostly minor collections, with an
+     occasional major, so both paths see mid-region interruptions *)
+  if h.chaos_period > 0 && k.draw m mod h.chaos_period = 0 then begin
+    h.stats.Stats.chaos_gcs <- h.stats.Stats.chaos_gcs + 1;
+    if gen && k.draw m mod 4 <> 0 then k.minor m else k.major m
+  end;
+  match if cfg.regions then k.arena m target else None with
+  | Some ar ->
+      (* arena allocation models stack / local-heap storage: it never
+         triggers a collection, the store just grows *)
+      let a = take_free_or_bump h in
+      let a = if a >= 0 then a else grow_and_bump h in
+      init h a hd tl (In_arena ar);
+      a
+  | None ->
+      let old =
+        match target with Ir.Pretenured -> gen && cfg.pretenure | Ir.Heap | Ir.Arena _ -> false
+      in
+      (* the nursery threshold: collect it before it overflows *)
+      if gen && (not old) && h.young >= Int.max 1 cfg.nursery then k.minor m;
+      let a = take_free_or_bump h in
+      let a =
+        if a >= 0 then a
+        else begin
+          (* an exhausted store: collect, then retry; generational heaps
+             try a nursery collection before resorting to a full one *)
+          if gen && h.young > 0 then begin
+            k.minor m;
+            if h.free_head < 0 then k.major m
+          end
+          else k.major m;
+          let a = take_free h in
+          if a >= 0 then a else if h.grow then grow_and_bump h else raise Out_of_memory
+        end
+      in
+      init h a hd tl (if old then Old else Young);
+      a
 
 (* ---- reclamation --------------------------------------------------------- *)
 

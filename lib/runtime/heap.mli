@@ -97,6 +97,8 @@ type 'w t
 
 val create :
   ?heap_size:int ->
+  grow:bool ->
+  chaos_period:int ->
   config:config ->
   nil:'w ->
   scrub:('w cell -> unit) ->
@@ -121,36 +123,36 @@ val free_length : 'w t -> int
 val is_generational : 'w t -> bool
 (** [config.policy = Generational]. *)
 
-val young_count : 'w t -> int
-(** Cells currently on the nursery chain (0 under legacy policy). *)
-
 val remembered_size : 'w t -> int
 (** Transient + sticky remembered-set entries. *)
 
 (** {2 Allocation} *)
 
-type 'w where =
-  | Young  (** the nursery (legacy policy: the flat heap) *)
-  | Old  (** pretenured straight into the old generation *)
-  | In_arena of 'w arena
+exception Out_of_memory
 
-val take_free : 'w t -> int option
-(** Pop the intrusive free list. *)
+(** What the allocator needs from the backend that owns the heap ['m]:
+    its two collectors, the draw of its chaos PRNG, and the open arena
+    an [Ir.alloc] target names. *)
+type ('m, 'w) hooks = {
+  minor : 'm -> unit;
+  major : 'm -> unit;
+  draw : 'm -> int;
+  arena : 'm -> Ir.alloc -> 'w arena option;
+}
 
-val has_free : 'w t -> bool
-(** Whether the free list is non-empty; pops nothing. *)
-
-val bump : 'w t -> int option
-(** Advance the bump pointer, if the store has never-used cells left. *)
-
-val grow_store : 'w t -> unit
-(** Double the store (updates [Stats.heap_capacity]). *)
-
-val register : 'w t -> int -> 'w where -> unit
-(** Claim address for a new cell: clears [free], sets generation and
-    arena id, threads the right intrusive chain, and bumps the
-    allocation counters ([heap_allocs]/[arena_allocs], [pretenured],
-    [peak_live]).  The caller has already written [car]/[cdr]. *)
+val alloc : 'w t -> ('m, 'w) hooks -> 'm -> Ir.alloc -> 'w -> 'w -> int
+(** [alloc h k m target hd tl] returns the address of a new cell holding
+    [hd] and [tl], with the one allocation policy both backends share:
+    under chaos ([chaos_period > 0]) a forced collection at
+    pseudo-random points; the arena [k.arena] resolves (when regions are
+    on) or else the old generation for a pretenured target or the
+    nursery, collected first when it holds [nursery] cells; the free
+    list, then the bump pointer; on an exhausted store a collection
+    (minor first when the nursery is not empty), then growth or
+    {!Out_of_memory} ([grow:false]).  An arena allocation never
+    collects: the store grows.  The cell is registered with the
+    allocation counters, and an old or arena cell goes through the
+    write barrier. *)
 
 (** {2 Write barrier} *)
 

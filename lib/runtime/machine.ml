@@ -39,13 +39,17 @@ type chaos = {
   chaos_seed : int;  (** seed of the deterministic fault-injection PRNG *)
 }
 
+(* A stack of collector roots, top first.  [low] is the lowest index
+   popped down to since the last collection (which resets it to the top
+   index): an entry below it has not changed since that collection. *)
+type 'a roots = { mutable items : 'a list; mutable len : int; mutable low : int }
+
 type t = {
   heap : word H.t;
-  grow : bool;
   check_arenas : bool;
   stats : Stats.t;
-  mutable shadow : word list;  (** explicit GC root stack *)
-  mutable env_stack : env list;  (** environments of active frames *)
+  shadow : word roots;  (** words in flight between evaluation steps *)
+  env_stack : env roots;  (** environments of active frames *)
   arena_stacks : (int, word H.arena list) Hashtbl.t;
       (** static id -> dynamic arenas *)
   mutable marked_closures : closure list;
@@ -55,7 +59,7 @@ type t = {
 }
 
 exception Error of string
-exception Out_of_memory
+exception Out_of_memory = H.Out_of_memory
 exception Out_of_fuel
 
 let error fmt = Format.kasprintf (fun msg -> raise (Error msg)) fmt
@@ -94,12 +98,11 @@ let create ?(heap_size = 4096) ?(grow = true) ?(check_arenas = false) ?fuel
         H.Funval
   in
   {
-    heap = H.create ~heap_size ~config ~nil:Wnil ~scrub ~kind_of ~stats ();
-    grow;
+    heap = H.create ~heap_size ~grow ~chaos_period:chaos.gc_period ~config ~nil:Wnil ~scrub ~kind_of ~stats ();
     check_arenas;
     stats;
-    shadow = [];
-    env_stack = [];
+    shadow = { items = []; len = 0; low = 0 };
+    env_stack = { items = []; len = 0; low = 0 };
     arena_stacks = Hashtbl.create 8;
     marked_closures = [];
     fuel = (match fuel with Some f -> f | None -> -1);
@@ -118,8 +121,19 @@ let tick m =
   if m.fuel = 0 then raise Out_of_fuel;
   if m.fuel > 0 then m.fuel <- m.fuel - 1
 
-let push m w = m.shadow <- w :: m.shadow
-let pop m = m.shadow <- List.tl m.shadow
+let push_root s x =
+  s.items <- x :: s.items;
+  s.len <- s.len + 1
+
+(* the new top is included: a letrec fills its slots in the environment
+   on top of [env_stack] once the right-hand side has popped back to it *)
+let pop_root s =
+  s.items <- List.tl s.items;
+  s.len <- s.len - 1;
+  if s.len - 1 < s.low then s.low <- s.len - 1
+
+let push m w = push_root m.shadow w
+let pop m = pop_root m.shadow
 
 (* the 48-bit LCG of java.util.Random; the low bits are weak, so draws
    use the high 32 *)
@@ -174,6 +188,25 @@ and mark_env m ~stop_old env =
       | Slot { contents = None } -> ())
     env
 
+(* A minor collection marks only the entries at or above [low].  One
+   below it still holds what the last collection marked, so every young
+   cell it reached was promoted then, and an old cell reaches a younger
+   one only through the remembered sets.  A major collection marks every
+   entry; either kind resets [low] to the top. *)
+let mark_roots m ~stop_old =
+  let rec go mark n = function
+    | x :: rest when n > 0 ->
+        mark x;
+        go mark (n - 1) rest
+    | _ -> ()
+  in
+  let scan mark s =
+    go mark (if stop_old then s.len - s.low else s.len) s.items;
+    s.low <- s.len - 1
+  in
+  scan (mark_with m ~stop_old) m.shadow;
+  scan (mark_env m ~stop_old) m.env_stack
+
 let unmark_closures m =
   List.iter (fun c -> c.cmark <- false) m.marked_closures;
   m.marked_closures <- []
@@ -186,8 +219,7 @@ let collect m =
   m.stats.Stats.gc_runs <- m.stats.Stats.gc_runs + 1;
   if H.is_generational m.heap then
     m.stats.Stats.major_gcs <- m.stats.Stats.major_gcs + 1;
-  List.iter (mark_with m ~stop_old:false) m.shadow;
-  List.iter (mark_env m ~stop_old:false) m.env_stack;
+  mark_roots m ~stop_old:false;
   H.sweep_all m.heap;
   unmark_closures m;
   let cells =
@@ -204,8 +236,7 @@ let minor_collect m =
   let scanned = H.remembered_size m.heap in
   m.stats.Stats.gc_runs <- m.stats.Stats.gc_runs + 1;
   m.stats.Stats.minor_gcs <- m.stats.Stats.minor_gcs + 1;
-  List.iter (mark_with m ~stop_old:true) m.shadow;
-  List.iter (mark_env m ~stop_old:true) m.env_stack;
+  mark_roots m ~stop_old:true;
   H.iter_remembered m.heap (fun a ->
       let c = H.get m.heap a in
       if not c.H.free then begin
@@ -231,72 +262,8 @@ let current_arena m = function
       | Some (a :: _) -> Some a
       | Some [] | None -> error "cons targets arena %d, but no such arena is open" sid)
 
-let alloc_cell m target hd tl =
-  let h = m.heap in
-  let cfg = H.config h in
-  let gen = H.is_generational h in
-  (* gc chaos: force a collection at pseudo-random allocation points, so
-     any value the evaluator failed to root is swept out from under it;
-     generational runs force mostly minor collections, with an
-     occasional major, so both paths see mid-region interruptions *)
-  if m.chaos.gc_period > 0 && chaos_draw m mod m.chaos.gc_period = 0 then begin
-    m.stats.Stats.chaos_gcs <- m.stats.Stats.chaos_gcs + 1;
-    if gen && chaos_draw m mod 4 <> 0 then minor_collect m else collect m
-  end;
-  let arena = if cfg.H.regions then current_arena m target else None in
-  let where =
-    match target with
-    | Ir.Pretenured when gen && cfg.H.pretenure && arena = None -> H.Old
-    | _ -> H.Young
-  in
-  (* the nursery threshold: collect it before it overflows *)
-  (if gen && arena = None && where = H.Young
-   && H.young_count h >= max 1 cfg.H.nursery
-  then minor_collect m);
-  let addr =
-    match H.take_free h with
-    | Some a -> a
-    | None -> (
-        match H.bump h with
-        | Some a -> a
-        | None ->
-            if arena <> None then begin
-              (* arena allocation models stack / local-heap storage: it
-                 never triggers a collection, the store just grows *)
-              H.grow_store h;
-              Option.get (H.bump h)
-            end
-            else begin
-              (* heap allocation with an exhausted store: collect, then
-                 retry; generational heaps try a nursery collection
-                 before resorting to a full one *)
-              if gen && H.young_count h > 0 then begin
-                minor_collect m;
-                if not (H.has_free h) then collect m
-              end
-              else collect m;
-              match H.take_free h with
-              | Some a -> a
-              | None ->
-                  if m.grow then begin
-                    H.grow_store h;
-                    Option.get (H.bump h)
-                  end
-                  else raise Out_of_memory
-            end)
-  in
-  let c = H.get h addr in
-  assert c.H.free;
-  c.H.car <- hd;
-  c.H.cdr <- tl;
-  H.register h addr
-    (match arena with Some ar -> H.In_arena ar | None -> where);
-  (* init barrier: an old or arena-resident cell may be born holding
-     young references *)
-  (match (arena, where) with
-  | Some _, _ | None, H.Old -> H.barrier h addr
-  | None, _ -> ());
-  Wptr addr
+let hooks = { H.minor = minor_collect; major = collect; draw = chaos_draw; arena = current_arena }
+let alloc_cell m target hd tl = Wptr (H.alloc m.heap hooks m target hd tl)
 
 (* ---- primitives ---------------------------------------------------------- *)
 
@@ -459,7 +426,7 @@ let rec eval_ir m env (e : Ir.expr) : word =
       let env' =
         List.fold_left (fun env (x, slot) -> Env.add x (Slot slot) env) env slots
       in
-      m.env_stack <- env' :: m.env_stack;
+      push_root m.env_stack env';
       List.iter2
         (fun (x, rhs) (_, slot) ->
           let v = eval_ir m env' rhs in
@@ -467,7 +434,7 @@ let rec eval_ir m env (e : Ir.expr) : word =
           slot := Some v)
         bs slots;
       let v = eval_ir m env' body in
-      m.env_stack <- List.tl m.env_stack;
+      pop_root m.env_stack;
       v
   | Ir.WithArena (kind, sid, body) ->
       if not (H.config m.heap).H.regions then
@@ -482,7 +449,9 @@ let rec eval_ir m env (e : Ir.expr) : word =
         let v = eval_ir m env body in
         Hashtbl.replace m.arena_stacks sid stack;
         if m.check_arenas then begin
-          let roots = (v :: m.shadow) @ List.concat_map env_words m.env_stack in
+          let roots =
+            (v :: m.shadow.items) @ List.concat_map env_words m.env_stack.items
+          in
           if reachable_into_arena m roots a.H.dyn_id then
             error "arena safety violation: a cell of arena %d escapes its scope" sid
         end;
@@ -536,9 +505,9 @@ and apply m vf va =
                m.stats.Stats.hints_accepted <- m.stats.Stats.hints_accepted + 1
            | _ -> ());
         let env' = Env.add param (Ready va) cenv in
-        m.env_stack <- env' :: m.env_stack;
+        push_root m.env_stack env';
         let r = eval_ir m env' body in
-        m.env_stack <- List.tl m.env_stack;
+        pop_root m.env_stack;
         (* under currying, hint [i] of this closure is hint [i-1] of
            the closure its body returns — propagate only when the body
            is syntactically the next lambda of the same nest *)
