@@ -25,14 +25,24 @@
    mask (and the whole closure environment), so a dead register roots
    nothing.
 
+   Frames: each frame links to its caller and knows its depth, so the
+   active frames are the chain from the current one down; a call builds
+   the callee on top and a return resumes the caller.  [m.low] is the
+   lowest depth that ran since the last collection: a return lowers it
+   to the caller's depth, and any collection resets it to the current
+   frame.  A minor collection walks only the frames at or above it (the
+   generational stack collection of Cheng, Harper and Lee), so an
+   n-deep recursion no longer rescans all n frames per nursery; a major
+   collection walks them all.
+
    Dispatch: the loop is a tail-recursive [step] that carries the
    current frame, its code array and its pc, so an instruction reads no
    machine state to find itself.  The pc is written back to the frame
    only where something reads it: before [Alloc], [Node] and
    [Closearena] (the collector and the arena walk read the mask at
-   [pc - 1]) and before [Call] and [Apply] (the return point).
-   [m.frames] is still pushed on every call and popped on every return,
-   so the collector sees every active frame.  Operand loads are inlined,
+   [pc - 1]) and before [Call] and [Apply] (the return point).  [Alloc]
+   and [Node] also store the frame in [m.top], where the collector
+   starts its walk.  Operand loads are inlined,
    the hot primitives ([car]/[cdr]/[null] of a list, integer [+], [-],
    [<], [<=], [=]) are decoded in the dispatch match and everything
    else falls through to [delta1]/[delta2], constants are shared
@@ -452,7 +462,8 @@ type frame = {
 
 let rec bottom =
   {
-    func = { fid = -2; fname = "bottom"; arity = 0; nregs = 0; nenv = 0; code = [||]; roots = [||] };
+    func =
+      { fid = -2; fname = "bottom"; arity = 0; nregs = 0; nenv = 0; code = [||]; roots = [||] };
     pc = 0;
     regs = [||];
     env = [||];
@@ -500,7 +511,9 @@ let create ?(heap_size = 4096) ?(grow = true) ?(check_arenas = false) ?fuel
     | Clos _ | Slotv _ -> H.Funval
   in
   {
-    heap = H.create ~heap_size ~grow ~chaos_period:chaos.gc_period ~config ~nil:Nil ~scrub ~kind_of ~stats ();
+    heap =
+      H.create ~heap_size ~grow ~chaos_period:chaos.gc_period ~config ~nil:Nil ~scrub
+        ~kind_of ~stats ();
     check_arenas;
     stats;
     chaos;
@@ -577,7 +590,8 @@ let live_regs fr = fr.func.roots.(fr.pc - 1)
    environment hold what that collection saw, and every young cell they
    reached was promoted then; an old cell reaches a younger one only
    through the remembered sets.  The frame at [m.low] is included: the
-   return that lowered the mark wrote into it. *)
+   return that lowered the mark wrote into it.  Either kind of
+   collection leaves the mark at the current frame. *)
 let mark_roots m ~stop_old =
   let floor = if stop_old then m.low else 0 in
   let rec go fr =
@@ -636,7 +650,9 @@ let current_arena m = function
       | Some (a :: _) -> Some a
       | Some [] | None -> error "cons targets arena %d, but no such arena is open" sid)
 
-let hooks = { H.minor = minor_collect; major = collect; draw = chaos_draw; arena = current_arena }
+let hooks =
+  { H.minor = minor_collect; major = collect; draw = chaos_draw; arena = current_arena }
+
 let alloc_cell m target hd tl = H.alloc m.heap hooks m target hd tl
 
 (* ---- primitives ----------------------------------------------------------- *)
@@ -896,9 +912,8 @@ let close_arena m fr sid o =
     let rec frame_roots acc fr =
       if fr == bottom then acc
       else
-        frame_roots
-          (IS.fold (fun r acc -> fr.regs.(r) :: acc) (live_regs fr) (Array.to_list fr.env @ acc))
-          fr.caller
+        let acc = Array.to_list fr.env @ acc in
+        frame_roots (IS.fold (fun r acc -> fr.regs.(r) :: acc) (live_regs fr) acc) fr.caller
     in
     let roots = load fr o :: frame_roots [] fr in
     if reachable_into_arena m roots a.H.dyn_id then
@@ -1046,12 +1061,15 @@ let rec step m funcs fr code pc =
       step m funcs fr code (pc + 1)
 
 (* return [v] from [fr] into its caller, or end the run; the caller now
-   differs from what the last collection saw, so the mark drops to it *)
+   differs from what the last collection saw, so the mark drops to it.
+   [m.top] moves down too, so that it never keeps a dead chain of
+   frames alive. *)
 and ret m funcs fr v =
   let caller = fr.caller in
   if caller == bottom then v
   else begin
     if caller.depth < m.low && not !return_keeps_mark then m.low <- caller.depth;
+    if fr == m.top then m.top <- caller;
     caller.regs.(fr.dst) <- v;
     step m funcs caller caller.func.code caller.pc
   end

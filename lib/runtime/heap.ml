@@ -274,7 +274,9 @@ let alloc h k m target hd tl =
       a
   | None ->
       let old =
-        match target with Ir.Pretenured -> gen && cfg.pretenure | Ir.Heap | Ir.Arena _ -> false
+        match target with
+        | Ir.Pretenured -> gen && cfg.pretenure
+        | Ir.Heap | Ir.Arena _ -> false
       in
       (* the nursery threshold: collect it before it overflows *)
       if gen && (not old) && h.young >= Int.max 1 cfg.nursery then k.minor m;

@@ -1,9 +1,11 @@
-(** The escape-guided cell store underneath {!Machine}.
+(** The escape-guided cell store underneath {!Machine} and the bytecode
+    VM.
 
-    This layer owns storage and reclamation {e policy}; it is
-    word-polymorphic because only {!Machine} knows what a word means.
-    Traversal (marking) stays in the machine, which drives collections
-    through the sweep entry points here.
+    This layer owns storage, allocation and reclamation {e policy}; it
+    is word-polymorphic because only a backend knows what a word means.
+    Traversal (marking) stays in the backends: {!alloc} calls their
+    collectors back, and they drive collections through the sweep entry
+    points here.
 
     Two policies:
 
@@ -106,6 +108,10 @@ val create :
   stats:Stats.t ->
   unit ->
   'w t
+(** With [grow:false], {!alloc} raises {!Out_of_memory} where it would
+    otherwise double the store; [chaos_period > 0] forces a collection
+    at pseudo-random allocation points, on average one every
+    [chaos_period] allocations. *)
 
 val get : 'w t -> int -> 'w cell
 val capacity : 'w t -> int

@@ -39,17 +39,17 @@ type chaos = {
   chaos_seed : int;  (** seed of the deterministic fault-injection PRNG *)
 }
 
-(* A stack of collector roots, top first.  [low] is the lowest index
-   popped down to since the last collection (which resets it to the top
-   index): an entry below it has not changed since that collection. *)
-type 'a roots = { mutable items : 'a list; mutable len : int; mutable low : int }
-
 type t = {
   heap : word H.t;
   check_arenas : bool;
   stats : Stats.t;
-  shadow : word roots;  (** words in flight between evaluation steps *)
-  env_stack : env roots;  (** environments of active frames *)
+  mutable shadow : word list;  (** explicit GC root stack *)
+  mutable env_stack : env list;  (** environments of active frames *)
+  mutable shadow_low : word list;
+  mutable env_low : env list;
+      (** per stack, the suffix at the lowest entry it was popped down to
+          since the last collection (which resets it to the top), or
+          [[]]: the entries below it hold what that collection saw *)
   arena_stacks : (int, word H.arena list) Hashtbl.t;
       (** static id -> dynamic arenas *)
   mutable marked_closures : closure list;
@@ -98,11 +98,15 @@ let create ?(heap_size = 4096) ?(grow = true) ?(check_arenas = false) ?fuel
         H.Funval
   in
   {
-    heap = H.create ~heap_size ~grow ~chaos_period:chaos.gc_period ~config ~nil:Wnil ~scrub ~kind_of ~stats ();
+    heap =
+      H.create ~heap_size ~grow ~chaos_period:chaos.gc_period ~config ~nil:Wnil ~scrub
+        ~kind_of ~stats ();
     check_arenas;
     stats;
-    shadow = { items = []; len = 0; low = 0 };
-    env_stack = { items = []; len = 0; low = 0 };
+    shadow = [];
+    env_stack = [];
+    shadow_low = [];
+    env_low = [];
     arena_stacks = Hashtbl.create 8;
     marked_closures = [];
     fuel = (match fuel with Some f -> f | None -> -1);
@@ -121,19 +125,23 @@ let tick m =
   if m.fuel = 0 then raise Out_of_fuel;
   if m.fuel > 0 then m.fuel <- m.fuel - 1
 
-let push_root s x =
-  s.items <- x :: s.items;
-  s.len <- s.len + 1
+(* A pop that takes the entry at a stack's mark moves the mark to the
+   new top, which is included: a letrec fills its slots in the
+   environment on top of [env_stack] once its right-hand side has popped
+   back to it. *)
+let push m w = m.shadow <- w :: m.shadow
 
-(* the new top is included: a letrec fills its slots in the environment
-   on top of [env_stack] once the right-hand side has popped back to it *)
-let pop_root s =
-  s.items <- List.tl s.items;
-  s.len <- s.len - 1;
-  if s.len - 1 < s.low then s.low <- s.len - 1
+let pop m =
+  let l = m.shadow in
+  m.shadow <- List.tl l;
+  if l == m.shadow_low then m.shadow_low <- m.shadow
 
-let push m w = push_root m.shadow w
-let pop m = pop_root m.shadow
+let push_env m env = m.env_stack <- env :: m.env_stack
+
+let pop_env m =
+  let l = m.env_stack in
+  m.env_stack <- List.tl l;
+  if l == m.env_low then m.env_low <- m.env_stack
 
 (* the 48-bit LCG of java.util.Random; the low bits are weak, so draws
    use the high 32 *)
@@ -188,24 +196,23 @@ and mark_env m ~stop_old env =
       | Slot { contents = None } -> ())
     env
 
-(* A minor collection marks only the entries at or above [low].  One
-   below it still holds what the last collection marked, so every young
-   cell it reached was promoted then, and an old cell reaches a younger
-   one only through the remembered sets.  A major collection marks every
-   entry; either kind resets [low] to the top. *)
+(* A minor collection marks only the entries from the top down to each
+   stack's mark, inclusive.  One below it still holds what the last
+   collection marked, so every young cell it reached was promoted then,
+   and an old cell reaches a younger one only through the remembered
+   sets.  A major collection marks every entry; either kind resets the
+   marks to the tops. *)
 let mark_roots m ~stop_old =
-  let rec go mark n = function
-    | x :: rest when n > 0 ->
+  let rec scan mark low = function
+    | [] -> ()
+    | x :: rest as l ->
         mark x;
-        go mark (n - 1) rest
-    | _ -> ()
+        if not (stop_old && l == low) then scan mark low rest
   in
-  let scan mark s =
-    go mark (if stop_old then s.len - s.low else s.len) s.items;
-    s.low <- s.len - 1
-  in
-  scan (mark_with m ~stop_old) m.shadow;
-  scan (mark_env m ~stop_old) m.env_stack
+  scan (mark_with m ~stop_old) m.shadow_low m.shadow;
+  scan (mark_env m ~stop_old) m.env_low m.env_stack;
+  m.shadow_low <- m.shadow;
+  m.env_low <- m.env_stack
 
 let unmark_closures m =
   List.iter (fun c -> c.cmark <- false) m.marked_closures;
@@ -262,7 +269,9 @@ let current_arena m = function
       | Some (a :: _) -> Some a
       | Some [] | None -> error "cons targets arena %d, but no such arena is open" sid)
 
-let hooks = { H.minor = minor_collect; major = collect; draw = chaos_draw; arena = current_arena }
+let hooks =
+  { H.minor = minor_collect; major = collect; draw = chaos_draw; arena = current_arena }
+
 let alloc_cell m target hd tl = Wptr (H.alloc m.heap hooks m target hd tl)
 
 (* ---- primitives ---------------------------------------------------------- *)
@@ -426,7 +435,7 @@ let rec eval_ir m env (e : Ir.expr) : word =
       let env' =
         List.fold_left (fun env (x, slot) -> Env.add x (Slot slot) env) env slots
       in
-      push_root m.env_stack env';
+      push_env m env';
       List.iter2
         (fun (x, rhs) (_, slot) ->
           let v = eval_ir m env' rhs in
@@ -434,7 +443,7 @@ let rec eval_ir m env (e : Ir.expr) : word =
           slot := Some v)
         bs slots;
       let v = eval_ir m env' body in
-      pop_root m.env_stack;
+      pop_env m;
       v
   | Ir.WithArena (kind, sid, body) ->
       if not (H.config m.heap).H.regions then
@@ -449,9 +458,7 @@ let rec eval_ir m env (e : Ir.expr) : word =
         let v = eval_ir m env body in
         Hashtbl.replace m.arena_stacks sid stack;
         if m.check_arenas then begin
-          let roots =
-            (v :: m.shadow.items) @ List.concat_map env_words m.env_stack.items
-          in
+          let roots = (v :: m.shadow) @ List.concat_map env_words m.env_stack in
           if reachable_into_arena m roots a.H.dyn_id then
             error "arena safety violation: a cell of arena %d escapes its scope" sid
         end;
@@ -505,9 +512,9 @@ and apply m vf va =
                m.stats.Stats.hints_accepted <- m.stats.Stats.hints_accepted + 1
            | _ -> ());
         let env' = Env.add param (Ready va) cenv in
-        push_root m.env_stack env';
+        push_env m env';
         let r = eval_ir m env' body in
-        pop_root m.env_stack;
+        pop_env m;
         (* under currying, hint [i] of this closure is hint [i-1] of
            the closure its body returns — propagate only when the body
            is syntactically the next lambda of the same nest *)

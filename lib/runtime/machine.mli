@@ -10,7 +10,9 @@
       cell instead of allocating.
 
     The machine is deliberately simple — an environment interpreter with
-    an explicit shadow stack for GC roots — because the paper's claims
+    an explicit shadow stack for GC roots (a minor collection rescans
+    only the entries pushed or popped down to since the previous
+    collection) — because the paper's claims
     are about {e counts} (cells allocated, cells the collector must
     touch, reclamation without traversal), which {!Stats} captures
     exactly.

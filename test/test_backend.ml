@@ -20,7 +20,8 @@ let checki = Alcotest.check Alcotest.int
 let surface src = Nml.Surface.of_string src
 let baseline_ir src = Ir.of_program (surface src)
 let opt_ir src = (T.optimize ~options:T.all (surface src)).T.ir
-let pretenured_ir src = (T.optimize ~options:{ T.all with T.pretenure = true } (surface src)).T.ir
+let pretenured_ir src =
+  (T.optimize ~options:{ T.all with T.pretenure = true } (surface src)).T.ir
 
 let vm_run ?(heap = 4096) ?(grow = true) ?(chaos = Vm.no_chaos) ?fuel
     ?(config = Runtime.Heap.legacy) ir =
