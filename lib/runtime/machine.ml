@@ -131,14 +131,14 @@ let tick m =
    back to it. *)
 let push m w = m.shadow <- w :: m.shadow
 
-let pop m =
+let[@inline] pop m =
   let l = m.shadow in
   m.shadow <- List.tl l;
   if l == m.shadow_low then m.shadow_low <- m.shadow
 
 let push_env m env = m.env_stack <- env :: m.env_stack
 
-let pop_env m =
+let[@inline] pop_env m =
   let l = m.env_stack in
   m.env_stack <- List.tl l;
   if l == m.env_low then m.env_low <- m.env_stack
