@@ -796,8 +796,7 @@ let warm_free cold warm =
 (* ---- S1/S2: solver stress ------------------------------------------------------- *)
 
 (* Wide program: a chain of n non-recursive wrappers.  Dependency-driven
-   solving needs exactly one evaluation per definition; the round-robin
-   baseline re-evaluates everything demanded so far on every pass. *)
+   solving needs exactly one evaluation per definition. *)
 let wide_chain_src n =
   let defs =
     List.init n (fun i ->
@@ -835,44 +834,38 @@ let stress_shapes =
 
 (* One cold-start solver run: every [Fix.of_source] owns a fresh private
    solver state, so each run is cold by construction — solve, snapshot
-   the statistics, then time identical runs. *)
-let run_engine ~engine ~demand src =
-  let t = Fix.of_source ~max_iters:1000 ~engine src in
-  demand t;
-  let stats = Fix.stats t in
-  let wall =
-    measure_ns (Fix.engine_name engine) (fun () ->
-        let t = Fix.of_source ~max_iters:1000 ~engine src in
-        demand t)
-  in
-  (stats, wall)
-
+   the statistics, then time identical runs.  Rows keep
+   ["engine": "worklist"]: the committed artifacts also hold rows of a
+   retired engine, and the gate finds this one's by the key. *)
 let stress workload n =
   let _, src_of, entry = List.find (fun (w, _, _) -> w = workload) stress_shapes in
-  let name, inst = entry n in
-  List.map
-    (fun engine ->
-      let s, wall =
-        run_engine ~engine ~demand:(fun t -> ignore (Fix.value t name inst)) (src_of n)
-      in
-      [
-        ("workload", J.Str workload);
-        ("size", J.int n);
-        ("engine", J.Str (Fix.engine_name engine));
-        ("entries", J.int s.Fix.stats_entries);
-        ("evaluations", J.int s.Fix.stats_evaluations);
-        ("passes", J.int s.Fix.stats_passes);
-        ("iterations", J.int s.Fix.stats_iterations);
-        ("sccs", J.int s.Fix.stats_sccs);
-        ("largest_scc", J.int s.Fix.stats_largest_scc);
-        ("cache_hits", J.int s.Fix.stats_cache_hits);
-        ("cache_misses", J.int s.Fix.stats_cache_misses);
-        ("cache_invalidated", J.int s.Fix.stats_cache_invalidated);
-        ("dbound", J.int s.Fix.stats_dbound);
-        ("capped", J.Bool s.Fix.stats_capped);
-        ("wall_ns", ns wall);
-      ])
-    [ Fix.Worklist; Fix.Round_robin ]
+  let src = src_of n and name, inst = entry n in
+  let solve () =
+    let t = Fix.of_source ~max_iters:1000 src in
+    ignore (Fix.value t name inst);
+    t
+  in
+  let s = Fix.stats (solve ()) in
+  let wall = measure_ns "worklist" (fun () -> ignore (solve ())) in
+  [
+    [
+      ("workload", J.Str workload);
+      ("size", J.int n);
+      ("engine", J.Str "worklist");
+      ("entries", J.int s.Fix.stats_entries);
+      ("evaluations", J.int s.Fix.stats_evaluations);
+      ("passes", J.int s.Fix.stats_passes);
+      ("iterations", J.int s.Fix.stats_iterations);
+      ("sccs", J.int s.Fix.stats_sccs);
+      ("largest_scc", J.int s.Fix.stats_largest_scc);
+      ("cache_hits", J.int s.Fix.stats_cache_hits);
+      ("cache_misses", J.int s.Fix.stats_cache_misses);
+      ("cache_invalidated", J.int s.Fix.stats_cache_invalidated);
+      ("dbound", J.int s.Fix.stats_dbound);
+      ("capped", J.Bool s.Fix.stats_capped);
+      ("wall_ns", ns wall);
+    ];
+  ]
 
 let stress_exp =
   {
@@ -885,11 +878,12 @@ let stress_exp =
             "wall_ns" ]);
     invariants =
       [
-        ( "worklist needs strictly fewer entry evaluations on every size",
+        ( "worklist needs strictly fewer entry evaluations than any round-robin row of its size",
           fun rs ->
             every_group [ "size" ] rs (fun g ->
-                pair g "engine" "worklist" "round-robin" (fun w r ->
-                    num "evaluations" w < num "evaluations" r)) );
+                where "engine" "round-robin" g = []
+                || pair g "engine" "worklist" "round-robin" (fun w r ->
+                       num "evaluations" w < num "evaluations" r)) );
       ];
   }
 
@@ -900,6 +894,19 @@ let s1 =
     title = "solver stress -- wide chain of non-recursive definitions";
     points = (fun () -> if !smoke then [ 6; 12 ] else [ 10; 20; 40; 80 ]);
     measure = stress "wide-chain";
+    invariants =
+      stress_exp.invariants
+      @ [
+          (* sizes measured with a round-robin row are history: the
+             comparison above covers them *)
+          ( "worklist evaluates each definition of the chain once",
+            fun rs ->
+              every_group [ "size" ] rs (fun g ->
+                  where "engine" "round-robin" g <> []
+                  || List.for_all
+                       (fun w -> num "evaluations" w = num "size" w)
+                       (where "engine" "worklist" g)) );
+        ];
     gate =
       Some
         {
@@ -1085,71 +1092,36 @@ let s4 =
       ];
   }
 
-(* ---- S5: the analysis framework -- functor overhead and per-analysis caching -------- *)
+(* ---- S5: the analysis framework -- per-analysis caching ----------------------------- *)
 
-(* Part A: the frozen pre-framework escape solver (test/support/
-   legacy_fixpoint.ml, kept verbatim as the differential baseline)
-   against [Framework.Solver.Make (Escape.Espec)] on the two solver
-   stress shapes.  The functorized engine must perform {e exactly} the
-   same entry evaluations -- the test suite proves value equality; the
-   bench records the counts so the artifact can re-assert it -- and its
-   wall overhead is the headline: the aggregate framework/legacy ratio
-   must stay within 1.05x (plus a small absolute noise floor, since a
-   smoke run's workloads are microseconds).
-
-   Part B: every registered analysis (escape, usage, spine-liveness and
-   the reduced product) over the soundness corpus through its own cache
+(* Every registered analysis (escape, usage, spine-liveness and the
+   reduced product) over the soundness corpus through its own cache
    namespace: the cold run solves and writes, the warm rerun must be
-   completely evaluation-free. *)
-type s5_point = Overhead of string * int | Analysis_cache
+   completely evaluation-free.
 
-let s5_measure = function
-  | Overhead (workload, n) ->
-      let _, src_of, entry = List.find (fun (w, _, _) -> w = workload) stress_shapes in
-      let src = src_of n and name, inst = entry n in
-      let legacy () =
-        let t = Legacy_fixpoint.of_source ~max_iters:1000 src in
-        ignore (Legacy_fixpoint.value t name inst);
-        t
-      in
-      let l_ev = Legacy_fixpoint.evaluations (legacy ()) in
-      let l_ns = measure_ns "legacy" (fun () -> ignore (legacy ())) in
-      let f, f_ns =
-        run_engine ~engine:Fix.Worklist
-          ~demand:(fun t -> ignore (Fix.value t name inst))
-          src
+   Committed artifacts also hold [framework-overhead] rows, measured
+   against a frozen pre-framework solver since retired: the functorized
+   solver's evaluations equal the frozen one's, and its aggregate wall
+   time stays within 1.05x of it.  Those invariants hold wherever such
+   rows exist. *)
+let s5_measure () =
+  (* each analysis in its own cache namespace inside one shared store *)
+  with_scratch "s5" @@ fun dir ->
+  let files = builtin_files dir in
+  let store = Cache.Store.create (Filename.concat dir "cache") in
+  List.concat_map
+    (fun (e : Analyses.Registry.entry) ->
+      let cold, warm =
+        cold_warm (fun () ->
+            List.map (fun p -> Analyses.Registry.batch_job e ~store:(Some store) p) files)
       in
       List.map
-        (fun (solver, ev, wall) ->
-          [
-            ("workload", J.Str "framework-overhead");
-            ("shape", J.Str workload);
-            ("solver", J.Str solver);
-            ("size", J.int n);
-            ("evaluations", J.int ev);
-            ("wall_ns", ns wall);
-          ])
-        [ ("legacy", l_ev, l_ns); ("framework", f.Fix.stats_evaluations, f_ns) ]
-  | Analysis_cache ->
-      (* each analysis in its own cache namespace inside one shared store *)
-      with_scratch "s5" @@ fun dir ->
-      let files = builtin_files dir in
-      let store = Cache.Store.create (Filename.concat dir "cache") in
-      List.concat_map
-        (fun (e : Analyses.Registry.entry) ->
-          let cold, warm =
-            cold_warm (fun () ->
-                List.map
-                  (fun p -> Analyses.Registry.batch_job e ~store:(Some store) p)
-                  files)
-          in
-          List.map
-            (fun phase ->
-              ("workload", J.Str "analysis-cache")
-              :: ("analysis", J.Str e.Analyses.Registry.name)
-              :: phase_fields phase)
-            [ cold; warm ])
-        Analyses.Registry.all
+        (fun phase ->
+          ("workload", J.Str "analysis-cache")
+          :: ("analysis", J.Str e.Analyses.Registry.name)
+          :: phase_fields phase)
+        [ cold; warm ])
+    Analyses.Registry.all
 
 let s5 =
   let overhead = where "workload" "framework-overhead" in
@@ -1157,17 +1129,8 @@ let s5 =
   {
     exp with
     id = "S5";
-    title = "analysis framework -- functorized solver overhead, per-analysis cache";
-    points =
-      (fun () ->
-        let sizes = function
-          | "wide-chain" -> if !smoke then [ 12 ] else [ 20; 40; 80 ]
-          | _ -> if !smoke then [ 3 ] else [ 4; 8; 16 ]
-        in
-        List.concat_map
-          (fun (w, _, _) -> List.map (fun n -> Overhead (w, n)) (sizes w))
-          stress_shapes
-        @ [ Analysis_cache ]);
+    title = "analysis framework -- per-analysis cache";
+    points = (fun () -> [ () ]);
     measure = s5_measure;
     fields =
       (function
@@ -1178,13 +1141,14 @@ let s5 =
       [
         ( "the functorized solver performs exactly the frozen solver's evaluations",
           fun rs ->
-            every_group [ "shape"; "size" ] (overhead rs) (fun g ->
-                pair g "solver" "legacy" "framework" (fun l f ->
-                    num "evaluations" l = num "evaluations" f)) );
+            overhead rs = []
+            || every_group [ "shape"; "size" ] (overhead rs) (fun g ->
+                   pair g "solver" "legacy" "framework" (fun l f ->
+                       num "evaluations" l = num "evaluations" f)) );
         ( "aggregate framework/legacy wall within 1.05x (+0.5 ms)",
           fun rs ->
-            overhead rs <> []
-            && wall "framework" rs <= (wall "legacy" rs *. 1.05) +. 5e5 );
+            overhead rs = []
+            || wall "framework" rs <= (wall "legacy" rs *. 1.05) +. 5e5 );
         ( "every analysis' warm rerun is evaluation-free",
           fun rs ->
             every_group [ "analysis" ] (where "workload" "analysis-cache" rs) (fun g ->
@@ -1192,14 +1156,16 @@ let s5 =
       ];
     note =
       (fun rs ->
-        Printf.sprintf "aggregate framework/legacy wall ratio: %.3fx (budget 1.05x)\n"
-          (wall "framework" rs /. wall "legacy" rs));
+        if overhead rs = [] then ""
+        else
+          Printf.sprintf "aggregate framework/legacy wall ratio: %.3fx (budget 1.05x)\n"
+            (wall "framework" rs /. wall "legacy" rs));
     gate =
       Some
         {
           gated with
           rows = (fun rs -> where "phase" "cold" (where "workload" "analysis-cache" rs));
-          point = (fun _ -> Analysis_cache);
+          point = ignore;
           counters = [ "evaluations" ];
         };
   }

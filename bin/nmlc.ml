@@ -173,7 +173,7 @@ let stats_json stats =
   J.Obj
     [
       ("schema", J.Str "nmlc/solver-stats-v1");
-      ("engine", J.Str (Fix.engine_name stats.Fix.stats_engine));
+      ("engine", J.Str "worklist");
       ("passes", J.int stats.Fix.stats_passes);
       ("iterations", J.int stats.Fix.stats_iterations);
       ("entries", J.int stats.Fix.stats_entries);
@@ -234,12 +234,12 @@ let list_analyses () =
   Format.printf "@]@?"
 
 let analyze_cmd =
-  let run_escape file inline func enumerate local engine show_stats json =
+  let run_escape file inline func enumerate local show_stats json =
     with_source file inline (fun s ->
         if json then begin
           if enumerate then
             failwith "--json reports the fixpoint solver, not --enumerate";
-          let t = Escape.Fixpoint.make ~engine (Nml.Infer.infer_program s) in
+          let t = Escape.Fixpoint.make (Nml.Infer.infer_program s) in
           (* drive the same queries the report makes, then emit the counters *)
           ignore (Format.asprintf "%a" Escape.Report.program t);
           let module J = Nml.Json in
@@ -272,7 +272,7 @@ let analyze_cmd =
             (Escape.Enumerate.iterations e)
         end
         else begin
-          let t = Escape.Fixpoint.make ~engine (Nml.Infer.infer_program s) in
+          let t = Escape.Fixpoint.make (Nml.Infer.infer_program s) in
           (match func with
           | Some f -> Format.printf "%a@." (fun ppf () -> Escape.Report.definition ppf t f) ()
           | None -> Format.printf "%a@." Escape.Report.program t);
@@ -309,13 +309,13 @@ let analyze_cmd =
           end
         end)
   in
-  let run file inline func enumerate local engine show_stats json analysis listing =
+  let run file inline func enumerate local show_stats json analysis listing =
     if listing then begin
       list_analyses ();
       0
     end
     else if String.equal analysis "escape" then
-      run_escape file inline func enumerate local engine show_stats json
+      run_escape file inline func enumerate local show_stats json
     else
       with_source file inline (fun s ->
           let e =
@@ -353,20 +353,6 @@ let analyze_cmd =
       value & flag
       & info [ "local" ] ~doc:"Also run the local escape test on the main call.")
   in
-  let engine =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("worklist", Escape.Fixpoint.Worklist);
-               ("round-robin", Escape.Fixpoint.Round_robin);
-             ])
-          Escape.Fixpoint.Worklist
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Fixpoint engine: $(b,worklist) (dependency-driven, default) or \
-                $(b,round-robin) (legacy full re-evaluation).")
-  in
   let show_stats =
     Arg.(
       value & flag
@@ -400,7 +386,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Escape analysis report (global tests and sharing)")
     Term.(
-      const run $ file_arg $ inline_arg $ func $ enumerate $ local $ engine $ show_stats
+      const run $ file_arg $ inline_arg $ func $ enumerate $ local $ show_stats
       $ json $ analysis $ listing)
 
 let batch_cmd =

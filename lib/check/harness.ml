@@ -276,6 +276,18 @@ let machine_stages cfg surface =
       true,
       chaos,
       { gen with Runtime.Heap.nursery = 3 } );
+    (* the unoptimized program on the generational heap, collecting only
+       when the nursery fills: the optimizer moves allocations into
+       blocks and arenas, so a minor collector's root fault can show only
+       on code it has not touched, and forced chaos collections can land
+       where they hide it *)
+    ("baseline, generational heap", baseline, 4096, true, M.no_chaos, gen);
+    ( "baseline, generational tiny nursery",
+      baseline,
+      4096,
+      true,
+      M.no_chaos,
+      { gen with Runtime.Heap.nursery = 2 } );
   ]
   (* a full collection before every allocation, so each of the VM's
      root masks is exercised wherever a frame can stop *)

@@ -30,7 +30,7 @@ let global ?inst ?arity t fname ~arg =
   let fval = Fixpoint.value t fname (Some inst) in
   let ys =
     List.mapi
-      (fun j ty -> if j + 1 = arg then Wfun.interesting ty else Wfun.boring ty)
+      (fun j ty -> if j + 1 = arg then Dvalue.interesting ty else Dvalue.boring ty)
       arg_tys
   in
   let result = Dvalue.apply_all fval ys in
@@ -112,7 +112,7 @@ let global_components ?inst t fname ~arg =
       let ys =
         List.mapi
           (fun j ty ->
-            if j + 1 = arg then Dvalue.probe_component ~path ty else Wfun.boring ty)
+            if j + 1 = arg then Dvalue.probe_component ~path ty else Dvalue.boring ty)
           arg_tys
       in
       let result = Dvalue.apply_all fval ys in

@@ -231,10 +231,6 @@ let sources { rstate = st; revents } =
   List.iter visit (List.rev revents);
   Hashtbl.fold (fun _ sg acc -> sg :: acc) seen []
 
-let with_reads fn =
-  let v, reads = watch ~notify:ignore fn in
-  (v, sources reads)
-
 (* ---- interning ----------------------------------------------------------- *)
 
 (* Probe and worst-case values are deterministic in (esc, type), so
@@ -531,7 +527,6 @@ and memo_apply f x =
       e.value
 
 let apply_all f xs = List.fold_left apply f xs
-let clear_cache () = Hashtbl.reset (current_state ()).cache
 
 type entry = centry
 

@@ -205,10 +205,6 @@ val sources : reads -> (source * int) list
     directly or by any memo entry the run hit or computed, however deep.
     Each call walks the links afresh, visiting each entry once. *)
 
-val with_reads : (unit -> 'a) -> 'a * (source * int) list
-(** [with_reads f] is {!watch} with nobody to notify, flattened at once
-    with {!sources}. *)
-
 (** {2 Memo inspection}
 
     The memo's read links, as the pull definition of staleness needs
@@ -241,6 +237,27 @@ val apply : t -> t -> t
 
 val apply_all : t -> t list -> t
 
+(** {2 Extensional comparison}
+
+    The domains [D_e^t] are finite, so fixpoint iteration terminates and
+    convergence is decidable (section 3.5); but enumerating full function
+    spaces at higher types is intractable.  Following standard practice
+    for Hudak-Young style higher-order analyses, functions are compared
+    extensionally on a finite {e probe set} per argument type: every
+    basic escape value in the chain [B_e] crossed with the two canonical
+    function components that the analysis itself feeds in — the
+    worst-case function [W^t] and the bottom function.
+
+    For first-order argument types (everything in the paper's examples)
+    the function component of an argument is degenerate, so probing is
+    exact: the probe set covers the whole domain.  For higher-order
+    argument positions the comparison is approximate; the fixpoint engine
+    additionally caps iteration and falls back to the safe top value
+    (see {!Fixpoint}).  The full-enumeration alternative for first-order
+    types lives in {!Enumerate} and is compared in the benches.  A caller
+    comparing at a chain bound [d] raises the state's bound first
+    ({!ensure_d}). *)
+
 val probes : Nml.Ty.t -> t list
 (** Canonical argument values for an argument of the given type at the
     current chain bound: every element of [B_e] for base shapes, crossed
@@ -254,13 +271,23 @@ val equal : t -> t -> bool
 
 val leq : t -> t -> bool
 
-(** {2 Worst-case and probe arguments (Definition 2)} *)
+(** {2 Worst-case and probe arguments (Definition 2)}
+
+    [W^t] corresponds to an [nml] function from which every argument
+    escapes:
+
+    {v W = λx1. ⟨x1', λx2. ⟨x1' ⊔ x2', ..., λxm. ⟨x1' ⊔ ... ⊔ xm', err⟩⟩⟩ v}
+
+    (writing [x'] for the basic component of [x]), where [m] is the
+    number of arguments a function of type [t] takes before returning a
+    primitive value, and [W^{t list} = W^t].  For [m = 0], [W = err].
+
+    The global escape test instantiates every parameter with
+    [⟨esc, W⟩] — the interesting one with [esc = <1,s_i>], the others
+    with [<0,0>] (section 4.1). *)
 
 val w_value : esc:Besc.t -> Nml.Ty.t -> t
-(** [⟨esc, W^t⟩] where [W = λx1.⟨x1', λx2.⟨x1' ⊔ x2', ... ⟨⨆ xi', err⟩⟩⟩]
-    consumes the [m] arguments a value of type [t] accepts before
-    returning a primitive value, and [W^{t list} = W^t].  Arguments
-    contribute their {!total_esc}. *)
+(** [⟨esc, W^t⟩]; arguments contribute their {!total_esc}. *)
 
 val interesting : Nml.Ty.t -> t
 (** The global test's [y_i]: every structural level marked with its own
@@ -292,12 +319,6 @@ val mark_component : path:component list -> t -> t
 
 (** {2 Caches and statistics} *)
 
-val clear_cache : unit -> unit
-(** Drops every application entry wholesale (results stay correct;
-    cost/memory only).  The legacy round-robin solver clears between
-    passes; the worklist solver never needs to — staleness is detected
-    per entry via the recorded sources. *)
-
 val cache_stats : unit -> int * int
 (** (hits, misses) of memoized applications since {!reset_stats}; a
     {!direct} application counts as neither. *)
@@ -307,9 +328,8 @@ val invalidations : unit -> int
     {!reset_stats}. *)
 
 val reset_stats : unit -> unit
-(** The round-robin-era [reset_engine] shim is gone: a cold start is a
-    fresh {!create_state} installed with {!with_state} — every solver
-    already owns one. *)
+(** Zeroes the current state's hit, miss and invalidation counters; the
+    memo itself is kept. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints the basic component and the type, e.g. [<1,1> : int list]. *)

@@ -1,11 +1,7 @@
 (* The escape analysis as a [Framework.Spec.S]: a thin delegation layer
-   over the existing domain engine ([Dvalue]), extensional comparison
-   ([Probe]) and abstract semantics ([Semantics]).  [Fixpoint] is the
-   generic solver instantiated at this Spec; the correctness bar is that
-   the instantiation is byte-identical to the pre-framework hand-wired
-   solver — reports, entry-evaluation counts, solver stats — which the
-   differential suite ([test/test_framework.ml]) and bench S5 enforce
-   against a frozen copy of the old engine. *)
+   over the domain engine ([Dvalue], including its extensional
+   comparison) and the abstract semantics ([Semantics]).  [Fixpoint] is
+   the generic solver instantiated at this Spec. *)
 
 let name = "escape"
 
@@ -14,8 +10,15 @@ type value = Dvalue.t
 let bottom = Dvalue.bottom
 let top = Dvalue.top
 let join = Dvalue.join
-let equal = Probe.equal
-let leq = Probe.leq
+
+let equal ~d a b =
+  Dvalue.ensure_d d;
+  Dvalue.equal a b
+
+let leq ~d a b =
+  Dvalue.ensure_d d;
+  Dvalue.leq a b
+
 let widen ~d ty _v = Dvalue.top ~d ty
 
 type state = Dvalue.state
@@ -34,7 +37,6 @@ type reads = Dvalue.reads
 
 let with_reads = Dvalue.watch
 let sources = Dvalue.sources
-let clear_memo = Dvalue.clear_cache
 let memo_stats = Dvalue.cache_stats
 let invalidations = Dvalue.invalidations
 

@@ -1,18 +1,10 @@
-(* The escape fixpoint solver, since PR8 an instantiation of the
-   analysis-agnostic engine: [Framework.Solver.Make] supplies the
-   worklist/round-robin machinery (read frames, SCC condensation,
-   selective invalidation, per-solver state), [Espec] supplies the
-   escape domain and abstract semantics.  The [engine] and [stats]
-   equations re-export the framework's shared types so existing
-   pattern-matches ([Fixpoint.Worklist]) and field accesses keep
-   compiling unchanged. *)
-
-type engine = Framework.Solver.engine = Worklist | Round_robin
-
-let engine_name = Framework.Solver.engine_name
+(* The escape fixpoint solver: [Framework.Solver.Make] supplies the
+   worklist engine (read frames, SCC condensation, selective
+   invalidation, per-solver state), [Espec] supplies the escape domain
+   and abstract semantics.  The [stats] equation re-exports the
+   framework's shared record so field accesses compile unchanged. *)
 
 type stats = Framework.Solver.stats = {
-  stats_engine : engine;
   stats_passes : int;
   stats_iterations : int;
   stats_entries : int;

@@ -9,50 +9,35 @@
     equivalent of whole-program monomorphization.  The solver keys those
     pairs itself, by {!Nml.Ty.key} of the instance.
 
-    Two engines solve the resulting equation system:
+    A worklist engine solves the resulting equation system, driven by
+    dependencies.  Every evaluation runs inside a read frame
+    ({!Dvalue.watch}) that records which other entries it consulted; the
+    first touch of any of them marks the entry dirty, and the frame's
+    read set is the instance-level dependency graph, flattened only when
+    the sweep condenses it.  Fresh entries are solved by recursive
+    descent (dependencies settle before their reader is evaluated, so a
+    non-recursive definition is evaluated exactly once); the cyclic
+    remainder is condensed into strongly connected components
+    ({!Nml.Callgraph.Scc}) and settled bottom-up, re-evaluating only
+    entries whose recorded dependencies actually changed.  Application
+    memos survive across the whole solve: a value change touches the
+    entry's {!Dvalue.source}, and only memos that read it are
+    invalidated.
 
-    {ul
-    {- {!Worklist} (default): dependency-driven.  Every evaluation runs
-       inside a read frame ({!Dvalue.watch}) that records which other
-       entries it consulted; the first touch of any of them marks the
-       entry dirty, and the frame's read set is the instance-level
-       dependency graph, flattened only when the sweep condenses it.
-       Fresh entries are solved by recursive descent
-       (dependencies settle before their reader is evaluated, so a
-       non-recursive definition is evaluated exactly once); the cyclic
-       remainder is condensed into strongly connected components
-       ({!Nml.Callgraph.Scc}) and settled bottom-up, re-evaluating only
-       entries whose recorded dependencies actually changed.  Application
-       memos survive across the whole solve: a value change touches the
-       entry's {!Dvalue.source}, and only memos that read it are
-       invalidated.}
-    {- {!Round_robin}: the original solver, retained as a differential
-       baseline.  Every pass drops the application memo wholesale and
-       re-evaluates every demanded instance until a pass changes
-       nothing.}}
-
-    Both compute the same least fixpoint; convergence is decided by
-    {!Probe.equal} in either case.  Iteration is capped ([max_iters],
-    default 200 rounds); on a cap hit every cached value is widened to
-    the top of its type — the safe direction (everything escapes) — and
-    {!capped} reports it. *)
-
-type engine = Framework.Solver.engine = Worklist | Round_robin
-
-val engine_name : engine -> string
-(** ["worklist"] / ["round-robin"]. *)
+    Convergence is decided by {!Dvalue.equal}.  Iteration is capped
+    ([max_iters], default 200 rounds); on a cap hit every cached value is
+    widened to the top of its type — the safe direction (everything
+    escapes) — and {!capped} reports it. *)
 
 type t
 
-val make : ?max_iters:int -> ?engine:engine -> Nml.Infer.program -> t
+val make : ?max_iters:int -> Nml.Infer.program -> t
 (** Builds a solver; nothing is computed until a value is demanded. *)
 
-val of_source : ?max_iters:int -> ?engine:engine -> string -> t
+val of_source : ?max_iters:int -> string -> t
 (** Parse, infer and wrap a program given as source text. *)
 
 val program : t -> Nml.Infer.program
-
-val engine : t -> engine
 
 val d : t -> int
 (** Current chain bound: the largest spine count of any list type seen in
@@ -81,7 +66,7 @@ val main_value : t -> Dvalue.t
 (** Abstract value of the program's main expression. *)
 
 val stabilize : t -> unit
-(** Runs the selected engine until no entry's value changes. *)
+(** Runs the engine until no entry's value changes. *)
 
 val with_state : t -> (unit -> 'a) -> 'a
 (** Runs a computation with this solver's private {!Dvalue.state}
@@ -99,13 +84,12 @@ val iterations : t -> int
 (** Total Kleene rounds, including nested [letrec]s. *)
 
 val passes : t -> int
-(** Worklist: outer passes (descent + SCC sweep); round-robin: chaotic
-    iteration passes over the memo table. *)
+(** Outer passes, each a recursive descent over fresh entries followed by
+    an SCC sweep. *)
 
 val evaluations : t -> int
-(** Top-level entry evaluations — the head-to-head cost metric between
-    the engines (each evaluation runs the abstract semantics over one
-    definition body). *)
+(** Top-level entry evaluations, the solver's cost metric (each
+    evaluation runs the abstract semantics over one definition body). *)
 
 val instances : t -> (string * Nml.Ty.t) list
 (** Every (definition, instance) pair materialized so far. *)
@@ -113,13 +97,12 @@ val instances : t -> (string * Nml.Ty.t) list
 val capped : t -> bool
 
 type stats = Framework.Solver.stats = {
-  stats_engine : engine;
   stats_passes : int;
   stats_iterations : int;
   stats_entries : int;
   stats_evaluations : int;
   stats_sccs : int;
-      (** components in the last sweep's condensation (worklist); 0 when
+      (** components in the last sweep's condensation; 0 when
           recursive descent settled every entry and no sweep ran *)
   stats_largest_scc : int;
   stats_cache_hits : int;

@@ -143,11 +143,9 @@ and solve_group ctx env bs =
       ctx.iters <- ctx.iters + 1;
       let envk = build !current in
       let next = List.map (fun (x, rhs) -> (x, eval ctx envk rhs)) bs in
-      let d = ctx.d () in
+      Dvalue.ensure_d (ctx.d ());
       let converged =
-        List.for_all2
-          (fun (_, v_old) (_, v_new) -> Probe.equal ~d v_old v_new)
-          !current next
+        List.for_all2 (fun (_, v_old) (_, v_new) -> Dvalue.equal v_old v_new) !current next
       in
       current := next;
       if not converged then iterate (n + 1)

@@ -197,7 +197,6 @@ module Make (F : FLAGS) () = struct
 
   let sources reads = reads
 
-  let clear_memo () = Hashtbl.reset (current_state ()).memo
   let memo_stats () =
     let s = current_state () in
     (s.hits, s.misses)

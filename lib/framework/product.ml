@@ -134,10 +134,6 @@ end = struct
 
   (* ---- memo (delegated) --------------------------------------------------- *)
 
-  let clear_memo () =
-    A.clear_memo ();
-    B.clear_memo ()
-
   let memo_stats () =
     let ha, ma = A.memo_stats () and hb, mb = B.memo_stats () in
     (ha + hb, ma + mb)

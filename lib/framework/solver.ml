@@ -1,10 +1,10 @@
-(* The analysis-agnostic fixpoint engine: the worklist solver that grew
-   up hard-wired to the escape domain in [lib/core/fixpoint.ml], factored
-   over a {!Spec.S}.  Everything the escape solver learned — recorded
-   read frames, recursive-descent fresh solves, Tarjan SCC condensation
-   settled dependencies-first, selective invalidation pushed from the
-   touched source, per-solver state isolation, cap-and-widen — is
-   inherited by any Spec instance.
+(* The analysis-agnostic fixpoint engine, factored over a {!Spec.S}: one
+   worklist solver for every analysis.  Recorded read frames,
+   recursive-descent fresh solves, Tarjan SCC condensation settled
+   dependencies-first, selective invalidation pushed from the touched
+   source, per-solver state isolation and cap-and-widen are inherited by
+   any Spec instance.  Convergence is decided by the Spec's [equal]
+   ([Dvalue.equal] for the escape analysis).
 
    The solver also owns the per-definition facts every lookup needs.  By
    Theorem 1 only the simplest monomorphic instance of a definition has
@@ -14,20 +14,15 @@
    and {!Nml.Ty.key} of the instance — written into a buffer, one key
    per printed type.
 
-   The [engine] and [stats] types live outside the functor on purpose:
-   they are shared across all instantiations, so [Escape.Fixpoint.Worklist]
-   and [Analyses]-side pattern matches are the same constructors. *)
+   The [stats] type lives outside the functor on purpose: it is shared
+   across all instantiations, so every analysis reports the same
+   record. *)
 
 module Ty = Nml.Ty
 module Tast = Nml.Tast
 module Infer = Nml.Infer
 
-type engine = Worklist | Round_robin
-
-let engine_name = function Worklist -> "worklist" | Round_robin -> "round-robin"
-
 type stats = {
-  stats_engine : engine;
   stats_passes : int;
   stats_iterations : int;
   stats_entries : int;
@@ -45,7 +40,7 @@ type stats = {
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "@[<v 0>engine              %s@,\
+    "@[<v 0>engine              worklist@,\
      passes              %d@,\
      entries             %d@,\
      entry evaluations   %d@,\
@@ -54,7 +49,7 @@ let pp_stats ppf s =
      application cache   %d hits, %d misses, %d invalidated@,\
      chain bound d       %d@,\
      capped              %b@]"
-    (engine_name s.stats_engine) s.stats_passes s.stats_entries s.stats_evaluations
+    s.stats_passes s.stats_entries s.stats_evaluations
     s.stats_iterations s.stats_sccs s.stats_largest_scc s.stats_cache_hits
     s.stats_cache_misses s.stats_cache_invalidated s.stats_dbound s.stats_capped
 
@@ -74,7 +69,6 @@ module Make (S : Spec.S) = struct
 
   type t = {
     prog : Infer.program;
-    engine : engine;
     state : S.state;  (* this solver's private engine state *)
     cache : (string * string, entry) Hashtbl.t;  (* (name, [Ty.key] of the instance) *)
     simplest : (string, Ty.t Lazy.t) Hashtbl.t;  (* one per definition: its simplest instance *)
@@ -189,15 +183,13 @@ module Make (S : Spec.S) = struct
     if not (is_def t name) then
       invalid_arg (Printf.sprintf "Fixpoint: unknown identifier %s" name);
     let e = demand t name ty in
-    (match t.engine with
-    | Worklist -> if e.evals = 0 && not e.in_progress then solve_fresh t e
-    | Round_robin -> ());
+    if e.evals = 0 && not e.in_progress then solve_fresh t e;
     (* record the read after any recursive solve: the caller consumes the
        settled value, not the intermediate iterates *)
     S.note_read e.source;
     e.value
 
-  let make ?(max_iters = 200) ?(engine = Worklist) prog =
+  let make ?(max_iters = 200) prog =
     let state = S.create_state () in
     let hits0, misses0 = S.with_state state S.memo_stats in
     let simplest = Hashtbl.create 32 in
@@ -208,7 +200,6 @@ module Make (S : Spec.S) = struct
     let t =
       {
         prog;
-        engine;
         state;
         cache = Hashtbl.create 32;
         simplest;
@@ -247,12 +238,11 @@ module Make (S : Spec.S) = struct
 
   let with_state t f = S.with_state t.state f
 
-  let of_source ?max_iters ?engine src =
-    make ?max_iters ?engine (Infer.infer_program (Nml.Surface.of_string src))
+  let of_source ?max_iters src =
+    make ?max_iters (Infer.infer_program (Nml.Surface.of_string src))
 
   let program t = t.prog
   let d t = t.dbound
-  let engine t = t.engine
 
   (* Every touch may notify readers, so no entry is clean until all of
      them are done. *)
@@ -268,8 +258,6 @@ module Make (S : Spec.S) = struct
     t.stable <- true
 
   exception Widened
-
-  (* ---- worklist engine --------------------------------------------------- *)
 
   (* Condense the recorded instance-level dependency graph into SCCs and
      settle the components dependencies-first: within a component, a
@@ -308,7 +296,8 @@ module Make (S : Spec.S) = struct
         drain ())
       comps
 
-  let stabilize_worklist t =
+  let stabilize t =
+    with_state t @@ fun () ->
     let pending () = List.exists (fun e -> e.dirty || e.evals = 0) t.order in
     let widened = ref false in
     let pass = ref 0 in
@@ -340,47 +329,6 @@ module Make (S : Spec.S) = struct
      with Widened -> widened := true);
     t.stable <- true
 
-  (* ---- legacy round-robin engine ------------------------------------------ *)
-
-  (* The seed solver, retained as the differential-testing baseline: every
-     pass drops all application memos and re-evaluates every demanded
-     instance, until a full pass changes nothing. *)
-  let stabilize_round_robin t =
-    let rounds = ref 0 in
-    while not t.stable do
-      if !rounds >= t.max_iters then widen_all t
-      else begin
-        incr rounds;
-        t.passes <- t.passes + 1;
-        (* application memos from the previous pass may reflect lower
-           iterates of other entries; drop them so the final pass evaluates
-           everything against the final values *)
-        S.clear_memo ();
-        t.stable <- true;
-        (* new demands during the pass reset [stable] and are picked up on
-           the next round *)
-        let entries = List.rev t.order in
-        List.iter
-          (fun e ->
-            S.record_iteration t.ctx;
-            t.evaluated <- t.evaluated + 1;
-            e.evals <- e.evals + 1;
-            let v = S.transfer t.ctx e.tast in
-            if not (S.equal ~d:t.dbound e.value v) then begin
-              e.value <- S.join e.value v;
-              S.touch e.source;
-              t.stable <- false
-            end)
-          entries
-      end
-    done
-
-  let stabilize t =
-    with_state t @@ fun () ->
-    match t.engine with
-    | Worklist -> stabilize_worklist t
-    | Round_robin -> stabilize_round_robin t
-
   let value t name inst =
     if not (is_def t name) then
       invalid_arg (Printf.sprintf "Fixpoint.value: unknown definition %s" name);
@@ -407,8 +355,9 @@ module Make (S : Spec.S) = struct
     absorb_tree_depth t tast;
     stabilize t;
     let v = ref (S.transfer t.ctx tast) in
-    (* evaluation may have demanded new instances (still at bottom under
-       the round-robin engine): iterate to a consistent result *)
+    (* evaluation may have demanded new instances, and recursive descent
+       leaves a cycle among them to the next sweep: iterate to a
+       consistent result *)
     while not t.stable do
       stabilize t;
       v := S.transfer t.ctx tast
@@ -425,7 +374,6 @@ module Make (S : Spec.S) = struct
   let stats t =
     let hits, misses = with_state t S.memo_stats in
     {
-      stats_engine = t.engine;
       stats_passes = t.passes;
       stats_iterations = S.iterations t.ctx;
       stats_entries = List.length t.order;

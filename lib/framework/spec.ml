@@ -21,9 +21,8 @@
       {e (definition, instance)}, keying instances itself with
       {!Nml.Ty.key}; a Spec has no [demand_key]).
 
-    An implementation with no cross-evaluation application memo can
-    leave [clear_memo] a no-op and report zero
-    [memo_stats]/[invalidations]; {!Flow} provides the complete
+    An implementation with no cross-evaluation application memo reports
+    zero [memo_stats]/[invalidations]; {!Flow} provides the complete
     state/source/memo machinery for taint-flag domains. *)
 
 module type S = sig
@@ -96,9 +95,8 @@ module type S = sig
       on demand: the solver asks only when it condenses the dependency
       graph. *)
 
-  (** {2 Application memo (optional)} *)
+  (** {2 Application memo statistics} *)
 
-  val clear_memo : unit -> unit
   val memo_stats : unit -> int * int  (** (hits, misses) *)
 
   val invalidations : unit -> int

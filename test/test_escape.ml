@@ -213,8 +213,8 @@ let apply_units =
         Alcotest.(check (pair int int)) "no hits, no misses" (0, 0) (D.cache_stats ()));
   ]
 
-(* The read-set contract of the application memo: what [with_reads]
-   reports for a computation, which touches make a memo entry stale, and
+(* The read-set contract of the application memo: what a [watch] frame
+   reads ([sources]) for a computation, which touches make a memo entry stale, and
    when a [watch] frame is notified.  A memo entry stands for its
    computation, so the reads of the memos it hit are its reads too,
    however deep they sit.  Each case runs in a fresh solver state. *)
@@ -248,10 +248,10 @@ let reads_units =
               D.apply inner y)
         in
         D.reset_stats ();
-        let _, reads = D.with_reads (fun () -> D.apply outer x) in
+        let _, reads = D.watch ~notify:ignore (fun () -> D.apply outer x) in
         checki "inner hit" 1 (fst (D.cache_stats ()));
         Alcotest.(check (list int))
-          "both sources" (sids [ (s1, 0); (s2, 0) ]) (sids reads));
+          "both sources" (sids [ (s1, 0); (s2, 0) ]) (sids (D.sources reads)));
     Alcotest.test_case "deep-touch-stales-the-outer-memo" `Quick (fun () ->
         fresh @@ fun () ->
         let s2 = D.new_source () and other = D.new_source () in
@@ -294,8 +294,8 @@ let reads_units =
         let _, reads = D.watch ~notify:(fun () -> incr notified) (fun () -> D.apply top x) in
         Alcotest.(check (list int)) "one source" [ D.source_id s ] (sids (D.sources reads));
         D.touch other;
-        let _, reads = D.with_reads (fun () -> D.apply top x) in
-        Alcotest.(check (list int)) "hit reports it" [ D.source_id s ] (sids reads);
+        let _, reads = D.watch ~notify:ignore (fun () -> D.apply top x) in
+        Alcotest.(check (list int)) "hit reports it" [ D.source_id s ] (sids (D.sources reads));
         checki "cached" 1 !top_runs;
         D.touch s;
         checki "one touch, one notify" 1 !notified;

@@ -1,11 +1,13 @@
 (* Tests for the pluggable analysis framework (PR8).
 
-   - Differential: the functorized escape solver ([Framework.Solver.Make
-     (Espec)], what [Escape.Fixpoint] now is) must agree with the frozen
-     pre-framework solver ([Support.Legacy_fixpoint]) on verdicts AND on
-     solver behaviour (entry evaluations, passes, chain bound, memo
-     hits/misses/invalidations, SCC counts) — on the builtin corpus, a
-     wide chain, a recursion nest and a 300-program random corpus.
+   - Frozen solver results: the functorized escape solver
+     ([Framework.Solver.Make (Espec)], what [Escape.Fixpoint] is) must
+     reproduce the verdicts AND the solver behaviour (entry evaluations,
+     passes, chain bound, memo hits/misses/invalidations, SCC counts) the
+     pre-framework solver computed — on the builtin corpus, a wide chain,
+     a recursion nest, two capped runs and a 300-program random corpus,
+     pinned with their sources in [test/fixpoints.table]
+     ([Support.Fixpoint_table]).
    - Memo staleness: over the same programs, every stale flag the
      application engine pushed from a touched source must equal the pull
      definition ([Stale_oracle]: some read in the entry's transitive
@@ -29,7 +31,6 @@
      analyses run alone. *)
 
 module Fix = Escape.Fixpoint
-module Legacy = Legacy_fixpoint
 module An = Escape.Analysis
 module B = Escape.Besc
 module D = Escape.Dvalue
@@ -46,94 +47,6 @@ let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
 let infer src = Nml.Infer.infer_program (Nml.Surface.of_string src)
-
-(* ---- differential: functorized vs frozen legacy escape solver ------------- *)
-
-(* The global test, run by hand so it works against either solver: apply
-   the definition's settled value to worst-case arguments and read the
-   total escape off the result. *)
-let hand_verdicts ~value ~instance_ty ~with_state ~schemes =
-  List.concat_map
-    (fun (name, _) ->
-      let ty = instance_ty name in
-      let m = Ty.arity ty in
-      let v = value name ty in
-      with_state (fun () ->
-          List.init m (fun i ->
-              let args =
-                List.mapi
-                  (fun j aty -> if j = i then D.interesting aty else D.boring aty)
-                  (Ty.arg_tys ty m)
-              in
-              (name, i + 1, B.to_string (D.total_esc (D.apply_all v args)))))
-    )
-    schemes
-
-let legacy_run ?max_iters src =
-  let t = Legacy.of_source ?max_iters src in
-  let prog = Legacy.program t in
-  let verdicts =
-    hand_verdicts
-      ~value:(fun name ty -> Legacy.value t name (Some ty))
-      ~instance_ty:(Legacy.instance_ty t)
-      ~with_state:(fun f -> Legacy.with_state t f)
-      ~schemes:prog.Nml.Infer.schemes
-  in
-  let s = Legacy.stats t in
-  ( verdicts,
-    (Legacy.evaluations t, Legacy.passes t, Legacy.d t),
-    ( s.Legacy.stats_cache_hits,
-      s.Legacy.stats_cache_misses,
-      s.Legacy.stats_cache_invalidated,
-      s.Legacy.stats_sccs,
-      s.Legacy.stats_largest_scc ) )
-
-let framework_solve ?max_iters src =
-  let t = Fix.of_source ?max_iters src in
-  let prog = Fix.program t in
-  let verdicts =
-    hand_verdicts
-      ~value:(fun name ty -> Fix.value t name (Some ty))
-      ~instance_ty:(Fix.instance_ty t)
-      ~with_state:(fun f -> Fix.with_state t f)
-      ~schemes:prog.Nml.Infer.schemes
-  in
-  (t, verdicts)
-
-let framework_run ?max_iters src =
-  let t, verdicts = framework_solve ?max_iters src in
-  let s = Fix.stats t in
-  ( verdicts,
-    (Fix.evaluations t, Fix.passes t, Fix.d t),
-    ( s.Fix.stats_cache_hits,
-      s.Fix.stats_cache_misses,
-      s.Fix.stats_cache_invalidated,
-      s.Fix.stats_sccs,
-      s.Fix.stats_largest_scc ) )
-
-(* Besides verdicts and solver behaviour, the memo counters and the
-   condensation must agree: both solvers share the application engine,
-   so equal hits, misses and invalidations mean the same memo entries
-   went stale, and equal components mean the same dependency graph. *)
-let check_against_legacy ?max_iters src =
-  let lv, (le, lp, ld), lm = legacy_run ?max_iters src in
-  let fv, (fe, fp, fd), fm = framework_run ?max_iters src in
-  checki "same verdict count" (List.length lv) (List.length fv);
-  List.iter2
-    (fun (n, i, a) (n', i', b) ->
-      checks "same def order" n n';
-      checki "same arg" i i';
-      checks (Printf.sprintf "G(%s, %d)" n i) a b)
-    lv fv;
-  checki "same entry evaluations" le fe;
-  checki "same passes" lp fp;
-  checki "same chain bound" ld fd;
-  let lh, lmi, li, ls, lls = lm and fh, fmi, fi, fs, fls = fm in
-  checki "same memo hits" lh fh;
-  checki "same memo misses" lmi fmi;
-  checki "same memo invalidations" li fi;
-  checki "same sccs" ls fs;
-  checki "same largest scc" lls fls
 
 (* The solver stress shapes: descent through a wide chain, and a nest of
    mutually recursive entries that the sweep condenses. *)
@@ -158,35 +71,12 @@ let random_corpus () =
   let rand = Random.State.make [| 20260809 |] in
   List.init 300 (fun _ -> QCheck.Gen.generate1 ~rand Gen.gen_any_program)
 
+(* The results the pre-framework solver computed, frozen with their
+   sources: each test re-renders its sections from [Escape.Fixpoint]. *)
 let legacy_units =
   List.map
-    (fun (name, src) ->
-      Alcotest.test_case ("matches-legacy-" ^ name) `Quick (fun () ->
-          check_against_legacy src))
-    Check.Harness.builtin_corpus
-  @ [
-      Alcotest.test_case "matches-legacy-wide-chain" `Quick (fun () ->
-          check_against_legacy wide_chain_src);
-      Alcotest.test_case "matches-legacy-recursion-nest" `Quick (fun () ->
-          check_against_legacy recursion_nest_src);
-      (* [f] and [k] rotate their arguments, so each needs more rounds
-         than a cap of one or two allows and the solver widens every
-         entry it has.  Widening [k] touches [g], which [h] read: [h]
-         must still come out clean, or the demand of [m] re-evaluates it *)
-      Alcotest.test_case "matches-legacy-capped" `Quick (fun () ->
-          List.iter
-            (fun max_iters ->
-              check_against_legacy ~max_iters
-                "letrec f x y z w = if null x then w else f y z w (cdr x);\n\
-                \       g a = f a a a a;\n\
-                \       h b = g (cons 1 b);\n\
-                \       k x y z w = if null x then w else k y z w (cdr x);\n\
-                \       m c = c\n\
-                 in h [1]")
-            [ 1; 2 ]);
-      Alcotest.test_case "matches-legacy-random-corpus" `Slow (fun () ->
-          List.iter check_against_legacy (random_corpus ()));
-    ]
+    (fun (name, check) -> Alcotest.test_case name `Quick check)
+    (Fixpoint_table.cases ~prefix:"matches-legacy-")
 
 (* ---- memo staleness: pushed flags against the pull definition ------------ *)
 
@@ -195,7 +85,8 @@ let legacy_units =
    ([Stale_oracle]); the flag [Dvalue.touch] pushed must agree.  Returns
    how many entries were judged and how many of them were stale. *)
 let check_stale_flags src =
-  let t, _ = framework_solve src in
+  let t = Fix.of_source src in
+  ignore (Fixpoint_table.verdicts t);
   Fix.with_state t @@ fun () ->
   let j = Stale_oracle.judge () in
   List.iter (fun e -> ignore (Stale_oracle.stale j e)) (D.memo_entries ());

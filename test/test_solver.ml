@@ -1,9 +1,10 @@
 (* Tests for the worklist fixpoint engine: the call-graph/SCC machinery it
-   schedules with, differential agreement with the retained round-robin
-   baseline (fixed programs, the paper's appendix values and a random
-   corpus), isolation of concurrently live solvers (every solver owns a
-   private Dvalue.state, including across domains), and the efficiency
-   claim the engine exists for — strictly fewer entry evaluations. *)
+   schedules with, the verdicts a retired round-robin engine agreed on
+   (fixed programs and a random corpus, frozen in [test/fixpoints.table]),
+   the paper's appendix values, isolation of concurrently live solvers
+   (every solver owns a private Dvalue.state, including across domains),
+   and the efficiency the engine exists for — one evaluation per
+   non-recursive definition. *)
 
 module B = Escape.Besc
 module D = Escape.Dvalue
@@ -65,60 +66,15 @@ let callgraph_units =
         checks "ps last" "ps" (List.hd (List.nth comps 2)));
   ]
 
-(* ---- differential: worklist vs round-robin ------------------------------- *)
+(* ---- differential: the verdicts both engines agreed on -------------------- *)
 
-(* Every global verdict of every definition, under the given engine.  Each
-   solver owns a private engine state (application memo, probe tables),
-   so the two engines share no memo: agreement checks that selective
-   invalidation reaches the same fixpoint as the round-robin baseline,
-   which drops its memo every pass. *)
-let verdicts ~engine src =
-  let t = Fix.of_source ~engine src in
-  List.concat_map
-    (fun (name, _) ->
-      List.map
-        (fun (v : An.verdict) -> (name, v.An.arg, B.to_string v.An.esc))
-        (An.global_all t name))
-    (infer src).Nml.Infer.schemes
-
-let check_differential src =
-  let wl = verdicts ~engine:Fix.Worklist src in
-  let rr = verdicts ~engine:Fix.Round_robin src in
-  List.iter2
-    (fun (name, arg, a) (name', arg', b) ->
-      checks "same verdict order" name name';
-      checki "same arg" arg arg';
-      checks (Printf.sprintf "G(%s, %d)" name arg) a b)
-    wl rr
-
-let fixed_programs =
-  [
-    ("partition-sort", Examples.partition_sort_program);
-    ("map-pair", Examples.map_pair_program);
-    ("rev", Examples.rev_program);
-    ("mutual", mutual_src);
-    ( "zip",
-      Examples.wrap [ Examples.zip_def ] "zip [1, 2, 3] [4, 5, 6]" );
-    ( "trees",
-      Examples.wrap
-        [ Examples.tmap_def; Examples.mirror_def; Examples.tinsert_def ]
-        "0" );
-  ]
-
+(* While a round-robin engine, which dropped its memo every pass, still
+   existed, these programs checked that selective invalidation reaches
+   its fixpoint; the table keeps what both engines computed. *)
 let differential_units =
   List.map
-    (fun (name, src) ->
-      Alcotest.test_case ("engines-agree-" ^ name) `Quick (fun () ->
-          check_differential src))
-    fixed_programs
-  @ [
-      Alcotest.test_case "engines-agree-random-corpus" `Slow (fun () ->
-          let rand = Random.State.make [| 20260807 |] in
-          for _ = 1 to 40 do
-            let src = QCheck.Gen.generate1 ~rand Gen.gen_any_program in
-            check_differential src
-          done);
-    ]
+    (fun (name, check) -> Alcotest.test_case name `Quick check)
+    (Fixpoint_table.cases ~prefix:"engines-agree-")
 
 (* ---- appendix values under the worklist engine --------------------------- *)
 
@@ -156,12 +112,11 @@ let isolation_units =
           B.to_string
             (An.global (Fix.of_source Examples.map_pair_program) "map" ~arg:2).An.esc
         in
-        (* two live solvers with interleaved queries, mixed engines: the
-           round-robin solver clears its memo wholesale and the worklist
-           solver touches generations; each owns a private state, so
+        (* two live solvers with interleaved queries: each touches
+           generations and fills a memo in its own private state, so
            neither may perturb the other *)
-        let a = Fix.of_source ~engine:Fix.Worklist Examples.partition_sort_program in
-        let b = Fix.of_source ~engine:Fix.Round_robin Examples.map_pair_program in
+        let a = Fix.of_source Examples.partition_sort_program in
+        let b = Fix.of_source Examples.map_pair_program in
         let a1 = B.to_string (An.global a "append" ~arg:2).An.esc in
         let b1 = B.to_string (An.global b "map" ~arg:2).An.esc in
         let a2 = B.to_string (An.global a "append" ~arg:2).An.esc in
@@ -221,22 +176,14 @@ let wide_chain n =
 
 let efficiency_units =
   [
-    Alcotest.test_case "worklist-beats-round-robin-on-wide-chain" `Quick (fun () ->
+    Alcotest.test_case "worklist-is-linear-on-wide-chain" `Quick (fun () ->
         let n = 12 in
-        let solve engine =
-          let t = Fix.of_source ~max_iters:1000 ~engine (wide_chain n) in
-          ignore (Fix.value t (Printf.sprintf "w%d" (n - 1)) None);
-          (Fix.evaluations t, Fix.capped t)
-        in
-        let wl, wl_capped = solve Fix.Worklist in
-        let rr, rr_capped = solve Fix.Round_robin in
-        checkb "neither capped" false (wl_capped || rr_capped);
-        checki "worklist is linear" n wl;
-        checkb
-          (Printf.sprintf "strictly fewer evaluations (%d < %d)" wl rr)
-          true (wl < rr));
+        let t = Fix.of_source ~max_iters:1000 (wide_chain n) in
+        ignore (Fix.value t (Printf.sprintf "w%d" (n - 1)) None);
+        checkb "not capped" false (Fix.capped t);
+        checki "worklist is linear" n (Fix.evaluations t));
     Alcotest.test_case "non-recursive-entries-evaluated-once" `Quick (fun () ->
-        let t = Fix.of_source ~engine:Fix.Worklist (wide_chain 6) in
+        let t = Fix.of_source (wide_chain 6) in
         ignore (Fix.value t "w5" None);
         let s = Fix.stats t in
         checki "entries" 6 s.Fix.stats_entries;
