@@ -179,18 +179,20 @@ serve-smoke: build
 
 # The bytecode backend end to end through the CLI: every shipped example
 # runs on the VM with the same result and storage counters as the
-# interpreter (optimized, generational), with the arena escape check on
-# at every arena exit of both, the compile command disassembles, and the
-# differential oracle passes with the VM as its third leg.
+# interpreter, with the arena escape check on at every arena exit of
+# both, once optimized on the generational heap and once unoptimized on
+# the default legacy heap (where plain conses, not annotated ones, reach
+# the interpreter's fused cons); the compile command disassembles, and
+# the differential oracle passes with the VM as its third leg.
 vm-smoke: build
 	set -e; N=_build/default/bin/nmlc.exe; \
 	for f in examples/programs/*.nml; do \
-	  $$N run $$f -O --policy generational --check-arenas --backend vm \
-	    > _build/vm_smoke_vm.out; \
-	  $$N run $$f -O --policy generational --check-arenas \
-	    > _build/vm_smoke_interp.out; \
-	  cmp _build/vm_smoke_vm.out _build/vm_smoke_interp.out \
-	    || { echo "vm-smoke: $$f diverges between backends"; exit 1; }; \
+	  for opts in "-O --policy generational" ""; do \
+	    $$N run $$f $$opts --check-arenas --backend vm > _build/vm_smoke_vm.out; \
+	    $$N run $$f $$opts --check-arenas > _build/vm_smoke_interp.out; \
+	    cmp _build/vm_smoke_vm.out _build/vm_smoke_interp.out \
+	      || { echo "vm-smoke: $$f diverges between backends ($${opts:-unoptimized})"; exit 1; }; \
+	  done; \
 	done
 	dune exec bin/nmlc.exe -- compile examples/programs/reverse.nml --dump-bytecode \
 	  | grep -q 'tailcall'

@@ -410,9 +410,21 @@ let pp_counterexample ppf c =
     \  %s@]"
     c.name c.failure.stage c.failure.expected c.failure.got c.shrunk c.original
 
+(* Candidates run under a step budget: the run's own, or, when that is
+   unlimited, four times the steps the original takes on the baseline
+   machine.  A candidate that lost its base case then ends as a resource
+   limit, which the shrinker rejects, instead of running forever. *)
+let candidate_config cfg src =
+  if cfg.fuel > 0 then cfg
+  else
+    let ir = Ir.of_program (Nml.Surface.of_string src) in
+    let _, m = run_machine cfg ~heap:4096 ~grow:true ~chaos:M.no_chaos ir in
+    { cfg with fuel = (4 * (M.stats m).Stats.steps) + 1000 }
+
 let shrink_failing cfg src failure =
   (* a candidate must reproduce the divergence at the same stage, so the
      minimizer cannot drift into an unrelated failure class *)
+  let cfg = candidate_config cfg src in
   let still_failing s =
     match check_src cfg s with
     | Fail f -> String.equal f.stage failure.stage

@@ -60,6 +60,8 @@ type kind = Scalar | Ptr of int | Funval
 
 type 'w t = {
   mutable cells : 'w cell array;
+      (* at and past [next], every slot holds the shared [unused] record *)
+  unused : 'w cell;
   mutable next : int;  (* bump pointer over never-used cells *)
   mutable free_head : int;  (* intrusive free list, -1 when empty *)
   mutable live : int;
@@ -93,8 +95,10 @@ let create ?(heap_size = 4096) ~grow ~chaos_period ~config ~nil ~scrub ~kind_of 
     () =
   stats.Stats.heap_capacity <- heap_size;
   stats.Stats.generational <- config.policy = Generational;
+  let unused = fresh_cell nil in
   {
-    cells = Array.init (max 1 heap_size) (fun _ -> fresh_cell nil);
+    cells = Array.make (max 1 heap_size) unused;
+    unused;
     next = 0;
     free_head = -1;
     live = 0;
@@ -137,27 +141,26 @@ let take_free h =
   if a >= 0 then h.free_head <- h.cells.(a).link;
   a
 
+(* the never-used cell at the bump pointer, given its own record *)
+let bump h =
+  let a = h.next in
+  h.cells.(a) <- fresh_cell h.nil;
+  h.next <- a + 1;
+  a
+
 (* a free cell, else a never-used one, else -1 *)
 let take_free_or_bump h =
   let a = take_free h in
-  if a >= 0 then a
-  else if h.next < Array.length h.cells then begin
-    h.next <- h.next + 1;
-    h.next - 1
-  end
-  else -1
+  if a >= 0 then a else if h.next < Array.length h.cells then bump h else -1
 
 (* double the store and hand out its first new cell *)
 let grow_and_bump h =
-  let old = h.cells in
-  let cap = Array.length old in
-  let bigger =
-    Array.init (2 * cap) (fun i -> if i < cap then old.(i) else fresh_cell h.nil)
-  in
+  let cap = Array.length h.cells in
+  let bigger = Array.make (2 * cap) h.unused in
+  Array.blit h.cells 0 bigger 0 cap;
   h.cells <- bigger;
   h.stats.Stats.heap_capacity <- 2 * cap;
-  h.next <- h.next + 1;
-  h.next - 1
+  bump h
 
 let register h addr where =
   let c = h.cells.(addr) in

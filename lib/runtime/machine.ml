@@ -1,5 +1,4 @@
 module Ast = Nml.Ast
-module Env = Map.Make (String)
 module H = Heap
 
 type word =
@@ -18,16 +17,39 @@ type word =
   | Wdnode of word list
 
 and closure = {
-  param : string;
-  body : Ir.expr;
+  lam : lam;
   cenv : env;
   mutable cmark : bool;
   mutable hints : int list;
       (** 1-based parameters the spine-liveness analysis proved dead;
           tagged when a letrec binding with advisory hints is filled *)
 }
-and env = binding Env.t
+
+(* An environment holds exactly the names visible at its point of the
+   program, one slot each, in binding order; a binder that shadows a
+   name takes over its slot. *)
+and env = binding array
 and binding = Ready of word | Slot of word option ref
+
+(* [Ir.expr] resolved once per [eval]: every variable is a slot, and a
+   saturated unary or binary primitive, pair or cons is one node that
+   builds no partial application *)
+and code =
+  | Cword of word  (** a constant or an unapplied primitive *)
+  | Cvar of int * string
+  | Cunbound of string
+  | Clam of lam
+  | Capp of code * code
+  | Cif of code * code * code
+  | Cletrec of rec_binding array * int * code  (** bindings, width, body *)
+  | Carena of Ir.arena_kind * int * code
+  | Cprim1 of Ast.prim * code
+  | Cprim2 of Ast.prim * code * code
+  | Ccons of Ir.alloc * code * code
+  | Cpair of code * code
+
+and lam = { param : string; slot : int; width : int; body : code }
+and rec_binding = { name : string; rslot : int; arity : int; rhs : code }
 
 type chaos = {
   gc_period : int;
@@ -188,11 +210,9 @@ let rec mark_with m ~stop_old w =
       List.iter (mark_with m ~stop_old) args
 
 and mark_env m ~stop_old env =
-  Env.iter
-    (fun _ b ->
-      match b with
-      | Ready w -> mark_with m ~stop_old w
-      | Slot { contents = Some w } -> mark_with m ~stop_old w
+  Array.iter
+    (function
+      | Ready w | Slot { contents = Some w } -> mark_with m ~stop_old w
       | Slot { contents = None } -> ())
     env
 
@@ -287,53 +307,64 @@ let type_name = function
 let as_int = function Wint n -> n | w -> error "expected an int, got a %s" (type_name w)
 let as_bool = function Wbool b -> b | w -> error "expected a bool, got a %s" (type_name w)
 
-let delta m p args =
-  match (p, args) with
-  | Ast.Add, [ a; b ] -> Wint (as_int a + as_int b)
-  | Ast.Sub, [ a; b ] -> Wint (as_int a - as_int b)
-  | Ast.Mul, [ a; b ] -> Wint (as_int a * as_int b)
-  | Ast.Div, [ a; b ] ->
+(* comparisons and [null] answer with these, allocating nothing *)
+let wtrue = Wbool true
+let wfalse = Wbool false
+let[@inline] wbool b = if b then wtrue else wfalse
+let arity_error p n = error "primitive %s applied to %d arguments" (Ast.prim_name p) n
+
+let delta1 m p w =
+  match (p, w) with
+  | Ast.Not, _ -> wbool (not (as_bool w))
+  | Ast.Car, Wptr a -> (cell_read m "car" a).H.car
+  | Ast.Car, Wnil -> error "car of nil"
+  | Ast.Car, _ -> error "car of a %s" (type_name w)
+  | Ast.Cdr, Wptr a -> (cell_read m "cdr" a).H.cdr
+  | Ast.Cdr, Wnil -> error "cdr of nil"
+  | Ast.Cdr, _ -> error "cdr of a %s" (type_name w)
+  | Ast.Null, Wnil -> wtrue
+  | Ast.Null, Wptr _ -> wfalse
+  | Ast.Null, _ -> error "null of a %s" (type_name w)
+  | Ast.Fst, Wpair a -> (cell_read m "fst" a).H.car
+  | Ast.Fst, _ -> error "fst of a %s" (type_name w)
+  | Ast.Snd, Wpair a -> (cell_read m "snd" a).H.cdr
+  | Ast.Snd, _ -> error "snd of a %s" (type_name w)
+  | Ast.Isleaf, Wleaf -> wtrue
+  | Ast.Isleaf, Wtree _ -> wfalse
+  | Ast.Isleaf, _ -> error "isleaf of a %s" (type_name w)
+  | Ast.Label, Wtree a -> (cell_read m "label" a).H.lbl
+  | Ast.Label, Wleaf -> error "label of leaf"
+  | Ast.Label, _ -> error "label of a %s" (type_name w)
+  | Ast.Left, Wtree a -> (cell_read m "left" a).H.car
+  | Ast.Left, Wleaf -> error "left of leaf"
+  | Ast.Left, _ -> error "left of a %s" (type_name w)
+  | Ast.Right, Wtree a -> (cell_read m "right" a).H.cdr
+  | Ast.Right, Wleaf -> error "right of leaf"
+  | Ast.Right, _ -> error "right of a %s" (type_name w)
+  | _, _ -> arity_error p 1
+
+(* [Cons], [Pair] and [Node] allocate, and are applied by [alloc2] and
+   [apply] *)
+let delta2 p a b =
+  match p with
+  | Ast.Add -> Wint (as_int a + as_int b)
+  | Ast.Sub -> Wint (as_int a - as_int b)
+  | Ast.Mul -> Wint (as_int a * as_int b)
+  | Ast.Div ->
       let d = as_int b in
       if d = 0 then error "division by zero" else Wint (as_int a / d)
-  | Ast.Mod, [ a; b ] ->
+  | Ast.Mod ->
       let d = as_int b in
       if d = 0 then error "modulo by zero" else Wint (as_int a mod d)
-  | Ast.Eq, [ a; b ] -> Wbool (as_int a = as_int b)
-  | Ast.Ne, [ a; b ] -> Wbool (as_int a <> as_int b)
-  | Ast.Lt, [ a; b ] -> Wbool (as_int a < as_int b)
-  | Ast.Le, [ a; b ] -> Wbool (as_int a <= as_int b)
-  | Ast.Gt, [ a; b ] -> Wbool (as_int a > as_int b)
-  | Ast.Ge, [ a; b ] -> Wbool (as_int a >= as_int b)
-  | Ast.And, [ a; b ] -> Wbool (as_bool a && as_bool b)
-  | Ast.Or, [ a; b ] -> Wbool (as_bool a || as_bool b)
-  | Ast.Not, [ a ] -> Wbool (not (as_bool a))
-  | Ast.Car, [ Wptr a ] -> (cell_read m "car" a).H.car
-  | Ast.Car, [ Wnil ] -> error "car of nil"
-  | Ast.Car, [ w ] -> error "car of a %s" (type_name w)
-  | Ast.Cdr, [ Wptr a ] -> (cell_read m "cdr" a).H.cdr
-  | Ast.Cdr, [ Wnil ] -> error "cdr of nil"
-  | Ast.Cdr, [ w ] -> error "cdr of a %s" (type_name w)
-  | Ast.Null, [ Wnil ] -> Wbool true
-  | Ast.Null, [ Wptr _ ] -> Wbool false
-  | Ast.Null, [ w ] -> error "null of a %s" (type_name w)
-  | Ast.Fst, [ Wpair a ] -> (cell_read m "fst" a).H.car
-  | Ast.Fst, [ w ] -> error "fst of a %s" (type_name w)
-  | Ast.Snd, [ Wpair a ] -> (cell_read m "snd" a).H.cdr
-  | Ast.Snd, [ w ] -> error "snd of a %s" (type_name w)
-  | Ast.Isleaf, [ Wleaf ] -> Wbool true
-  | Ast.Isleaf, [ Wtree _ ] -> Wbool false
-  | Ast.Isleaf, [ w ] -> error "isleaf of a %s" (type_name w)
-  | Ast.Label, [ Wtree a ] -> (cell_read m "label" a).H.lbl
-  | Ast.Label, [ Wleaf ] -> error "label of leaf"
-  | Ast.Label, [ w ] -> error "label of a %s" (type_name w)
-  | Ast.Left, [ Wtree a ] -> (cell_read m "left" a).H.car
-  | Ast.Left, [ Wleaf ] -> error "left of leaf"
-  | Ast.Left, [ w ] -> error "left of a %s" (type_name w)
-  | Ast.Right, [ Wtree a ] -> (cell_read m "right" a).H.cdr
-  | Ast.Right, [ Wleaf ] -> error "right of leaf"
-  | Ast.Right, [ w ] -> error "right of a %s" (type_name w)
-  | (Ast.Cons | Ast.Pair | Ast.Node), _ -> assert false (* handled by the allocator *)
-  | _, _ -> error "primitive %s applied to %d arguments" (Ast.prim_name p) (List.length args)
+  | Ast.Eq -> wbool (as_int a = as_int b)
+  | Ast.Ne -> wbool (as_int a <> as_int b)
+  | Ast.Lt -> wbool (as_int a < as_int b)
+  | Ast.Le -> wbool (as_int a <= as_int b)
+  | Ast.Gt -> wbool (as_int a > as_int b)
+  | Ast.Ge -> wbool (as_int a >= as_int b)
+  | Ast.And -> wbool (as_bool a && as_bool b)
+  | Ast.Or -> wbool (as_bool a || as_bool b)
+  | _ -> arity_error p 2
 
 let do_dcons m p hd tl =
   match p with
@@ -365,6 +396,14 @@ let do_dnode m p l x r =
 
 (* ---- arena safety check --------------------------------------------------- *)
 
+let env_words env =
+  Array.fold_right
+    (fun b acc ->
+      match b with
+      | Ready w | Slot { contents = Some w } -> w :: acc
+      | Slot { contents = None } -> acc)
+    env []
+
 let reachable_into_arena m roots sid =
   let seen = Hashtbl.create 256 in
   let seen_clos = ref [] in
@@ -383,13 +422,7 @@ let reachable_into_arena m roots sid =
     | Wclos c ->
         if not (List.memq c !seen_clos) then begin
           seen_clos := c :: !seen_clos;
-          Env.iter
-            (fun _ b ->
-              match b with
-              | Ready w -> walk w
-              | Slot { contents = Some w } -> walk w
-              | Slot { contents = None } -> ())
-            c.cenv
+          List.iter walk (env_words c.cenv)
         end
     | Wprim (_, args) | Wcons_at (_, args) | Wnode_at (_, args) | Wdcons args
     | Wdnode args ->
@@ -398,64 +431,103 @@ let reachable_into_arena m roots sid =
   List.iter walk roots;
   !hit
 
+(* ---- resolution ------------------------------------------------------------ *)
+
+module Scope = Map.Make (String)
+
+(* the slot of [x] in a scope of [width] slots: a shadowed name's own,
+   else a new last one *)
+let bind (scope, width) x =
+  match Scope.find_opt x scope with
+  | Some _ -> (scope, width)
+  | None -> (Scope.add x width scope, width + 1)
+
+let rec lam_arity = function Ir.Lam (_, b) -> 1 + lam_arity b | _ -> 0
+
+let rec resolve ((scope, _) as sc) (e : Ir.expr) =
+  let go = resolve sc in
+  match e with
+  | Ir.Const (Ast.Cint n) -> Cword (Wint n)
+  | Ir.Const (Ast.Cbool b) -> Cword (wbool b)
+  | Ir.Const Ast.Cnil -> Cword Wnil
+  | Ir.Const Ast.Cleaf -> Cword Wleaf
+  | Ir.Prim p -> Cword (Wprim (p, []))
+  | Ir.ConsAt a -> Cword (Wcons_at (a, []))
+  | Ir.NodeAt a -> Cword (Wnode_at (a, []))
+  | Ir.Dcons -> Cword (Wdcons [])
+  | Ir.Dnode -> Cword (Wdnode [])
+  | Ir.Var x -> (
+      match Scope.find_opt x scope with Some i -> Cvar (i, x) | None -> Cunbound x)
+  | Ir.Lam (x, b) ->
+      let ((scope, width) as sc) = bind sc x in
+      Clam { param = x; slot = Scope.find x scope; width; body = resolve sc b }
+  | Ir.App (Ir.App (Ir.Prim Ast.Cons, a), b) -> Ccons (Ir.Heap, go a, go b)
+  | Ir.App (Ir.App (Ir.ConsAt t, a), b) -> Ccons (t, go a, go b)
+  | Ir.App (Ir.App (Ir.Prim Ast.Pair, a), b) -> Cpair (go a, go b)
+  | Ir.App (Ir.App (Ir.Prim p, a), b) when Ast.prim_arity p = 2 -> Cprim2 (p, go a, go b)
+  | Ir.App (Ir.Prim p, a) when Ast.prim_arity p = 1 -> Cprim1 (p, go a)
+  | Ir.App (f, a) -> Capp (go f, go a)
+  | Ir.If (c, t, f) -> Cif (go c, go t, go f)
+  | Ir.Letrec (bs, body) ->
+      let ((scope, width) as sc) = List.fold_left (fun sc (x, _) -> bind sc x) sc bs in
+      let binding (name, rhs) =
+        { name; rslot = Scope.find name scope; arity = lam_arity rhs; rhs = resolve sc rhs }
+      in
+      Cletrec (Array.of_list (List.map binding bs), width, resolve sc body)
+  | Ir.WithArena (kind, sid, b) -> Carena (kind, sid, go b)
+
 (* ---- evaluation ------------------------------------------------------------ *)
 
-let lookup env x =
-  match Env.find_opt x env with
-  | Some (Ready w) -> w
-  | Some (Slot { contents = Some w }) -> w
-  | Some (Slot { contents = None }) ->
-      error "letrec binding %s is used before its definition is evaluated" x
-  | None -> error "unbound identifier %s at run time" x
+(* a copy of [env] with room for [width] slots *)
+let widen env width =
+  let e = Array.make width (Ready Wnil) in
+  Array.blit env 0 e 0 (Array.length env);
+  e
 
-let rec eval_ir m env (e : Ir.expr) : word =
+let rec eval_code m env c =
   tick m;
-  match e with
-  | Ir.Const (Ast.Cint n) -> Wint n
-  | Ir.Const (Ast.Cbool b) -> Wbool b
-  | Ir.Const Ast.Cnil -> Wnil
-  | Ir.Const Ast.Cleaf -> Wleaf
-  | Ir.Prim p -> Wprim (p, [])
-  | Ir.ConsAt a -> Wcons_at (a, [])
-  | Ir.NodeAt a -> Wnode_at (a, [])
-  | Ir.Dcons -> Wdcons []
-  | Ir.Dnode -> Wdnode []
-  | Ir.Var x -> lookup env x
-  | Ir.Lam (x, b) ->
-      Wclos { param = x; body = b; cenv = env; cmark = false; hints = [] }
-  | Ir.App (f, a) ->
-      let vf = eval_ir m env f in
+  match c with
+  | Cword w -> w
+  | Cvar (i, x) -> (
+      match env.(i) with
+      | Ready w | Slot { contents = Some w } -> w
+      | Slot { contents = None } ->
+          error "letrec binding %s is used before its definition is evaluated" x)
+  | Cunbound x -> error "unbound identifier %s at run time" x
+  | Clam lam -> Wclos { lam; cenv = env; cmark = false; hints = [] }
+  | Capp (f, a) ->
+      let vf = eval_code m env f in
       push m vf;
-      let va = eval_ir m env a in
+      let va = eval_code m env a in
       pop m;
       apply m vf va
-  | Ir.If (c, t, f) -> if as_bool (eval_ir m env c) then eval_ir m env t else eval_ir m env f
-  | Ir.Letrec (bs, body) ->
-      let slots = List.map (fun (x, _) -> (x, ref None)) bs in
-      let env' =
-        List.fold_left (fun env (x, slot) -> Env.add x (Slot slot) env) env slots
-      in
+  | Cif (c, t, f) ->
+      if as_bool (eval_code m env c) then eval_code m env t else eval_code m env f
+  | Cletrec (bs, width, body) ->
+      let env' = widen env width in
+      let slots = Array.map (fun _ -> ref None) bs in
+      Array.iteri (fun i b -> env'.(b.rslot) <- Slot slots.(i)) bs;
       push_env m env';
-      List.iter2
-        (fun (x, rhs) (_, slot) ->
-          let v = eval_ir m env' rhs in
-          tag_hints m x rhs v;
-          slot := Some v)
-        bs slots;
-      let v = eval_ir m env' body in
+      Array.iteri
+        (fun i b ->
+          let v = eval_code m env' b.rhs in
+          tag_hints m b v;
+          slots.(i) := Some v)
+        bs;
+      let v = eval_code m env' body in
       pop_env m;
       v
-  | Ir.WithArena (kind, sid, body) ->
+  | Carena (kind, sid, body) ->
       if not (H.config m.heap).H.regions then
         (* regions disabled (a chaos-harness coverage configuration):
            no arena is opened, and the allocator sends this arena's
            sites to the GC heap instead *)
-        eval_ir m env body
+        eval_code m env body
       else begin
         let a = H.open_arena m.heap ~kind in
         let stack = Option.value ~default:[] (Hashtbl.find_opt m.arena_stacks sid) in
         Hashtbl.replace m.arena_stacks sid (a :: stack);
-        let v = eval_ir m env body in
+        let v = eval_code m env body in
         Hashtbl.replace m.arena_stacks sid stack;
         if m.check_arenas then begin
           let roots = (v :: m.shadow) @ List.concat_map env_words m.env_stack in
@@ -465,31 +537,51 @@ let rec eval_ir m env (e : Ir.expr) : word =
         H.close_arena m.heap a;
         v
       end
+  (* A fused primitive ticks as the two (or three) applications it
+     replaces: once for the primitive, once per application. *)
+  | Cprim1 (p, a) ->
+      tick m;
+      let va = eval_code m env a in
+      tick m;
+      delta1 m p va
+  | Cprim2 (p, a, b) ->
+      tick m;
+      tick m;
+      let va = eval_code m env a in
+      tick m;
+      let vb = eval_code m env b in
+      tick m;
+      delta2 p va vb
+  | Ccons (target, a, b) -> alloc2 m env target a b
+  | Cpair (a, b) -> (
+      match alloc2 m env Ir.Heap a b with Wptr addr -> Wpair addr | _ -> assert false)
 
-and env_words env =
-  Env.fold
-    (fun _ b acc ->
-      match b with
-      | Ready w -> w :: acc
-      | Slot { contents = Some w } -> w :: acc
-      | Slot { contents = None } -> acc)
-    env []
+(* [a] is rooted while [b] runs, and both are around the allocation *)
+and alloc2 m env target a b =
+  tick m;
+  tick m;
+  let va = eval_code m env a in
+  tick m;
+  push m va;
+  let vb = eval_code m env b in
+  tick m;
+  push m vb;
+  let r = alloc_cell m target va vb in
+  pop m;
+  pop m;
+  r
 
 (* tag a letrec-bound closure with the advisory dead-spine hints of its
    binder, so calls through the binding can be counted when they bind a
    hinted parameter to an actual spine *)
-and tag_hints m x rhs v =
+and tag_hints m b v =
   match v with
   | Wclos c when c.hints = [] ->
       let cfg = H.config m.heap in
       if cfg.H.liveness_hints <> [] then begin
-        let rec lam_arity = function
-          | Ir.Lam (_, b) -> 1 + lam_arity b
-          | _ -> 0
-        in
         let idxs = ref [] in
-        for i = lam_arity rhs downto 1 do
-          if H.hinted_dead_spine cfg ~fname:x ~arg:i then idxs := i :: !idxs
+        for i = b.arity downto 1 do
+          if H.hinted_dead_spine cfg ~fname:b.name ~arg:i then idxs := i :: !idxs
         done;
         if !idxs <> [] then begin
           c.hints <- !idxs;
@@ -505,21 +597,22 @@ and apply m vf va =
   push m va;
   let result =
     match vf with
-    | Wclos ({ param; body; cenv; _ } as c) ->
+    | Wclos ({ lam; cenv; _ } as c) ->
         (if List.mem 1 c.hints then
            match va with
            | Wptr _ | Wnil ->
                m.stats.Stats.hints_accepted <- m.stats.Stats.hints_accepted + 1
            | _ -> ());
-        let env' = Env.add param (Ready va) cenv in
+        let env' = widen cenv lam.width in
+        env'.(lam.slot) <- Ready va;
         push_env m env';
-        let r = eval_ir m env' body in
+        let r = eval_code m env' lam.body in
         pop_env m;
         (* under currying, hint [i] of this closure is hint [i-1] of
            the closure its body returns — propagate only when the body
            is syntactically the next lambda of the same nest *)
-        (match (body, r) with
-        | Ir.Lam _, Wclos rc when rc.hints = [] ->
+        (match (lam.body, r) with
+        | Clam _, Wclos rc when rc.hints = [] ->
             let rest =
               List.filter_map
                 (fun i -> if i > 1 then Some (i - 1) else None)
@@ -543,9 +636,9 @@ and apply m vf va =
             H.barrier m.heap addr;
             Wtree addr
         | _ -> assert false)
-    | Wprim (p, collected) ->
-        let args = collected @ [ va ] in
-        if List.length args = Ast.prim_arity p then delta m p args else Wprim (p, args)
+    | Wprim (p, []) when Ast.prim_arity p = 1 -> delta1 m p va
+    | Wprim (p, [ a ]) when Ast.prim_arity p = 2 -> delta2 p a va
+    | Wprim (p, collected) -> Wprim (p, collected @ [ va ])
     | Wcons_at (target, []) -> Wcons_at (target, [ va ])
     | Wcons_at (target, [ hd ]) -> alloc_cell m target hd va
     | Wcons_at (_, _) -> error "annotated cons applied to too many arguments"
@@ -575,9 +668,10 @@ and apply m vf va =
 
 let eval m e =
   let before = Stats.snapshot m.stats in
+  let code = resolve (Scope.empty, 0) e in
   Fun.protect
     ~finally:(fun () -> Stats.global_add ~before ~after:m.stats)
-    (fun () -> eval_ir m Env.empty e)
+    (fun () -> eval_code m [||] code)
 
 let run m p = eval m (Ir.of_program p)
 
@@ -628,7 +722,7 @@ let rec pp_word m ppf = function
       let c = H.get m.heap a in
       Format.fprintf ppf "@[<hov 1>(node %a %a %a)@]" (pp_word m) c.H.car (pp_word m)
         c.H.lbl (pp_word m) c.H.cdr
-  | Wclos { param; _ } -> Format.fprintf ppf "<fun %s>" param
+  | Wclos { lam = { param; _ }; _ } -> Format.fprintf ppf "<fun %s>" param
   | Wprim (p, args) -> Format.fprintf ppf "<prim %s/%d>" (Ast.prim_name p) (List.length args)
   | Wcons_at (_, args) -> Format.fprintf ppf "<cons@/%d>" (List.length args)
   | Wnode_at (_, args) -> Format.fprintf ppf "<node@/%d>" (List.length args)

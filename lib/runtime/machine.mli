@@ -9,13 +9,19 @@
     - {e in-place reuse} via [Ir.Dcons], which overwrites an existing
       cell instead of allocating.
 
-    The machine is deliberately simple — an environment interpreter with
-    an explicit shadow stack for GC roots (a minor collection rescans
-    only the entries pushed or popped down to since the previous
-    collection) — because the paper's claims
-    are about {e counts} (cells allocated, cells the collector must
-    touch, reclamation without traversal), which {!Stats} captures
-    exactly.
+    The machine is deliberately simple — an interpreter over the IR
+    resolved once per {!eval}, with an explicit shadow stack for GC roots
+    (a minor collection rescans only the entries pushed or popped down
+    to since the previous collection) — because the paper's claims are
+    about {e counts} (cells allocated, cells the collector must touch,
+    reclamation without traversal), which {!Stats} captures exactly.
+    Resolution turns every variable into an index into an array
+    environment holding exactly the names visible at that point (a
+    shadowing binder takes over the shadowed slot, so a collection
+    marks only what is visible), and every saturated unary or binary
+    primitive, pair or cons into one node that builds no partial
+    application but ticks and roots its operands as the applications
+    it replaces would.
 
     Optionally ([~check_arenas:true]) the machine validates, at every
     arena exit, that no cell of the arena is reachable from the arena

@@ -605,6 +605,80 @@ let pause_tests =
           | _ -> false);
     ]
 
+(* ---- resolved environments and fused primitives ------------------------------- *)
+
+(* unary and binary primitives, cons, pairs, a partially applied cons
+   mapped over a list, and a lambda whose parameter shadows a let *)
+let tick_order_program =
+  Ex.wrap [ Ex.map_def; Ex.length_def ]
+    "let xs = [7, 8] in\n\
+     let p = mkpair (length xs) (not (null xs)) in\n\
+     mkpair (map (cons 0) [[1], [2]])\n\
+    \  ((fun xs -> if (1 < 2) and (snd p or false)\n\
+    \     then cons (fst p + car xs * 2 - 1) (cons (9 div 2 + 9 mod 2) (cdr xs))\n\
+    \     else nil) (cons (length xs) xs))"
+
+(* the closure [h] captures the body environment of a lambda whose
+   parameter shadows a list-holding [l]: the outer list is garbage once
+   the application returns, unless a shadowed binding stayed visible *)
+let shadowing_program =
+  Ex.wrap [ Ex.create_list_def; Ex.sum_def ]
+    "let h = (let l = create_list 30 in fun l -> fun u -> sum l + u) [1, 2] in\n\
+     h (sum (create_list 12)) + h (sum (create_list 6))"
+
+let resolved_tests =
+  [
+    Alcotest.test_case "out-of-fuel-exactly-when-the-budget-falls-short" `Quick
+      (fun () ->
+        let ir = Ir.of_program (Surface.of_string tick_order_program) in
+        let full = M.create () in
+        Alcotest.check value "result"
+          (eval_src tick_order_program)
+          (M.read_value full (M.eval full ir));
+        let steps = (M.stats full).Stats.steps in
+        checki "steps" 318 steps;
+        let trace = Buffer.create 4096 and wrong = ref [] in
+        for fuel = 0 to steps do
+          let m = M.create ~heap_size:8 ~fuel () in
+          match M.eval m ir with
+          | _ -> if fuel < steps then wrong := fuel :: !wrong
+          | exception M.Out_of_fuel ->
+              if fuel >= steps then wrong := fuel :: !wrong;
+              let s = M.stats m in
+              Printf.bprintf trace "%d %d %d\n" fuel s.Stats.steps s.Stats.heap_allocs
+        done;
+        Alcotest.check Alcotest.(list int) "budgets with the wrong outcome" [] !wrong;
+        Alcotest.check Alcotest.string "(steps, heap_allocs) at each exhaustion"
+          "af689644fc880f1a887dd8f9e9a7ccc9"
+          (Digest.to_hex (Digest.string (Buffer.contents trace))));
+    Alcotest.test_case "shadowed-binding-is-not-marked" `Quick (fun () ->
+        let m =
+          M.create ~heap_size:64 ~check_arenas:true ~chaos:chaos_on ~config:(tiny_gen 2)
+            ()
+        in
+        let v = M.read_value m (M.run m (Surface.of_string shadowing_program)) in
+        Alcotest.check value "result" (eval_src shadowing_program) v;
+        let s = M.stats m in
+        checki "marked" 240 s.Stats.marked;
+        checki "promoted" 48 s.Stats.promoted;
+        check_live_invariant m);
+    Alcotest.test_case "letrec-closure-sees-a-later-fill" `Quick (fun () ->
+        let src = "letrec f a b = if b = 0 then a else g (b - 1); g = f 1 in g 3" in
+        let v, _ = run_src src in
+        Alcotest.check value "result" (Eval.Vint 1) v);
+    Alcotest.test_case "run-time-scope-errors-keep-their-text" `Quick (fun () ->
+        let error_of ir =
+          match M.eval (M.create ()) ir with
+          | exception M.Error msg -> msg
+          | _ -> Alcotest.fail "expected an error"
+        in
+        Alcotest.check Alcotest.string "early use"
+          "letrec binding f is used before its definition is evaluated"
+          (error_of Ir.(Letrec ([ ("f", Var "f") ], Var "f")));
+        Alcotest.check Alcotest.string "unbound" "unbound identifier y at run time"
+          (error_of Ir.(App (Lam ("x", Var "y"), Const (Nml.Ast.Cint 1)))));
+  ]
+
 (* ---- differential property -------------------------------------------------- *)
 
 let differential =
@@ -649,5 +723,6 @@ let () =
       ("ir", ir_tests);
       ("generational", generational_tests);
       ("pauses", pause_tests);
+      ("resolved", resolved_tests);
       ("differential", differential);
     ]
