@@ -179,7 +179,8 @@ serve-smoke: build
 
 # The bytecode backend end to end through the CLI: every shipped example
 # runs on the VM with the same result and storage counters as the
-# interpreter, with the arena escape check on at every arena exit of
+# interpreter, both print the value the reference interpreter (`nmlc
+# eval`) prints, with the arena escape check on at every arena exit of
 # both, once optimized on the generational heap and once unoptimized on
 # the default legacy heap (where plain conses, not annotated ones, reach
 # the interpreter's fused cons); the compile command disassembles, and
@@ -187,11 +188,16 @@ serve-smoke: build
 vm-smoke: build
 	set -e; N=_build/default/bin/nmlc.exe; \
 	for f in examples/programs/*.nml; do \
+	  $$N eval $$f > _build/vm_smoke_eval.out; \
 	  for opts in "-O --policy generational" ""; do \
 	    $$N run $$f $$opts --check-arenas --backend vm > _build/vm_smoke_vm.out; \
 	    $$N run $$f $$opts --check-arenas > _build/vm_smoke_interp.out; \
 	    cmp _build/vm_smoke_vm.out _build/vm_smoke_interp.out \
 	      || { echo "vm-smoke: $$f diverges between backends ($${opts:-unoptimized})"; exit 1; }; \
+	    for out in _build/vm_smoke_vm.out _build/vm_smoke_interp.out; do \
+	      sed -n 's/^[a-z]* result: //p' $$out | cmp - _build/vm_smoke_eval.out \
+	        || { echo "vm-smoke: $$f: $$out differs from nmlc eval ($${opts:-unoptimized})"; exit 1; }; \
+	    done; \
 	  done; \
 	done
 	dune exec bin/nmlc.exe -- compile examples/programs/reverse.nml --dump-bytecode \

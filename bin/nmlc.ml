@@ -822,11 +822,11 @@ let check_cmd =
     handle (fun () ->
         let count = max 0 count in
         let cfg = { Check.Harness.heap; fuel; chaos; seed; fault } in
+        (* the given files first: the corpus check stops at the first
+           failure, which must not hide one of theirs *)
         let corpus =
-          Check.Harness.builtin_corpus
-          @ List.map
-              (fun f -> (f, In_channel.with_open_text f In_channel.input_all))
-              files
+          List.map (fun f -> (f, In_channel.with_open_text f In_channel.input_all)) files
+          @ Check.Harness.builtin_corpus
         in
         let report kind = function
           | Ok { Check.Harness.checked; passed; skipped } ->

@@ -3,7 +3,18 @@
     This is the reference interpreter: the exact escape semantics of the
     paper is an abstraction of a concrete execution, and the taint
     interpreter ({!Core.Exact}) as well as the storage simulator
-    ({!Runtime.Machine}) must agree with the results produced here. *)
+    ({!Runtime.Machine}) must agree with the results produced here.
+
+    An expression is resolved once into a private code tree, then run.
+    A variable becomes a frame address; an application pushes one frame
+    holding its argument and a [letrec] one frame holding its group's
+    slots, so the cost of a call does not depend on how many names are
+    in scope.  Closures capture the frame chain by reference.  A
+    saturated unary or binary primitive application is one node that
+    spends exactly the steps of the nested applications it stands for:
+    [fuel] counts one step per source node reached and one per
+    application.  The resolver shares nothing
+    with {!Runtime.Machine}'s, keeping this an independent oracle leg. *)
 
 type value =
   | Vint of int
@@ -13,12 +24,15 @@ type value =
   | Vpair of value * value
   | Vleaf
   | Vnode of value * value * value  (** left, label, right *)
-  | Vclos of string * Ast.expr * env  (** parameter, body, captured env *)
+  | Vclos of string * code * env  (** parameter, resolved body, captured env *)
   | Vprim of Ast.prim * value list  (** partially applied primitive *)
+
+and code
+(** A resolved function body. *)
 
 and env
 (** Environments map identifiers to values; [letrec] is implemented with
-    backpatched references, so reading a binding before its definition has
+    backpatched slots, so reading a binding before its definition has
     been evaluated is a runtime error (as in OCaml's [let rec]). *)
 
 exception Runtime_error of string
@@ -28,10 +42,17 @@ val empty_env : env
 val bind : string -> value -> env -> env
 val lookup : env -> string -> value
 
+val letrec_frame : string array -> value list -> env -> env
+(** [letrec_frame names filled env] is the environment a [letrec] of
+    [names] over [env] has while only its first [List.length filled]
+    right-hand sides have been evaluated, to those values: what a closure
+    made by a later right-hand side captures.  For tests. *)
+
 val env_values : env -> value list
-(** All values bound in the environment (pending [letrec] slots that have
-    not been evaluated yet are skipped).  Used by the escape observer to
-    traverse what a closure captures. *)
+(** The values of the visible bindings of the environment: a binding
+    shadowed by an inner one of the same name is skipped, and so are
+    pending [letrec] slots that have not been evaluated yet.  Used by the
+    escape observer to traverse what a closure captures. *)
 
 val eval : ?fuel:int -> ?env:env -> Ast.expr -> value
 (** Evaluates an expression.  [fuel] bounds the number of evaluation steps

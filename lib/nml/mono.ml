@@ -77,21 +77,21 @@ let monomorphize ?(max_instances = 1000) (prog : Infer.program) =
         drain ()
       end)
     def_names;
-  (* emit copies grouped by original definition order, then discovery *)
+  (* emit copies grouped by original definition order, then discovery;
+     [!order] is newest first, so consing builds each group oldest first *)
+  let groups = Hashtbl.create 16 in
+  List.iter
+    (fun (d, n, _) ->
+      Hashtbl.replace groups d (n :: Option.value ~default:[] (Hashtbl.find_opt groups d)))
+    !order;
   let defs =
     List.concat_map
       (fun def ->
-        List.filter_map
-          (fun (d, n, _) ->
-            if String.equal d def then
-              Some (n, Hashtbl.find specialized n)
-            else None)
-          (List.rev !order))
+        List.map
+          (fun n -> (n, Hashtbl.find specialized n))
+          (Option.value ~default:[] (Hashtbl.find_opt groups def)))
       def_names
   in
-  {
-    program = { Surface.defs; main = main_ast };
-    instances = List.rev_map (fun (d, n, i) -> (d, n, i)) !order;
-  }
+  { program = { Surface.defs; main = main_ast }; instances = List.rev !order }
 
 let run ?max_instances surface = monomorphize ?max_instances (Infer.infer_program surface)

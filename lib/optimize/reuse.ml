@@ -34,55 +34,55 @@ let param_loc rhs i =
   in
   walk 1 rhs
 
+(* The nil-guarded DCONS and DNODE sites a parameter would license, read
+   off the body alone; only a parameter with one is worth the escape
+   query [G(f,i)], and only a definition with such a parameter is worth
+   its instance type. *)
+let guarded_sites body param =
+  let guarded sites = List.filter (fun s -> s.Liveness.nil_guarded) sites |> Liveness.select in
+  ( guarded (Liveness.eligible_sites body ~param),
+    guarded (Liveness.eligible_node_sites body ~param) )
+
 let candidates t (surface : Nml.Surface.t) =
   List.filter_map
     (fun (name, rhs) ->
       let params, body = Shape.strip_lams rhs in
       let n = List.length params in
-      if n = 0 then None
+      let sites = List.map (guarded_sites body) params in
+      if List.for_all (fun (cons, node) -> cons = [] && node = []) sites then None
       else
         let inst = Fix.instance_ty t name in
         if Ty.arity inst < n then None
         else
-          let arg_tys = Ty.arg_tys inst n in
           let rec pick i = function
             | [] -> None
-            | ty :: rest ->
+            | (ty, param, (cons, node)) :: rest ->
                 let next () = pick (i + 1) rest in
-                if Ty.spines ty < 1 then next ()
+                let sites, node_sites =
+                  match Ty.repr ty with
+                  | Ty.List _ -> (cons, [])
+                  | Ty.Tree _ -> ([], node)
+                  | _ -> ([], [])
+                in
+                if sites = [] && node_sites = [] then next ()
                 else
                   let v = An.global ~arity:n t name ~arg:i in
                   if An.non_escaping_top_spines v < 1 then next ()
                   else
-                    let param = List.nth params (i - 1) in
-                    let sites, node_sites =
-                      match Ty.repr ty with
-                      | Ty.List _ ->
-                          ( Liveness.eligible_sites body ~param
-                            |> List.filter (fun s -> s.Liveness.nil_guarded)
-                            |> Liveness.select,
-                            [] )
-                      | Ty.Tree _ ->
-                          ( [],
-                            Liveness.eligible_node_sites body ~param
-                            |> List.filter (fun s -> s.Liveness.nil_guarded)
-                            |> Liveness.select )
-                      | _ -> ([], [])
-                    in
-                    if sites = [] && node_sites = [] then next ()
-                    else
-                      Some
-                        {
-                          def = name;
-                          primed = name ^ "'";
-                          arg = i;
-                          param;
-                          loc = param_loc rhs i;
-                          sites;
-                          node_sites;
-                        }
+                    Some
+                      {
+                        def = name;
+                        primed = name ^ "'";
+                        arg = i;
+                        param;
+                        loc = param_loc rhs i;
+                        sites;
+                        node_sites;
+                      }
           in
-          pick 1 arg_tys)
+          pick 1
+            (List.map2 (fun ty (param, s) -> (ty, param, s)) (Ty.arg_tys inst n)
+               (List.combine params sites)))
     surface.Nml.Surface.defs
 
 (* ---- freshness ------------------------------------------------------------ *)

@@ -450,6 +450,74 @@ let eval_tests =
           (Eval.equal_value (Eval.Vint 720)
              (Eval.run ~fuel:100000
                 (Surface.of_string "letrec fact n = if n = 0 then 1 else n * fact (n - 1) in fact 6"))));
+    Alcotest.test_case "fuel-budget-is-exact" `Quick (fun () ->
+        (* unary and binary primitives, cons, mkpair, node, a partial
+           [cons 0], a lambda shadowing a let and a letrec; 159 is the
+           step count of the unfused applications *)
+        let p =
+          Surface.of_string
+            "letrec map f l = if null l then nil else cons (f (car l)) (map f (cdr l)) in\n\
+             let x = [1, 2] in\n\
+             let g = fun x -> cons (car x + 1) (cdr x) in\n\
+             mkpair (map (cons 0) [x, g x]) (node leaf (car x * 2 - 1) leaf)"
+        in
+        let steps = 159 in
+        for fuel = 0 to steps - 1 do
+          match Eval.run ~fuel p with
+          | exception Eval.Out_of_fuel -> ()
+          | _ -> Alcotest.failf "fuel %d: expected Out_of_fuel" fuel
+        done;
+        checks "value" "([[0, 1, 2], [0, 2, 2]], (node leaf 1 leaf))"
+          (Format.asprintf "%a" Eval.pp_value (Eval.run ~fuel:steps p)));
+    Alcotest.test_case "runtime-error-texts" `Quick (fun () ->
+        let msg e =
+          match e () with
+          | exception Eval.Runtime_error m -> m
+          | _ -> Alcotest.fail "expected a runtime error"
+        in
+        let run src () = Eval.run (Surface.of_string src) in
+        checks "car" "car of nil" (msg (run "car nil"));
+        checks "unbound" "unbound identifier zz at run time"
+          (msg (fun () -> Eval.eval (A.var "zz")));
+        checks "unbound under a lambda" "unbound identifier zz at run time"
+          (msg (fun () -> Eval.eval (A.app (A.lams [ "x" ] (A.var "zz")) [ A.int 1 ])));
+        checks "unbound by name" "unbound identifier zz at run time"
+          (msg (fun () -> Eval.lookup (Eval.bind "x" (Eval.Vint 1) Eval.empty_env) "zz"));
+        checks "letrec" "letrec binding xs is used before its definition is evaluated"
+          (msg (run "letrec xs = cons 1 xs in xs"));
+        checks "apply" "cannot apply a int as a function" (msg (run "1 2"));
+        checks "cons tail" "cons: tail must be a list, got a int" (msg (run "cons 1 2"));
+        checks "partial cons tail" "cons: tail must be a list, got a int"
+          (msg (run "(cons 1) 2")));
+    Alcotest.test_case "env-values-visible-only" `Quick (fun () ->
+        let ints env =
+          List.sort compare
+            (List.map (function Eval.Vint n -> n | _ -> -1) (Eval.env_values env))
+        in
+        let outer = Eval.bind "x" (Eval.Vint 1) (Eval.bind "y" (Eval.Vint 2) Eval.empty_env) in
+        Alcotest.(check (list int)) "shadowed" [ 2; 3 ]
+          (ints (Eval.bind "x" (Eval.Vint 3) outer));
+        (* [f] filled, [y] pending: the pending slot hides the outer [y] *)
+        let group = Eval.letrec_frame [| "f"; "y"; "z" |] [ Eval.Vint 4 ] outer in
+        Alcotest.(check (list int)) "pending" [ 1; 4 ] (ints group);
+        checks "pending lookup" "letrec binding y is used before its definition is evaluated"
+          (match Eval.lookup group "y" with
+          | exception Eval.Runtime_error m -> m
+          | _ -> "no error");
+        (* a repeated name in one group: the later slot is the binding *)
+        Alcotest.(check (list int)) "repeated" [ 6 ]
+          (ints (Eval.letrec_frame [| "a"; "a" |] [ Eval.Vint 5; Eval.Vint 6 ] Eval.empty_env)));
+    Alcotest.test_case "letrec-closure-sees-later-fill" `Quick (fun () ->
+        checks "g" "1" (eval_str "letrec f a b = if b = 0 then a else g (b - 1); g = f 1 in g 3");
+        (* [h] is made while [k] is pending and reads it once filled *)
+        let env = Eval.defs_env (Surface.of_string "letrec h = fun y -> k; k = 7 in 0") in
+        match Eval.lookup env "h" with
+        | Eval.Vclos (_, _, captured) as h ->
+            checkb "captured k" true
+              (List.exists (Eval.equal_value (Eval.Vint 7)) (Eval.env_values captured));
+            checks "h 0" "7"
+              (Format.asprintf "%a" Eval.pp_value (Eval.apply_value h [ Eval.Vint 0 ]))
+        | _ -> Alcotest.fail "h is not a closure");
     Alcotest.test_case "value-conversions" `Quick (fun () ->
         let v = Eval.value_of_int_list [ 1; 2; 3 ] in
         Alcotest.(check (list int)) "roundtrip" [ 1; 2; 3 ] (Eval.int_list_of_value v));
