@@ -74,7 +74,7 @@ let callgraph_units =
 let differential_units =
   List.map
     (fun (name, check) -> Alcotest.test_case name `Quick check)
-    (Fixpoint_table.cases ~prefix:"engines-agree-")
+    (Fixpoint_table.cases Fixpoint_table.escape ~prefix:"engines-agree-")
 
 (* ---- appendix values under the worklist engine --------------------------- *)
 
