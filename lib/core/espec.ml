@@ -1,7 +1,9 @@
 (* The escape analysis as a [Framework.Spec.S]: a thin delegation layer
    over the domain engine ([Dvalue], including its extensional
-   comparison) and the abstract semantics ([Semantics]).  [Fixpoint] is
-   the generic solver instantiated at this Spec. *)
+   comparison), and the shared abstract interpreter
+   ([Framework.Interp]) instantiated at that domain with the [C] tables
+   and hooks of [Semantics].  [Fixpoint] is the generic solver
+   instantiated at this Spec. *)
 
 let name = "escape"
 
@@ -40,13 +42,14 @@ let sources = Dvalue.sources
 let memo_stats = Dvalue.cache_stats
 let invalidations = Dvalue.invalidations
 
-type ctx = Semantics.ctx
+include Framework.Interp.Make (struct
+  type nonrec value = value
 
-let make_ctx ~d ~global ~max_iters =
-  { Semantics.d; global; max_iters; iters = 0; capped = false; fv_cache = [] }
+  let bottom = bottom
+  let top = top
+  let join = join
+  let equal = equal
+  let apply = Dvalue.apply
 
-let transfer ctx tast = Semantics.eval ctx Semantics.Env.empty tast
-let iterations (ctx : ctx) = ctx.Semantics.iters
-let record_iteration (ctx : ctx) = ctx.Semantics.iters <- ctx.Semantics.iters + 1
-let capped (ctx : ctx) = ctx.Semantics.capped
-let set_capped (ctx : ctx) = ctx.Semantics.capped <- true
+  include Semantics
+end)

@@ -170,22 +170,12 @@ let kleene_trace ?(max_iters = 12) ppf (prog : Nml.Infer.program) =
     Format.fprintf ppf "iterate %d %a@," !k pp_row row;
     (* Jacobi: next iterate of every body under the snapshot *)
     let ctx =
-      {
-        Semantics.d = (fun () -> Dvalue.current_d ());
-        global =
-          (fun x _ty ->
-            match List.assoc_opt x snapshot with
-            | Some v -> v
-            | None -> invalid_arg (Printf.sprintf "kleene_trace: unknown %s" x));
-        max_iters = 100;
-        iters = 0;
-        capped = false;
-        fv_cache = [];
-      }
+      Espec.make_ctx ~d:Dvalue.current_d ~max_iters:100 ~global:(fun x _ty ->
+          match List.assoc_opt x snapshot with
+          | Some v -> v
+          | None -> invalid_arg (Printf.sprintf "kleene_trace: unknown %s" x))
     in
-    let next =
-      List.map (fun (n, tast) -> (n, Semantics.eval ctx Semantics.Env.empty tast)) defs
-    in
+    let next = List.map (fun (n, tast) -> (n, Espec.transfer ctx tast)) defs in
     stable :=
       List.for_all2 (fun (_, a) (_, b) -> Dvalue.equal a b) snapshot next;
     current := next;

@@ -1,19 +1,5 @@
 module Ty = Nml.Ty
-module Tast = Nml.Tast
 module Ast = Nml.Ast
-module Env = Map.Make (String)
-
-type ctx = {
-  d : unit -> int;
-  global : string -> Nml.Ty.t -> Dvalue.t;
-  max_iters : int;
-  mutable iters : int;
-  mutable capped : bool;
-  mutable fv_cache : (Tast.texpr * string list) list;
-      (** free variables per lambda node (physical identity): a lambda is
-          abstractly evaluated once per application of its enclosing
-          function, so recomputing its free variables dominates *)
-}
 
 let arrow_parts ty =
   match Ty.repr ty with
@@ -89,67 +75,16 @@ let prim_value ~ty (p : Ast.prim) =
          like cdr *)
       Dvalue.direct ~ty ~esc:Besc.zero ~app:(fun x -> Dvalue.with_ty rest x)
 
-let rec eval ctx env (e : Tast.texpr) : Dvalue.t =
-  match e.Tast.desc with
-  | Tast.Const c -> const_value ~ty:e.Tast.ty c
-  | Tast.Prim p -> prim_value ~ty:e.Tast.ty p
-  | Tast.Var x -> (
-      match Env.find_opt x env with
-      | Some v -> v
-      | None -> ctx.global x e.Tast.ty)
-  | Tast.App (f, a) ->
-      let vf = eval ctx env f in
-      let va = eval ctx env a in
-      Dvalue.apply vf va
-  | Tast.Lam (x, body) ->
-      (* V = <0,0> ⊔ ⨆ { esc of z | z free in the lambda } (section 3.4);
-         globals contribute <0,0>. *)
-      let fvs =
-        match List.assq_opt e ctx.fv_cache with
-        | Some fvs -> fvs
-        | None ->
-            let fvs = Tast.free_vars e in
-            ctx.fv_cache <- (e, fvs) :: ctx.fv_cache;
-            fvs
-      in
-      let esc =
-        List.fold_left
-          (fun acc z ->
-            match Env.find_opt z env with
-            | Some v -> Besc.join acc (Dvalue.total_esc v)
-            | None -> acc)
-          Besc.zero fvs
-      in
-      Dvalue.v ~ty:e.Tast.ty ~esc ~app:(fun y -> eval ctx (Env.add x y env) body)
-  | Tast.If (_c, t, f) ->
-      (* both branches may be taken at compile time *)
-      Dvalue.join (eval ctx env t) (eval ctx env f)
-  | Tast.Letrec (bs, body) ->
-      let env' = solve_group ctx env bs in
-      eval ctx env' body
+(* The escape domain's hooks of the shared abstract interpreter
+   ({!Framework.Interp}). *)
 
-(* Kleene iteration for a (nested) letrec group, Jacobi style: every
-   right-hand side of round k+1 is evaluated under the round-k values. *)
-and solve_group ctx env bs =
-  let current =
-    ref (List.map (fun (x, rhs) -> (x, Dvalue.bottom rhs.Tast.ty)) bs)
-  in
-  let build vals = List.fold_left (fun env (x, v) -> Env.add x v env) env vals in
-  let rec iterate n =
-    if n >= ctx.max_iters then (
-      ctx.capped <- true;
-      current := List.map (fun (x, rhs) -> (x, Dvalue.top ~d:(ctx.d ()) rhs.Tast.ty)) bs)
-    else begin
-      ctx.iters <- ctx.iters + 1;
-      let envk = build !current in
-      let next = List.map (fun (x, rhs) -> (x, eval ctx envk rhs)) bs in
-      Dvalue.ensure_d (ctx.d ());
-      let converged =
-        List.for_all2 (fun (_, v_old) (_, v_new) -> Dvalue.equal v_old v_new) !current next
-      in
-      current := next;
-      if not converged then iterate (n + 1)
-    end
-  in
-  iterate 0;
-  build !current
+(* V = <0,0> ⊔ ⨆ { esc of z | z free in the lambda } (section 3.4) *)
+type basic = Besc.t
+
+let no_capture = Besc.zero
+let capture acc v = Besc.join acc (Dvalue.total_esc v)
+let lambda ~ty esc app = Dvalue.v ~ty ~esc ~app
+
+(* both branches may be taken at compile time: the condition is never
+   evaluated *)
+let condition = None

@@ -1,32 +1,10 @@
-(** The abstract escape semantic functions [E] and [C] (section 3.4).
-
-    Evaluation maps a typed expression to a {!Dvalue.t} under
-
-    - a local environment for lambda- and letrec-bound identifiers, and
-    - a global hook used to resolve the program's top-level definitions
-      at the ground instance recorded on the occurrence (supplied by
-      {!Fixpoint}, which memoizes per (name, instance) and iterates).
-
-    Conditionals join both branches; nested [letrec]s are solved inline
-    by Kleene iteration with probe-based convergence. *)
-
-module Env : Map.S with type key = string
-
-type ctx = {
-  d : unit -> int;
-      (** current chain bound [d] (may grow as instances are demanded) *)
-  global : string -> Nml.Ty.t -> Dvalue.t;
-      (** resolve a top-level definition at a ground instance type *)
-  max_iters : int;  (** per-letrec Kleene iteration cap *)
-  mutable iters : int;  (** total iterations performed (statistics) *)
-  mutable capped : bool;  (** true if any fixpoint hit the cap *)
-  mutable fv_cache : (Nml.Tast.texpr * string list) list;
-      (** per-lambda free-variable sets, keyed by physical node *)
-}
-
-val eval : ctx -> Dvalue.t Env.t -> Nml.Tast.texpr -> Dvalue.t
-(** @raise Invalid_argument on identifiers bound neither locally nor
-    globally (cannot happen for trees produced by {!Nml.Infer}). *)
+(** The escape domain's share of the abstract semantic function [E] of
+    section 3.4: the semantic function [C] for constants and primitives,
+    and the hooks {!Framework.Interp.Make} asks of a domain.  The walk
+    itself — variables through the solver's [global] hook, application,
+    lambdas, conditionals and the Kleene iteration of nested [letrec]s —
+    is the interpreter shared with every other analysis ({!Espec}
+    instantiates it). *)
 
 val prim_value : ty:Nml.Ty.t -> Nml.Ast.prim -> Dvalue.t
 (** The semantic function [C] for primitive constants, at the
@@ -36,3 +14,16 @@ val prim_value : ty:Nml.Ty.t -> Nml.Ast.prim -> Dvalue.t
 val const_value : ty:Nml.Ty.t -> Nml.Ast.const -> Dvalue.t
 (** [C] for literal constants; [nil] is the bottom of its element
     domain. *)
+
+type basic = Besc.t
+
+val no_capture : basic
+val capture : basic -> Dvalue.t -> basic
+
+val lambda : ty:Nml.Ty.t -> basic -> (Dvalue.t -> Dvalue.t) -> Dvalue.t
+(** A lambda's basic value is [<0,0>] joined with the escape of every
+    local it captures (globals capture nothing). *)
+
+val condition : (Dvalue.t -> Dvalue.t -> Dvalue.t) option
+(** [None]: a conditional joins both branches, which may both be taken
+    at compile time, and its condition is never evaluated. *)

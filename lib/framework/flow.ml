@@ -1,6 +1,11 @@
-(* Generic forward taint-flow interpretation over the monomorphized AST:
-   the shared value structure and abstract semantics behind the usage
-   (strictness) and spine-liveness Specs.
+(* The taint-flag domain behind the usage (strictness), spine-liveness
+   and sharing Specs: the shared value structure, its application
+   engine, and the [C] tables of its abstract primitives.  The walk over
+   the monomorphized AST is not Flow's own: it is the abstract
+   interpreter every analysis shares ({!Interp}), instantiated here with
+   those tables, a lambda that joins the flags of what it captures, and
+   a conditional that evaluates its condition and folds it into the
+   result as observation evidence.
 
    A [Flow] value mirrors [Escape.Dvalue]'s shape discipline — the list
    collapse [D^{t list} = D^t] from the paper carries over, so a value
@@ -40,7 +45,6 @@
    gives the escape solver. *)
 
 module Ty = Nml.Ty
-module Tast = Nml.Tast
 module Ast = Nml.Ast
 
 (* process-global identity tags, exactly like [Dvalue]'s: globally
@@ -91,8 +95,6 @@ end
 
 module Make (F : FLAGS) () = struct
   let name = F.analysis_name
-
-  module Env = Map.Make (String)
 
   type value = {
     id : int;  (* unique per constructed value; memo key for arrow shapes *)
@@ -356,23 +358,6 @@ module Make (F : FLAGS) () = struct
 
   (* ---- abstract semantics ------------------------------------------------ *)
 
-  type ctx = {
-    d : unit -> int;
-    global : string -> Ty.t -> value;
-    max_iters : int;
-    mutable iters : int;
-    mutable capped : bool;
-    mutable fv_cache : (Tast.texpr * string list) list;
-  }
-
-  let make_ctx ~d ~global ~max_iters =
-    { d; global; max_iters; iters = 0; capped = false; fv_cache = [] }
-
-  let iterations ctx = ctx.iters
-  let record_iteration ctx = ctx.iters <- ctx.iters + 1
-  let capped ctx = ctx.capped
-  let set_capped ctx = ctx.capped <- true
-
   let arrow_parts ty =
     match Ty.repr ty with
     | Ty.Arrow (a, b) -> (a, b)
@@ -448,75 +433,33 @@ module Make (F : FLAGS) () = struct
                   ~flags:(F.join (total l) (total x))
                   (fun r -> with_ty tr (join (join l x) r))))
 
-  let rec eval ctx env (e : Tast.texpr) : value =
-    match e.Tast.desc with
-    | Tast.Const c -> const_value ~ty:e.Tast.ty c
-    | Tast.Prim p -> prim_value ~ty:e.Tast.ty p
-    | Tast.Var x -> (
-        match Env.find_opt x env with
-        | Some v -> v
-        | None -> ctx.global x e.Tast.ty)
-    | Tast.App (f, a) ->
-        let vf = eval ctx env f in
-        let va = eval ctx env a in
-        apply vf va
-    | Tast.Lam (x, body) ->
-        (* the closure retains its free variables *)
-        let fvs =
-          match List.assq_opt e ctx.fv_cache with
-          | Some fvs -> fvs
-          | None ->
-              let fvs = Tast.free_vars e in
-              ctx.fv_cache <- (e, fvs) :: ctx.fv_cache;
-              fvs
-        in
-        let flags =
-          List.fold_left
-            (fun acc z ->
-              match Env.find_opt z env with
-              | Some v -> F.join acc (total v)
-              | None -> acc)
-            F.bot fvs
-        in
-        func ~ty:e.Tast.ty ~flags (fun y -> eval ctx (Env.add x y env) body)
-    | Tast.If (c, t, f) ->
-        (* unlike the escape semantics, the condition is consumed: its
-           dep evidence becomes observation evidence on the result *)
-        let vc = eval ctx env c in
-        let r = join (eval ctx env t) (eval ctx env f) in
-        map_flags (fun fl -> F.join fl (F.detach (F.observe (total vc)))) r
-    | Tast.Letrec (bs, body) ->
-        let env' = solve_group ctx env bs in
-        eval ctx env' body
-
-  (* Kleene iteration for a (nested) letrec group, Jacobi style, like the
-     escape semantics' [solve_group] *)
-  and solve_group ctx env bs =
-    let current = ref (List.map (fun (x, rhs) -> (x, bottom rhs.Tast.ty)) bs) in
-    let build vals = List.fold_left (fun env (x, v) -> Env.add x v env) env vals in
-    let rec iterate n =
-      if n >= ctx.max_iters then (
-        ctx.capped <- true;
-        current := List.map (fun (x, rhs) -> (x, top ~d:(ctx.d ()) rhs.Tast.ty)) bs)
-      else begin
-        ctx.iters <- ctx.iters + 1;
-        let envk = build !current in
-        let next = List.map (fun (x, rhs) -> (x, eval ctx envk rhs)) bs in
-        let converged =
-          List.for_all2 (fun (_, v_old) (_, v_new) -> equal_v v_old v_new) !current next
-        in
-        current := next;
-        if not converged then iterate (n + 1)
-      end
-    in
-    iterate 0;
-    build !current
-
-  let transfer ctx tast = eval ctx Env.empty tast
-
   (* ---- Spec plumbing ----------------------------------------------------- *)
 
   let equal ~d:_ a b = equal_v a b
   let leq ~d:_ a b = leq_v a b
   let widen ~d ty _v = top ~d ty
+
+  include Interp.Make (struct
+    type nonrec value = value
+
+    let bottom = bottom
+    let top = top
+    let join = join
+    let equal = equal
+    let apply = apply
+    let const_value = const_value
+    let prim_value = prim_value
+
+    (* the closure retains its free variables *)
+    type basic = F.t
+
+    let no_capture = F.bot
+    let capture acc v = F.join acc (total v)
+    let lambda ~ty flags app = func ~ty ~flags app
+
+    (* unlike the escape semantics, the condition is consumed: its dep
+       evidence becomes observation evidence on the result *)
+    let condition =
+      Some (fun vc r -> map_flags (fun fl -> F.join fl (F.detach (F.observe (total vc)))) r)
+  end)
 end

@@ -19,11 +19,39 @@
       context whose [global] hook resolves top-level definitions at
       ground instance types (the solver supplies it and memoizes per
       {e (definition, instance)}, keying instances itself with
-      {!Nml.Ty.key}; a Spec has no [demand_key]).
+      {!Nml.Ty.key}; a Spec has no [demand_key]).  That part is stated
+      once, as {!TRANSFER}, and written once for every domain, as the
+      abstract interpreter {!Interp.Make}.
 
     An implementation with no cross-evaluation application memo reports
     zero [memo_stats]/[invalidations]; {!Flow} provides the complete
     state/source/memo machinery for taint-flag domains. *)
+
+(** The transfer function and the context it runs under.  {!Interp.Make}
+    implements it once for every domain; {!Product.Make} pairs two. *)
+module type TRANSFER = sig
+  type value
+  type ctx
+
+  val make_ctx :
+    d:(unit -> int) ->
+    global:(string -> Nml.Ty.t -> value) ->
+    max_iters:int ->
+    ctx
+  (** [d] reads the solver's current chain bound (it may grow as
+      instances are demanded); [global] resolves a top-level definition
+      at a ground instance type (the solver's demand hook); [max_iters]
+      caps the Kleene iteration of every nested [letrec] group. *)
+
+  val transfer : ctx -> Nml.Tast.texpr -> value
+  (** Abstract value of a closed typed expression (definition body)
+      under the context. *)
+
+  val iterations : ctx -> int
+  val record_iteration : ctx -> unit
+  val capped : ctx -> bool
+  val set_capped : ctx -> unit
+end
 
 module type S = sig
   val name : string
@@ -103,23 +131,5 @@ module type S = sig
 
   (** {2 Transfer function} *)
 
-  type ctx
-
-  val make_ctx :
-    d:(unit -> int) ->
-    global:(string -> Nml.Ty.t -> value) ->
-    max_iters:int ->
-    ctx
-  (** [d] reads the solver's current chain bound (it may grow as
-      instances are demanded); [global] resolves a top-level definition
-      at a ground instance type (the solver's demand hook). *)
-
-  val transfer : ctx -> Nml.Tast.texpr -> value
-  (** Abstract value of a closed typed expression (definition body)
-      under the context. *)
-
-  val iterations : ctx -> int
-  val record_iteration : ctx -> unit
-  val capped : ctx -> bool
-  val set_capped : ctx -> unit
+  include TRANSFER with type value := value
 end
