@@ -56,13 +56,7 @@ let of_engine output (o : _ Engine.outcome) =
 
 let escape_run ?store prog =
   let o = Cache.Summary.analyze ?store prog in
-  {
-    output = Format.asprintf "%a" Escape.Report.pp_program_summaries o.Cache.Summary.summaries;
-    defs = List.length o.Cache.Summary.summaries;
-    evaluations = o.Cache.Summary.evaluations;
-    scc_hits = o.Cache.Summary.scc_hits;
-    scc_misses = o.Cache.Summary.scc_misses;
-  }
+  of_engine (Format.asprintf "%a" Escape.Report.pp_program_summaries o.Engine.summaries) o
 
 (* ---- the flag analyses: one codec over each verdict table ------------------- *)
 
@@ -147,12 +141,6 @@ let run_spec spec pp ?store prog =
 
 (* ---- escape × usage reduced product ----------------------------------------- *)
 
-let besc_of_string s =
-  match Scanf.sscanf_opt s "<%d,%d>" (fun a b -> (a, b)) with
-  | Some (0, 0) -> Escape.Besc.zero
-  | Some (1, k) when k >= 0 -> Escape.Besc.one k
-  | _ -> fail ("bad escape value " ^ s)
-
 let product_def_to_json (r : Product.def_report) =
   J.Obj
     [
@@ -186,7 +174,7 @@ let product_def_of_json j =
           {
             Product.a_index = num (get "arg" a);
             a_usage = req Usage.verdict_of_name (str (get "usage" a));
-            a_esc = besc_of_string (str (get "esc" a));
+            a_esc = req Escape.Besc.of_string (str (get "esc" a));
             a_spines = num (get "spines" a);
             a_verdict = req Product.verdict_of_name (str (get "verdict" a));
           })

@@ -98,14 +98,14 @@ let of_source ?store ~path src =
   let o = Summary.analyze ?store prog in
   {
     path;
-    output = Format.asprintf "%a@." Escape.Report.pp_program_summaries o.Summary.summaries;
+    output = Format.asprintf "%a@." Escape.Report.pp_program_summaries o.Engine.summaries;
     errors = "";
     code = 0;
-    defs = List.length o.Summary.summaries;
+    defs = List.length o.Engine.summaries;
     findings = 0;
-    evaluations = o.Summary.evaluations;
-    scc_hits = o.Summary.scc_hits;
-    scc_misses = o.Summary.scc_misses;
+    evaluations = o.Engine.evaluations;
+    scc_hits = o.Engine.scc_hits;
+    scc_misses = o.Engine.scc_misses;
   }
 
 let analyze_source ?store ~path src = protect path (fun () -> of_source ?store ~path src)

@@ -15,24 +15,16 @@ module Besc = Escape.Besc
 
 exception Decode of string
 
-let besc_to_string = Besc.to_string
-
-let besc_of_string s =
-  match Scanf.sscanf_opt s "<%d,%d>" (fun a b -> (a, b)) with
-  | Some (0, 0) -> Besc.zero
-  | Some (1, k) when k >= 0 -> Besc.one k
-  | _ -> raise (Decode ("bad escape value " ^ s))
-
 let arg_to_json (a : Report.arg_summary) =
   J.Obj
     [
       ("arg", J.int a.Report.s_arg);
       ("spines", J.int a.Report.s_spines);
-      ("esc", J.Str (besc_to_string a.Report.s_esc));
+      ("esc", J.Str (Besc.to_string a.Report.s_esc));
       ( "components",
         J.Arr
           (List.map
-             (fun (path, esc) -> J.Arr [ J.Str path; J.Str (besc_to_string esc) ])
+             (fun (path, esc) -> J.Arr [ J.Str path; J.Str (Besc.to_string esc) ])
              a.Report.s_components) );
     ]
 
@@ -59,15 +51,19 @@ let str = function J.Str s -> s | _ -> raise (Decode "expected a string")
 let num = function J.Num f -> int_of_float f | _ -> raise (Decode "expected a number")
 let arr = function J.Arr xs -> xs | _ -> raise (Decode "expected an array")
 
+let esc j =
+  let s = str j in
+  match Besc.of_string s with Some e -> e | None -> raise (Decode ("bad escape value " ^ s))
+
 let arg_of_json j =
   {
     Report.s_arg = num (get "arg" j);
     s_spines = num (get "spines" j);
-    s_esc = besc_of_string (str (get "esc" j));
+    s_esc = esc (get "esc" j);
     s_components =
       List.map
         (function
-          | J.Arr [ p; e ] -> (str p, besc_of_string (str e))
+          | J.Arr [ p; e ] -> (str p, esc e)
           | _ -> raise (Decode "bad component"))
         (arr (get "components" j));
   }
@@ -107,18 +103,6 @@ let engine_spec : Report.def_summary Engine.spec =
 let record_to_json ~key summaries = Engine.record_to_json engine_spec ~key summaries
 let record_of_json ~key ~members j = Engine.record_of_json engine_spec ~key ~members j
 
-type outcome = {
-  summaries : Report.def_summary list;  (* one per definition, program order *)
-  evaluations : int;  (* solver entry evaluations actually performed *)
-  scc_hits : int;
-  scc_misses : int;
-}
+type outcome = Report.def_summary Engine.outcome
 
-let analyze ?store prog =
-  let o = Engine.analyze engine_spec ?store prog in
-  {
-    summaries = o.Engine.summaries;
-    evaluations = o.Engine.evaluations;
-    scc_hits = o.Engine.scc_hits;
-    scc_misses = o.Engine.scc_misses;
-  }
+let analyze = Engine.analyze engine_spec

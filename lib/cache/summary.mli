@@ -5,14 +5,10 @@
     report printer consumes ({!Escape.Report.def_summary}), so a replayed
     entry renders bit-identically to a fresh solve. *)
 
-type outcome = {
-  summaries : Escape.Report.def_summary list;
-      (** one per definition, in program order *)
-  evaluations : int;
-      (** fixpoint entry evaluations performed; [0] on a fully warm run *)
-  scc_hits : int;  (** SCC records served from the store *)
-  scc_misses : int;  (** SCC records that had to be (re)computed *)
-}
+type outcome = Escape.Report.def_summary Engine.outcome
+(** The summaries, one per definition in program order, and the
+    engine's counters: entry evaluations ([0] on a fully warm run), SCC
+    records served from the store and SCC records (re)computed. *)
 
 val analyze : ?store:Store.t -> Nml.Infer.program -> outcome
 (** Analyzes a whole program.  Without a store this is exactly a fresh

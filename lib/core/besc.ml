@@ -49,3 +49,9 @@ let pp ppf = function
   | One i -> Format.fprintf ppf "<1,%d>" i
 
 let to_string t = Format.asprintf "%a" pp t
+
+let of_string s =
+  match Scanf.sscanf_opt s "<%d,%d>%!" (fun a b -> (a, b)) with
+  | Some (0, 0) -> Some Zero
+  | Some (1, k) when k >= 0 -> Some (One k)
+  | _ -> None

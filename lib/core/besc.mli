@@ -51,3 +51,7 @@ val pp : Format.formatter -> t -> unit
 (** Prints in the paper's notation: [<0,0>] or [<1,i>]. *)
 
 val to_string : t -> string
+
+val of_string : string -> t option
+(** The inverse of {!to_string}: [<0,0>] or [<1,i>] with [i >= 0];
+    [None] on anything else. *)

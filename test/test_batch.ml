@@ -92,26 +92,26 @@ let cache_units =
         let store = Store.create (Filename.concat dir "cache") in
         let prog = infer Examples.partition_sort_program in
         let cold = Summary.analyze ~store prog in
-        checkb "cold run evaluates" true (cold.Summary.evaluations > 0);
-        checki "cold run misses" 0 cold.Summary.scc_hits;
+        checkb "cold run evaluates" true (cold.Cache.Engine.evaluations > 0);
+        checki "cold run misses" 0 cold.Cache.Engine.scc_hits;
         let warm = Summary.analyze ~store (infer Examples.partition_sort_program) in
-        checki "warm run is free" 0 warm.Summary.evaluations;
-        checki "warm run all hits" 0 warm.Summary.scc_misses;
-        checks "bit-identical report" (render cold.Summary.summaries)
-          (render warm.Summary.summaries));
+        checki "warm run is free" 0 warm.Cache.Engine.evaluations;
+        checki "warm run all hits" 0 warm.Cache.Engine.scc_misses;
+        checks "bit-identical report" (render cold.Cache.Engine.summaries)
+          (render warm.Cache.Engine.summaries));
     Alcotest.test_case "one-edit-respects-the-cone" `Quick (fun () ->
         with_dir "edit" @@ fun dir ->
         let store = Store.create (Filename.concat dir "cache") in
         ignore (Summary.analyze ~store (infer base_src));
         let edited = Summary.analyze ~store (infer (src_of ~callee_body:"cons 7 nil")) in
         (* callee and reader re-solve; loner is served from the store *)
-        checki "re-solved sccs" 2 edited.Summary.scc_misses;
-        checki "warm sccs" 1 edited.Summary.scc_hits;
+        checki "re-solved sccs" 2 edited.Cache.Engine.scc_misses;
+        checki "warm sccs" 1 edited.Cache.Engine.scc_hits;
         let fresh = Summary.analyze (infer (src_of ~callee_body:"cons 7 nil")) in
-        checks "same report as a fresh solve" (render fresh.Summary.summaries)
-          (render edited.Summary.summaries);
+        checks "same report as a fresh solve" (render fresh.Cache.Engine.summaries)
+          (render edited.Cache.Engine.summaries);
         checkb "cheaper than the fresh solve" true
-          (edited.Summary.evaluations < fresh.Summary.evaluations));
+          (edited.Cache.Engine.evaluations < fresh.Cache.Engine.evaluations));
     Alcotest.test_case "corrupted-entries-are-misses" `Quick (fun () ->
         with_dir "corrupt" @@ fun dir ->
         let root = Filename.concat dir "cache" in
@@ -131,13 +131,13 @@ let cache_units =
                 (Sys.readdir sdir))
           (Sys.readdir root);
         let again = Summary.analyze ~store (infer base_src) in
-        checki "everything misses" 0 again.Summary.scc_hits;
-        checkb "re-solved" true (again.Summary.evaluations > 0);
-        checks "same report" (render cold.Summary.summaries)
-          (render again.Summary.summaries);
+        checki "everything misses" 0 again.Cache.Engine.scc_hits;
+        checkb "re-solved" true (again.Cache.Engine.evaluations > 0);
+        checks "same report" (render cold.Cache.Engine.summaries)
+          (render again.Cache.Engine.summaries);
         (* and the rewritten entries serve the next run *)
         let warm = Summary.analyze ~store (infer base_src) in
-        checki "store healed" 0 warm.Summary.scc_misses);
+        checki "store healed" 0 warm.Cache.Engine.scc_misses);
     Alcotest.test_case "schema-bump-invalidates" `Quick (fun () ->
         with_dir "schema" @@ fun dir ->
         let store = Store.create (Filename.concat dir "cache") in
@@ -161,9 +161,9 @@ let cache_units =
             | Some _ -> Alcotest.fail "expected an object")
           (Skey.sccs keys);
         let bumped = Summary.analyze ~store (infer Examples.map_pair_program) in
-        checki "no hits across versions" 0 bumped.Summary.scc_hits;
-        checks "same report" (render cold.Summary.summaries)
-          (render bumped.Summary.summaries));
+        checki "no hits across versions" 0 bumped.Cache.Engine.scc_hits;
+        checks "same report" (render cold.Cache.Engine.summaries)
+          (render bumped.Cache.Engine.summaries));
     Alcotest.test_case "codec-roundtrip" `Quick (fun () ->
         let t = Escape.Fixpoint.make (infer Examples.partition_sort_program) in
         List.iter

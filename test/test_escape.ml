@@ -57,6 +57,14 @@ let besc_units =
     Alcotest.test_case "pp" `Quick (fun () ->
         checks "zero" "<0,0>" (B.to_string zero);
         checks "one" "<1,3>" (B.to_string (one 3)));
+    Alcotest.test_case "of-string-inverts-to-string" `Quick (fun () ->
+        List.iter
+          (fun b ->
+            Alcotest.(check (option besc)) (B.to_string b) (Some b) (B.of_string (B.to_string b)))
+          (B.all ~d:4);
+        List.iter
+          (fun s -> Alcotest.(check (option besc)) s None (B.of_string s))
+          [ ""; "<0,1>"; "<2,0>"; "<1,-1>"; "<1,2>x"; "1,2"; "<1,2" ]);
     Alcotest.test_case "spines" `Quick (fun () ->
         checki "zero" 0 (B.spines zero);
         checki "one" 4 (B.spines (one 4)));

@@ -204,7 +204,7 @@ let store_units =
         checki "nothing left dirty" 0 (Store.dirty_entries store);
         (* now a cold reader analyzes for free *)
         let o = Cache.Summary.analyze ~store:cold_disk (infer Examples.map_pair_program) in
-        checki "warm from disk" 0 o.Cache.Summary.evaluations);
+        checki "warm from disk" 0 o.Cache.Engine.evaluations);
     Alcotest.test_case "memory-corruption-self-heals-from-disk" `Quick (fun () ->
         with_dir "heal" @@ fun dir ->
         let store = Store.create ~memory:true (Filename.concat dir "cache") in
@@ -214,9 +214,9 @@ let store_units =
         let healed =
           Cache.Summary.analyze ~store (infer Examples.partition_sort_program)
         in
-        checki "no re-solve: healed from disk" 0 healed.Cache.Summary.evaluations;
-        checks "identical report" (render cold.Cache.Summary.summaries)
-          (render healed.Cache.Summary.summaries));
+        checki "no re-solve: healed from disk" 0 healed.Cache.Engine.evaluations;
+        checks "identical report" (render cold.Cache.Engine.summaries)
+          (render healed.Cache.Engine.summaries));
     Alcotest.test_case "corrupted-memory-without-disk-re-solves" `Quick (fun () ->
         with_dir "resolve" @@ fun dir ->
         (* write-back + corruption before any flush: the disk has
@@ -227,9 +227,9 @@ let store_units =
         let cold = Cache.Summary.analyze ~store (infer Examples.rev_program) in
         ignore (Store.corrupt_memory store);
         let again = Cache.Summary.analyze ~store (infer Examples.rev_program) in
-        checkb "re-solved" true (again.Cache.Summary.evaluations > 0);
-        checks "identical report" (render cold.Cache.Summary.summaries)
-          (render again.Cache.Summary.summaries));
+        checkb "re-solved" true (again.Cache.Engine.evaluations > 0);
+        checks "identical report" (render cold.Cache.Engine.summaries)
+          (render again.Cache.Engine.summaries));
   ]
 
 (* ---- satellite: concurrent writers never produce a torn read ---------------- *)
