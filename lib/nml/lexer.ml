@@ -18,18 +18,22 @@ let loc_from st start_pos =
 
 let error st start_pos msg = raise (Error (loc_from st start_pos, msg))
 
-let peek st = if st.off < String.length st.src then Some st.src.[st.off] else None
+(* Characters are looked at without an option: test [at_end] first, then
+   read [cur]. *)
+let at_end st = st.off >= String.length st.src
+let cur st = st.src.[st.off]
+let looking_at st c = (not (at_end st)) && cur st = c
 
-let peek2 st =
-  if st.off + 1 < String.length st.src then Some st.src.[st.off + 1] else None
+(* the character after the current one is [c] *)
+let next_is st c = st.off + 1 < String.length st.src && st.src.[st.off + 1] = c
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
+  if not (at_end st) then
+    if cur st = '\n' then begin
       st.line <- st.line + 1;
       st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
+    end
+    else st.col <- st.col + 1;
   st.off <- st.off + 1
 
 let is_digit c = c >= '0' && c <= '9'
@@ -37,60 +41,53 @@ let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 let is_ident_start c = is_alpha c || c = '_'
 let is_ident_char c = is_ident_start c || is_digit c || c = '\''
 
-(* Skips whitespace, "--" line comments, and nested "(* *)" comments.
-   Returns [true] when progress was made. *)
+(* Skips whitespace, "--" line comments, and nested "(* *)" comments. *)
 let rec skip_trivia st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      ignore (skip_trivia st);
-      true
-  | Some '-' when peek2 st = Some '-' ->
-      let rec to_eol () =
-        match peek st with
-        | Some '\n' | None -> ()
-        | Some _ ->
-            advance st;
-            to_eol ()
-      in
-      to_eol ();
-      ignore (skip_trivia st);
-      true
-  | Some '(' when peek2 st = Some '*' ->
-      let start = pos_of st in
-      let start_off = st.off in
-      advance st;
-      advance st;
-      skip_comment st start 1;
-      (* record the body (between the outermost markers) with the span of
-         the whole comment — the lint suppression directives live here *)
-      let text = String.sub st.src (start_off + 2) (max 0 (st.off - start_off - 4)) in
-      st.comments <- (loc_from st start, text) :: st.comments;
-      ignore (skip_trivia st);
-      true
-  | _ -> false
+  if not (at_end st) then
+    match cur st with
+    | ' ' | '\t' | '\r' | '\n' ->
+        advance st;
+        skip_trivia st
+    | '-' when next_is st '-' ->
+        while not (at_end st || cur st = '\n') do
+          advance st
+        done;
+        skip_trivia st
+    | '(' when next_is st '*' ->
+        let start = pos_of st in
+        let start_off = st.off in
+        advance st;
+        advance st;
+        skip_comment st start 1;
+        (* record the body (between the outermost markers) with the span of
+           the whole comment — the lint suppression directives live here *)
+        let text = String.sub st.src (start_off + 2) (max 0 (st.off - start_off - 4)) in
+        st.comments <- (loc_from st start, text) :: st.comments;
+        skip_trivia st
+    | _ -> ()
 
 and skip_comment st start depth =
-  if depth = 0 then ()
-  else
-    match (peek st, peek2 st) with
-    | Some '*', Some ')' ->
-        advance st;
-        advance st;
-        skip_comment st start (depth - 1)
-    | Some '(', Some '*' ->
-        advance st;
-        advance st;
-        skip_comment st start (depth + 1)
-    | Some _, _ ->
-        advance st;
-        skip_comment st start depth
-    | None, _ -> error st start "unterminated comment"
+  if depth > 0 then
+    if at_end st then error st start "unterminated comment"
+    else if cur st = '*' && next_is st ')' then begin
+      advance st;
+      advance st;
+      skip_comment st start (depth - 1)
+    end
+    else if cur st = '(' && next_is st '*' then begin
+      advance st;
+      advance st;
+      skip_comment st start (depth + 1)
+    end
+    else begin
+      advance st;
+      skip_comment st start depth
+    end
 
 let lex_int st =
   let start_pos = pos_of st in
   let start_off = st.off in
-  while match peek st with Some c -> is_digit c | None -> false do
+  while (not (at_end st)) && is_digit (cur st) do
     advance st
   done;
   let text = String.sub st.src start_off (st.off - start_off) in
@@ -100,7 +97,7 @@ let lex_int st =
 
 let lex_ident st =
   let start_off = st.off in
-  while match peek st with Some c -> is_ident_char c | None -> false do
+  while (not (at_end st)) && is_ident_char (cur st) do
     advance st
   done;
   let text = String.sub st.src start_off (st.off - start_off) in
@@ -108,58 +105,48 @@ let lex_ident st =
   | Some tok -> tok
   | None -> Token.IDENT text
 
+let single st tok =
+  advance st;
+  tok
+
+(* the current character, already consumed, starts [tok]; [tok2] when
+   it is followed by [c] *)
+let one_or_two st c ~tok2 tok =
+  advance st;
+  if looking_at st c then single st tok2 else tok
+
 let next_token st : spanned =
-  ignore (skip_trivia st);
+  skip_trivia st;
   let start_pos = pos_of st in
-  let single tok =
-    advance st;
-    tok
-  in
   let token =
-    match peek st with
-    | None -> Token.EOF
-    | Some c when is_digit c -> lex_int st
-    | Some c when is_ident_start c -> lex_ident st
-    | Some '(' -> single Token.LPAREN
-    | Some ')' -> single Token.RPAREN
-    | Some '[' -> single Token.LBRACKET
-    | Some ']' -> single Token.RBRACKET
-    | Some '+' -> single Token.PLUS
-    | Some '*' -> single Token.STAR
-    | Some '.' -> single Token.DOT
-    | Some ',' -> single Token.COMMA
-    | Some ';' -> single Token.SEMI
-    | Some '=' -> single Token.EQ
-    | Some '-' ->
-        advance st;
-        if peek st = Some '>' then (
+    if at_end st then Token.EOF
+    else
+      match cur st with
+      | c when is_digit c -> lex_int st
+      | c when is_ident_start c -> lex_ident st
+      | '(' -> single st Token.LPAREN
+      | ')' -> single st Token.RPAREN
+      | '[' -> single st Token.LBRACKET
+      | ']' -> single st Token.RBRACKET
+      | '+' -> single st Token.PLUS
+      | '*' -> single st Token.STAR
+      | '.' -> single st Token.DOT
+      | ',' -> single st Token.COMMA
+      | ';' -> single st Token.SEMI
+      | '=' -> single st Token.EQ
+      | '-' -> one_or_two st '>' ~tok2:Token.ARROW Token.MINUS
+      | '<' ->
           advance st;
-          Token.ARROW)
-        else Token.MINUS
-    | Some '<' ->
-        advance st;
-        (match peek st with
-        | Some '=' ->
-            advance st;
-            Token.LE
-        | Some '>' ->
-            advance st;
-            Token.NE
-        | _ -> Token.LT)
-    | Some '>' ->
-        advance st;
-        if peek st = Some '=' then (
+          if looking_at st '=' then single st Token.LE
+          else if looking_at st '>' then single st Token.NE
+          else Token.LT
+      | '>' -> one_or_two st '=' ~tok2:Token.GE Token.GT
+      | ':' ->
           advance st;
-          Token.GE)
-        else Token.GT
-    | Some ':' ->
-        advance st;
-        if peek st = Some ':' then (
-          advance st;
-          Token.CONS_OP)
-        else error st start_pos "expected '::' (single ':' is not a token)"
-    | Some '\\' -> single Token.LAMBDA
-    | Some c -> error st start_pos (Printf.sprintf "unexpected character %C" c)
+          if looking_at st ':' then single st Token.CONS_OP
+          else error st start_pos "expected '::' (single ':' is not a token)"
+      | '\\' -> single st Token.LAMBDA
+      | c -> error st start_pos (Printf.sprintf "unexpected character %C" c)
   in
   { token; loc = loc_from st start_pos }
 

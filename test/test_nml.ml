@@ -55,6 +55,21 @@ let lexer_tests =
     error_case "stray-colon" "a : b";
     error_case "stray-char" "a # b";
     error_case "huge-int" "99999999999999999999999999";
+    Alcotest.test_case "error-texts" `Quick (fun () ->
+        (* a NUL byte is a character like any other, not the end of input *)
+        List.iter
+          (fun (src, expected) ->
+            match L.tokens ~file:"f" src with
+            | exception L.Error (loc, msg) ->
+                checks src expected (Nml.Loc.to_string loc ^ " " ^ msg)
+            | _ -> Alcotest.fail ("expected a lexer error on " ^ String.escaped src))
+          [
+            ("a\000b", "f:1.2 unexpected character '\\000'");
+            ("a\n  #", "f:2.3 unexpected character '#'");
+            ("1 (* (* *)", "f:1.3-1.11 unterminated comment");
+            ("x :y", "f:1.3-1.4 expected '::' (single ':' is not a token)");
+            ("99999999999999999999", "f:1.1-1.21 integer literal 99999999999999999999 is out of range");
+          ]);
     Alcotest.test_case "locations" `Quick (fun () ->
         let sps = L.tokenize ~file:"f" "ab\n  cd" in
         match sps with
