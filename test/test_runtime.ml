@@ -626,8 +626,121 @@ let shadowing_program =
     "let h = (let l = create_list 30 in fun l -> fun u -> sum l + u) [1, 2] in\n\
      h (sum (create_list 12)) + h (sum (create_list 6))"
 
+(* the machine's calls and reuse nodes, each under the optimizer with
+   pretenuring: DCONS, DNODE, a partial application used twice, an
+   over-application, the shadowing program and a letrec slot filled
+   after a closure over it was made *)
+let counter_programs =
+  [
+    ("reverse", Ex.wrap [ Ex.append_def; Ex.rev_def ] "rev [1, 2, 3, 4, 5, 6, 7, 8]");
+    ( "bst",
+      Ex.wrap
+        [ Ex.tinsert_def; Ex.mirror_def; Ex.tsum_def ]
+        "tsum (mirror (tinsert 4 (tinsert 1 (tinsert 3 (tinsert 5 leaf)))))" );
+    ( "partial",
+      Ex.wrap
+        [ Ex.map_def; Ex.sum_def; "pad n l = cons (n + car l) (cdr l)"; "hd2 n l = n + car l" ]
+        "let f = pad 1 in\n\
+         let g = hd2 5 in\n\
+         sum (map car (map f [[1, 2], [3]])) + sum (map car (map f [[4]])) + g [6] + g [7] + hd2 1 [8]" );
+    ( "over-application",
+      Ex.wrap
+        [
+          Ex.map_def;
+          Ex.length_def;
+          "pick n = if n = 0 then fun a b -> a else fun a b -> b";
+          "app2 f x = f x";
+          "pad n l = cons (n + car l) (cdr l)";
+        ]
+        "length (pick 1 [1, 2] (map (fun x -> x + 1) [3, 4, 5])) + length (pick 0 [6] [7, 8])\n\
+        \ + car (app2 pad 1 [5, 6])" );
+    ("shadowing", shadowing_program);
+    ( "late-fill",
+      "letrec f a b = if b = 0 then cons a nil else g (b - 1); g = f 1 in g 3" );
+  ]
+
+let counter_row m =
+  let s = M.stats m in
+  Printf.sprintf
+    "steps=%d heap_allocs=%d dcons_reuses=%d marked=%d promoted=%d pretenured=%d minor=%d \
+     major=%d remembered=%d swept=%d peak_live=%d pauses=%d hint_sites=%d hints_accepted=%d"
+    s.Stats.steps s.Stats.heap_allocs s.Stats.dcons_reuses s.Stats.marked s.Stats.promoted
+    s.Stats.pretenured
+    s.Stats.minor_gcs s.Stats.major_gcs s.Stats.remembered s.Stats.swept s.Stats.peak_live
+    s.Stats.pauses s.Stats.hint_sites s.Stats.hints_accepted
+
 let resolved_tests =
   [
+    Alcotest.test_case "every-counter-of-calls-and-reuse" `Quick (fun () ->
+        let options = { Optimize.Transform.all with Optimize.Transform.pretenure = true } in
+        let prepared =
+          List.map
+            (fun (name, src) ->
+              let s = Surface.of_string src in
+              let hints =
+                Framework.Spinelive.dead_spine_params
+                  (Framework.Spinelive.Solver.make (Nml.Infer.infer_program s))
+              in
+              let config = { (tiny_gen 2) with Runtime.Heap.liveness_hints = hints } in
+              (name, src, (Optimize.Transform.optimize ~options s).Optimize.Transform.ir, config))
+            counter_programs
+        in
+        let machine ?fuel config =
+          M.create ~heap_size:16 ~check_arenas:true ?fuel ~chaos:chaos_on ~config ()
+        in
+        let rows =
+          List.map
+            (fun (name, src, ir, config) ->
+              let m = machine config in
+              Alcotest.check value name (eval_src src) (M.read_value m (M.eval m ir));
+              check_live_invariant m;
+              name ^ ": " ^ counter_row m)
+            prepared
+        in
+        Alcotest.check
+          Alcotest.(list string)
+          "counters"
+          [
+            "reverse: steps=1143 heap_allocs=8 dcons_reuses=36 marked=14 promoted=7 \
+             pretenured=0 minor=5 major=3 remembered=1 swept=0 peak_live=8 pauses=8 \
+             hint_sites=0 hints_accepted=0";
+            "bst: steps=634 heap_allocs=9 dcons_reuses=4 marked=15 promoted=8 pretenured=0 \
+             minor=5 major=4 remembered=0 swept=3 peak_live=6 pauses=9 hint_sites=0 \
+             hints_accepted=0";
+            "partial: steps=529 heap_allocs=12 dcons_reuses=6 marked=15 promoted=8 \
+             pretenured=0 minor=8 major=5 remembered=2 swept=12 peak_live=7 pauses=13 \
+             hint_sites=1 hints_accepted=3";
+            "over-application: steps=374 heap_allocs=11 dcons_reuses=3 marked=8 promoted=2 \
+             pretenured=7 minor=6 major=5 remembered=0 swept=8 peak_live=5 pauses=11 \
+             hint_sites=0 hints_accepted=0";
+            "shadowing: steps=1743 heap_allocs=32 dcons_reuses=0 marked=244 promoted=32 \
+             pretenured=0 minor=35 major=16 remembered=0 swept=30 peak_live=37 pauses=51 \
+             hint_sites=0 hints_accepted=0";
+            "late-fill: steps=80 heap_allocs=1 dcons_reuses=0 marked=0 promoted=0 \
+             pretenured=0 minor=1 major=0 remembered=0 swept=0 peak_live=1 pauses=1 \
+             hint_sites=0 hints_accepted=0";
+          ]
+          rows;
+        let trace = Buffer.create 65536 in
+        List.iter
+          (fun (name, _, ir, config) ->
+            let full = machine config in
+            ignore (M.eval full ir);
+            let steps = (M.stats full).Stats.steps in
+            for fuel = 0 to steps - 1 do
+              let m = machine ~fuel config in
+              match M.eval m ir with
+              | _ -> Alcotest.failf "%s: fuel %d of %d sufficed" name fuel steps
+              | exception M.Out_of_fuel ->
+                  let s = M.stats m in
+                  Printf.bprintf trace "%s %d %d %d %d\n" name fuel s.Stats.steps
+                    s.Stats.heap_allocs s.Stats.marked
+            done)
+          prepared;
+        Alcotest.check Alcotest.string "(steps, heap_allocs, marked) at each exhaustion"
+          "beb5ec5e2e896348725d31ed5dd022cd"
+          (Digest.to_hex (Digest.string (Buffer.contents trace))));
+
     Alcotest.test_case "out-of-fuel-exactly-when-the-budget-falls-short" `Quick
       (fun () ->
         let ir = Ir.of_program (Surface.of_string tick_order_program) in
