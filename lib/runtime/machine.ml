@@ -25,31 +25,46 @@ and closure = {
           tagged when a letrec binding with advisory hints is filled *)
 }
 
-(* An environment holds exactly the names visible at its point of the
-   program, one slot each, in binding order; a binder that shadows a
-   name takes over its slot. *)
-and env = binding array
-and binding = Ready of word | Slot of word option ref
+(* An environment is a chain of frames, innermost first: a call links
+   one [Arg] frame holding its argument to the closure's chain, and a
+   letrec one [Group] frame holding its bindings in source order, of
+   which the first [filled] have been evaluated.  A frame keeps the
+   [hidden] positions of its binder: every (frames up, slot) of the
+   chain below it that a name in scope there shadows.  The visible
+   bindings, the only ones the collector marks, are the chain's slots
+   less those. *)
+and env =
+  | Top
+  | Arg of { arg : word; up : env; hidden : hidden }
+  | Group of { slots : word array; mutable filled : int; up : env; hidden : hidden }
 
-(* [Ir.expr] resolved once per [eval]: every variable is a slot, and a
-   saturated unary or binary primitive, pair or cons is one node that
-   builds no partial application *)
+and hidden = (int * int) list
+
+(* [Ir.expr] resolved once per [eval]: every variable is a frame
+   address; a saturated primitive, pair, cons, node, DCONS or DNODE is
+   one node that builds no partial application; and a nest of two or
+   more applications of anything else is one call *)
 and code =
   | Cword of word  (** a constant or an unapplied primitive *)
-  | Cvar of int * string
+  | Carg of int  (** the argument of the frame that many up *)
+  | Cslot of int * int * string  (** frames up, slot, name *)
   | Cunbound of string
   | Clam of lam
   | Capp of code * code
+  | Ccall of code * code array  (** [f a1 ... an], [n >= 2] *)
   | Cif of code * code * code
-  | Cletrec of rec_binding array * int * code  (** bindings, width, body *)
+  | Cletrec of rec_binding array * hidden * code
   | Carena of Ir.arena_kind * int * code
   | Cprim1 of Ast.prim * code
   | Cprim2 of Ast.prim * code * code
   | Ccons of Ir.alloc * code * code
   | Cpair of code * code
+  | Cnode of Ir.alloc * code * code * code
+  | Cdcons of code * code * code
+  | Cdnode of code * code * code * code
 
-and lam = { param : string; slot : int; width : int; body : code }
-and rec_binding = { name : string; rslot : int; arity : int; rhs : code }
+and lam = { param : string; hidden : hidden; body : code }
+and rec_binding = { name : string; arity : int; rhs : code }
 
 type chaos = {
   gc_period : int;
@@ -181,6 +196,25 @@ let cell_read m what a =
 
 (* ---- garbage collection ------------------------------------------------ *)
 
+(* [f] on every visible binding of [env]: every filled slot of its
+   chain that no binder in scope shadows *)
+let iter_env f env =
+  let hidden = match env with Top -> [] | Arg a -> a.hidden | Group g -> g.hidden in
+  let shown d i = not (List.exists (fun (u, j) -> u = d && j = i) hidden) in
+  let rec go d = function
+    | Top -> ()
+    | Arg a ->
+        if shown d 0 then f a.arg;
+        go (d + 1) a.up
+    | Group g ->
+        for i = 0 to g.filled - 1 do
+          if shown d i then f g.slots.(i)
+        done;
+        go (d + 1) g.up
+  in
+  go 0 env
+
+
 (* one marker for both collection kinds: a minor collection
    ([stop_old:true]) treats old and arena-resident cells as roots-of-
    nothing — it never traverses them, so its pause is proportional to
@@ -209,12 +243,7 @@ let rec mark_with m ~stop_old w =
   | Wdnode args ->
       List.iter (mark_with m ~stop_old) args
 
-and mark_env m ~stop_old env =
-  Array.iter
-    (function
-      | Ready w | Slot { contents = Some w } -> mark_with m ~stop_old w
-      | Slot { contents = None } -> ())
-    env
+and mark_env m ~stop_old env = iter_env (mark_with m ~stop_old) env
 
 (* A minor collection marks only the entries from the top down to each
    stack's mark, inclusive.  One below it still holds what the last
@@ -394,57 +423,97 @@ let do_dnode m p l x r =
   | Wleaf -> error "DNODE on leaf (no cell to reuse)"
   | w -> error "DNODE on a %s (no cell to reuse)" (type_name w)
 
+(* a tree node at [target]: its children are checked before the cell is
+   allocated, and the label written after *)
+let alloc_node m target l x r =
+  (match (l, r) with
+  | (Wleaf | Wtree _), (Wleaf | Wtree _) -> ()
+  | _ -> error "node: children must be trees");
+  match alloc_cell m target l r with
+  | Wptr addr ->
+      (H.get m.heap addr).H.lbl <- x;
+      H.barrier m.heap addr;
+      Wtree addr
+  | _ -> assert false
+
 (* ---- arena safety check --------------------------------------------------- *)
 
-let env_words env =
-  Array.fold_right
-    (fun b acc ->
-      match b with
-      | Ready w | Slot { contents = Some w } -> w :: acc
-      | Slot { contents = None } -> acc)
-    env []
+exception Reaches_arena
 
-let reachable_into_arena m roots sid =
+(* whether a cell of dynamic arena [sid] is reachable from [v], the root
+   stack or the visible bindings of the active frames; a closure is
+   walked once, flagged with [cmark] until the walk ends *)
+let reachable_into_arena m v sid =
   let seen = Hashtbl.create 256 in
-  let seen_clos = ref [] in
-  let hit = ref false in
+  let walked = ref [] in
   let rec walk = function
     | Wint _ | Wbool _ | Wnil | Wleaf -> ()
     | Wptr a | Wpair a | Wtree a ->
         if not (Hashtbl.mem seen a) then begin
           Hashtbl.add seen a ();
           let c = H.get m.heap a in
-          if c.H.arena = sid then hit := true;
+          if c.H.arena = sid then raise_notrace Reaches_arena;
           walk c.H.car;
           walk c.H.cdr;
           walk c.H.lbl
         end
     | Wclos c ->
-        if not (List.memq c !seen_clos) then begin
-          seen_clos := c :: !seen_clos;
-          List.iter walk (env_words c.cenv)
+        if not c.cmark then begin
+          c.cmark <- true;
+          walked := c :: !walked;
+          iter_env walk c.cenv
         end
     | Wprim (_, args) | Wcons_at (_, args) | Wnode_at (_, args) | Wdcons args
     | Wdnode args ->
         List.iter walk args
   in
-  List.iter walk roots;
-  !hit
+  let hit =
+    match
+      walk v;
+      List.iter walk m.shadow;
+      List.iter (iter_env walk) m.env_stack
+    with
+    | () -> false
+    | exception Reaches_arena -> true
+  in
+  List.iter (fun c -> c.cmark <- false) !walked;
+  hit
 
 (* ---- resolution ------------------------------------------------------------ *)
 
-module Scope = Map.Make (String)
+(* A name in scope: the level of its frame (the outermost frame is level
+   1), its slot there, and whether the frame is a letrec group. *)
+type place = { level : int; slot : int; group : bool }
 
-(* the slot of [x] in a scope of [width] slots: a shadowed name's own,
-   else a new last one *)
-let bind (scope, width) x =
-  match Scope.find_opt x scope with
-  | Some _ -> (scope, width)
-  | None -> (Scope.add x width scope, width + 1)
+(* [names] holds the innermost place of each name in scope at [depth]
+   frames: a binder adds its names on entry and removes them on exit.
+   [shadowed] is every (level, slot) a name in scope shadows. *)
+type scope = { names : (string, place) Hashtbl.t; depth : int; shadowed : (int * int) list }
+
+(* the scope inside a binder of [xs], one new frame with a slot per
+   name, and the binder's hidden positions: a later name of the group
+   shadows an earlier one, and each name what it is bound over *)
+let enter sc ~group xs =
+  let depth = sc.depth + 1 in
+  let shadowed = ref sc.shadowed in
+  List.iteri
+    (fun slot x ->
+      (match Hashtbl.find_opt sc.names x with
+      | Some p -> shadowed := (p.level, p.slot) :: !shadowed
+      | None -> ());
+      Hashtbl.add sc.names x { level = depth; slot; group })
+    xs;
+  ( { sc with depth; shadowed = !shadowed },
+    List.map (fun (level, slot) -> (depth - level, slot)) !shadowed )
+
+let leave sc xs = List.iter (Hashtbl.remove sc.names) xs
 
 let rec lam_arity = function Ir.Lam (_, b) -> 1 + lam_arity b | _ -> 0
 
-let rec resolve ((scope, _) as sc) (e : Ir.expr) =
+(* the head of a nest of applications and its arguments, first first *)
+let rec spine e args = match e with Ir.App (f, a) -> spine f (a :: args) | f -> (f, args)
+
+let rec resolve sc (e : Ir.expr) =
   let go = resolve sc in
   match e with
   | Ir.Const (Ast.Cint n) -> Cword (Wint n)
@@ -457,42 +526,73 @@ let rec resolve ((scope, _) as sc) (e : Ir.expr) =
   | Ir.Dcons -> Cword (Wdcons [])
   | Ir.Dnode -> Cword (Wdnode [])
   | Ir.Var x -> (
-      match Scope.find_opt x scope with Some i -> Cvar (i, x) | None -> Cunbound x)
+      match Hashtbl.find_opt sc.names x with
+      | Some { level; slot; group = true } -> Cslot (sc.depth - level, slot, x)
+      | Some { level; group = false; _ } -> Carg (sc.depth - level)
+      | None -> Cunbound x)
   | Ir.Lam (x, b) ->
-      let ((scope, width) as sc) = bind sc x in
-      Clam { param = x; slot = Scope.find x scope; width; body = resolve sc b }
+      let inner, hidden = enter sc ~group:false [ x ] in
+      let body = resolve inner b in
+      leave sc [ x ];
+      Clam { param = x; hidden; body }
+  | Ir.App (Ir.App (Ir.App (Ir.App (Ir.Dnode, p), l), x), r) -> Cdnode (go p, go l, go x, go r)
+  | Ir.App (Ir.App (Ir.App (Ir.Dcons, p), hd), tl) -> Cdcons (go p, go hd, go tl)
+  | Ir.App (Ir.App (Ir.App (Ir.Prim Ast.Node, l), x), r) -> Cnode (Ir.Heap, go l, go x, go r)
+  | Ir.App (Ir.App (Ir.App (Ir.NodeAt t, l), x), r) -> Cnode (t, go l, go x, go r)
   | Ir.App (Ir.App (Ir.Prim Ast.Cons, a), b) -> Ccons (Ir.Heap, go a, go b)
   | Ir.App (Ir.App (Ir.ConsAt t, a), b) -> Ccons (t, go a, go b)
   | Ir.App (Ir.App (Ir.Prim Ast.Pair, a), b) -> Cpair (go a, go b)
   | Ir.App (Ir.App (Ir.Prim p, a), b) when Ast.prim_arity p = 2 -> Cprim2 (p, go a, go b)
   | Ir.App (Ir.Prim p, a) when Ast.prim_arity p = 1 -> Cprim1 (p, go a)
-  | Ir.App (f, a) -> Capp (go f, go a)
+  | Ir.App (f, a) -> (
+      match spine e [] with
+      | (Ir.Var _ | Ir.Lam _ | Ir.If _ | Ir.Letrec _ | Ir.WithArena _ as head), (_ :: _ :: _ as args)
+        ->
+          Ccall (go head, Array.of_list (List.map go args))
+      | _ -> Capp (go f, go a))
   | Ir.If (c, t, f) -> Cif (go c, go t, go f)
   | Ir.Letrec (bs, body) ->
-      let ((scope, width) as sc) = List.fold_left (fun sc (x, _) -> bind sc x) sc bs in
-      let binding (name, rhs) =
-        { name; rslot = Scope.find name scope; arity = lam_arity rhs; rhs = resolve sc rhs }
-      in
-      Cletrec (Array.of_list (List.map binding bs), width, resolve sc body)
+      let names = List.map fst bs in
+      let inner, hidden = enter sc ~group:true names in
+      let binding (name, rhs) = { name; arity = lam_arity rhs; rhs = resolve inner rhs } in
+      let bs = Array.of_list (List.map binding bs) in
+      let body = resolve inner body in
+      leave sc names;
+      Cletrec (bs, hidden, body)
   | Ir.WithArena (kind, sid, b) -> Carena (kind, sid, go b)
 
 (* ---- evaluation ------------------------------------------------------------ *)
 
-(* a copy of [env] with room for [width] slots *)
-let widen env width =
-  let e = Array.make width (Ready Wnil) in
-  Array.blit env 0 e 0 (Array.length env);
-  e
+(* the frame [up] links above [env]; resolution keeps it inside the chain *)
+let rec frame env up =
+  if up = 0 then env
+  else
+    match env with
+    | Arg a -> frame a.up (up - 1)
+    | Group g -> frame g.up (up - 1)
+    | Top -> assert false
+
+let count_hint m c va =
+  if List.mem 1 c.hints then
+    match va with
+    | Wptr _ | Wnil -> m.stats.Stats.hints_accepted <- m.stats.Stats.hints_accepted + 1
+    | _ -> ()
+
+(* under currying, hint [i] of a closure is hint [i-1] of the closure
+   its body returns when that body is the next lambda of the same nest *)
+let later_hints hints = List.filter_map (fun i -> if i > 1 then Some (i - 1) else None) hints
 
 let rec eval_code m env c =
   tick m;
   match c with
   | Cword w -> w
-  | Cvar (i, x) -> (
-      match env.(i) with
-      | Ready w | Slot { contents = Some w } -> w
-      | Slot { contents = None } ->
-          error "letrec binding %s is used before its definition is evaluated" x)
+  | Carg up -> ( match frame env up with Arg a -> a.arg | Top | Group _ -> assert false)
+  | Cslot (up, i, x) -> (
+      match frame env up with
+      | Group g ->
+          if i < g.filled then g.slots.(i)
+          else error "letrec binding %s is used before its definition is evaluated" x
+      | Top | Arg _ -> assert false)
   | Cunbound x -> error "unbound identifier %s at run time" x
   | Clam lam -> Wclos { lam; cenv = env; cmark = false; hints = [] }
   | Capp (f, a) ->
@@ -501,19 +601,29 @@ let rec eval_code m env c =
       let va = eval_code m env a in
       pop m;
       apply m vf va
+  (* a nest of [n] applications ticks once per application before its
+     head, as the nested applications did *)
+  | Ccall (f, args) ->
+      for _ = 2 to Array.length args do
+        tick m
+      done;
+      call m env (eval_code m env f) args 0
   | Cif (c, t, f) ->
       if as_bool (eval_code m env c) then eval_code m env t else eval_code m env f
-  | Cletrec (bs, width, body) ->
-      let env' = widen env width in
-      let slots = Array.map (fun _ -> ref None) bs in
-      Array.iteri (fun i b -> env'.(b.rslot) <- Slot slots.(i)) bs;
+  | Cletrec (bs, hidden, body) ->
+      let slots = Array.make (Array.length bs) Wnil in
+      let env' = Group { slots; filled = 0; up = env; hidden } in
       push_env m env';
-      Array.iteri
-        (fun i b ->
-          let v = eval_code m env' b.rhs in
-          tag_hints m b v;
-          slots.(i) := Some v)
-        bs;
+      (match env' with
+      | Group g ->
+          Array.iteri
+            (fun i b ->
+              let v = eval_code m env' b.rhs in
+              tag_hints m b v;
+              slots.(i) <- v;
+              g.filled <- i + 1)
+            bs
+      | Top | Arg _ -> assert false);
       let v = eval_code m env' body in
       pop_env m;
       v
@@ -529,16 +639,15 @@ let rec eval_code m env c =
         Hashtbl.replace m.arena_stacks sid (a :: stack);
         let v = eval_code m env body in
         Hashtbl.replace m.arena_stacks sid stack;
-        if m.check_arenas then begin
-          let roots = (v :: m.shadow) @ List.concat_map env_words m.env_stack in
-          if reachable_into_arena m roots a.H.dyn_id then
-            error "arena safety violation: a cell of arena %d escapes its scope" sid
-        end;
+        if m.check_arenas && reachable_into_arena m v a.H.dyn_id then
+          error "arena safety violation: a cell of arena %d escapes its scope" sid;
         H.close_arena m.heap a;
         v
       end
-  (* A fused primitive ticks as the two (or three) applications it
-     replaces: once for the primitive, once per application. *)
+  (* A fused node ticks as the applications it replaces: once per
+     application and once for the primitive before its first operand,
+     then once per application after each operand.  Each operand stays
+     rooted while the later ones run. *)
   | Cprim1 (p, a) ->
       tick m;
       let va = eval_code m env a in
@@ -555,6 +664,59 @@ let rec eval_code m env c =
   | Ccons (target, a, b) -> alloc2 m env target a b
   | Cpair (a, b) -> (
       match alloc2 m env Ir.Heap a b with Wptr addr -> Wpair addr | _ -> assert false)
+  | Cnode (target, l, x, r) ->
+      tick m;
+      tick m;
+      tick m;
+      let vl = eval_code m env l in
+      tick m;
+      push m vl;
+      let vx = eval_code m env x in
+      tick m;
+      push m vx;
+      let vr = eval_code m env r in
+      tick m;
+      push m vr;
+      let t = alloc_node m target vl vx vr in
+      pop m;
+      pop m;
+      pop m;
+      t
+  | Cdcons (p, hd, tl) ->
+      tick m;
+      tick m;
+      tick m;
+      let vp = eval_code m env p in
+      tick m;
+      push m vp;
+      let vhd = eval_code m env hd in
+      tick m;
+      push m vhd;
+      let vtl = eval_code m env tl in
+      tick m;
+      pop m;
+      pop m;
+      do_dcons m vp vhd vtl
+  | Cdnode (p, l, x, r) ->
+      tick m;
+      tick m;
+      tick m;
+      tick m;
+      let vp = eval_code m env p in
+      tick m;
+      push m vp;
+      let vl = eval_code m env l in
+      tick m;
+      push m vl;
+      let vx = eval_code m env x in
+      tick m;
+      push m vx;
+      let vr = eval_code m env r in
+      tick m;
+      pop m;
+      pop m;
+      pop m;
+      do_dnode m vp vl vx vr
 
 (* [a] is rooted while [b] runs, and both are around the allocation *)
 and alloc2 m env target a b =
@@ -570,6 +732,38 @@ and alloc2 m env target a b =
   pop m;
   pop m;
   r
+
+(* the arguments of a call from the [i]th on, each applied as its
+   application was; a closure whose body is the next lambda of its nest
+   takes its argument in [curry] *)
+and call m env vf args i =
+  push m vf;
+  let va = eval_code m env args.(i) in
+  pop m;
+  if i = Array.length args - 1 then apply m vf va
+  else
+    let r =
+      match vf with
+      | Wclos ({ lam = { body = Clam next; _ }; _ } as c) -> curry m vf c next va
+      | _ -> apply m vf va
+    in
+    call m env r args (i + 1)
+
+(* [apply m vf va] for a closure [c] whose body is the lambda [next]:
+   the same ticks and hint counts, and the closure the body makes.
+   Nothing between the two ticks can collect, so [apply]'s roots are
+   pushed only where the second tick runs out of fuel and leaves them. *)
+and curry m vf c next va =
+  tick m;
+  count_hint m c va;
+  let env' = Arg { arg = va; up = c.cenv; hidden = c.lam.hidden } in
+  if m.fuel = 0 then begin
+    push m vf;
+    push m va;
+    push_env m env'
+  end;
+  tick m;
+  Wclos { lam = next; cenv = env'; cmark = false; hints = later_hints c.hints }
 
 (* tag a letrec-bound closure with the advisory dead-spine hints of its
    binder, so calls through the binding can be counted when they bind a
@@ -597,28 +791,14 @@ and apply m vf va =
   push m va;
   let result =
     match vf with
-    | Wclos ({ lam; cenv; _ } as c) ->
-        (if List.mem 1 c.hints then
-           match va with
-           | Wptr _ | Wnil ->
-               m.stats.Stats.hints_accepted <- m.stats.Stats.hints_accepted + 1
-           | _ -> ());
-        let env' = widen cenv lam.width in
-        env'.(lam.slot) <- Ready va;
+    | Wclos c ->
+        count_hint m c va;
+        let env' = Arg { arg = va; up = c.cenv; hidden = c.lam.hidden } in
         push_env m env';
-        let r = eval_code m env' lam.body in
+        let r = eval_code m env' c.lam.body in
         pop_env m;
-        (* under currying, hint [i] of this closure is hint [i-1] of
-           the closure its body returns — propagate only when the body
-           is syntactically the next lambda of the same nest *)
-        (match (lam.body, r) with
-        | Clam _, Wclos rc when rc.hints = [] ->
-            let rest =
-              List.filter_map
-                (fun i -> if i > 1 then Some (i - 1) else None)
-                c.hints
-            in
-            if rest <> [] then rc.hints <- rest
+        (match (c.lam.body, r) with
+        | Clam _, Wclos rc when rc.hints = [] -> rc.hints <- later_hints c.hints
         | _ -> ());
         r
     | Wprim (Ast.Cons, [ hd ]) -> alloc_cell m Ir.Heap hd va
@@ -626,16 +806,7 @@ and apply m vf va =
         match alloc_cell m Ir.Heap a va with
         | Wptr addr -> Wpair addr
         | _ -> assert false)
-    | Wprim (Ast.Node, [ l; x ]) -> (
-        (match (l, va) with
-        | (Wleaf | Wtree _), (Wleaf | Wtree _) -> ()
-        | _ -> error "node: children must be trees");
-        match alloc_cell m Ir.Heap l va with
-        | Wptr addr ->
-            (H.get m.heap addr).H.lbl <- x;
-            H.barrier m.heap addr;
-            Wtree addr
-        | _ -> assert false)
+    | Wprim (Ast.Node, [ l; x ]) -> alloc_node m Ir.Heap l x va
     | Wprim (p, []) when Ast.prim_arity p = 1 -> delta1 m p va
     | Wprim (p, [ a ]) when Ast.prim_arity p = 2 -> delta2 p a va
     | Wprim (p, collected) -> Wprim (p, collected @ [ va ])
@@ -643,16 +814,7 @@ and apply m vf va =
     | Wcons_at (target, [ hd ]) -> alloc_cell m target hd va
     | Wcons_at (_, _) -> error "annotated cons applied to too many arguments"
     | Wnode_at (target, ([] | [ _ ] as args)) -> Wnode_at (target, args @ [ va ])
-    | Wnode_at (target, [ l; x ]) -> (
-        (match (l, va) with
-        | (Wleaf | Wtree _), (Wleaf | Wtree _) -> ()
-        | _ -> error "node: children must be trees");
-        match alloc_cell m target l va with
-        | Wptr addr ->
-            (H.get m.heap addr).H.lbl <- x;
-            H.barrier m.heap addr;
-            Wtree addr
-        | _ -> assert false)
+    | Wnode_at (target, [ l; x ]) -> alloc_node m target l x va
     | Wnode_at (_, _) -> error "annotated node applied to too many arguments"
     | Wdcons [ p; hd ] -> do_dcons m p hd va
     | Wdcons args when List.length args < 2 -> Wdcons (args @ [ va ])
@@ -668,10 +830,10 @@ and apply m vf va =
 
 let eval m e =
   let before = Stats.snapshot m.stats in
-  let code = resolve (Scope.empty, 0) e in
+  let code = resolve { names = Hashtbl.create 64; depth = 0; shadowed = [] } e in
   Fun.protect
     ~finally:(fun () -> Stats.global_add ~before ~after:m.stats)
-    (fun () -> eval_code m [||] code)
+    (fun () -> eval_code m Top code)
 
 let run m p = eval m (Ir.of_program p)
 

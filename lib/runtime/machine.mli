@@ -15,13 +15,19 @@
     to since the previous collection) — because the paper's claims are
     about {e counts} (cells allocated, cells the collector must touch,
     reclamation without traversal), which {!Stats} captures exactly.
-    Resolution turns every variable into an index into an array
-    environment holding exactly the names visible at that point (a
-    shadowing binder takes over the shadowed slot, so a collection
-    marks only what is visible), and every saturated unary or binary
-    primitive, pair or cons into one node that builds no partial
-    application but ticks and roots its operands as the applications
-    it replaces would.
+    Resolution turns every variable into a frame address (frames up,
+    slot).  A call links one frame holding its argument to the
+    closure's captured chain, and a [letrec] one frame for its group,
+    so a call costs the same however many names are in scope.  A
+    binding that an inner binder shadows stays on the chain but is not
+    a root: each frame keeps its binder's static list of shadowed
+    positions, which the collector and the arena check skip, so a
+    collection marks exactly the visible bindings.  Every saturated
+    primitive, pair, cons, node, [DCONS] or [DNODE] is one node that
+    builds no partial application, and a nest of applications of
+    anything else is one call, which applies a closure whose body is
+    the next lambda of its nest without evaluating that body; each
+    ticks and roots its operands as the applications it replaces did.
 
     Optionally ([~check_arenas:true]) the machine validates, at every
     arena exit, that no cell of the arena is reachable from the arena

@@ -669,8 +669,30 @@ let counter_row m =
     s.Stats.minor_gcs s.Stats.major_gcs s.Stats.remembered s.Stats.swept s.Stats.peak_live
     s.Stats.pauses s.Stats.hint_sites s.Stats.hints_accepted
 
+(* [n] one-line definitions in scope and a 40,000-call loop through the
+   first *)
+let wide_scope_program n =
+  let defs = List.init n (fun k -> Printf.sprintf "d%d x = x + %d" (k + 1) (k + 1)) in
+  Ex.wrap
+    (defs @ [ "loop n acc = if n = 0 then acc else loop (n - 1) (d1 acc)" ])
+    "loop 20000 0"
+
 let resolved_tests =
   [
+    Alcotest.test_case "call-cost-does-not-grow-with-scope" `Quick (fun () ->
+        let words n =
+          let ir = Ir.of_program (Surface.of_string (wide_scope_program n)) in
+          let m = M.create () in
+          let before = Gc.allocated_bytes () in
+          let w = M.eval m ir in
+          let after = Gc.allocated_bytes () in
+          checki "result" 20000 (match w with M.Wint n -> n | _ -> -1);
+          (after -. before) /. float_of_int (Sys.word_size / 8)
+        in
+        let narrow = words 10 and wide = words 2000 in
+        if wide > 1.5 *. narrow then
+          Alcotest.failf "2,000 definitions in scope allocate %.0f words, 10 allocate %.0f"
+            wide narrow);
     Alcotest.test_case "every-counter-of-calls-and-reuse" `Quick (fun () ->
         let options = { Optimize.Transform.all with Optimize.Transform.pretenure = true } in
         let prepared =
@@ -775,6 +797,17 @@ let resolved_tests =
         checki "marked" 240 s.Stats.marked;
         checki "promoted" 48 s.Stats.promoted;
         check_live_invariant m);
+    Alcotest.test_case "node-operands-stay-rooted" `Quick (fun () ->
+        (* each label is a fresh list, and the right subtree allocates
+           and collects before the node is built *)
+        let src =
+          "letrec mk n = if n = 0 then leaf else node (mk (n - 1)) (cons n nil) (mk (n - 1));\n\
+          \       labels t = if isleaf t then nil else cons (car (label t)) (labels (right t))\n\
+           in labels (mk 4)"
+        in
+        let m = M.create ~heap_size:4 ~chaos:chaos_on ~config:(tiny_gen 2) () in
+        Alcotest.check value "result" (eval_src src)
+          (M.read_value m (M.run m (Surface.of_string src))));
     Alcotest.test_case "letrec-closure-sees-a-later-fill" `Quick (fun () ->
         let src = "letrec f a b = if b = 0 then a else g (b - 1); g = f 1 in g 3" in
         let v, _ = run_src src in
