@@ -157,7 +157,7 @@ let free_cells t = H.free_length t.heap
 let used_cells t = H.used t.heap
 let config t = H.config t.heap
 
-let tick m =
+let[@inline] tick m =
   m.stats.Stats.steps <- m.stats.Stats.steps + 1;
   if m.fuel = 0 then raise Out_of_fuel;
   if m.fuel > 0 then m.fuel <- m.fuel - 1
@@ -166,14 +166,14 @@ let tick m =
    new top, which is included: a letrec fills its slots in the
    environment on top of [env_stack] once its right-hand side has popped
    back to it. *)
-let push m w = m.shadow <- w :: m.shadow
+let[@inline] push m w = m.shadow <- w :: m.shadow
 
 let[@inline] pop m =
   let l = m.shadow in
   m.shadow <- List.tl l;
   if l == m.shadow_low then m.shadow_low <- m.shadow
 
-let push_env m env = m.env_stack <- env :: m.env_stack
+let[@inline] push_env m env = m.env_stack <- env :: m.env_stack
 
 let[@inline] pop_env m =
   let l = m.env_stack in
