@@ -151,9 +151,11 @@ sharing-smoke: build
 
 # The analysis daemon end to end through the CLI: a socket server with
 # the slow-request fault armed, every method exercised by the one-shot
-# client, the in-band error taxonomy (SRV001 on a garbage payload,
-# SRV004 on a blown deadline, counted exactly once by a server that
-# still answers), and a clean shutdown drain (exit 0).
+# client, the daemon's vet output byte-identical to `nmlc vet` on every
+# example and on the spine-liveness hints witness, the in-band error
+# taxonomy (SRV001 on a garbage payload, SRV004 on a blown deadline,
+# counted exactly once by a server that still answers), and a clean
+# shutdown drain (exit 0).
 serve-smoke: build
 	rm -rf _build/serve_smoke && mkdir -p _build/serve_smoke
 	set -e; \
@@ -168,6 +170,17 @@ serve-smoke: build
 	  | grep -q '"findings"'; \
 	$$N serve --connect $$S --call vet --file examples/programs/reverse.nml \
 	  | grep -q '"code": 0'; \
+	O=_build/serve_smoke; \
+	printf 'letrec head l = car l; ignore2 x l = x in head [1,2,3] + ignore2 1 [4,5]\n' \
+	  > $$O/hints.nml; \
+	for f in examples/programs/*.nml $$O/hints.nml; do \
+	  $$N vet $$f > $$O/cli.out; \
+	  $$N serve --connect $$S --call vet --file $$f > $$O/resp; \
+	  printf '%b' "$$(sed -n 's/.*"output": "\(.*\)", "errors".*/\1/p' $$O/resp)" \
+	    > $$O/daemon.out; \
+	  cmp $$O/cli.out $$O/daemon.out \
+	    || { echo "serve-smoke: daemon vet differs from nmlc vet on $$f"; exit 1; }; \
+	done; \
 	( $$N serve --connect $$S --raw 'this is not json' || true ) \
 	  | grep -q 'SRV001'; \
 	( $$N serve --connect $$S --call analyze \

@@ -94,7 +94,7 @@ let run_machine ?(heap = 4096) ir =
   ignore (M.read_value m w);
   M.stats m
 
-let optimized options surface = (T.optimize ~options surface).T.ir
+let optimized options surface = (T.optimize ~options (Nml.Infer.infer_program surface)).T.ir
 
 (* The T4-T6 storage workloads, run on the machine by T4-T6 and on the
    VM by V2: (workload, optimizer options, heap, source of size n). *)
@@ -1189,7 +1189,7 @@ let s6_measure = function
       List.map
         (fun (mode, options) ->
           let optimize () =
-            let r = T.optimize ~options surface in
+            let r = T.optimize ~options (Nml.Infer.infer_program surface) in
             (Option.get r.T.reuse_report, run_machine r.T.ir)
           in
           let rep, stats = optimize () in

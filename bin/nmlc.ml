@@ -41,353 +41,261 @@ let () =
     | Internal_error msg -> Some msg
     | _ -> None)
 
-let read_input file inline =
-  match (file, inline) with
-  | Some f, None -> (
-      match In_channel.with_open_text f In_channel.input_all with
-      | src -> (f, src)
-      | exception Sys_error msg -> failwith msg)
-  | None, Some src -> ("<command line>", src)
-  | Some _, Some _ -> failwith "give either a file or -e, not both"
-  | None, None -> failwith "give a program file or -e SRC"
-
-let surface_of file inline =
-  let name, src = read_input file inline in
-  Nml.Surface.of_string ~file:name src
-
-let diagnose format ~code loc msg =
-  Format.eprintf "%a@."
-    (Nml.Diagnostic.render format)
-    [ Nml.Diagnostic.error ~code loc msg ]
-
-let handle ?(format = Nml.Diagnostic.Human) f =
-  try
-    (match Sys.getenv_opt "NMLC_INTERNAL_ERROR" with
-    | Some _ -> raise (Internal_error "forced by NMLC_INTERNAL_ERROR")
-    | None -> ());
-    f ();
-    0
+(* The toolchain exception regime: every subcommand body runs under it,
+   and the exit code of each failure comes from the pipeline's one table
+   (0 clean, 1 findings or user error, 2 out of memory, 3 out of fuel,
+   124 internal). *)
+let handle ?format f =
+  match
+    if Sys.getenv_opt "NMLC_INTERNAL_ERROR" <> None then
+      raise (Internal_error "forced by NMLC_INTERNAL_ERROR");
+    f ()
   with
-  | Findings -> 1
-  | Failure msg | Invalid_argument msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-  | Nml.Lexer.Error (loc, msg) ->
-      diagnose format ~code:"LEX001" loc msg;
-      1
-  | Nml.Parser.Error (loc, msg) ->
-      diagnose format ~code:"PARSE001" loc msg;
-      1
-  | Nml.Infer.Error (loc, msg) ->
-      diagnose format ~code:"TYPE001" loc msg;
-      1
-  | Nml.Eval.Runtime_error msg | Runtime.Machine.Error msg | Backend.Vm.Error msg ->
-      Printf.eprintf "runtime error: %s\n" msg;
-      1
-  | Escape.Enumerate.Higher_order msg ->
-      Printf.eprintf "enumeration engine: program is not first order: %s\n" msg;
-      1
-  | Runtime.Machine.Out_of_memory | Backend.Vm.Out_of_memory ->
-      Printf.eprintf
-        "error: out of memory: the cell store is exhausted even after a collection \
-         (raise --heap, or drop --no-grow)\n";
-      2
-  | Runtime.Machine.Out_of_fuel | Nml.Eval.Out_of_fuel | Backend.Vm.Out_of_fuel ->
-      Printf.eprintf "error: out of fuel: the step budget is exhausted (raise --fuel)\n";
-      3
-  | Backend.Vm.Internal msg ->
-      Printf.eprintf "nmlc: internal error: the bytecode backend broke an invariant: %s\n"
-        msg;
-      124
-  | e ->
-      Printf.eprintf "nmlc: internal error: %s\n" (Printexc.to_string e);
-      124
+  | () -> 0
+  | exception Findings -> 1
+  | exception e ->
+      let code, text = Pipeline.failure ?format e in
+      prerr_string text;
+      code
 
 (* ---- common arguments and plumbing ----------------------------------------- *)
 
-(* One source-taking subcommand body = one [with_source] call: input
-   resolution, the toolchain exception regime and the 0/1/2/3/124 exit
-   mapping live in exactly one place. *)
-let with_source ?format file inline k =
-  handle ?format (fun () -> k (surface_of file inline))
+let with_input ?format input k =
+  handle ?format (fun () ->
+      match input with
+      | Some f, None -> k f (Nml.Front.read f)
+      | None, Some src -> k "<command line>" src
+      | Some _, Some _ -> failwith "give either a file or -e, not both"
+      | None, None -> failwith "give a program file or -e SRC")
 
-let format_conv =
-  Arg.enum
-    [
-      ("human", Nml.Diagnostic.Human);
-      ("json", Nml.Diagnostic.Json);
-      ("sarif", Nml.Diagnostic.Sarif);
-    ]
+(* the front stage: every command past [parse] types its input first *)
+let with_typed ?format input k =
+  with_input ?format input (fun file src -> k (Nml.Front.of_string ~file src))
 
-let format_arg ~doc = Arg.(value & opt format_conv Nml.Diagnostic.Human & info [ "format" ] ~docv:"FORMAT" ~doc)
+let flag names doc = Arg.value (Arg.flag (Arg.info names ~doc))
+let opt c default names docv doc = Arg.value (Arg.opt c default (Arg.info names ~docv ~doc))
+let opt_some c names docv doc = opt (Arg.some c) None names docv doc
+
+let format_arg ~doc =
+  opt
+    (Arg.enum
+       [
+         ("human", Nml.Diagnostic.Human);
+         ("json", Nml.Diagnostic.Json);
+         ("sarif", Nml.Diagnostic.Sarif);
+       ])
+    Nml.Diagnostic.Human [ "format" ] "FORMAT" doc
 
 let file_arg =
   Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Program file.")
 
-let inline_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "e"; "expr" ] ~docv:"SRC" ~doc:"Program given inline.")
+let inline_arg = opt_some Arg.string [ "e"; "expr" ] "SRC" "Program given inline."
+let source = Term.(const (fun f i -> (f, i)) $ file_arg $ inline_arg)
+let fuel_arg doc = opt_some Arg.int [ "fuel" ] "N" doc
+let jobs_arg doc = opt_some Arg.int [ "j"; "jobs" ] "N" doc
+let jobs = function Some n -> max 1 n | None -> Domain.recommended_domain_count ()
+
+let cache_arg =
+  opt Arg.string ".nmlc-cache" [ "cache" ] "DIR" "Persistent summary cache directory."
+
+(* vet and lint: the diagnostics in the requested format *)
+let print_findings ?rules format ~schema counts ds line =
+  let module J = Nml.Json in
+  print_string
+    (match format with
+    | Nml.Diagnostic.Human -> Nml.Diagnostic.report ds line
+    | Nml.Diagnostic.Json ->
+        J.to_string
+          (J.Obj
+             ((("schema", J.Str schema) :: List.map (fun (k, v) -> (k, J.int v)) counts)
+             @ [ ("diagnostics", J.Arr (List.map Nml.Diagnostic.to_json ds)) ]))
+    | Nml.Diagnostic.Sarif -> J.to_string (Nml.Diagnostic.to_sarif ?rules ds))
 
 (* ---- commands -------------------------------------------------------------- *)
 
 let parse_cmd =
-  let run file inline =
-    with_source file inline (fun s -> Format.printf "%a@." Nml.Surface.pp s)
+  let run input =
+    with_input input (fun file src ->
+        Format.printf "%a@." Nml.Surface.pp (Nml.Surface.of_string ~file src))
   in
-  Cmd.v (Cmd.info "parse" ~doc:"Parse and pretty-print a program")
-    Term.(const run $ file_arg $ inline_arg)
+  Cmd.v (Cmd.info "parse" ~doc:"Parse and pretty-print a program") Term.(const run $ source)
 
 let typecheck_cmd =
-  let run file inline =
-    with_source file inline (fun s ->
-        let prog = Nml.Infer.infer_program s in
+  let run input =
+    with_typed input (fun prog ->
         List.iter
-          (fun (name, s) ->
-            Format.printf "%s : %a@." name Nml.Infer.pp_scheme s)
+          (fun (name, s) -> Format.printf "%s : %a@." name Nml.Infer.pp_scheme s)
           prog.Nml.Infer.schemes;
         Format.printf "main : %a@." Nml.Ty.pp (Nml.Infer.main_ground prog).Nml.Tast.ty)
   in
   Cmd.v (Cmd.info "typecheck" ~doc:"Infer and print definition type schemes")
-    Term.(const run $ file_arg $ inline_arg)
+    Term.(const run $ source)
 
 let eval_cmd =
-  let run file inline fuel =
-    with_source file inline (fun s ->
-        let v = Nml.Eval.run ?fuel s in
-        Format.printf "%a@." Nml.Eval.pp_value v)
-  in
-  let fuel =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuel" ] ~docv:"N" ~doc:"Bound the number of evaluation steps.")
+  let run input fuel =
+    with_typed input (fun prog ->
+        Format.printf "%a@." Nml.Eval.pp_value (Nml.Eval.run ?fuel prog.Nml.Infer.surface))
   in
   Cmd.v (Cmd.info "eval" ~doc:"Run the reference interpreter")
-    Term.(const run $ file_arg $ inline_arg $ fuel)
+    Term.(const run $ source $ fuel_arg "Bound the number of evaluation steps.")
 
 let stats_json stats =
   let module J = Nml.Json in
   let module Fix = Escape.Fixpoint in
-  J.Obj
-    [
-      ("schema", J.Str "nmlc/solver-stats-v1");
-      ("engine", J.Str "worklist");
-      ("passes", J.int stats.Fix.stats_passes);
-      ("iterations", J.int stats.Fix.stats_iterations);
-      ("entries", J.int stats.Fix.stats_entries);
-      ("evaluations", J.int stats.Fix.stats_evaluations);
-      ("sccs", J.int stats.Fix.stats_sccs);
-      ("largest_scc", J.int stats.Fix.stats_largest_scc);
-      ("cache_hits", J.int stats.Fix.stats_cache_hits);
-      ("cache_misses", J.int stats.Fix.stats_cache_misses);
-      ("cache_invalidated", J.int stats.Fix.stats_cache_invalidated);
-      ("d_bound", J.int stats.Fix.stats_dbound);
-      ("capped", J.Bool stats.Fix.stats_capped);
-    ]
-
-(* The generational heap with the spine-liveness hints: parameters whose
-   argument spine the callee provably never needs past the head.
-   Advisory metadata — the stats rows are identical with and without
-   them. *)
-let generational_config surface =
-  let t = Framework.Spinelive.Solver.make (Nml.Infer.infer_program surface) in
-  {
-    Runtime.Heap.generational with
-    Runtime.Heap.liveness_hints = Framework.Spinelive.dead_spine_params t;
-  }
-
-(* Storage section of [analyze --stats]/[--json]: execute the optimized
-   program on a generational heap with a bounded step budget and report
-   the heap counters.  Deterministic — the machine is exact and the pause
-   rows are the cells-touched percentiles, never wall-clock. *)
-let heap_row_of surface =
-  let options =
-    { Optimize.Transform.all with Optimize.Transform.pretenure = true }
-  in
-  let ir = (Optimize.Transform.optimize ~options surface).Optimize.Transform.ir in
-  (* the same heap a [run --policy generational] uses, so the
-     hint-acceptance counters show up here too *)
-  let config = generational_config surface in
-  let m = Runtime.Machine.create ~heap_size:4096 ~fuel:1_000_000 ~config () in
-  match Runtime.Machine.eval m ir with
-  | _ -> Ok (Runtime.Stats.to_row (Runtime.Machine.stats m))
-  | exception Runtime.Machine.Out_of_fuel -> Error "step budget exhausted"
-  | exception Runtime.Machine.Out_of_memory -> Error "storage exhausted"
-  | exception Runtime.Machine.Error msg -> Error msg
+  [
+    ("schema", J.Str "nmlc/solver-stats-v1");
+    ("engine", J.Str "worklist");
+    ("passes", J.int stats.Fix.stats_passes);
+    ("iterations", J.int stats.Fix.stats_iterations);
+    ("entries", J.int stats.Fix.stats_entries);
+    ("evaluations", J.int stats.Fix.stats_evaluations);
+    ("sccs", J.int stats.Fix.stats_sccs);
+    ("largest_scc", J.int stats.Fix.stats_largest_scc);
+    ("cache_hits", J.int stats.Fix.stats_cache_hits);
+    ("cache_misses", J.int stats.Fix.stats_cache_misses);
+    ("cache_invalidated", J.int stats.Fix.stats_cache_invalidated);
+    ("d_bound", J.int stats.Fix.stats_dbound);
+    ("capped", J.Bool stats.Fix.stats_capped);
+  ]
 
 let list_analyses () =
   Format.printf "@[<v 0>registered analyses:@,";
   List.iter
     (fun (e : Analyses.Registry.entry) ->
       let aliases =
-        match e.Analyses.Registry.aliases with
+        match e.aliases with
         | [] -> ""
         | a -> Printf.sprintf " (alias: %s)" (String.concat ", " a)
       in
-      Format.printf "  %-16s %s%s@,  %-16s domain: %s@,  %-16s cache: %s/%s@,"
-        e.Analyses.Registry.name e.Analyses.Registry.doc aliases ""
-        e.Analyses.Registry.domain "" Cache.Skey.schema_version
-        e.Analyses.Registry.name)
+      Format.printf "  %-16s %s%s@,  %-16s domain: %s@,  %-16s cache: %s/%s@," e.name e.doc
+        aliases "" e.domain "" Cache.Skey.schema_version e.name)
     Analyses.Registry.all;
   Format.printf "@]@?"
 
+let analyze_escape prog func enumerate local show_stats json =
+  let module J = Nml.Json in
+  if json then begin
+    if enumerate then failwith "--json reports the fixpoint solver, not --enumerate";
+    let t = Escape.Fixpoint.make prog in
+    (* drive the same queries the report makes, then emit the counters *)
+    ignore (Format.asprintf "%a" Escape.Report.program t);
+    let heap =
+      match Pipeline.storage_row prog with
+      | Ok row -> J.Obj (List.map (fun (k, v) -> (k, J.int v)) row)
+      | Error reason -> J.Obj [ ("skipped", J.Str reason) ]
+    in
+    print_string
+      (J.to_string (J.Obj (stats_json (Escape.Fixpoint.stats t) @ [ ("heap", heap) ])))
+  end
+  else if enumerate then begin
+    try
+      let e = Escape.Enumerate.solve prog in
+      List.iter
+        (fun (name, _) ->
+          let inst = Nml.Infer.simplest_instance prog name in
+          Format.printf "%s : %s@." name (Nml.Ty.to_string inst);
+          for i = 1 to Nml.Ty.arity inst do
+            Format.printf "  G(%s, %d) = %s@." name i
+              (Escape.Besc.to_string (Escape.Enumerate.global e name ~arg:i))
+          done)
+        prog.Nml.Infer.surface.Nml.Surface.defs;
+      Format.printf "(%d table entries, %d rounds)@." (Escape.Enumerate.entries e)
+        (Escape.Enumerate.iterations e)
+    with Escape.Enumerate.Higher_order msg ->
+      Printf.eprintf "enumeration engine: program is not first order: %s\n" msg;
+      raise Findings
+  end
+  else begin
+    let t = Escape.Fixpoint.make prog in
+    (match func with
+    | Some f -> Format.printf "%a@." (fun ppf () -> Escape.Report.definition ppf t f) ()
+    | None -> Format.printf "%a@." Escape.Report.program t);
+    if local then begin
+      let rec split args = function
+        | Nml.Ast.App (_, f, a) -> split (a :: args) f
+        | head -> (head, args)
+      in
+      match split [] prog.Nml.Infer.surface.Nml.Surface.main with
+      | _, [] -> failwith "--local: the main expression is not a call"
+      | Nml.Ast.Var (_, f), args ->
+          Format.printf "%a@." (fun ppf () -> Escape.Report.call ppf t f args) ()
+      | _ -> failwith "--local: the main expression is not a call of a definition"
+    end;
+    (* last, so a failing stage above never leaves a misleading
+       half-report with statistics attached *)
+    if show_stats then begin
+      Format.printf "-- solver --@.%a@." Escape.Fixpoint.pp_stats (Escape.Fixpoint.stats t);
+      Format.printf "-- storage (generational heap) --@.";
+      match Pipeline.storage_row prog with
+      | Ok row ->
+          Format.printf "%a@."
+            (Format.pp_print_list ~pp_sep:Format.pp_print_newline (fun ppf (k, v) ->
+                 Format.fprintf ppf "%-18s %d" k v))
+            row
+      | Error reason -> Format.printf "skipped (%s)@." reason
+    end
+  end
+
 let analyze_cmd =
-  let run_escape file inline func enumerate local show_stats json =
-    with_source file inline (fun s ->
-        if json then begin
-          if enumerate then
-            failwith "--json reports the fixpoint solver, not --enumerate";
-          let t = Escape.Fixpoint.make (Nml.Infer.infer_program s) in
-          (* drive the same queries the report makes, then emit the counters *)
-          ignore (Format.asprintf "%a" Escape.Report.program t);
-          let module J = Nml.Json in
-          let heap =
-            match heap_row_of s with
-            | Ok row -> J.Obj (List.map (fun (k, v) -> (k, J.int v)) row)
-            | Error reason -> J.Obj [ ("skipped", J.Str reason) ]
-          in
-          let solver =
-            match stats_json (Escape.Fixpoint.stats t) with
-            | J.Obj fields -> fields
-            | _ -> assert false
-          in
-          print_string (J.to_string (J.Obj (solver @ [ ("heap", heap) ])))
-        end
-        else if enumerate then begin
-          let e = Escape.Enumerate.solve (Nml.Infer.infer_program s) in
-          List.iter
-            (fun (name, _) ->
-              let prog = Nml.Infer.infer_program s in
-              let inst = Nml.Infer.simplest_instance prog name in
-              let n = Nml.Ty.arity inst in
-              Format.printf "%s : %s@." name (Nml.Ty.to_string inst);
-              for i = 1 to n do
-                Format.printf "  G(%s, %d) = %s@." name i
-                  (Escape.Besc.to_string (Escape.Enumerate.global e name ~arg:i))
-              done)
-            s.Nml.Surface.defs;
-          Format.printf "(%d table entries, %d rounds)@." (Escape.Enumerate.entries e)
-            (Escape.Enumerate.iterations e)
-        end
-        else begin
-          let t = Escape.Fixpoint.make (Nml.Infer.infer_program s) in
-          (match func with
-          | Some f -> Format.printf "%a@." (fun ppf () -> Escape.Report.definition ppf t f) ()
-          | None -> Format.printf "%a@." Escape.Report.program t);
-          if local then begin
-            match s.Nml.Surface.main with
-            | Nml.Ast.App (_, _, _) as call ->
-                let rec head = function Nml.Ast.App (_, f, _) -> head f | e -> e in
-                let rec args acc = function
-                  | Nml.Ast.App (_, f, a) -> args (a :: acc) f
-                  | _ -> acc
-                in
-                (match head call with
-                | Nml.Ast.Var (_, f) ->
-                    Format.printf "%a@."
-                      (fun ppf () -> Escape.Report.call ppf t f (args [] call))
-                      ()
-                | _ -> failwith "--local: the main expression is not a call of a definition")
-            | _ -> failwith "--local: the main expression is not a call"
-          end;
-          (* last, so a failing stage above never leaves a misleading
-             half-report with statistics attached *)
-          if show_stats then begin
-            Format.printf "-- solver --@.%a@." Escape.Fixpoint.pp_stats
-              (Escape.Fixpoint.stats t);
-            match heap_row_of s with
-            | Ok row ->
-                Format.printf "-- storage (generational heap) --@.%a@."
-                  (Format.pp_print_list ~pp_sep:Format.pp_print_newline
-                     (fun ppf (k, v) -> Format.fprintf ppf "%-18s %d" k v))
-                  row
-            | Error reason ->
-                Format.printf "-- storage (generational heap) --@.skipped (%s)@."
-                  reason
-          end
-        end)
-  in
-  let run file inline func enumerate local show_stats json analysis listing =
+  let run input func enumerate local show_stats json analysis listing =
     if listing then begin
       list_analyses ();
       0
     end
-    else if String.equal analysis "escape" then
-      run_escape file inline func enumerate local show_stats json
     else
-      with_source file inline (fun s ->
-          let e =
-            match Analyses.Registry.find analysis with
-            | Some e -> e
-            | None ->
-                failwith
-                  (Printf.sprintf "unknown analysis %s (try --list-analyses)" analysis)
-          in
-          if enumerate || local || json || func <> None then
-            failwith "--enumerate/--local/--json/-f apply to the escape analysis only";
-          let o = e.Analyses.Registry.run (Nml.Infer.infer_program s) in
-          print_string o.Analyses.Registry.output;
-          if show_stats then
-            Format.printf
-              "-- solver --@.analysis            %s@.definitions         \
-               %d@.entry evaluations   %d@."
-              e.Analyses.Registry.name o.Analyses.Registry.defs
-              o.Analyses.Registry.evaluations)
+      with_typed input (fun prog ->
+          if String.equal analysis "escape" then
+            analyze_escape prog func enumerate local show_stats json
+          else
+            let e =
+              match Analyses.Registry.find analysis with
+              | Some e -> e
+              | None ->
+                  failwith
+                    (Printf.sprintf "unknown analysis %s (try --list-analyses)" analysis)
+            in
+            if enumerate || local || json || func <> None then
+              failwith "--enumerate/--local/--json/-f apply to the escape analysis only";
+            let o = e.Analyses.Registry.run prog in
+            print_string o.Analyses.Registry.output;
+            if show_stats then
+              Format.printf
+                "-- solver --@.analysis            %s@.definitions         \
+                 %d@.entry evaluations   %d@."
+                e.Analyses.Registry.name o.Analyses.Registry.defs
+                o.Analyses.Registry.evaluations)
   in
-  let func =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "f"; "fun" ] ~docv:"NAME" ~doc:"Analyze a single definition.")
-  in
+  let func = opt_some Arg.string [ "f"; "fun" ] "NAME" "Analyze a single definition." in
   let enumerate =
-    Arg.(
-      value & flag
-      & info [ "enumerate" ]
-          ~doc:"Use the full-enumeration first-order engine instead of the probe engine.")
+    flag [ "enumerate" ]
+      "Use the full-enumeration first-order engine instead of the probe engine."
   in
-  let local =
-    Arg.(
-      value & flag
-      & info [ "local" ] ~doc:"Also run the local escape test on the main call.")
-  in
+  let local = flag [ "local" ] "Also run the local escape test on the main call." in
   let show_stats =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:"Print solver statistics (passes, entry evaluations, SCCs, application \
-                cache behaviour) after the report.")
+    flag [ "stats" ]
+      "Print solver statistics (passes, entry evaluations, SCCs, application cache \
+       behaviour) after the report."
   in
   let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the solver statistics as a JSON document instead of the report \
-                (not available with --enumerate).")
+    flag [ "json" ]
+      "Emit the solver statistics as a JSON document instead of the report (not \
+       available with --enumerate)."
   in
   let analysis =
-    Arg.(
-      value & opt string "escape"
-      & info [ "analysis" ] ~docv:"NAME"
-          ~doc:
-            "Which registered analysis to run: $(b,escape) (default), $(b,usage) \
-             (alias $(b,strictness)), $(b,spine-liveness), $(b,escape-x-usage) \
-             (alias $(b,product)), or $(b,sharing) (alias $(b,alias)).  See \
-             $(b,--list-analyses).")
+    opt Arg.string "escape" [ "analysis" ] "NAME"
+      "Which registered analysis to run: $(b,escape) (default), $(b,usage) (alias \
+       $(b,strictness)), $(b,spine-liveness), $(b,escape-x-usage) (alias \
+       $(b,product)), or $(b,sharing) (alias $(b,alias)).  See $(b,--list-analyses)."
   in
   let listing =
-    Arg.(
-      value & flag
-      & info [ "list-analyses" ]
-          ~doc:"List the registered analyses (name, question, abstract domain) and exit.")
+    flag [ "list-analyses" ]
+      "List the registered analyses (name, question, abstract domain) and exit."
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Escape analysis report (global tests and sharing)")
     Term.(
-      const run $ file_arg $ inline_arg $ func $ enumerate $ local $ show_stats
-      $ json $ analysis $ listing)
+      const run $ source $ func $ enumerate $ local $ show_stats $ json $ analysis
+      $ listing)
 
 let batch_cmd =
   let expand path =
@@ -398,7 +306,83 @@ let batch_cmd =
       |> List.map (Filename.concat path)
     else [ path ]
   in
-  let run paths jobs cache_dir no_cache lint format analysis =
+  let analysis_job lint analysis =
+    if lint then begin
+      if not (String.equal analysis "escape") then
+        failwith "--lint runs the lint rules; it does not take --analysis";
+      Some (fun ~store path -> Lint.Batch.analyze_file ~store path)
+    end
+    else
+      match Analyses.Registry.find analysis with
+      | None ->
+          failwith
+            (Printf.sprintf "unknown analysis %s (try nmlc analyze --list-analyses)" analysis)
+      | Some e when String.equal e.Analyses.Registry.name "escape" -> None
+      | Some e -> Some (fun ~store path -> Analyses.Registry.batch_job e ~store path)
+  in
+  let print_results ~lint format results =
+    let module B = Cache.Batch in
+    let module J = Nml.Json in
+    let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
+    let count p = List.length (List.filter p results) in
+    let ok = count (fun r -> r.B.code = 0) in
+    let errors = List.length results - ok in
+    let evals = total (fun r -> r.B.evaluations) in
+    let hits = total (fun r -> r.B.scc_hits) in
+    let misses = total (fun r -> r.B.scc_misses) in
+    let findings = total (fun r -> r.B.findings) in
+    let counts findings evals hits misses =
+      (if lint then [ ("findings", J.int findings) ] else [])
+      @ [ ("evaluations", J.int evals); ("scc_hits", J.int hits); ("scc_misses", J.int misses) ]
+    in
+    match format with
+    | `Human ->
+        List.iter
+          (fun r ->
+            Format.printf "== %s ==@." r.B.path;
+            print_string r.B.output;
+            (* keep each file's stderr next to its header in captured output *)
+            flush stdout;
+            prerr_string r.B.errors;
+            flush stderr)
+          results;
+        if lint then
+          Format.printf
+            "lint: %d file(s), %d clean, %d finding(s); %d entry evaluation(s), %d scc \
+             hit(s), %d scc miss(es)@."
+            (List.length results) ok findings evals hits misses
+        else
+          Format.printf
+            "batch: %d file(s), %d ok, %d error(s); %d entry evaluation(s), %d scc \
+             hit(s), %d scc miss(es)@."
+            (List.length results) ok errors evals hits misses;
+        let failed = List.filter (fun r -> r.B.code = 124) results in
+        if failed <> [] then
+          Format.printf "failed: %s@."
+            (String.concat ", " (List.map (fun r -> r.B.path) failed));
+        let skipped = count (fun r -> r.B.code = 130) in
+        if skipped > 0 then
+          Format.printf "%s: interrupted, %d file(s) not analyzed@."
+            (if lint then "lint" else "batch")
+            skipped
+    | `Json ->
+        let file_json r =
+          J.Obj
+            ([ ("path", J.Str r.B.path); ("code", J.int r.B.code); ("defs", J.int r.B.defs) ]
+            @ counts r.B.findings r.B.evaluations r.B.scc_hits r.B.scc_misses
+            @ if r.B.errors = "" then [] else [ ("errors", J.Str r.B.errors) ])
+        in
+        print_string
+          (J.to_string
+             (J.Obj
+                ([
+                   ("schema", J.Str "nmlc/batch-v1");
+                   ("files", J.Arr (List.map file_json results));
+                 ]
+                @ counts findings evals hits misses
+                @ [ ("errors", J.int errors) ])))
+  in
+  let run paths jobs_n cache_dir no_cache lint format analysis =
     let rc = ref 0 in
     let code =
       handle (fun () ->
@@ -406,24 +390,8 @@ let batch_cmd =
           if files = [] then failwith "no .nml program files to analyze";
           let store = if no_cache then None else Some (Cache.Store.create cache_dir) in
           (* janitor: staging files a crashed earlier run left behind *)
-          (match store with Some s -> ignore (Cache.Store.cleanup_tmp s) | None -> ());
-          let jobs = match jobs with Some n -> max 1 n | None -> Domain.recommended_domain_count () in
-          let analyze =
-            if lint then begin
-              if not (String.equal analysis "escape") then
-                failwith "--lint runs the lint rules; it does not take --analysis";
-              Some (fun ~store path -> Lint.Batch.analyze_file ~store path)
-            end
-            else if String.equal analysis "escape" then None
-            else
-              match Analyses.Registry.find analysis with
-              | None ->
-                  failwith
-                    (Printf.sprintf "unknown analysis %s (try nmlc analyze --list-analyses)"
-                       analysis)
-              | Some e when String.equal e.Analyses.Registry.name "escape" -> None
-              | Some e -> Some (fun ~store path -> Analyses.Registry.batch_job e ~store path)
-          in
+          Option.iter (fun s -> ignore (Cache.Store.cleanup_tmp s)) store;
+          let analyze = analysis_job lint analysis in
           (* SIGINT/SIGTERM drain the pool instead of killing it mid-write:
              in-flight files finish (and their summaries commit through the
              atomic-rename path), unstarted files come back as code 130 *)
@@ -440,85 +408,9 @@ let batch_cmd =
               (fun () ->
                 Cache.Batch.run ?analyze ?store
                   ~stop:(fun () -> Atomic.get interrupted)
-                  ~jobs files)
+                  ~jobs:(jobs jobs_n) files)
           in
-          let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
-          let ok = List.length (List.filter (fun r -> r.Cache.Batch.code = 0) results) in
-          let evals = total (fun r -> r.Cache.Batch.evaluations) in
-          let hits = total (fun r -> r.Cache.Batch.scc_hits) in
-          let misses = total (fun r -> r.Cache.Batch.scc_misses) in
-          let findings = total (fun r -> r.Cache.Batch.findings) in
-          (match format with
-          | `Human ->
-              List.iter
-                (fun r ->
-                  Format.printf "== %s ==@." r.Cache.Batch.path;
-                  print_string r.Cache.Batch.output;
-                  (* keep each file's stderr next to its header in
-                     captured output *)
-                  flush stdout;
-                  prerr_string r.Cache.Batch.errors;
-                  flush stderr)
-                results;
-              if lint then
-                Format.printf
-                  "lint: %d file(s), %d clean, %d finding(s); %d entry evaluation(s), \
-                   %d scc hit(s), %d scc miss(es)@."
-                  (List.length results) ok findings evals hits misses
-              else
-                Format.printf
-                  "batch: %d file(s), %d ok, %d error(s); %d entry evaluation(s), %d scc \
-                   hit(s), %d scc miss(es)@."
-                  (List.length results) ok
-                  (List.length results - ok)
-                  evals hits misses;
-              let failed =
-                List.filter (fun r -> r.Cache.Batch.code = 124) results
-              in
-              if failed <> [] then
-                Format.printf "failed: %s@."
-                  (String.concat ", "
-                     (List.map (fun r -> r.Cache.Batch.path) failed));
-              let skipped =
-                List.length (List.filter (fun r -> r.Cache.Batch.code = 130) results)
-              in
-              if skipped > 0 then
-                Format.printf "%s: interrupted, %d file(s) not analyzed@."
-                  (if lint then "lint" else "batch")
-                  skipped
-          | `Json ->
-              let module J = Nml.Json in
-              let file_json r =
-                J.Obj
-                  ([
-                     ("path", J.Str r.Cache.Batch.path);
-                     ("code", J.int r.Cache.Batch.code);
-                     ("defs", J.int r.Cache.Batch.defs);
-                   ]
-                  @ (if lint then [ ("findings", J.int r.Cache.Batch.findings) ] else [])
-                  @ [
-                      ("evaluations", J.int r.Cache.Batch.evaluations);
-                      ("scc_hits", J.int r.Cache.Batch.scc_hits);
-                      ("scc_misses", J.int r.Cache.Batch.scc_misses);
-                    ]
-                  @
-                  if r.Cache.Batch.errors = "" then []
-                  else [ ("errors", J.Str r.Cache.Batch.errors) ])
-              in
-              print_string
-                (J.to_string
-                   (J.Obj
-                      ([
-                         ("schema", J.Str "nmlc/batch-v1");
-                         ("files", J.Arr (List.map file_json results));
-                       ]
-                      @ (if lint then [ ("findings", J.int findings) ] else [])
-                      @ [
-                          ("evaluations", J.int evals);
-                          ("scc_hits", J.int hits);
-                          ("scc_misses", J.int misses);
-                          ("errors", J.int (List.length results - ok));
-                        ]))));
+          print_results ~lint format results;
           rc := Cache.Batch.exit_code results)
     in
     if code <> 0 then code else !rc
@@ -529,79 +421,38 @@ let batch_cmd =
       & info [] ~docv:"PATH"
           ~doc:"Program files, or directories scanned for $(b,*.nml) files.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Number of analysis domains (default: the machine's recommended \
-                domain count).")
-  in
-  let cache_dir =
-    Arg.(
-      value
-      & opt string ".nmlc-cache"
-      & info [ "cache" ] ~docv:"DIR" ~doc:"Persistent summary cache directory.")
-  in
   let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Analyze cold, without reading or writing the cache.")
+    flag [ "no-cache" ] "Analyze cold, without reading or writing the cache."
   in
   let lint =
-    Arg.(
-      value & flag
-      & info [ "lint" ]
-          ~doc:"Run the lint rules instead of the escape-summary report; per-SCC \
-                findings are persisted and invalidated through the same cache.")
+    flag [ "lint" ]
+      "Run the lint rules instead of the escape-summary report; per-SCC findings are \
+       persisted and invalidated through the same cache."
   in
   let format =
-    Arg.(
-      value
-      & opt (enum [ ("human", `Human); ("json", `Json) ]) `Human
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:"Report rendering: $(b,human) (default, per-file reports and a summary \
-                line) or $(b,json) (one machine-readable document, no timing data).")
+    opt
+      (Arg.enum [ ("human", `Human); ("json", `Json) ])
+      `Human [ "format" ] "FORMAT"
+      "Report rendering: $(b,human) (default, per-file reports and a summary line) or \
+       $(b,json) (one machine-readable document, no timing data)."
   in
   let analysis =
-    Arg.(
-      value & opt string "escape"
-      & info [ "analysis" ] ~docv:"NAME"
-          ~doc:"Which registered analysis to run per file (default $(b,escape)); see \
-                $(b,nmlc analyze --list-analyses).")
+    opt Arg.string "escape" [ "analysis" ] "NAME"
+      "Which registered analysis to run per file (default $(b,escape)); see $(b,nmlc \
+       analyze --list-analyses)."
   in
   Cmd.v
     (Cmd.info "batch"
        ~doc:"Analyze or lint many programs in parallel through the persistent summary \
              cache")
-    Term.(const run $ paths $ jobs $ cache_dir $ no_cache $ lint $ format $ analysis)
+    Term.(
+      const run $ paths
+      $ jobs_arg
+          "Number of analysis domains (default: the machine's recommended domain \
+           count)."
+      $ cache_arg $ no_cache $ lint $ format $ analysis)
 
 let options_term =
-  let no_mono =
-    Arg.(value & flag & info [ "no-mono" ] ~doc:"Do not monomorphize first.")
-  in
-  let no_reuse = Arg.(value & flag & info [ "no-reuse" ] ~doc:"Disable in-place reuse.") in
-  let no_alias_reuse =
-    Arg.(
-      value & flag
-      & info [ "no-alias-reuse" ]
-          ~doc:"License in-place reuse from the Theorem-2 spine arithmetic only, \
-                without the flow-sensitive sharing analysis.")
-  in
-  let no_stack =
-    Arg.(value & flag & info [ "no-stack" ] ~doc:"Disable stack allocation.")
-  in
-  let no_block =
-    Arg.(value & flag & info [ "no-block" ] ~doc:"Disable block allocation.")
-  in
-  let pretenure =
-    Arg.(
-      value & flag
-      & info [ "pretenure" ]
-          ~doc:"Retarget escape-doomed cons sites (escaping literal spines, the \
-                result spine of main) to tenured-at-birth allocation.  A hint for \
-                the generational heap; a no-op under the legacy heap.")
-  in
   let mk m r a s b p =
     {
       Optimize.Transform.monomorphize = not m;
@@ -612,12 +463,24 @@ let options_term =
       pretenure = p;
     }
   in
-  Term.(const mk $ no_mono $ no_reuse $ no_alias_reuse $ no_stack $ no_block $ pretenure)
+  Term.(
+    const mk
+    $ flag [ "no-mono" ] "Do not monomorphize first."
+    $ flag [ "no-reuse" ] "Disable in-place reuse."
+    $ flag [ "no-alias-reuse" ]
+        "License in-place reuse from the Theorem-2 spine arithmetic only, without the \
+         flow-sensitive sharing analysis."
+    $ flag [ "no-stack" ] "Disable stack allocation."
+    $ flag [ "no-block" ] "Disable block allocation."
+    $ flag [ "pretenure" ]
+        "Retarget escape-doomed cons sites (escaping literal spines, the result spine \
+         of main) to tenured-at-birth allocation.  A hint for the generational heap; a \
+         no-op under the legacy heap.")
 
 let mono_cmd =
-  let run file inline =
-    with_source file inline (fun s ->
-        let r = Nml.Mono.run s in
+  let run input =
+    with_typed input (fun prog ->
+        let r = Nml.Mono.monomorphize prog in
         Format.printf "%a@.@." Nml.Surface.pp r.Nml.Mono.program;
         List.iter
           (fun (d, n, i) ->
@@ -626,162 +489,93 @@ let mono_cmd =
   in
   Cmd.v
     (Cmd.info "mono" ~doc:"Monomorphize: one copy of each definition per used instance")
-    Term.(const run $ file_arg $ inline_arg)
+    Term.(const run $ source)
 
 let optimize_cmd =
-  let run file inline options =
-    with_source file inline (fun s ->
-        let r = Optimize.Transform.optimize ~options s in
+  let run input options =
+    with_typed input (fun prog ->
+        let r = Optimize.Transform.optimize ~options prog in
         Format.printf "%a@." Optimize.Transform.pp_report r;
         Format.printf "%a@." Runtime.Ir.pp r.Optimize.Transform.ir)
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Apply the storage optimizations and print the program")
-    Term.(const run $ file_arg $ inline_arg $ options_term)
+    Term.(const run $ source $ options_term)
 
 let run_cmd =
-  let run file inline options optimized heap_size no_grow check compare fuel policy
+  let run input options optimized heap_size no_grow check compare fuel policy
       nursery no_regions no_pretenure backend =
-    with_source file inline (fun s ->
-        let base =
-          match policy with
-          | `Legacy -> Runtime.Heap.legacy
-          | `Generational -> generational_config s
-        in
+    with_typed input (fun prog ->
         let config =
-          {
-            base with
-            Runtime.Heap.regions = base.Runtime.Heap.regions && not no_regions;
-            pretenure = base.Runtime.Heap.pretenure && not no_pretenure;
-            nursery =
-              (match nursery with
-              | Some n -> max 1 n
-              | None -> base.Runtime.Heap.nursery);
-          }
+          Pipeline.heap ?nursery ~regions:(not no_regions) ~pretenure:(not no_pretenure)
+            policy prog
         in
-        (* tenured-at-birth sites only exist if the optimizer emits them;
-           a generational run turns the pass on unless the heap ignores it *)
-        let options =
-          if config.Runtime.Heap.pretenure then
-            { options with Optimize.Transform.pretenure = true }
-          else options
-        in
-        let exec ir =
-          match backend with
-          | `Interp ->
-              let m =
-                Runtime.Machine.create ~heap_size ~grow:(not no_grow)
-                  ~check_arenas:check ?fuel ~config ()
-              in
-              let w = Runtime.Machine.eval m ir in
-              (Runtime.Machine.read_value m w, Runtime.Machine.stats m)
-          | `Vm ->
-              let m =
-                Backend.Vm.create ~heap_size ~grow:(not no_grow)
-                  ~check_arenas:check ?fuel ~config ()
-              in
-              let v = Backend.Vm.eval m (Backend.Vm.compile ir) in
-              (Backend.Vm.read_value m v, Backend.Vm.stats m)
-        in
-        let show label (v, stats) =
+        let show label lowering =
+          let r =
+            Pipeline.execute ~heap_size ~grow:(not no_grow) ~check_arenas:check ?fuel
+              ~config backend
+              (Pipeline.lower ~heap:config lowering prog)
+          in
+          let v = match r.Pipeline.result with Ok v -> Lazy.force v | Error e -> raise e in
           Format.printf "%s result: %a@." label Nml.Eval.pp_value v;
-          Format.printf "%a@." Runtime.Stats.pp stats
+          Format.printf "%a@." Runtime.Stats.pp r.Pipeline.stats
         in
-        let baseline () = exec (Runtime.Ir.of_program s) in
-        let opt () = exec (Optimize.Transform.optimize ~options s).Optimize.Transform.ir in
-        if compare then begin
-          show "baseline" (baseline ());
-          show "optimized" (opt ())
-        end
-        else if optimized then show "optimized" (opt ())
-        else show "baseline" (baseline ()))
+        if compare || not optimized then show "baseline" Pipeline.Baseline;
+        if compare || optimized then show "optimized" (Pipeline.Optimized options))
   in
-  let optimized =
-    Arg.(value & flag & info [ "O"; "optimized" ] ~doc:"Run the optimized program.")
-  in
-  let heap =
-    Arg.(value & opt int 4096 & info [ "heap" ] ~docv:"CELLS" ~doc:"Cell store capacity.")
-  in
-  let no_grow =
-    Arg.(value & flag & info [ "no-grow" ] ~doc:"Fail instead of growing the store.")
-  in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check-arenas" ] ~doc:"Validate arena safety at every arena exit.")
-  in
-  let compare =
-    Arg.(
-      value & flag
-      & info [ "compare" ] ~doc:"Run both baseline and optimized, printing both.")
-  in
-  let fuel =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuel" ] ~docv:"N" ~doc:"Bound the number of machine steps.")
-  in
+  let optimized = flag [ "O"; "optimized" ] "Run the optimized program." in
+  let heap = opt Arg.int 4096 [ "heap" ] "CELLS" "Cell store capacity." in
+  let no_grow = flag [ "no-grow" ] "Fail instead of growing the store." in
+  let check = flag [ "check-arenas" ] "Validate arena safety at every arena exit." in
+  let compare = flag [ "compare" ] "Run both baseline and optimized, printing both." in
   let policy =
-    Arg.(
-      value
-      & opt (enum [ ("legacy", `Legacy); ("generational", `Generational) ]) `Legacy
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:"Heap policy: $(b,legacy) (default, the original mark-sweep store) \
-                or $(b,generational) (nursery + promotion, escape verdicts as \
-                pretenuring hints, extra statistics rows).")
+    opt
+      (Arg.enum [ ("legacy", Pipeline.Legacy); ("generational", Pipeline.Generational) ])
+      Pipeline.Legacy [ "policy" ] "POLICY"
+      "Heap policy: $(b,legacy) (default, the original mark-sweep store) or \
+       $(b,generational) (nursery + promotion, escape verdicts as pretenuring hints, \
+       extra statistics rows)."
   in
   let nursery =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "nursery" ] ~docv:"CELLS"
-          ~doc:"Nursery size for $(b,--policy generational) (default 1024): a minor \
-                collection runs whenever this many young cells are live.")
+    opt_some Arg.int [ "nursery" ] "CELLS"
+      "Nursery size for $(b,--policy generational) (default 1024): a minor collection \
+       runs whenever this many young cells are live."
   in
   let no_regions =
-    Arg.(
-      value & flag
-      & info [ "no-regions" ]
-          ~doc:"Ignore arena annotations: region/block allocations fall back to \
-                ordinary heap cells (and arena exits reclaim nothing).")
+    flag [ "no-regions" ]
+      "Ignore arena annotations: region/block allocations fall back to ordinary heap \
+       cells (and arena exits reclaim nothing)."
   in
   let no_pretenure =
-    Arg.(
-      value & flag
-      & info [ "no-pretenure" ]
-          ~doc:"Under $(b,--policy generational), do not tenure escape-doomed \
-                allocations at birth; everything unannotated starts in the nursery.")
+    flag [ "no-pretenure" ]
+      "Under $(b,--policy generational), do not tenure escape-doomed allocations at \
+       birth; everything unannotated starts in the nursery."
   in
   let backend =
-    Arg.(
-      value
-      & opt (enum [ ("interp", `Interp); ("vm", `Vm) ]) `Interp
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:"Execution backend: $(b,interp) (default, the tree-walking storage \
-                simulator) or $(b,vm) (the compact bytecode VM: ANF, flat closures, \
-                known calls, tail calls — same heap policy, same statistics).")
+    opt
+      (Arg.enum [ ("interp", Pipeline.Interp); ("vm", Pipeline.Vm) ])
+      Pipeline.Interp [ "backend" ] "BACKEND"
+      "Execution backend: $(b,interp) (default, the tree-walking storage simulator) or \
+       $(b,vm) (the compact bytecode VM: ANF, flat closures, known calls, tail calls — \
+       same heap policy, same statistics)."
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute on the storage simulator and print statistics")
     Term.(
-      const run $ file_arg $ inline_arg $ options_term $ optimized $ heap $ no_grow
-      $ check $ compare $ fuel $ policy $ nursery $ no_regions $ no_pretenure
-      $ backend)
+      const run $ source $ options_term $ optimized $ heap $ no_grow $ check $ compare
+      $ fuel_arg "Bound the number of machine steps." $ policy $ nursery $ no_regions
+      $ no_pretenure $ backend)
 
 let compile_cmd =
-  let run file inline options optimized dump_anf dump_bytecode =
-    with_source file inline (fun s ->
-        let ir =
-          if optimized then
-            (Optimize.Transform.optimize ~options s).Optimize.Transform.ir
-          else Runtime.Ir.of_program s
-        in
+  let run input options optimized dump_anf dump_bytecode =
+    with_typed input (fun prog ->
+        let lowering = if optimized then Pipeline.Optimized options else Pipeline.Baseline in
+        let ir = Pipeline.lower lowering prog in
         if dump_anf then begin
           let a = Backend.Anf.lower ir in
           (match Backend.Anf.verify a with
           | Ok () -> ()
-          | Error m ->
-              raise (Backend.Vm.Internal ("ANF verification failed: " ^ m)));
+          | Error m -> raise (Backend.Vm.Internal ("ANF verification failed: " ^ m)));
           Format.printf "%a@." Backend.Anf.pp a
         end;
         let code = Backend.Vm.compile ir in
@@ -789,44 +583,35 @@ let compile_cmd =
         else if not dump_anf then
           Format.printf "%a@." Backend.Closure.pp_report (Backend.Vm.report code))
   in
-  let optimized =
-    Arg.(
-      value & flag
-      & info [ "O"; "optimized" ] ~doc:"Compile the optimized program.")
-  in
+  let optimized = flag [ "O"; "optimized" ] "Compile the optimized program." in
   let dump_anf =
-    Arg.(
-      value & flag
-      & info [ "dump-anf" ]
-          ~doc:"Print the A-normal form (verified: named intermediates, saturated \
-                primitives, storage annotations as first-class forms).")
+    flag [ "dump-anf" ]
+      "Print the A-normal form (verified: named intermediates, saturated primitives, \
+       storage annotations as first-class forms)."
   in
   let dump_bytecode =
-    Arg.(
-      value & flag
-      & info [ "dump-bytecode" ]
-          ~doc:"Print the register bytecode after closure conversion, one function \
-                per lambda nest, plus the conversion report.")
+    flag [ "dump-bytecode" ]
+      "Print the register bytecode after closure conversion, one function per lambda \
+       nest, plus the conversion report."
   in
   Cmd.v
     (Cmd.info "compile"
        ~doc:"Lower through the bytecode middle-end (ANF, closure conversion) and \
              print the requested stage; with no dump flag, print the closure-\
              conversion report")
-    Term.(
-      const run $ file_arg $ inline_arg $ options_term $ optimized $ dump_anf
-      $ dump_bytecode)
+    Term.(const run $ source $ options_term $ optimized $ dump_anf $ dump_bytecode)
+
+let fault_arg doc =
+  opt (Arg.enum Check.Harness.faults) Check.Harness.No_fault [ "inject-fault" ] "KIND" doc
 
 let check_cmd =
   let run files count seed heap fuel chaos fault =
     handle (fun () ->
-        let count = max 0 count in
         let cfg = { Check.Harness.heap; fuel; chaos; seed; fault } in
         (* the given files first: the corpus check stops at the first
            failure, which must not hide one of theirs *)
         let corpus =
-          List.map (fun f -> (f, In_channel.with_open_text f In_channel.input_all)) files
-          @ Check.Harness.builtin_corpus
+          List.map (fun f -> (f, Nml.Front.read f)) files @ Check.Harness.builtin_corpus
         in
         let report kind = function
           | Ok { Check.Harness.checked; passed; skipped } ->
@@ -839,58 +624,30 @@ let check_cmd =
         in
         let ok = report "corpus" (Check.Harness.check_corpus cfg corpus) in
         let ok =
-          (count = 0 || report "random" (Check.Harness.check_random cfg ~count)) && ok
+          (count <= 0 || report "random" (Check.Harness.check_random cfg ~count)) && ok
         in
         if not ok then failwith "soundness divergence (see counterexample above)";
         Format.printf "soundness: OK (differential oracle%s)@."
           (if chaos then ", chaos on" else ""))
   in
-  let count =
-    Arg.(
-      value & opt int 200
-      & info [ "count" ] ~docv:"N" ~doc:"Number of random programs to generate.")
-  in
+  let count = opt Arg.int 200 [ "count" ] "N" "Number of random programs to generate." in
   let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Seed for program generation and fault injection; equal seeds reproduce \
-                identical runs, including any counterexample.")
+    opt Arg.int 42 [ "seed" ] "S"
+      "Seed for program generation and fault injection; equal seeds reproduce identical \
+       runs, including any counterexample."
   in
   let heap =
-    Arg.(
-      value
-      & opt int Check.Harness.default.Check.Harness.heap
-      & info [ "heap" ] ~docv:"CELLS" ~doc:"Capacity of the fixed-size chaos heaps.")
+    opt Arg.int Check.Harness.default.Check.Harness.heap [ "heap" ] "CELLS"
+      "Capacity of the fixed-size chaos heaps."
   in
   let fuel =
-    Arg.(
-      value
-      & opt int Check.Harness.default.Check.Harness.fuel
-      & info [ "fuel" ] ~docv:"N" ~doc:"Step budget per run (0 = unlimited).")
+    opt Arg.int Check.Harness.default.Check.Harness.fuel [ "fuel" ] "N"
+      "Step budget per run (0 = unlimited)."
   in
   let chaos =
-    Arg.(
-      value & flag
-      & info [ "chaos" ]
-          ~doc:"Inject faults into the machine: forced collections at pseudo-random \
-                allocation points and poisoning of freed cells.")
-  in
-  let fault =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("none", Check.Harness.No_fault);
-               ("arena", Check.Harness.Widen_arena);
-               ("dcons", Check.Harness.Misuse_dcons);
-             ])
-          Check.Harness.No_fault
-      & info [ "inject-fault" ] ~docv:"KIND"
-          ~doc:"Deliberately break one optimizer verdict (arena: widen a stack/block \
-                verdict; dcons: misuse a reuse verdict) to demonstrate that the \
-                harness detects it.  Expected to exit nonzero.")
+    flag [ "chaos" ]
+      "Inject faults into the machine: forced collections at pseudo-random allocation \
+       points and poisoning of freed cells."
   in
   let files =
     Arg.(
@@ -901,23 +658,28 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Differential soundness harness: reference interpreter vs machine under \
              fault injection, on the builtin corpus and random programs")
-    Term.(const run $ files $ count $ seed $ heap $ fuel $ chaos $ fault)
+    Term.(
+      const run $ files $ count $ seed $ heap $ fuel $ chaos
+      $ fault_arg
+          "Deliberately break one optimizer verdict (arena: widen a stack/block verdict; \
+           dcons: misuse a reuse verdict) to demonstrate that the harness detects it.  \
+           Expected to exit nonzero.")
 
 let vet_cmd =
-  let run file inline options format mutate seed fault =
-    with_source ~format file inline (fun s ->
+  let run input options format mutate seed fault =
+    with_typed ~format input (fun prog ->
+        let source = prog.Nml.Infer.surface in
         let ir =
           match fault with
-          | Check.Harness.No_fault ->
-              (Optimize.Transform.optimize ~options s).Optimize.Transform.ir
+          | Check.Harness.No_fault -> Pipeline.lower (Pipeline.Optimized options) prog
           | f -> (
-              match Check.Harness.sabotage f s with
+              match Check.Harness.sabotage f source with
               | Some ir -> ir
               | None -> failwith "the requested fault does not apply to this program")
         in
         match mutate with
         | Some count ->
-            let o = Vet.Mutate.campaign ~seed ~count ~source:s ir in
+            let o = Vet.Mutate.campaign ~seed ~count ~source ir in
             if o.Vet.Mutate.points = 0 then
               Format.printf "vet: no mutation points in this program@."
             else begin
@@ -925,87 +687,43 @@ let vet_cmd =
                 "vet: %d mutation point(s), %d draw(s), %d detected, %d survived@."
                 o.Vet.Mutate.points o.Vet.Mutate.draws o.Vet.Mutate.detected
                 (o.Vet.Mutate.draws - o.Vet.Mutate.detected);
-              List.iter
-                (fun l -> Format.printf "survivor: %s@." l)
-                o.Vet.Mutate.survivors;
+              List.iter (fun l -> Format.printf "survivor: %s@." l) o.Vet.Mutate.survivors;
               if o.Vet.Mutate.detected < o.Vet.Mutate.draws then raise Findings
             end
-        | None -> (
+        | None ->
             (* the same advisory dead-spine hints a [run --policy
-               generational] would hand the heap — audited here instead
-               of trusted *)
-            let hints =
-              match generational_config s with
-              | config -> config.Runtime.Heap.liveness_hints
-              | exception _ -> []
+               generational] hands the heap, audited here instead of
+               trusted *)
+            let ds, { Vet.Verify.audited; findings } =
+              Vet.Verify.audit ~hints:(Pipeline.hints prog) ~source ir
             in
-            let ds, summary = Vet.Verify.audit ~hints ~source:s ir in
-            match format with
-            | Nml.Diagnostic.Human ->
-                if ds <> [] then
-                  Format.printf "%a@." (Nml.Diagnostic.render Nml.Diagnostic.Human) ds;
-                Format.printf "vet: %d annotation(s) audited, %d finding(s)@."
-                  summary.Vet.Verify.audited summary.Vet.Verify.findings;
-                if summary.Vet.Verify.findings > 0 then raise Findings
-            | Nml.Diagnostic.Json ->
-                let module J = Nml.Json in
-                print_string
-                  (J.to_string
-                     (J.Obj
-                        [
-                          ("schema", J.Str "nmlc/vet-v1");
-                          ("audited", J.int summary.Vet.Verify.audited);
-                          ("findings", J.int summary.Vet.Verify.findings);
-                          ( "diagnostics",
-                            J.Arr (List.map Nml.Diagnostic.to_json ds) );
-                        ]));
-                if summary.Vet.Verify.findings > 0 then raise Findings
-            | Nml.Diagnostic.Sarif ->
-                print_string (Nml.Json.to_string (Nml.Diagnostic.to_sarif ds));
-                if summary.Vet.Verify.findings > 0 then raise Findings))
+            print_findings format ~schema:"nmlc/vet-v1"
+              [ ("audited", audited); ("findings", findings) ]
+              ds
+              (Printf.sprintf "vet: %d annotation(s) audited, %d finding(s)" audited findings);
+            if findings > 0 then raise Findings)
   in
   let format =
-    format_arg
-      ~doc:"Diagnostic rendering: $(b,human) (default), $(b,json) or $(b,sarif)."
+    format_arg ~doc:"Diagnostic rendering: $(b,human) (default), $(b,json) or $(b,sarif)."
   in
   let mutate =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "mutate" ] ~docv:"N"
-          ~doc:"Mutation-test the verifier: draw N seeded mutations of the optimized \
-                program's annotations and require every mutant to be detected.")
+    opt_some Arg.int [ "mutate" ] "N"
+      "Mutation-test the verifier: draw N seeded mutations of the optimized program's \
+       annotations and require every mutant to be detected."
   in
-  let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"S" ~doc:"Seed for --mutate; equal seeds reproduce runs.")
-  in
-  let fault =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("none", Check.Harness.No_fault);
-               ("arena", Check.Harness.Widen_arena);
-               ("dcons", Check.Harness.Misuse_dcons);
-             ])
-          Check.Harness.No_fault
-      & info [ "inject-fault" ] ~docv:"KIND"
-          ~doc:"Vet a deliberately broken annotation (arena: widen a stack/block \
-                verdict; dcons: misuse a reuse verdict) instead of the optimizer's \
-                output.  Expected to exit nonzero.")
-  in
+  let seed = opt Arg.int 0 [ "seed" ] "S" "Seed for --mutate; equal seeds reproduce runs." in
   Cmd.v
     (Cmd.info "vet"
        ~doc:"Independently re-verify the optimizer's storage annotations, reporting \
              violated proof obligations as source-located diagnostics")
     Term.(
-      const run $ file_arg $ inline_arg $ options_term $ format $ mutate $ seed $ fault)
+      const run $ source $ options_term $ format $ mutate $ seed
+      $ fault_arg
+          "Vet a deliberately broken annotation (arena: widen a stack/block verdict; \
+           dcons: misuse a reuse verdict) instead of the optimizer's output.  Expected \
+           to exit nonzero.")
 
 let lint_cmd =
-  let known_codes () = String.concat ", " (Lint.Registry.codes ()) in
   let parse_code flag c =
     let c = String.uppercase_ascii c in
     match Lint.Registry.find c with
@@ -1013,13 +731,11 @@ let lint_cmd =
     | None ->
         failwith
           (Printf.sprintf "%s: unknown rule %s (known rules: %s)" flag c
-             (known_codes ()))
+             (String.concat ", " (Lint.Registry.codes ())))
   in
   let parse_severity spec =
     match String.index_opt spec '=' with
-    | None ->
-        failwith
-          (Printf.sprintf "--severity: expected CODE=LEVEL, got %s" spec)
+    | None -> failwith (Printf.sprintf "--severity: expected CODE=LEVEL, got %s" spec)
     | Some i -> (
         let code = parse_code "--severity" (String.sub spec 0 i) in
         let level = String.sub spec (i + 1) (String.length spec - i - 1) in
@@ -1027,12 +743,11 @@ let lint_cmd =
         | Some s -> (code, s)
         | None ->
             failwith
-              (Printf.sprintf
-                 "--severity: level must be error, warning or note, got %s" level))
+              (Printf.sprintf "--severity: level must be error, warning or note, got %s"
+                 level))
   in
-  let run file inline format only disable severities fault =
-    handle ~format (fun () ->
-        let name, src = read_input file inline in
+  let run input format only disable severities fault =
+    with_input ~format input (fun file src ->
         let config =
           {
             Lint.Registry.only = List.map (parse_code "--only") only;
@@ -1040,78 +755,34 @@ let lint_cmd =
             severities = List.map parse_severity severities;
           }
         in
-        let o = Lint.Engine.run ~config ~fault ~file:name src in
+        let o = Lint.Engine.run ~config ~fault ~file src in
         let n = List.length o.Lint.Engine.findings in
-        (match format with
-        | Nml.Diagnostic.Human ->
-            if o.Lint.Engine.findings <> [] then
-              Format.printf "%a@."
-                (Nml.Diagnostic.render Nml.Diagnostic.Human)
-                o.Lint.Engine.findings;
-            Format.printf "lint: %d finding(s), %d suppressed@." n
-              o.Lint.Engine.suppressed
-        | Nml.Diagnostic.Json ->
-            let module J = Nml.Json in
-            print_string
-              (J.to_string
-                 (J.Obj
-                    [
-                      ("schema", J.Str "nmlc/lint-v1");
-                      ("findings", J.int n);
-                      ("suppressed", J.int o.Lint.Engine.suppressed);
-                      ( "diagnostics",
-                        J.Arr (List.map Nml.Diagnostic.to_json o.Lint.Engine.findings)
-                      );
-                    ]))
-        | Nml.Diagnostic.Sarif ->
-            print_string
-              (Nml.Json.to_string
-                 (Nml.Diagnostic.to_sarif
-                    ~rules:(Lint.Registry.sarif_rules ())
-                    o.Lint.Engine.findings)));
+        print_findings ~rules:(Lint.Registry.sarif_rules ()) format ~schema:"nmlc/lint-v1"
+          [ ("findings", n); ("suppressed", o.Lint.Engine.suppressed) ]
+          o.Lint.Engine.findings
+          (Printf.sprintf "lint: %d finding(s), %d suppressed" n o.Lint.Engine.suppressed);
         if n > 0 then raise Findings)
   in
   let format =
     format_arg
-      ~doc:"Finding rendering: $(b,human) (default), $(b,json) or $(b,sarif) \
-            (SARIF 2.1.0, for code-scanning upload)."
+      ~doc:"Finding rendering: $(b,human) (default), $(b,json) or $(b,sarif) (SARIF \
+            2.1.0, for code-scanning upload)."
   in
-  let only =
-    Arg.(
-      value & opt_all string []
-      & info [ "only" ] ~docv:"CODE"
-          ~doc:"Run only this rule (repeatable), e.g. $(b,--only LINT001).")
-  in
-  let disable =
-    Arg.(
-      value & opt_all string []
-      & info [ "disable" ] ~docv:"CODE" ~doc:"Disable this rule (repeatable).")
-  in
-  let severities =
-    Arg.(
-      value & opt_all string []
-      & info [ "severity" ] ~docv:"CODE=LEVEL"
-          ~doc:"Override a rule's severity (repeatable), e.g. \
-                $(b,--severity LINT002=warning).")
-  in
+  let codes name docv doc = Arg.(value & opt_all string [] & info [ name ] ~docv ~doc) in
   let fault =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("none", Lint.Rule.No_fault);
-               ("invariance", Lint.Rule.Corrupt_invariance);
-               ("sharing", Lint.Rule.Corrupt_sharing);
-             ])
-          Lint.Rule.No_fault
-      & info [ "inject-fault" ] ~docv:"KIND"
-          ~doc:"Seed a lie an audit rule must catch: $(b,invariance) corrupts one \
-                escape verdict before the Theorem-1 comparison so that $(b,LINT003) \
-                must fire (needs a definition used at two or more instances); \
-                $(b,sharing) makes one reuse candidate's sharing verdict \
-                spine-shared so that $(b,LINT008) must fire (needs a reuse \
-                candidate).  The cache is bypassed.  Expected to exit nonzero.")
+    opt
+      (Arg.enum
+         [
+           ("none", Lint.Rule.No_fault);
+           ("invariance", Lint.Rule.Corrupt_invariance);
+           ("sharing", Lint.Rule.Corrupt_sharing);
+         ])
+      Lint.Rule.No_fault [ "inject-fault" ] "KIND"
+      "Seed a lie an audit rule must catch: $(b,invariance) corrupts one escape verdict \
+       before the Theorem-1 comparison so that $(b,LINT003) must fire (needs a \
+       definition used at two or more instances); $(b,sharing) makes one reuse \
+       candidate's sharing verdict spine-shared so that $(b,LINT008) must fire (needs a \
+       reuse candidate).  The cache is bypassed.  Expected to exit nonzero."
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1120,60 +791,27 @@ let lint_cmd =
              bindings and unreachable branches, with inline \
              $(b,(* nmlc-disable ... *)) suppressions")
     Term.(
-      const run $ file_arg $ inline_arg $ format $ only $ disable $ severities $ fault)
+      const run $ source $ format
+      $ codes "only" "CODE" "Run only this rule (repeatable), e.g. $(b,--only LINT001)."
+      $ codes "disable" "CODE" "Disable this rule (repeatable)."
+      $ codes "severity" "CODE=LEVEL"
+          "Override a rule's severity (repeatable), e.g. $(b,--severity LINT002=warning)."
+      $ fault)
 
 let serve_cmd =
-  let module J = Nml.Json in
-  (* the one-shot client: connect, send one frame, print the response *)
   let client ~socket ~call ~file ~raw ~deadline_ms =
     let payload =
-      match raw with
-      | Some s -> s
-      | None -> (
-          match call with
-          | None -> failwith "give --call METHOD or --raw PAYLOAD with --connect"
-          | Some m ->
-              if Serve.Protocol.meth_of_name m = None then
-                failwith (Printf.sprintf "unknown method %S" m);
-              let params =
-                (match file with Some f -> [ ("path", J.Str f) ] | None -> [])
-                @
-                match deadline_ms with
-                | Some d -> [ ("deadline_ms", J.int d) ]
-                | None -> []
-              in
-              J.to_string
-                (J.Obj
-                   ([ ("id", J.int 1); ("method", J.Str m) ]
-                   @ if params = [] then [] else [ ("params", J.Obj params) ])))
+      match (raw, call) with
+      | Some s, _ -> s
+      | None, None -> failwith "give --call METHOD or --raw PAYLOAD with --connect"
+      | None, Some m -> Serve.Client.request ?path:file ?deadline_ms m
     in
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        (match Unix.connect fd (Unix.ADDR_UNIX socket) with
-        | () -> ()
-        | exception Unix.Unix_error (e, _, _) ->
-            failwith
-              (Printf.sprintf "cannot connect to %s: %s" socket
-                 (Unix.error_message e)));
-        if not (Serve.Frame.write fd payload) then
-          failwith "the server closed the connection before the request was sent";
-        match Serve.Frame.read fd with
-        | Error e ->
-            failwith
-              (Format.asprintf "no response: %a" Serve.Frame.pp_error e)
-        | Ok resp ->
-            print_string resp;
-            let failed =
-              match J.parse resp with
-              | exception J.Parse_error _ -> false
-              | json -> J.member "error" json <> None
-            in
-            if failed then raise Findings)
+    let resp = Serve.Client.call ~socket payload in
+    print_string resp;
+    if Serve.Client.is_error resp then raise Findings
   in
-  let run socket stdio jobs queue deadline_ms max_frame_kb cache_dir no_cache
-      fault connect call file raw quiet =
+  let run socket stdio jobs_n queue deadline_ms max_frame_kb cache_dir no_cache fault
+      connect call file raw quiet =
     handle (fun () ->
         match connect with
         | Some sock -> client ~socket:sock ~call ~file ~raw ~deadline_ms
@@ -1182,9 +820,7 @@ let serve_cmd =
               if no_cache then None
               else Some (Cache.Store.create ~memory:true ~write_back:true cache_dir)
             in
-            (match store with
-            | Some s -> ignore (Cache.Store.cleanup_tmp s)
-            | None -> ());
+            Option.iter (fun s -> ignore (Cache.Store.cleanup_tmp s)) store;
             let transport =
               if stdio then Serve.Server.Stdio
               else Serve.Server.Socket (Option.value socket ~default:".nmlc.sock")
@@ -1192,10 +828,7 @@ let serve_cmd =
             let cfg =
               {
                 (Serve.Server.default_config transport) with
-                Serve.Server.jobs =
-                  (match jobs with
-                  | Some n -> max 1 n
-                  | None -> Domain.recommended_domain_count ());
+                Serve.Server.jobs = jobs jobs_n;
                 queue_cap = max 1 queue;
                 default_deadline_ms = Option.value deadline_ms ~default:30_000;
                 max_frame = max 1 max_frame_kb * 1024;
@@ -1207,105 +840,14 @@ let serve_cmd =
             let code = Serve.Server.run cfg in
             if code <> 0 then exit code)
   in
-  let socket =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:"Unix socket to listen on (default: $(b,.nmlc.sock)).")
-  in
-  let stdio =
-    Arg.(
-      value & flag
-      & info [ "stdio" ]
-          ~doc:"Serve a single session on stdin/stdout instead of a socket.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains (default: the machine's recommended domain count).")
-  in
-  let queue =
-    Arg.(
-      value & opt int 64
-      & info [ "queue" ] ~docv:"N"
-          ~doc:"Bounded request queue capacity; beyond it the oldest queued request \
-                is shed with $(b,SRV005) and a retry-after hint.")
-  in
-  let deadline_ms =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:"Server: default per-request deadline (default 30000; 0 disables). \
-                Client: the $(b,deadline_ms) param sent with --call.")
-  in
-  let max_frame_kb =
-    Arg.(
-      value & opt int 4096
-      & info [ "max-frame-kb" ] ~docv:"KB"
-          ~doc:"Inbound frame size limit; larger frames are refused with $(b,SRV003).")
-  in
-  let cache_dir =
-    Arg.(
-      value
-      & opt string ".nmlc-cache"
-      & info [ "cache" ] ~docv:"DIR" ~doc:"Persistent summary cache directory.")
-  in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Serve cold: no in-memory tier, no persistent cache.")
-  in
+  let path_opt names docv doc = opt_some Arg.string names docv doc in
   let fault =
-    Arg.(
-      value
-      & opt
-          (enum (List.map (fun f -> (Serve.Fault.to_string f, f)) Serve.Fault.all))
-          Serve.Fault.None_
-      & info [ "inject-fault" ] ~docv:"KIND"
-          ~doc:"Deliberately break one layer of the daemon ($(b,worker-crash), \
-                $(b,slow-request), $(b,malformed-frame), $(b,cache-corrupt), \
-                $(b,oom)) to exercise the supervision, deadline and self-heal \
-                machinery.")
-  in
-  let connect =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"PATH"
-          ~doc:"Run as a one-shot client against the server at $(docv): send one \
-                request, print the response, exit 0 on a result and 1 on an error \
-                response.")
-  in
-  let call =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "call" ] ~docv:"METHOD"
-          ~doc:"Client: the method to call ($(b,analyze), $(b,vet), $(b,lint), \
-                $(b,status), $(b,shutdown)).")
-  in
-  let file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "file" ] ~docv:"PATH" ~doc:"Client: the program file to analyze.")
-  in
-  let raw =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "raw" ] ~docv:"PAYLOAD"
-          ~doc:"Client: send $(docv) verbatim as the request payload (for testing \
-                the protocol-error paths).")
-  in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "quiet" ] ~doc:"Suppress the stderr lifecycle log.")
+    opt
+      (Arg.enum (List.map (fun f -> (Serve.Fault.to_string f, f)) Serve.Fault.all))
+      Serve.Fault.None_ [ "inject-fault" ] "KIND"
+      "Deliberately break one layer of the daemon ($(b,worker-crash), \
+       $(b,slow-request), $(b,malformed-frame), $(b,cache-corrupt), $(b,oom)) to \
+       exercise the supervision, deadline and self-heal machinery."
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1314,8 +856,32 @@ let serve_cmd =
              bounded-queue load shedding, supervised worker domains and a clean \
              signal drain")
     Term.(
-      const run $ socket $ stdio $ jobs $ queue $ deadline_ms $ max_frame_kb
-      $ cache_dir $ no_cache $ fault $ connect $ call $ file $ raw $ quiet)
+      const run
+      $ path_opt [ "socket" ] "PATH" "Unix socket to listen on (default: $(b,.nmlc.sock))."
+      $ flag [ "stdio" ] "Serve a single session on stdin/stdout instead of a socket."
+      $ jobs_arg "Worker domains (default: the machine's recommended domain count)."
+      $ opt Arg.int 64 [ "queue" ] "N"
+          "Bounded request queue capacity; beyond it the oldest queued request is shed \
+           with $(b,SRV005) and a retry-after hint."
+      $ opt_some Arg.int [ "deadline-ms" ] "MS"
+          "Server: default per-request deadline (default 30000; 0 disables). Client: the \
+           $(b,deadline_ms) param sent with --call."
+      $ opt Arg.int 4096 [ "max-frame-kb" ] "KB"
+          "Inbound frame size limit; larger frames are refused with $(b,SRV003)."
+      $ cache_arg
+      $ flag [ "no-cache" ] "Serve cold: no in-memory tier, no persistent cache."
+      $ fault
+      $ path_opt [ "connect" ] "PATH"
+          "Run as a one-shot client against the server at $(docv): send one request, \
+           print the response, exit 0 on a result and 1 on an error response."
+      $ path_opt [ "call" ] "METHOD"
+          "Client: the method to call ($(b,analyze), $(b,vet), $(b,lint), $(b,status), \
+           $(b,shutdown))."
+      $ path_opt [ "file" ] "PATH" "Client: the program file to analyze."
+      $ path_opt [ "raw" ] "PAYLOAD"
+          "Client: send $(docv) verbatim as the request payload (for testing the \
+           protocol-error paths)."
+      $ flag [ "quiet" ] "Suppress the stderr lifecycle log.")
 
 let () =
   let doc = "escape analysis on lists (Park & Goldberg, PLDI 1992)" in
@@ -1325,6 +891,5 @@ let () =
        (Cmd.group info
           [
             parse_cmd; typecheck_cmd; eval_cmd; analyze_cmd; batch_cmd; mono_cmd;
-            optimize_cmd; run_cmd; compile_cmd; check_cmd; vet_cmd; lint_cmd;
-            serve_cmd;
+            optimize_cmd; run_cmd; compile_cmd; check_cmd; vet_cmd; lint_cmd; serve_cmd;
           ]))

@@ -47,7 +47,7 @@ let () =
   (* stack-allocate both spine levels, as the paper suggests *)
   let r =
     Optimize.Transform.optimize ~options:{ Optimize.Transform.none with stack = true }
-      surface
+      (Nml.Infer.infer_program surface)
   in
   Format.printf "--- stack allocation ---@.%a@." Optimize.Transform.pp_report r;
   let run ir =

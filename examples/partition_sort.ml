@@ -50,7 +50,7 @@ let () =
 
   (* A.3.2: in-place reuse — PS'', SPLIT', APPEND' *)
   Format.printf "--- A.3.2 in-place reuse (PS'', SPLIT', APPEND') ---@.";
-  let reuse = Optimize.Transform.optimize ~options:{ Optimize.Transform.none with reuse = true } surface in
+  let reuse = Optimize.Transform.optimize ~options:{ Optimize.Transform.none with reuse = true } (Nml.Infer.infer_program surface) in
   Format.printf "%a@." Optimize.Transform.pp_report reuse;
 
   (* A.3.1 stack allocation of the literal's spine, A.3.3 block allocation
@@ -68,7 +68,7 @@ let () =
   let block_surface = Nml.Surface.of_string block_src in
   let block =
     Optimize.Transform.optimize ~options:{ Optimize.Transform.none with block = true }
-      block_surface
+      (Nml.Infer.infer_program block_surface)
   in
   Format.printf "--- A.3.3 block allocation for ps (create_list 100) ---@.%a@."
     Optimize.Transform.pp_report block;

@@ -35,7 +35,7 @@ let () =
     (Escape.Analysis.non_escaping_top_spines v);
 
   (* 5. optimize: the analysis licenses the paper's REV' (in-place reuse) *)
-  let result = Optimize.Transform.optimize surface in
+  let result = Optimize.Transform.optimize typed in
   Format.printf "--- optimizations applied ---@.%a@." Optimize.Transform.pp_report result;
 
   (* 6. run both versions on the storage simulator *)

@@ -27,7 +27,7 @@ let () =
       let r =
         Optimize.Transform.optimize
           ~options:{ Optimize.Transform.none with reuse = true }
-          surface
+          (Nml.Infer.infer_program surface)
       in
       let s1 = run r.Optimize.Transform.ir in
       Format.printf "%-6d %12d %12d %10d %8d %8d@." n s0.Runtime.Stats.heap_allocs

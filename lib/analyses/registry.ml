@@ -245,19 +245,9 @@ let find name =
 (* A per-file job with the {!Cache.Batch.result} shape, so any registered
    analysis rides the batch pool (and the serve daemon) exactly like the
    escape default does. *)
-let batch_job e ~store path =
+let batch_job e ~store ?source path =
   Cache.Batch.protect path (fun () ->
-      let src = In_channel.with_open_text path In_channel.input_all in
-      let prog = Nml.Infer.infer_program (Nml.Surface.of_string ~file:path src) in
-      let o = e.run ?store prog in
-      {
-        Cache.Batch.path;
-        output = o.output;
-        errors = "";
-        code = 0;
-        defs = o.defs;
-        findings = 0;
-        evaluations = o.evaluations;
-        scc_hits = o.scc_hits;
-        scc_misses = o.scc_misses;
-      })
+      let src = match source with Some src -> src | None -> Nml.Front.read path in
+      let o = e.run ?store (Nml.Front.of_string ~file:path src) in
+      Cache.Batch.result ~defs:o.defs ~evaluations:o.evaluations ~scc_hits:o.scc_hits
+        ~scc_misses:o.scc_misses path o.output)

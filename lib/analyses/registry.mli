@@ -25,10 +25,12 @@ val names : string list
 val find : string -> entry option
 (** Look up by canonical name or alias. *)
 
-val batch_job : entry -> store:Cache.Store.t option -> string -> Cache.Batch.result
+val batch_job :
+  entry -> store:Cache.Store.t option -> ?source:string -> string -> Cache.Batch.result
 (** A per-file job with the batch-pool result shape, so any registered
     analysis distributes over [nmlc batch --jobs] like the escape
-    default. *)
+    default.  With [source], that text instead of the file's ([path]
+    then only labels diagnostics). *)
 
 (** {2 Cache specs, exposed for the differential and cache tests} *)
 

@@ -125,6 +125,11 @@ exception Out_of_memory = H.Out_of_memory
 exception Out_of_fuel
 exception Internal of string
 
+let () =
+  Printexc.register_printer (function
+    | Internal msg -> Some ("the bytecode backend broke an invariant: " ^ msg)
+    | _ -> None)
+
 let error fmt = Format.kasprintf (fun m -> raise (Error m)) fmt
 let internal fmt = Format.kasprintf (fun m -> raise (Internal m)) fmt
 

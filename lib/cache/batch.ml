@@ -30,43 +30,19 @@ type result = {
   scc_misses : int;
 }
 
-let render_diag ~code loc msg =
-  Format.asprintf "%a@."
-    (Nml.Diagnostic.render Nml.Diagnostic.Human)
-    [ Nml.Diagnostic.error ~code loc msg ]
+let result ?(errors = "") ?(code = 0) ?(defs = 0) ?(findings = 0) ?(evaluations = 0)
+    ?(scc_hits = 0) ?(scc_misses = 0) path output =
+  { path; output; errors; code; defs; findings; evaluations; scc_hits; scc_misses }
 
-let failed path ~code ~errors =
-  {
-    path;
-    output = "";
-    errors;
-    code;
-    defs = 0;
-    findings = 0;
-    evaluations = 0;
-    scc_hits = 0;
-    scc_misses = 0;
-  }
-
-(* The per-file part of the driver's exception regime, with the rendered
-   text captured instead of printed.  Every analysis callback runs under
-   it so one bad file never takes down the pool. *)
+(* The per-file part of the driver's exception regime ({!Nml.Front.failure}),
+   with the rendered text captured instead of printed.  Every analysis
+   callback runs under it so one bad file never takes down the pool. *)
 let protect path f =
   match f () with
   | r -> r
-  | exception Nml.Lexer.Error (loc, msg) ->
-      failed path ~code:1 ~errors:(render_diag ~code:"LEX001" loc msg)
-  | exception Nml.Parser.Error (loc, msg) ->
-      failed path ~code:1 ~errors:(render_diag ~code:"PARSE001" loc msg)
-  | exception Nml.Infer.Error (loc, msg) ->
-      failed path ~code:1 ~errors:(render_diag ~code:"TYPE001" loc msg)
-  | exception Sys_error msg ->
-      failed path ~code:1 ~errors:(Printf.sprintf "error: %s\n" msg)
-  | exception (Failure msg | Invalid_argument msg) ->
-      failed path ~code:1 ~errors:(Printf.sprintf "error: %s\n" msg)
   | exception e ->
-      failed path ~code:124
-        ~errors:(Printf.sprintf "nmlc: internal error: %s\n" (Printexc.to_string e))
+      let code, errors = Nml.Front.failure e in
+      result ~code ~errors path ""
 
 exception Injected_crash of string
 
@@ -94,30 +70,16 @@ let test_hooks path =
   | _ -> ()
 
 let of_source ?store ~path src =
-  let prog = Nml.Infer.infer_program (Nml.Surface.of_string ~file:path src) in
-  let o = Summary.analyze ?store prog in
-  {
-    path;
-    output = Format.asprintf "%a@." Escape.Report.pp_program_summaries o.Engine.summaries;
-    errors = "";
-    code = 0;
-    defs = List.length o.Engine.summaries;
-    findings = 0;
-    evaluations = o.Engine.evaluations;
-    scc_hits = o.Engine.scc_hits;
-    scc_misses = o.Engine.scc_misses;
-  }
+  let o = Summary.analyze ?store (Nml.Front.of_string ~file:path src) in
+  result ~defs:(List.length o.Engine.summaries) ~evaluations:o.Engine.evaluations
+    ~scc_hits:o.Engine.scc_hits ~scc_misses:o.Engine.scc_misses path
+    (Format.asprintf "%a@." Escape.Report.pp_program_summaries o.Engine.summaries)
 
 let analyze_source ?store ~path src = protect path (fun () -> of_source ?store ~path src)
 
 let analyze_file ?store path =
   test_hooks path;
-  protect path (fun () ->
-      let src = In_channel.with_open_text path In_channel.input_all in
-      of_source ?store ~path src)
-
-let interrupted_result path =
-  failed path ~code:130 ~errors:""
+  protect path (fun () -> of_source ?store ~path (Nml.Front.read path))
 
 let run ?analyze ?store ?(stop = fun () -> false) ~jobs paths =
   let analyze =
@@ -131,9 +93,8 @@ let run ?analyze ?store ?(stop = fun () -> false) ~jobs paths =
     match analyze ~store path with
     | r -> r
     | exception e ->
-        failed path ~code:124
-          ~errors:
-            (Printf.sprintf "nmlc: internal error: %s\n" (Printexc.to_string e))
+        result ~code:124 path ""
+          ~errors:(Printf.sprintf "nmlc: internal error: %s\n" (Printexc.to_string e))
   in
   let paths = Array.of_list paths in
   let n = Array.length paths in
@@ -166,9 +127,9 @@ let run ?analyze ?store ?(stop = fun () -> false) ~jobs paths =
          match r with
          | Some r -> r
          | None ->
-             if stop () then interrupted_result paths.(i)
+             if stop () then result ~code:130 paths.(i) ""
              else
-               failed paths.(i) ~code:124
+               result ~code:124 paths.(i) ""
                  ~errors:
                    (Printf.sprintf
                       "nmlc: internal error: worker died before analyzing %s\n"

@@ -23,14 +23,27 @@ type result = {
   scc_misses : int;
 }
 
+val result :
+  ?errors:string ->
+  ?code:int ->
+  ?defs:int ->
+  ?findings:int ->
+  ?evaluations:int ->
+  ?scc_hits:int ->
+  ?scc_misses:int ->
+  string ->
+  string ->
+  result
+(** [result path output], every count [0] and no errors unless given. *)
+
 exception Injected_crash of string
 (** Raised by the [NMLC_TEST_CRASH_FILE] hook {e outside} {!protect},
     so the pool-level guard (not the per-file one) must contain it. *)
 
 val protect : string -> (unit -> result) -> result
-(** Runs a per-file job under the driver's exception regime: toolchain
-    errors become a rendered diagnostic with code [1], anything unknown
-    becomes code [124] — one bad file never takes down the pool.
+(** Runs a per-file job under the driver's exception regime
+    ({!Nml.Front.failure}): front-end rejections become a rendered
+    diagnostic with code [1], anything unknown becomes code [124] — one bad file never takes down the pool.
     Analysis callbacks passed to {!run} should wrap themselves in it
     (and {!run} additionally guards every callback, so even a job that
     raises through its own protection only costs its own slot). *)

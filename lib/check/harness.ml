@@ -22,6 +22,8 @@ module Eval = Nml.Eval
 
 type fault = No_fault | Widen_arena | Misuse_dcons
 
+let faults = [ ("none", No_fault); ("arena", Widen_arena); ("dcons", Misuse_dcons) ]
+
 type config = {
   heap : int;  (* capacity of the fixed-size chaos heaps *)
   fuel : int;  (* step budget per run; <= 0 means unlimited *)
@@ -58,49 +60,30 @@ let chaos_of cfg =
   if cfg.chaos then { M.gc_period = 3; poison = true; chaos_seed = cfg.seed }
   else M.no_chaos
 
-let run_machine cfg ?(config = Runtime.Heap.legacy) ~heap ~grow ~chaos ir =
-  let m =
-    M.create ~heap_size:heap ~grow ~check_arenas:true ?fuel:(fuel_opt cfg) ~chaos
-      ~config ()
+(* One execution with arena validation on; reading the result back is
+   part of the run (a dangling result is a [Crash]).  Every machine stage
+   also runs on the bytecode VM, whose [Vm.Internal] is a backend bug,
+   not a program outcome: the pipeline lets it propagate, so it aborts
+   the oracle loudly. *)
+let run_on backend cfg ?(config = Runtime.Heap.legacy) ~heap ~grow ~chaos ir =
+  let r =
+    Pipeline.execute ~heap_size:heap ~grow ~check_arenas:true ?fuel:(fuel_opt cfg) ~chaos
+      ~config backend ir
   in
+  let name = match backend with Pipeline.Interp -> "machine" | Pipeline.Vm -> "vm" in
   let outcome =
-    match M.eval m ir with
-    | w -> (
-        match M.read_value m w with
-        | v -> Value v
-        | exception M.Error msg -> Crash msg)
-    | exception M.Error msg -> Crash msg
-    | exception M.Out_of_memory -> Limit "machine out of memory"
-    | exception M.Out_of_fuel -> Limit "machine out of fuel"
+    match r.Pipeline.result with
+    | Ok v -> (
+        match Lazy.force v with v -> Value v | exception Eval.Runtime_error msg -> Crash msg)
+    | Error (Eval.Runtime_error msg) -> Crash msg
+    | Error Runtime.Heap.Out_of_memory -> Limit (name ^ " out of memory")
+    | Error _ -> Limit (name ^ " out of fuel")
   in
-  (outcome, m)
-
-(* The same execution on the bytecode VM: ANF, flat closures, known
-   calls, tail calls — but the identical heap policy, chaos discipline
-   and arena validation, so every machine stage doubles as a VM stage.
-   A [Vm.Internal] is a backend bug, not a program outcome, and is
-   deliberately left to propagate (it must abort the oracle loudly). *)
-let run_vm cfg ?(config = Runtime.Heap.legacy) ~heap ~grow ~chaos ir =
-  let module V = Backend.Vm in
-  let m =
-    V.create ~heap_size:heap ~grow ~check_arenas:true ?fuel:(fuel_opt cfg) ~chaos
-      ~config ()
-  in
-  let outcome =
-    match V.eval m (V.compile ir) with
-    | w -> (
-        match V.read_value m w with
-        | v -> Value v
-        | exception V.Error msg -> Crash msg)
-    | exception V.Error msg -> Crash msg
-    | exception V.Out_of_memory -> Limit "vm out of memory"
-    | exception V.Out_of_fuel -> Limit "vm out of fuel"
-  in
-  (outcome, m)
+  (outcome, r)
 
 (* ---- invariant counters --------------------------------------------------- *)
 
-let stats_violations_of s ~live ~free ~used =
+let stats_violations { Pipeline.stats = s; live; free; used; _ } =
   let total = Stats.total_allocs s in
   List.filter_map
     (fun (ok, msg) -> if ok then None else Some msg)
@@ -128,15 +111,6 @@ let stats_violations_of s ~live ~free ~used =
         || s.Stats.minor_gcs + s.Stats.major_gcs <= s.Stats.gc_runs,
         "minor + major collections exceed gc_runs" );
     ]
-
-let stats_violations m =
-  stats_violations_of (M.stats m) ~live:(M.live_cells m) ~free:(M.free_cells m)
-    ~used:(M.used_cells m)
-
-let vm_stats_violations m =
-  let module V = Backend.Vm in
-  stats_violations_of (V.stats m) ~live:(V.live_cells m) ~free:(V.free_cells m)
-    ~used:(V.used_cells m)
 
 (* ---- comparison ------------------------------------------------------------ *)
 
@@ -216,20 +190,20 @@ let sabotage fault surface =
 
 (* ---- the per-program oracle ------------------------------------------------ *)
 
-(* stage name, IR, heap capacity, growth, chaos, heap configuration *)
-let machine_stages cfg surface =
-  let baseline = Ir.of_program surface in
-  let optimized = (Optimize.Transform.optimize surface).Optimize.Transform.ir in
-  let pretenured =
-    let options =
-      { Optimize.Transform.all with Optimize.Transform.pretenure = true }
-    in
-    (Optimize.Transform.optimize ~options surface).Optimize.Transform.ir
-  in
-  let chaos = chaos_of cfg in
-  let tiny = max 2 cfg.heap in
+(* stage name, IR, heap capacity, growth, chaos, heap configuration; both
+   optimized IRs come from the one typed program *)
+let machine_stages cfg (typed : Nml.Infer.program) =
+  let surface = typed.Nml.Infer.surface in
   let leg = Runtime.Heap.legacy in
   let gen = Runtime.Heap.generational in
+  let baseline = Pipeline.lower Pipeline.Baseline typed in
+  let optimized_on heap =
+    Pipeline.lower ~heap (Pipeline.Optimized Optimize.Transform.all) typed
+  in
+  let optimized = optimized_on leg in
+  let pretenured = optimized_on gen in
+  let chaos = chaos_of cfg in
+  let tiny = max 2 cfg.heap in
   (* a seeded draw over the heap-configuration space, so repeated chaos
      runs sample different nursery sizes and region/pretenure toggles
      while any divergence stays reproducible from the seed *)
@@ -306,67 +280,47 @@ let machine_stages cfg surface =
   | None -> []
   | Some ir -> [ ("sabotaged", ir, tiny, true, { chaos with M.poison = true }, leg) ]
 
+let check_typed cfg (typed : Nml.Infer.program) =
+  match run_reference cfg typed.Nml.Infer.surface with
+  | Limit msg -> Skip msg
+  | Value (Eval.Vclos _ | Eval.Vprim _) ->
+      (* a functional result cannot be read out of the store, so there is
+         nothing to compare *)
+      Skip "the result is a function"
+  | reference -> (
+      let expected = outcome_to_string reference in
+      match machine_stages cfg typed with
+      | exception e -> Fail { stage = "transform"; expected; got = Printexc.to_string e }
+      | stages ->
+          let run backend (leg, stats) (stage, ir, heap, grow, chaos, config) k =
+            let outcome, r = run_on backend cfg ~config ~heap ~grow ~chaos ir in
+            if not (agree reference outcome) then
+              Fail { stage = stage ^ leg; expected; got = outcome_to_string outcome }
+            else
+              match stats_violations r with
+              | [] -> k ()
+              | v :: _ ->
+                  Fail
+                    {
+                      stage = stage ^ stats;
+                      expected = "consistent invariant counters";
+                      got = v;
+                    }
+          in
+          (* every stage on the machine, then on the bytecode VM: the
+             third differential leg *)
+          List.fold_right
+            (fun stage k () ->
+              run Pipeline.Interp ("", " (stats)") stage (fun () ->
+                  run Pipeline.Vm (" (vm)", " (vm stats)") stage k))
+            stages
+            (fun () -> Pass)
+            ())
+
 let check_src cfg src =
-  match Nml.Surface.of_string src with
-  | exception _ -> Skip "unparseable"
-  | surface -> (
-      match Nml.Infer.infer_program surface with
-      | exception _ -> Skip "ill-typed"
-      | _ -> (
-          match run_reference cfg surface with
-          | Limit msg -> Skip msg
-          | Value (Eval.Vclos _ | Eval.Vprim _) ->
-              (* a functional result cannot be read out of the store, so
-                 there is nothing to compare *)
-              Skip "the result is a function"
-          | reference -> (
-              let expected = outcome_to_string reference in
-              match machine_stages cfg surface with
-              | exception e ->
-                  Fail { stage = "transform"; expected; got = Printexc.to_string e }
-              | stages ->
-                  let rec go = function
-                    | [] -> Pass
-                    | (stage, ir, heap, grow, chaos, config) :: rest -> (
-                        let outcome, m =
-                          run_machine cfg ~config ~heap ~grow ~chaos ir
-                        in
-                        if not (agree reference outcome) then
-                          Fail { stage; expected; got = outcome_to_string outcome }
-                        else
-                          match stats_violations m with
-                          | v :: _ ->
-                              Fail
-                                {
-                                  stage = stage ^ " (stats)";
-                                  expected = "consistent invariant counters";
-                                  got = v;
-                                }
-                          | [] -> (
-                              (* the same stage on the bytecode VM: the
-                                 third differential leg *)
-                              let outcome, vm =
-                                run_vm cfg ~config ~heap ~grow ~chaos ir
-                              in
-                              if not (agree reference outcome) then
-                                Fail
-                                  {
-                                    stage = stage ^ " (vm)";
-                                    expected;
-                                    got = outcome_to_string outcome;
-                                  }
-                              else
-                                match vm_stats_violations vm with
-                                | [] -> go rest
-                                | v :: _ ->
-                                    Fail
-                                      {
-                                        stage = stage ^ " (vm stats)";
-                                        expected = "consistent invariant counters";
-                                        got = v;
-                                      }))
-                  in
-                  go stages)))
+  match Nml.Front.of_string ~file:"<generated>" src with
+  | exception e when Nml.Front.rejects e -> Skip (Printexc.to_string e)
+  | typed -> check_typed cfg typed
 
 let check_ir cfg ~src ir =
   match run_reference cfg (Nml.Surface.of_string src) with
@@ -374,11 +328,13 @@ let check_ir cfg ~src ir =
   | Value (Eval.Vclos _ | Eval.Vprim _) -> Skip "the result is a function"
   | reference -> (
       let expected = outcome_to_string reference in
-      let outcome, m = run_machine cfg ~heap:4096 ~grow:true ~chaos:(chaos_of cfg) ir in
+      let outcome, r =
+        run_on Pipeline.Interp cfg ~heap:4096 ~grow:true ~chaos:(chaos_of cfg) ir
+      in
       if not (agree reference outcome) then
         Fail { stage = "supplied ir"; expected; got = outcome_to_string outcome }
       else
-        match stats_violations m with
+        match stats_violations r with
         | [] -> Pass
         | v :: _ ->
             Fail
@@ -418,8 +374,8 @@ let candidate_config cfg src =
   if cfg.fuel > 0 then cfg
   else
     let ir = Ir.of_program (Nml.Surface.of_string src) in
-    let _, m = run_machine cfg ~heap:4096 ~grow:true ~chaos:M.no_chaos ir in
-    { cfg with fuel = (4 * (M.stats m).Stats.steps) + 1000 }
+    let _, r = run_on Pipeline.Interp cfg ~heap:4096 ~grow:true ~chaos:M.no_chaos ir in
+    { cfg with fuel = (4 * r.Pipeline.stats.Stats.steps) + 1000 }
 
 let shrink_failing cfg src failure =
   (* a candidate must reproduce the divergence at the same stage, so the
@@ -470,7 +426,7 @@ let check_corpus cfg corpus =
   let rec go = function
     | [] -> Ok { checked = List.length corpus; passed = !passed; skipped = !skipped }
     | (name, src) :: rest -> (
-        match check_src cfg src with
+        match check_typed cfg (Nml.Front.of_string ~file:name src) with
         | Pass ->
             incr passed;
             go rest

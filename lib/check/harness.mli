@@ -26,6 +26,9 @@ type fault =
       (** rewrite the first cons site to destructively reuse its own tail
           cell — an unsound reuse verdict *)
 
+val faults : (string * fault) list
+(** The faults by their command-line names: [none], [arena], [dcons]. *)
+
 type config = {
   heap : int;  (** capacity of the fixed-size chaos heaps *)
   fuel : int;  (** step budget per run; [<= 0] means unlimited *)
@@ -50,53 +53,21 @@ type verdict = Pass | Skip of string | Fail of failure
 
 val run_reference : config -> Nml.Surface.t -> outcome
 
-val run_machine :
-  config ->
-  ?config:Runtime.Heap.config ->
-  heap:int ->
-  grow:bool ->
-  chaos:Runtime.Machine.chaos ->
-  Runtime.Ir.expr ->
-  outcome * Runtime.Machine.t
-(** One machine execution with arena validation on; reading the result
-    back is part of the run (a dangling result is a [Crash]).  [?config]
-    selects the heap organization (default {!Runtime.Heap.legacy}); the
-    oracle itself runs every program on legacy {e and} generational
-    configurations (tiny nursery, regions off, a seed-drawn config), so
-    chaos collections also land mid-region on the generational heap.
-    With chaos on, one more stage collects before every allocation, so
-    every safepoint of the VM's root masks is exercised. *)
-
-val run_vm :
-  config ->
-  ?config:Runtime.Heap.config ->
-  heap:int ->
-  grow:bool ->
-  chaos:Runtime.Machine.chaos ->
-  Runtime.Ir.expr ->
-  outcome * Backend.Vm.t
-(** The same execution on the bytecode VM (compile + run, arena
-    validation on) — the oracle's third leg.  Every machine stage of
-    {!check_src} is also run here, so Eval, machine and VM must agree
-    under every heap configuration and chaos schedule.  A
-    {!Backend.Vm.Internal} propagates: a broken backend invariant must
-    abort the oracle, not masquerade as a program crash. *)
-
-val stats_violations : Runtime.Machine.t -> string list
-(** Violated bookkeeping identities of the machine's counters and
-    store, empty when consistent.  One of them, [live + free-list length
-    = bump pointer], catches a freed cell the allocator lost, which the
-    differential comparison cannot: both backends would lose it alike. *)
-
-val vm_stats_violations : Backend.Vm.t -> string list
-(** The same identities over a VM run's counters. *)
-
 val sabotage : fault -> Nml.Surface.t -> Runtime.Ir.expr option
 (** The deliberately broken IR of a program, or [None] when the fault
     does not apply (e.g. no cons site). *)
 
 val check_src : config -> string -> verdict
-(** The full differential oracle on one program (concrete syntax). *)
+(** The full differential oracle on one program (concrete syntax), typed
+    once: the reference interpreter, then every stage on the machine and
+    on the bytecode VM (each with arena validation on), under the legacy
+    heap and every generational configuration (tiny nursery, regions
+    off, a seed-drawn config), with chaos collections when
+    [config.chaos]; with chaos on, one more stage collects before every
+    allocation, so every safepoint of the VM's root masks is exercised.
+    Both optimized IRs are lowered from the one typed program.  A
+    program the front stage rejects (LEX001, PARSE001, TYPE001) is a
+    [Skip]. *)
 
 val check_ir : config -> src:string -> Runtime.Ir.expr -> verdict
 (** Compare the reference interpreter on [src] against the machine on a
@@ -119,6 +90,10 @@ val builtin_corpus : (string * string) list
     functions and the paper's running examples. *)
 
 val check_corpus : config -> (string * string) list -> (summary, counterexample) result
+(** [(name, source)] programs, each typed once with [name] labelling its
+    locations.  A corpus program is meant to be valid: a front-end
+    rejection propagates ({!Nml.Front.rejects}) instead of being
+    skipped. *)
 
 val check_random : config -> count:int -> (summary, counterexample) result
 (** Draws [count] programs from {!Gen.gen_any_program} (deterministic in

@@ -62,9 +62,9 @@ let rec shrinks (e : Ast.expr) : Ast.expr Seq.t =
   Seq.append self (Seq.append children leaves)
 
 let typechecks src =
-  match Nml.Infer.infer_program (Nml.Surface.of_string src) with
+  match Nml.Front.of_string ~file:"<candidate>" src with
   | _ -> true
-  | exception _ -> false
+  | exception e when Nml.Front.rejects e -> false
 
 let candidates src =
   match Nml.Surface.of_string src with

@@ -4,33 +4,15 @@
 
 let of_source ~config ~store ~path src =
   let o = Engine.run ~config ?store ~file:path src in
-  let rendered =
-    if o.Engine.findings = [] then ""
-    else
-      Format.asprintf "%a@."
-        (Nml.Diagnostic.render Nml.Diagnostic.Human)
-        o.Engine.findings
-  in
-  {
-    Cache.Batch.path;
-    output =
-      rendered
-      ^ Printf.sprintf "lint: %d finding(s), %d suppressed\n"
-          (List.length o.Engine.findings)
-          o.Engine.suppressed;
-    errors = "";
-    code = (if o.Engine.findings = [] then 0 else 1);
-    defs = o.Engine.defs;
-    findings = List.length o.Engine.findings;
-    evaluations = o.Engine.evaluations;
-    scc_hits = o.Engine.scc_hits;
-    scc_misses = o.Engine.scc_misses;
-  }
+  let findings = List.length o.Engine.findings in
+  Cache.Batch.result ~code:(min findings 1) ~defs:o.Engine.defs ~findings
+    ~evaluations:o.Engine.evaluations ~scc_hits:o.Engine.scc_hits
+    ~scc_misses:o.Engine.scc_misses path
+    (Nml.Diagnostic.report o.Engine.findings
+       (Printf.sprintf "lint: %d finding(s), %d suppressed" findings o.Engine.suppressed))
 
 let analyze_source ?(config = Registry.default) ~store ~path src =
   Cache.Batch.protect path (fun () -> of_source ~config ~store ~path src)
 
 let analyze_file ?(config = Registry.default) ~store path =
-  Cache.Batch.protect path (fun () ->
-      let src = In_channel.with_open_text path In_channel.input_all in
-      of_source ~config ~store ~path src)
+  Cache.Batch.protect path (fun () -> of_source ~config ~store ~path (Nml.Front.read path))

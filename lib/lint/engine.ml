@@ -106,8 +106,8 @@ let run_rules_program ctx =
   List.concat_map (fun r -> r.Rule.check_program ctx) Registry.all
 
 let run ?(config = Registry.default) ?store ?(fault = Rule.No_fault) ~file src =
-  let surface = Nml.Surface.of_string ~file src in
-  let prog = Nml.Infer.infer_program surface in
+  let prog = Nml.Front.of_string ~file src in
+  let surface = prog.Nml.Infer.surface in
   let ctx =
     {
       Rule.surface;

@@ -173,7 +173,7 @@ let invariant_rows rows =
         rest
 
 let invariance ctx =
-  match Nml.Mono.run ctx.Rule.surface with
+  match Nml.Mono.monomorphize ctx.Rule.prog with
   | exception Nml.Mono.Too_many_instances -> []
   | mono ->
       let by_orig =

@@ -207,3 +207,6 @@ let render format ppf ds =
   | Sarif -> Format.fprintf ppf "%s" (Json.to_string (to_sarif ds))
 
 let has_errors ds = List.exists (fun d -> d.severity = Error) ds
+
+let report ds line =
+  (if ds = [] then "" else Format.asprintf "%a@." (render Human) ds) ^ line ^ "\n"

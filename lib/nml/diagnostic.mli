@@ -68,4 +68,9 @@ val render : format -> Format.formatter -> t list -> unit
     document [{"schema": "nmlc/diagnostics-v1", "diagnostics": [...]}];
     the SARIF form is {!to_sarif} with default tool metadata. *)
 
+val report : t list -> string -> string
+(** The human rendering of the diagnostics, if any, then a summary line:
+    what [nmlc vet] and [nmlc lint] print, and what the batch driver and
+    the daemon capture for them. *)
+
 val has_errors : t list -> bool

@@ -83,12 +83,13 @@ let optimize_with t options (surface : Nml.Surface.t) =
   in
   { ir = add_defs ir primed; reuse_report; stack_report; block_report; pretenure_sites }
 
-let optimize ?(options = all) surface =
-  let surface =
-    if options.monomorphize then (Nml.Mono.run surface).Nml.Mono.program else surface
+let optimize ?(options = all) (prog : Nml.Infer.program) =
+  let prog =
+    if options.monomorphize then
+      Nml.Infer.infer_program (Nml.Mono.monomorphize prog).Nml.Mono.program
+    else prog
   in
-  let t = Fix.make (Nml.Infer.infer_program surface) in
-  optimize_with t options surface
+  optimize_with (Fix.make prog) options prog.Nml.Infer.surface
 
 let pp_report ppf r =
   Format.fprintf ppf "@[<v 0>";

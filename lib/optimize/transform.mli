@@ -44,8 +44,9 @@ type result = {
   pretenure_sites : int;  (** cons sites retargeted to [Ir.Pretenured] *)
 }
 
-val optimize : ?options:options -> Nml.Surface.t -> result
-(** Builds a solver internally (after monomorphizing, when enabled). *)
+val optimize : ?options:options -> Nml.Infer.program -> result
+(** Builds a solver internally, over the program monomorphized with
+    {!Nml.Mono.monomorphize} when enabled. *)
 
 val optimize_with : Escape.Fixpoint.t -> options -> Nml.Surface.t -> result
 (** Like {!optimize} with a caller-supplied solver; the [monomorphize]

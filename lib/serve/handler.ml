@@ -72,45 +72,34 @@ let result_json (r : Cache.Batch.result) =
       ("errors", J.Str r.errors);
     ]
 
-let vet_result ~path src =
+(* exactly what [nmlc vet] prints for the program ([source], else the
+   file at [path]) *)
+let vet_result ~path source =
   Cache.Batch.protect path (fun () ->
-      let s = Nml.Surface.of_string ~file:path src in
-      let ir =
-        (Optimize.Transform.optimize ~options:Optimize.Transform.all s)
-          .Optimize.Transform.ir
+      let src = match source with Some src -> src | None -> Nml.Front.read path in
+      let typed = Nml.Front.of_string ~file:path src in
+      let ir = Pipeline.lower (Pipeline.Optimized Optimize.Transform.all) typed in
+      let ds, summary =
+        Vet.Verify.audit ~hints:(Pipeline.hints typed) ~source:typed.surface ir
       in
-      let ds, summary = Vet.Verify.audit ~source:s ir in
-      let rendered =
-        if ds = [] then ""
-        else
-          Format.asprintf "%a@." (Nml.Diagnostic.render Nml.Diagnostic.Human) ds
-      in
-      {
-        Cache.Batch.path;
-        output =
-          rendered
-          ^ Printf.sprintf "vet: %d annotation(s) audited, %d finding(s)\n"
-              summary.Vet.Verify.audited summary.Vet.Verify.findings;
-        errors = "";
-        code = (if summary.Vet.Verify.findings > 0 then 1 else 0);
-        defs = 0;
-        findings = summary.Vet.Verify.findings;
-        evaluations = 0;
-        scc_hits = 0;
-        scc_misses = 0;
-      })
+      let findings = summary.Vet.Verify.findings in
+      Cache.Batch.result ~code:(min findings 1) ~findings path
+        (Nml.Diagnostic.report ds
+           (Printf.sprintf "vet: %d annotation(s) audited, %d finding(s)"
+              summary.Vet.Verify.audited findings)))
 
 let dispatch t (req : Protocol.request) =
-  let read path = In_channel.with_open_text path In_channel.input_all in
+  (* a path wins over a source *)
+  let path, source =
+    match req.path with Some path -> (path, None) | None -> ("<request>", req.source)
+  in
   match req.meth with
   | Protocol.Analyze -> (
       match req.analysis with
       | None | Some "escape" -> (
-          match req.path, req.source with
-          | Some path, _ -> Cache.Batch.analyze_file ?store:t.store path
-          | None, Some src ->
-              Cache.Batch.analyze_source ?store:t.store ~path:"<request>" src
-          | None, None -> assert false (* rejected by Protocol.parse *))
+          match source with
+          | None -> Cache.Batch.analyze_file ?store:t.store path
+          | Some src -> Cache.Batch.analyze_source ?store:t.store ~path src)
       | Some name -> (
           match Analyses.Registry.find name with
           | None ->
@@ -118,39 +107,12 @@ let dispatch t (req : Protocol.request) =
                  through the same protection the default path uses *)
               Cache.Batch.protect "<request>" (fun () ->
                   failwith (Printf.sprintf "unknown analysis %s" name))
-          | Some e -> (
-              match req.path, req.source with
-              | Some path, _ -> Analyses.Registry.batch_job e ~store:t.store path
-              | None, Some src ->
-                  Cache.Batch.protect "<request>" (fun () ->
-                      let prog =
-                        Nml.Infer.infer_program
-                          (Nml.Surface.of_string ~file:"<request>" src)
-                      in
-                      let o = e.Analyses.Registry.run ?store:t.store prog in
-                      {
-                        Cache.Batch.path = "<request>";
-                        output = o.Analyses.Registry.output;
-                        errors = "";
-                        code = 0;
-                        defs = o.Analyses.Registry.defs;
-                        findings = 0;
-                        evaluations = o.Analyses.Registry.evaluations;
-                        scc_hits = o.Analyses.Registry.scc_hits;
-                        scc_misses = o.Analyses.Registry.scc_misses;
-                      })
-              | None, None -> assert false)))
+          | Some e -> Analyses.Registry.batch_job e ~store:t.store ?source path))
   | Protocol.Lint -> (
-      match req.path, req.source with
-      | Some path, _ -> Lint.Batch.analyze_file ~store:t.store path
-      | None, Some src -> Lint.Batch.analyze_source ~store:t.store ~path:"<request>" src
-      | None, None -> assert false)
-  | Protocol.Vet -> (
-      match req.path, req.source with
-      | Some path, _ ->
-          Cache.Batch.protect path (fun () -> vet_result ~path (read path))
-      | None, Some src -> vet_result ~path:"<request>" src
-      | None, None -> assert false)
+      match source with
+      | None -> Lint.Batch.analyze_file ~store:t.store path
+      | Some src -> Lint.Batch.analyze_source ~store:t.store ~path src)
+  | Protocol.Vet -> vet_result ~path source
   | Protocol.Status | Protocol.Shutdown ->
       assert false (* answered inline by the server, never queued *)
 

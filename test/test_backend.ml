@@ -19,9 +19,10 @@ let checki = Alcotest.check Alcotest.int
 
 let surface src = Nml.Surface.of_string src
 let baseline_ir src = Ir.of_program (surface src)
-let opt_ir src = (T.optimize ~options:T.all (surface src)).T.ir
+let typed src = Nml.Infer.infer_program (surface src)
+let opt_ir src = (T.optimize ~options:T.all (typed src)).T.ir
 let pretenured_ir src =
-  (T.optimize ~options:{ T.all with T.pretenure = true } (surface src)).T.ir
+  (T.optimize ~options:{ T.all with T.pretenure = true } (typed src)).T.ir
 
 let vm_run ?(heap = 4096) ?(grow = true) ?(chaos = Vm.no_chaos) ?fuel
     ?(config = Runtime.Heap.legacy) ir =
@@ -225,7 +226,7 @@ let anf_verifies src =
   | exception _ -> true (* unparseable: nothing to lower *)
   | s -> (
       match
-        (Ir.of_program s, (T.optimize ~options:T.all s).T.ir)
+        (Ir.of_program s, (T.optimize ~options:T.all (Nml.Infer.infer_program s)).T.ir)
       with
       | exception _ -> true (* ill-typed: the front end rejects it first *)
       | b, o ->
@@ -358,7 +359,7 @@ let vm_tests =
         let config =
           { Runtime.Heap.generational with Runtime.Heap.liveness_hints }
         in
-        let ir = (T.optimize ~options:T.all s).T.ir in
+        let ir = (T.optimize ~options:T.all (Nml.Infer.infer_program s)).T.ir in
         let check_stats label st =
           checki (label ^ " hint sites") 1 st.Runtime.Stats.hint_sites;
           checkb (label ^ " accepted") true

@@ -181,8 +181,7 @@ let golden_units =
             stats;
           (* [nmlc optimize] and [nmlc compile -O --dump-bytecode] *)
           let r =
-            Optimize.Transform.optimize ~options:Optimize.Transform.all
-              (Nml.Surface.of_string src)
+            Optimize.Transform.optimize ~options:Optimize.Transform.all (infer src)
           in
           checks "optimized program byte-identical"
             (read_file (Filename.concat golden_dir (base ^ ".optimized")))

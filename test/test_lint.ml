@@ -535,7 +535,7 @@ let location_units =
         List.iter
           (fun (name, src) ->
             let s = Nml.Surface.of_string ~file:name src in
-            let ir = (Optimize.Transform.optimize s).Optimize.Transform.ir in
+            let ir = (Optimize.Transform.optimize (Nml.Infer.infer_program s)).Optimize.Transform.ir in
             let ds, _ = Vet.Verify.audit ~source:s ir in
             checkb (name ^ ": vet diagnostics located") true
               (List.for_all (fun d -> not (Nml.Loc.is_dummy d.D.loc)) ds))

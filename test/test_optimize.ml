@@ -208,7 +208,7 @@ let preservation_tests =
           Alcotest.test_case (pname ^ "-" ^ oname) `Quick (fun () ->
               let surface = Surface.of_string src in
               let expected = Eval.run surface in
-              let r = T.optimize ~options surface in
+              let r = T.optimize ~options (Nml.Infer.infer_program surface) in
               let m = M.create ~heap_size:32 ~check_arenas:true () in
               let got = M.read_value m (M.eval m r.T.ir) in
               Alcotest.check value "same result" expected got))
@@ -219,7 +219,7 @@ let preservation_tests =
 
 let run_with options src =
   let surface = Surface.of_string src in
-  let r = T.optimize ~options surface in
+  let r = T.optimize ~options (Nml.Infer.infer_program surface) in
   let m = M.create ~heap_size:32 ~check_arenas:true () in
   ignore (M.eval m r.T.ir);
   (r, M.stats m)
@@ -331,7 +331,7 @@ let mono_opt_tests =
         in
         let surface = Surface.of_string src in
         let expected = Eval.run surface in
-        let r = T.optimize ~options:T.all surface in
+        let r = T.optimize ~options:T.all (Nml.Infer.infer_program surface) in
         let m = M.create ~heap_size:32 ~check_arenas:true () in
         let got = M.read_value m (M.eval m r.T.ir) in
         Alcotest.check value "same result" expected got;
@@ -348,7 +348,7 @@ let mono_opt_tests =
     Alcotest.test_case "mono-off-keeps-program" `Quick (fun () ->
         let src = Ex.rev_program in
         let surface = Surface.of_string src in
-        let r = T.optimize ~options:{ T.all with T.monomorphize = false } surface in
+        let r = T.optimize ~options:{ T.all with T.monomorphize = false } (Nml.Infer.infer_program surface) in
         let m = M.create ~heap_size:32 ~check_arenas:true () in
         let got = M.read_value m (M.eval m r.T.ir) in
         Alcotest.check value "same result" (Eval.run surface) got);
@@ -364,7 +364,7 @@ let differential =
         (fun src ->
           let surface = Surface.of_string src in
           let expected = Eval.run surface in
-          let r = T.optimize ~options:T.all surface in
+          let r = T.optimize ~options:T.all (Nml.Infer.infer_program surface) in
           let m = M.create ~heap_size:8 ~check_arenas:true () in
           let got = M.read_value m (M.eval m r.T.ir) in
           Eval.equal_value expected got);
@@ -379,7 +379,7 @@ let differential =
           in
           let surface = Surface.of_string src in
           let expected = Eval.run surface in
-          let r = T.optimize ~options:T.all surface in
+          let r = T.optimize ~options:T.all (Nml.Infer.infer_program surface) in
           let m = M.create ~heap_size:8 ~check_arenas:true () in
           let got = M.read_value m (M.eval m r.T.ir) in
           Eval.equal_value expected got);
@@ -394,7 +394,7 @@ let differential =
           in
           let surface = Surface.of_string src in
           let expected = Eval.run surface in
-          let r = T.optimize ~options:T.all surface in
+          let r = T.optimize ~options:T.all (Nml.Infer.infer_program surface) in
           let m = M.create ~heap_size:8 ~check_arenas:true () in
           let got = M.read_value m (M.eval m r.T.ir) in
           Eval.equal_value expected got);

@@ -699,12 +699,12 @@ let resolved_tests =
           List.map
             (fun (name, src) ->
               let s = Surface.of_string src in
+              let typed = Nml.Infer.infer_program s in
               let hints =
-                Framework.Spinelive.dead_spine_params
-                  (Framework.Spinelive.Solver.make (Nml.Infer.infer_program s))
+                Framework.Spinelive.dead_spine_params (Framework.Spinelive.Solver.make typed)
               in
               let config = { (tiny_gen 2) with Runtime.Heap.liveness_hints = hints } in
-              (name, src, (Optimize.Transform.optimize ~options s).Optimize.Transform.ir, config))
+              (name, src, (Optimize.Transform.optimize ~options typed).Optimize.Transform.ir, config))
             counter_programs
         in
         let machine ?fuel config =

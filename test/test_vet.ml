@@ -15,7 +15,7 @@ let checki = Alcotest.check Alcotest.int
 
 let optimize src =
   let s = Nml.Surface.of_string src in
-  (s, (Optimize.Transform.optimize s).Optimize.Transform.ir)
+  (s, (Optimize.Transform.optimize (Nml.Infer.infer_program s)).Optimize.Transform.ir)
 
 let audit_src src =
   let s, ir = optimize src in
