@@ -22,7 +22,7 @@
                 results, Theorem-1 self-audit, dead spines, unused
                 bindings) with inline suppressions and SARIF output
 
-   Exit codes: 0 clean, 1 findings / divergence / user error,
+   Exit codes: 0 clean, 1 findings / divergence / user or usage error,
    2 storage exhausted (Out_of_memory), 3 step budget exhausted
    (Out_of_fuel), 124 internal error. *)
 
@@ -886,10 +886,18 @@ let serve_cmd =
 let () =
   let doc = "escape analysis on lists (Park & Goldberg, PLDI 1992)" in
   let info = Cmd.info "nmlc" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        parse_cmd; typecheck_cmd; eval_cmd; analyze_cmd; batch_cmd; mono_cmd;
+        optimize_cmd; run_cmd; compile_cmd; check_cmd; vet_cmd; lint_cmd; serve_cmd;
+      ]
+  in
+  (* a usage error (unknown command, bad option value, missing file) is a
+     bad input: exit 1 after cmdliner's message, never 124 *)
   exit
-    (Cmd.eval'
-       (Cmd.group info
-          [
-            parse_cmd; typecheck_cmd; eval_cmd; analyze_cmd; batch_cmd; mono_cmd;
-            optimize_cmd; run_cmd; compile_cmd; check_cmd; vet_cmd; lint_cmd; serve_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Version | `Help) -> Cmd.Exit.ok
+    | Error (`Parse | `Term) -> 1
+    | Error `Exn -> Cmd.Exit.internal_error)

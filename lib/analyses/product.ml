@@ -3,7 +3,8 @@
 
    The domain-level pairing is {!Framework.Product.Make} applied to the
    escape Spec and the usage Spec: one solver run settles both
-   components in lockstep (same demand keys, same read frames, shared
+   components in lockstep (same demand keys, one read frame per
+   evaluation in the shared tracker {!Framework.Deps}, shared
    invalidation).  The {e reduction} happens where both components are
    in hand, per (definition, parameter):
 
@@ -30,7 +31,7 @@ module Usage = Framework.Usage
 module Besc = Escape.Besc
 module Ty = Nml.Ty
 
-module PD = Framework.Product.Make (Escape.Espec) (Usage.D) ()
+module PD = Framework.Product.Make (Escape.Espec) (Usage.D)
 module Solver = Framework.Solver.Make (PD)
 
 type verdict = Dead | Scratch | Spine_scratch | Retained

@@ -31,96 +31,20 @@ let with_esc esc t =
 
 let with_ty ty t = { t with ty }
 
-(* ---- dependency sources ------------------------------------------------- *)
+(* ---- application memo entries ------------------------------------------ *)
 
-(* A [source] is a generation-stamped cell of mutable analysis state (one
-   per fixpoint entry).  Computations register the sources they read in
-   the innermost open frame; a memoized application records its read set
-   and is discarded only when one of those sources has since been
-   touched — the selective replacement for wholesale cache clearing.
+(* A memoized application: its value while and after it is computed, and
+   its half of the dependency tracker ([Framework.Deps]), which records
+   what the computation read and goes stale for good when any of that
+   moves on. *)
+module Deps = Framework.Deps
 
-   Staleness is pushed, not pulled.  Every read and every link to a
-   memo entry also leaves a reverse link from what was read to the frame
-   that read it: a source keeps its [readers], a memo entry its [users].
-   A touch walks those links upward once, marking each memo entry it
-   reaches stale for good and notifying each watching frame, and clears
-   the lists it walked; a memo lookup then only tests a flag. *)
-
-(* A memo entry's read set is kept as links, not copies: its [trace] holds
-   the reads its computation made itself and the completed entries it
-   hit or finished, in the order they happened (an entry that read
-   nothing at all is never linked).  The transitive set is the walk over
-   those links; entries never change once complete, so a link reads
-   exactly the set a copy would have held. *)
 type centry = {
   mutable value : t;
   mutable complete : bool;
   mutable reentered : bool;
-  mutable trace : event list;  (* newest first while computing, then chronological *)
-  mutable stale : bool;  (* a source read below it has moved on: for good *)
-  mutable users : frame list;  (* frames that linked it, newest first *)
-  mutable visit : int;  (* stamp of the last flattening that walked it *)
+  deps : Deps.entry;
 }
-
-and event = Read of source * int | Used of centry
-
-(* A read frame: a memo entry's computation, or a watch opened by
-   {!watch} whose owner is notified (once) when what it read moves. *)
-and frame = Entry of centry | Watch of watcher
-
-and watcher = {
-  mutable events : event list;  (* newest first *)
-  notify : unit -> unit;
-  mutable notified : bool;
-}
-
-and source = { sid : int; mutable gen : int; mutable readers : frame list }
-
-(* Source ids share the global atomic regime of value ids: a solver maps
-   them back to entries, so two states colliding on an id would alias
-   unrelated entries. *)
-let next_sid = Atomic.make 0
-let new_source () = { sid = Atomic.fetch_and_add next_sid 1 + 1; gen = 0; readers = [] }
-
-(* Mark the frames, and everything that linked them, as having read
-   something that moved.  An entry is marked once and its [users] are
-   walked then and dropped; nothing links to a stale entry again, since
-   linking one marks the linking frame at once. *)
-let rec fire = function
-  | [] -> ()
-  | Entry c :: rest when not c.stale ->
-      c.stale <- true;
-      let users = c.users in
-      c.users <- [];
-      fire (List.rev_append users rest)
-  | Watch w :: rest when not w.notified ->
-      w.notified <- true;
-      w.notify ();
-      fire rest
-  | (Entry _ | Watch _) :: rest -> fire rest
-
-let touch s =
-  s.gen <- s.gen + 1;
-  let readers = s.readers in
-  s.readers <- [];
-  fire readers
-
-let source_id s = s.sid
-
-(* The reverse half of recording [ev] in [fr].  Linking what has already
-   moved on marks [fr] at once.  Consecutive links from one frame are
-   kept once. *)
-let link fr = function
-  | Read (s, g) -> (
-      if s.gen <> g then fire [ fr ]
-      else match s.readers with r :: _ when r == fr -> () | rs -> s.readers <- fr :: rs)
-  | Used c -> (
-      if c.stale then fire [ fr ]
-      else match c.users with u :: _ when u == fr -> () | us -> c.users <- fr :: us)
-
-let push fr ev =
-  (match fr with Entry c -> c.trace <- ev :: c.trace | Watch w -> w.events <- ev :: w.events);
-  link fr ev
 
 (* ---- solver state --------------------------------------------------------- *)
 
@@ -129,23 +53,19 @@ let push fr ev =
    domain or in different domains — cannot interfere.  The members:
 
    - [d]: the chain bound, the largest spine count seen so far;
-   - [frames]: the stack of open read frames;
    - [intern_table]: probe/worst-case value interning (one physical value,
      hence one id, per (kind, esc, type));
    - [cache]: the application memo;
    - [probe_table]: probe families per (d, type);
-   - [stamp]: the visit stamp of the last read-set flattening;
    - hit/miss/invalidation counters. *)
 
 type arg_key = Kbase of Besc.t | Kfun of int | Kprod of Besc.t * arg_key * arg_key
 
 type state = {
   mutable d : int;
-  mutable frames : frame list;
   intern_table : (string, t) Hashtbl.t;
   cache : (int * arg_key, centry) Hashtbl.t;
   probe_table : (int * string, t list) Hashtbl.t;
-  mutable stamp : int;
   mutable hits : int;
   mutable misses : int;
   mutable invalidated : int;
@@ -154,11 +74,9 @@ type state = {
 let create_state () =
   {
     d = 0;
-    frames = [];
     intern_table = Hashtbl.create 64;
     cache = Hashtbl.create 4096;
     probe_table = Hashtbl.create 64;
-    stamp = 0;
     hits = 0;
     misses = 0;
     invalidated = 0;
@@ -183,53 +101,6 @@ let ensure_d d =
   if d > st.d then st.d <- d
 
 let current_d () = (current_state ()).d
-
-(* ---- read frames ---------------------------------------------------------- *)
-
-let record ev = match (current_state ()).frames with [] -> () | fr :: _ -> push fr ev
-let note_read s = record (Read (s, s.gen))
-
-(* An entry whose trace is empty read nothing that can move, so it can
-   never go stale and contributes no source: nothing need link it. *)
-let link_use e = match e.trace with [] -> () | _ :: _ -> record (Used e)
-
-type reads = { rstate : state; revents : event list (* newest first *) }
-
-let watch ~notify fn =
-  let st = current_state () in
-  let parent = st.frames in
-  let w = { events = []; notify; notified = false } in
-  st.frames <- Watch w :: parent;
-  match fn () with
-  | v ->
-      st.frames <- parent;
-      (* the reverse links may keep [w] alive: let them not keep the events *)
-      let revents = w.events in
-      w.events <- [];
-      (v, { rstate = st; revents })
-  | exception exn ->
-      st.frames <- parent;
-      raise exn
-
-(* The transitive read set behind [events], one pair per source with the
-   generation of its first read.  The walk visits events in the order
-   they happened and each linked entry once (marked with this state's
-   stamp), so the pairs — and the table's iteration order — are those
-   the frame would have held had every hit copied its entry's set. *)
-let sources { rstate = st; revents } =
-  st.stamp <- st.stamp + 1;
-  let stamp = st.stamp in
-  let seen = Hashtbl.create 8 in
-  let rec visit = function
-    | Read (s, g) -> if not (Hashtbl.mem seen s.sid) then Hashtbl.add seen s.sid (s, g)
-    | Used c ->
-        if c.visit <> stamp then begin
-          c.visit <- stamp;
-          List.iter visit c.trace
-        end
-  in
-  List.iter visit (List.rev revents);
-  Hashtbl.fold (fun _ sg acc -> sg :: acc) seen []
 
 (* ---- interning ----------------------------------------------------------- *)
 
@@ -460,11 +331,11 @@ and memo_apply f x =
   let key = (f.id, key_of x) in
   match Hashtbl.find_opt st.cache key with
   | Some e when e.complete ->
-      if not e.stale then begin
+      if not (Deps.stale e.deps) then begin
         st.hits <- st.hits + 1;
         (* a hit stands in for the computation: whatever encloses this
            application read what the entry read *)
-        link_use e;
+        Deps.use e.deps;
         e.value
       end
       else begin
@@ -486,19 +357,9 @@ and memo_apply f x =
         | Ty.Sbase | Ty.Sprod _ -> f.ty (* err will raise before the type is used *)
       in
       let e =
-        {
-          value = bottom result_ty;
-          complete = false;
-          reentered = false;
-          trace = [];
-          stale = false;
-          users = [];
-          visit = 0;
-        }
+        { value = bottom result_ty; complete = false; reentered = false; deps = Deps.entry () }
       in
       Hashtbl.add st.cache key e;
-      let parent = st.frames in
-      st.frames <- Entry e :: parent;
       let rec loop n =
         e.reentered <- false;
         let r = f.app x in
@@ -511,31 +372,21 @@ and memo_apply f x =
           end
           else e.value <- widened
       in
-      (try loop 0
+      (* the computation runs in the entry's frame; an aborted one is
+         dropped, and what it read lands in the enclosing frame *)
+      (try Deps.run e.deps loop 0
        with exn ->
-         (* the entry is dropped, but whatever catches the exception
-            still read what the aborted computation read: its events are
-            recorded, and linked, in the enclosing frame *)
-         st.frames <- parent;
-         (match parent with p :: _ -> List.iter (push p) (List.rev e.trace) | [] -> ());
          Hashtbl.remove st.cache key;
          raise exn);
-      st.frames <- parent;
-      e.trace <- List.rev e.trace;
       e.complete <- true;
-      link_use e;
       e.value
 
 let apply_all f xs = List.fold_left apply f xs
 
-type entry = centry
-
 let memo_entries () =
-  Hashtbl.fold (fun _ e acc -> if e.complete then e :: acc else acc) (current_state ()).cache []
-
-let entry_trace e = e.trace
-let entry_stale e = e.stale
-let generation s = s.gen
+  Hashtbl.fold
+    (fun _ e acc -> if e.complete then e.deps :: acc else acc)
+    (current_state ()).cache []
 
 let cache_stats () =
   let st = current_state () in

@@ -48,15 +48,16 @@
     probes (finer comparison), so the setting is monotone and safe.
 
     {b Solver state.}  All mutable engine state — the application memo,
-    the probe and intern tables, the chain bound, the read-frame stack,
-    the read-set visit stamp and the statistics counters — lives in an
-    explicit {!state}.  Each domain has a private ambient state
-    ({!current_state}); a solver owns a state of its own and installs it
-    with {!with_state} around every operation, so concurrently live
-    solvers (including solvers in different domains) are shared-nothing.  Value and source {e ids} are
-    process-global atomics: they are pure identity tags, and keeping them
-    globally unique makes values safe to carry across states (a foreign
-    value at worst misses a memo, it can never collide). *)
+    the probe and intern tables, the chain bound and the statistics
+    counters — lives in an explicit {!state}.  Each domain has a private
+    ambient state ({!current_state}); a solver owns a state of its own
+    and installs it with {!with_state} around every operation, so
+    concurrently live solvers (including solvers in different domains)
+    are shared-nothing.  Value {e ids} are process-global atomics: they
+    are pure identity tags, and keeping them globally unique makes values
+    safe to carry across states (a foreign value at worst misses a memo,
+    it can never collide).  What a memo entry read is tracked by
+    {!Framework.Deps}, which every analysis shares. *)
 
 type t = private {
   id : int;  (** unique per constructed value *)
@@ -120,7 +121,7 @@ val saturate : esc:Besc.t -> Nml.Ty.t -> t
 
 type state
 (** One engine's worth of mutable state: application memo, probe and
-    intern tables, chain bound, read frames, statistics counters. *)
+    intern tables, chain bound, statistics counters. *)
 
 val create_state : unit -> state
 (** A cold state: empty tables, bound 0, zeroed counters. *)
@@ -142,88 +143,22 @@ val ensure_d : int -> unit
 
 val current_d : unit -> int
 
-(** {2 Dependency sources and selective invalidation}
+(** {2 Selective invalidation}
 
     The bodies behind abstract function components read other
     definitions' values {e at application time} (through the solver's
     global hook), so a memoized application silently depends on solver
     state that may move between fixpoint passes.  Rather than dropping
-    the whole memo table between passes, every mutable input is
-    represented by a generation-stamped {!source}: the solver calls
-    {!note_read} when a value is read and {!touch} when it changes, and
-    {!apply} discards a memo entry only when a source its computation
-    read has actually been touched since.
+    the whole memo table between passes, each memo entry is an entry of
+    the shared dependency tracker ({!Framework.Deps}): its computation
+    runs in the entry's frame, a hit links the entry into the enclosing
+    frame, and {!apply} discards the entry only once a source it read,
+    directly or below, has been touched since. *)
 
-    An entry records the (source, generation) pairs its computation read
-    itself and links to the completed entries it hit or finished, not
-    copies of their read sets: a hit costs one link and closing an entry
-    copies nothing.  An entry that read nothing, directly or below, can
-    never go stale and is not linked at all.  Each of those records also leaves a reverse link: a
-    source keeps the frames that read it, an entry the frames that
-    linked it.  Staleness is pushed along the reverse links by {!touch},
-    so a memo lookup only tests the entry's flag.  The meaning is the
-    pull one: an entry is stale exactly when some (source, generation)
-    pair in its transitive read set has been touched since. *)
-
-type source
-(** A generation-stamped cell of mutable analysis state (the solver
-    allocates one per fixpoint entry). *)
-
-val new_source : unit -> source
-val source_id : source -> int
-(** Process-unique identifier, stable for the source's lifetime. *)
-
-val touch : source -> unit
-(** Advance the generation and walk the reverse links upward from the
-    source: every memo entry that read it, directly or through the
-    entries it used, is marked stale — once, and for good — and will be
-    recomputed on its next lookup; every {!watch} frame reached is
-    notified, at most once in its lifetime.  The links walked are
-    dropped, so a second touch costs nothing for what the first one
-    reached. *)
-
-val note_read : source -> unit
-(** Record a read of the source (at its current generation) in the
-    innermost open read frame; no-op outside any frame. *)
-
-type reads
-(** What one {!watch} frame recorded: its own reads and the memo entries
-    it linked, not yet flattened. *)
-
-val watch : notify:(unit -> unit) -> (unit -> 'a) -> 'a * reads
-(** [watch ~notify f] runs [f] in a fresh {e isolated} read frame: the
-    reads are not propagated to any enclosing frame, they belong to the
-    solver entry being evaluated, not to an enclosing application.
-    [notify] is called once, by the first {!touch} of a source in the
-    frame's transitive read set, or at once if the frame links a memo
-    entry that went stale while it was being computed.  The read set
-    itself is flattened only on demand, by {!sources}. *)
-
-val sources : reads -> (source * int) list
-(** The transitive read set of a frame: one (source,
-    generation-at-first-read) pair per source noted during the run,
-    directly or by any memo entry the run hit or computed, however deep.
-    Each call walks the links afresh, visiting each entry once. *)
-
-(** {2 Memo inspection}
-
-    The memo's read links, as the pull definition of staleness needs
-    them: tests check the flags {!touch} maintains against it. *)
-
-type entry
-(** A memoized application. *)
-
-type event = Read of source * int | Used of entry
-
-val memo_entries : unit -> entry list
-(** The complete entries of the current state's application memo. *)
-
-val entry_trace : entry -> event list
-(** What the entry's computation read itself and the entries it hit or
-    finished that read anything, in the order it happened. *)
-
-val entry_stale : entry -> bool
-val generation : source -> int
+val memo_entries : unit -> Framework.Deps.entry list
+(** The tracker entries of the current state's complete memo entries:
+    tests check the flags {!Framework.Deps.touch} maintains against the
+    pull definition of staleness. *)
 
 (** {2 Operations} *)
 

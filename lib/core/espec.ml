@@ -29,16 +29,9 @@ let create_state = Dvalue.create_state
 let with_state = Dvalue.with_state
 let ensure_d = Dvalue.ensure_d
 
-type source = Dvalue.source
-
-let new_source = Dvalue.new_source
-let source_id = Dvalue.source_id
-let touch = Dvalue.touch
-let note_read = Dvalue.note_read
-type reads = Dvalue.reads
-
-let with_reads = Dvalue.watch
-let sources = Dvalue.sources
+(* the memo outlives evaluations: its entries go stale through the
+   dependency tracker instead *)
+let begin_evaluation () = ()
 let memo_stats = Dvalue.cache_stats
 let invalidations = Dvalue.invalidations
 

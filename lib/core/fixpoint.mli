@@ -11,18 +11,18 @@
 
     A worklist engine solves the resulting equation system, driven by
     dependencies.  Every evaluation runs inside a read frame
-    ({!Dvalue.watch}) that records which other entries it consulted; the
-    first touch of any of them marks the entry dirty, and the frame's
-    read set is the instance-level dependency graph, flattened only when
-    the sweep condenses it.  Fresh entries are solved by recursive
-    descent (dependencies settle before their reader is evaluated, so a
-    non-recursive definition is evaluated exactly once); the cyclic
-    remainder is condensed into strongly connected components
-    ({!Nml.Callgraph.Scc}) and settled bottom-up, re-evaluating only
-    entries whose recorded dependencies actually changed.  Application
-    memos survive across the whole solve: a value change touches the
-    entry's {!Dvalue.source}, and only memos that read it are
-    invalidated.
+    ({!Framework.Deps.watch}) that records which other entries it
+    consulted; the first touch of any of them marks the entry dirty, and
+    the frame's read set is the instance-level dependency graph,
+    flattened only when the sweep condenses it.  Fresh entries are
+    solved by recursive descent (dependencies settle before their reader
+    is evaluated, so a non-recursive definition is evaluated exactly
+    once); the cyclic remainder is condensed into strongly connected
+    components ({!Nml.Callgraph.Scc}) and settled bottom-up,
+    re-evaluating only entries whose recorded dependencies actually
+    changed.  Application memos survive across the whole solve: a value
+    change touches the entry's {!Framework.Deps.source}, and only memos
+    that read it are invalidated.
 
     Convergence is decided by {!Dvalue.equal}.  Iteration is capped
     ([max_iters], default 200 rounds); on a cap hit every cached value is

@@ -32,11 +32,11 @@
    stabilizes — flag domains are finite, so this terminates for
    first-order argument positions exactly as the escape engine does.
    The memo is valid within one solver evaluation (entry values it read
-   may move between fixpoint iterations), so it is dropped whenever a
-   fresh read frame opens; there is no cross-evaluation source tracking
-   to invalidate, hence [invalidations] is always 0.  A frame's reads are
-   kept flat, and each source keeps the frames that read it, so a touch
-   notifies exactly the solver entries that read the source.
+   may move between fixpoint iterations), so it is dropped when the next
+   evaluation begins ([begin_evaluation]); its entries are never linked
+   into the dependency tracker ({!Deps}), hence [invalidations] is
+   always 0.  The solver's own read frames notice every read of another
+   entry's value.
 
    [Make] is generative: each instantiation owns private per-domain
    ambient state, and every solver installs its own [state], so two
@@ -51,7 +51,6 @@ module Ast = Nml.Ast
    unique ids make values safe to carry across states — a foreign value
    at worst misses a memo, it can never collide *)
 let next_id = Atomic.make 0
-let next_sid = Atomic.make 0
 
 module type FLAGS = sig
   val analysis_name : string
@@ -109,16 +108,6 @@ module Make (F : FLAGS) () = struct
 
   (* ---- per-solver state -------------------------------------------------- *)
 
-  (* A solver evaluation's read frame: flat reads, and whom to tell when
-     one of them moves (once). *)
-  type frame = {
-    mutable reads : (source * int) list;  (* newest first *)
-    notify : unit -> unit;
-    mutable notified : bool;
-  }
-
-  and source = { sid : int; mutable gen : int; mutable readers : frame list }
-
   type akey = Kflags of F.t | Kid of int | Kpair of akey * akey
 
   type centry = {
@@ -128,15 +117,12 @@ module Make (F : FLAGS) () = struct
   }
 
   type state = {
-    mutable d : int;  (* chain bound (kept for parity; flags ignore it) *)
-    mutable frames : frame list;  (* innermost first *)
     memo : (int * akey, centry) Hashtbl.t;  (* pending/memoized applications *)
     mutable hits : int;
     mutable misses : int;
   }
 
-  let create_state () =
-    { d = 0; frames = []; memo = Hashtbl.create 64; hits = 0; misses = 0 }
+  let create_state () = { memo = Hashtbl.create 64; hits = 0; misses = 0 }
 
   let ambient : state Domain.DLS.key = Domain.DLS.new_key create_state
   let installed : state option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
@@ -151,53 +137,12 @@ module Make (F : FLAGS) () = struct
     Domain.DLS.set installed (Some s);
     Fun.protect ~finally:(fun () -> Domain.DLS.set installed prev) f
 
-  let ensure_d d =
-    let s = current_state () in
-    if d > s.d then s.d <- d
+  (* flags carry no chain: the bound is never read *)
+  let ensure_d _ = ()
 
-  let new_source () = { sid = Atomic.fetch_and_add next_sid 1; gen = 0; readers = [] }
-  let source_id s = s.sid
-
-  let touch s =
-    s.gen <- s.gen + 1;
-    let readers = s.readers in
-    s.readers <- [];
-    List.iter
-      (fun fr ->
-        if not fr.notified then begin
-          fr.notified <- true;
-          fr.notify ()
-        end)
-      readers
-
-  let note_read src =
-    match (current_state ()).frames with
-    | [] -> ()
-    | fr :: _ -> (
-        fr.reads <- (src, src.gen) :: fr.reads;
-        match src.readers with r :: _ when r == fr -> () | rs -> src.readers <- fr :: rs)
-
-  type reads = (source * int) list
-
-  let with_reads ~notify f =
-    let s = current_state () in
-    (* the memo's reads are not generation-tracked, so it must not
-       outlive the evaluation it was filled by *)
-    Hashtbl.reset s.memo;
-    let frame = { reads = []; notify; notified = false } in
-    s.frames <- frame :: s.frames;
-    let pop () = s.frames <- List.tl s.frames in
-    match f () with
-    | v ->
-        pop ();
-        let reads = List.rev frame.reads in
-        frame.reads <- [];
-        (v, reads)
-    | exception e ->
-        pop ();
-        raise e
-
-  let sources reads = reads
+  (* the memo's reads are not tracked, so it must not outlive the
+     evaluation it was filled by *)
+  let begin_evaluation () = Hashtbl.reset (current_state ()).memo
 
   let memo_stats () =
     let s = current_state () in

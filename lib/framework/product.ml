@@ -1,20 +1,20 @@
 (* The direct-product combinator: two Specs solved in lockstep by one
    engine.  Values, lattice operations and transfer functions are
-   pointwise; a product source pairs one source of each component, so a
-   read noted by the solver lands in both components' frames and a touch
-   stales both components' memos and reaches both components' watches.
-   The product's [global] hook splits the solver's paired answer back
-   into the component each transfer function expects, which is what lets
-   e.g. [Espec] and [Usage.D] run unmodified inside the pair.
+   pointwise, and the state is one state of each component.  The
+   product needs no dependency plumbing of its own: the solver tracks
+   every read in one {!Deps} frame, whichever component's transfer
+   function made it, so a touch stales every memo entry of either
+   component that read the value and notifies the evaluation once.  The product's [global] hook splits the
+   solver's paired answer back into the component each transfer
+   function expects, which is what lets e.g. [Espec] and [Usage.D] run
+   unmodified inside the pair.
 
    This is the {e direct} product; the reduction (one component's
    verdict sharpening the other's, e.g. usage [Consumed] licensing an
    escape-side reclaim) happens at the report level in
-   [Analyses.Product], where both components are in hand.  The functor
-   is generative because it owns ambient registries mapping component
-   source ids back to product sources. *)
+   [Analyses.Product], where both components are in hand. *)
 
-module Make (A : Spec.S) (B : Spec.S) () : sig
+module Make (A : Spec.S) (B : Spec.S) : sig
   include Spec.S with type value = A.value * B.value
 end = struct
   let name = A.name ^ "-x-" ^ B.name
@@ -30,107 +30,18 @@ end = struct
 
   (* ---- per-solver state --------------------------------------------------- *)
 
-  type source = { id : int; a : A.source; b : B.source }
+  type state = A.state * B.state
 
-  type state = {
-    sa : A.state;
-    sb : B.state;
-    by_a : (int, source) Hashtbl.t;  (* A source id -> product source *)
-    by_b : (int, source) Hashtbl.t;
-  }
-
-  let create_state () =
-    {
-      sa = A.create_state ();
-      sb = B.create_state ();
-      by_a = Hashtbl.create 32;
-      by_b = Hashtbl.create 32;
-    }
-
-  let ambient : state Domain.DLS.key = Domain.DLS.new_key create_state
-  let installed : state option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-  let current_state () =
-    match Domain.DLS.get installed with
-    | Some s -> s
-    | None -> Domain.DLS.get ambient
-
-  let with_state s f =
-    let prev = Domain.DLS.get installed in
-    Domain.DLS.set installed (Some s);
-    Fun.protect
-      ~finally:(fun () -> Domain.DLS.set installed prev)
-      (fun () -> A.with_state s.sa (fun () -> B.with_state s.sb f))
+  let create_state () = (A.create_state (), B.create_state ())
+  let with_state (sa, sb) f = A.with_state sa (fun () -> B.with_state sb f)
 
   let ensure_d d =
     A.ensure_d d;
     B.ensure_d d
 
-  (* ---- sources ------------------------------------------------------------ *)
-
-  let next_id = Atomic.make 0
-
-  let new_source () =
-    let st = current_state () in
-    let s =
-      { id = Atomic.fetch_and_add next_id 1; a = A.new_source (); b = B.new_source () }
-    in
-    Hashtbl.replace st.by_a (A.source_id s.a) s;
-    Hashtbl.replace st.by_b (B.source_id s.b) s;
-    s
-
-  let source_id s = s.id
-
-  let touch s =
-    A.touch s.a;
-    B.touch s.b
-
-  let note_read s =
-    A.note_read s.a;
-    B.note_read s.b
-
-  (* Both components open their own frames, watched by one notification:
-     whichever side sees a touch first notifies, the other stays quiet. *)
-  type reads = { st : state; ra : A.reads; rb : B.reads }
-
-  let with_reads ~notify f =
-    let notified = ref false in
-    let notify () =
-      if not !notified then begin
-        notified := true;
-        notify ()
-      end
-    in
-    let (x, rb), ra = A.with_reads ~notify (fun () -> B.with_reads ~notify f) in
-    (x, { st = current_state (); ra; rb })
-
-  (* The union of both components' read sets (mapped back to product
-     sources, deduplicated) is the product's read set.  A read noted
-     through [note_read] appears on both sides; a read a component makes
-     privately (e.g. probing inside [A.equal]) appears on one. *)
-  let sources { st; ra; rb } =
-    let areads = A.sources ra and breads = B.sources rb in
-    let seen = Hashtbl.create 16 in
-    let out = ref [] in
-    let add s gen =
-      if not (Hashtbl.mem seen s.id) then begin
-        Hashtbl.add seen s.id ();
-        out := (s, gen) :: !out
-      end
-    in
-    List.iter
-      (fun (a, gen) ->
-        match Hashtbl.find_opt st.by_a (A.source_id a) with
-        | Some s -> add s gen
-        | None -> ())
-      areads;
-    List.iter
-      (fun (b, gen) ->
-        match Hashtbl.find_opt st.by_b (B.source_id b) with
-        | Some s -> add s gen
-        | None -> ())
-      breads;
-    !out
+  let begin_evaluation () =
+    A.begin_evaluation ();
+    B.begin_evaluation ()
 
   (* ---- memo (delegated) --------------------------------------------------- *)
 

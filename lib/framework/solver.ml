@@ -3,7 +3,8 @@
    recursive-descent fresh solves, Tarjan SCC condensation settled
    dependencies-first, selective invalidation pushed from the touched
    source, per-solver state isolation and cap-and-widen are inherited by
-   any Spec instance.  Convergence is decided by the Spec's [equal]
+   any Spec instance; the read frames and sources come from {!Deps},
+   which every analysis shares.  Convergence is decided by the Spec's [equal]
    ([Dvalue.equal] for the escape analysis).
 
    The solver also owns the per-definition facts every lookup needs.  By
@@ -58,7 +59,7 @@ module Make (S : Spec.S) = struct
     name : string;
     inst : Ty.t;
     tast : Tast.texpr;
-    source : S.source;  (* generation stamp; touched when [value] changes *)
+    source : Deps.source;  (* generation stamp; touched when [value] changes *)
     mutable value : S.value;
     mutable deps : entry list Lazy.t;  (* entries read during the last evaluation *)
     mutable dirty : bool;  (* a dependency changed since the last evaluation *)
@@ -116,8 +117,9 @@ module Make (S : Spec.S) = struct
     e.evals <- e.evals + 1;
     t.evaluated <- t.evaluated + 1;
     S.record_iteration t.ctx;
+    S.begin_evaluation ();
     let grown, reads =
-      S.with_reads
+      Deps.watch
         ~notify:(fun () -> e.dirty <- true)
         (fun () ->
           let v = S.transfer t.ctx e.tast in
@@ -127,13 +129,13 @@ module Make (S : Spec.S) = struct
     e.deps <-
       lazy
         (List.filter_map
-           (fun (s, _gen) -> Hashtbl.find_opt t.by_sid (S.source_id s))
-           (S.sources reads));
+           (fun (s, _gen) -> Hashtbl.find_opt t.by_sid (Deps.id s))
+           (Deps.sources reads));
     match grown with
     | None -> ()
     | Some v ->
         e.value <- v;
-        S.touch e.source
+        Deps.touch e.source
 
   (* First solve of a freshly demanded entry, called from the global hook:
      recursive descent.  Dependencies demanded during the evaluation are
@@ -164,7 +166,7 @@ module Make (S : Spec.S) = struct
             name;
             inst = ty;
             tast;
-            source = S.new_source ();
+            source = Deps.source ();
             value = S.bottom tast.Tast.ty;
             deps = Lazy.from_val [];
             dirty = false;
@@ -174,7 +176,7 @@ module Make (S : Spec.S) = struct
           }
         in
         Hashtbl.add t.cache k e;
-        Hashtbl.add t.by_sid (S.source_id e.source) e;
+        Hashtbl.add t.by_sid (Deps.id e.source) e;
         t.order <- e :: t.order;
         t.stable <- false;
         e
@@ -186,7 +188,7 @@ module Make (S : Spec.S) = struct
     if e.evals = 0 && not e.in_progress then solve_fresh t e;
     (* record the read after any recursive solve: the caller consumes the
        settled value, not the intermediate iterates *)
-    S.note_read e.source;
+    Deps.note_read e.source;
     e.value
 
   let make ?(max_iters = 200) prog =
@@ -250,7 +252,7 @@ module Make (S : Spec.S) = struct
     List.iter
       (fun e ->
         e.value <- S.widen ~d:t.dbound e.tast.Tast.ty e.value;
-        S.touch e.source;
+        Deps.touch e.source;
         if e.evals = 0 then e.evals <- 1)
       t.order;
     List.iter (fun e -> e.dirty <- false) t.order;

@@ -8,13 +8,9 @@
     - an {e abstract domain} over the monomorphized types
       ([bottom]/[top], [join]/[leq], probe-based [equal], [widen]);
     - {e per-solver state} ([create_state]/[with_state]): every solver
-      owns a private state (memo tables, chain bound, read frames) so
-      concurrently live solvers — including solvers in different
-      domains — are shared-nothing;
-    - {e dependency sources} (generation-stamped cells with recorded
-      read frames): a touch notifies the frames that read a source, which
-      is how the engine invalidates selectively, and a frame's read set
-      gives the instance-level dependency graph on demand;
+      owns a private state (memo tables, chain bound) so concurrently
+      live solvers — including solvers in different domains — are
+      shared-nothing;
     - a {e transfer function} over the typed AST, evaluated under a
       context whose [global] hook resolves top-level definitions at
       ground instance types (the solver supplies it and memoizes per
@@ -23,9 +19,12 @@
       once, as {!TRANSFER}, and written once for every domain, as the
       abstract interpreter {!Interp.Make}.
 
-    An implementation with no cross-evaluation application memo reports
-    zero [memo_stats]/[invalidations]; {!Flow} provides the complete
-    state/source/memo machinery for taint-flag domains. *)
+    Dependency tracking is not a Spec's business: the solver tracks what
+    each evaluation read with {!Deps}, and a domain whose application
+    memo outlives one evaluation links its memo entries into the same
+    tracker.  A domain whose memo must not outlive an evaluation drops it
+    in [begin_evaluation]; one with no application memo reports zero
+    [memo_stats]/[invalidations]. *)
 
 (** The transfer function and the context it runs under.  {!Interp.Make}
     implements it once for every domain; {!Product.Make} pairs two. *)
@@ -93,35 +92,8 @@ module type S = sig
   (** Raise the current state's chain bound to at least the given
       value (monotone: growing [d] only refines comparisons). *)
 
-  (** {2 Dependency sources and read frames} *)
-
-  type source
-
-  val new_source : unit -> source
-  val source_id : source -> int
-
-  val touch : source -> unit
-  (** Advance the generation: dependents become stale, and every
-      {!with_reads} frame, open or closed, whose read set holds the
-      source is notified (once in the frame's lifetime). *)
-
-  val note_read : source -> unit
-  (** Record a read in the innermost open frame (no-op outside). *)
-
-  type reads
-
-  val with_reads : notify:(unit -> unit) -> (unit -> 'a) -> 'a * reads
-  (** Run in a fresh isolated read frame and return the result with what
-      the frame read.  [notify] is called once, on the first {!touch} of
-      a source in the frame's read set (or at once, should the frame
-      consume something that already moved); that is how the solver
-      learns which entries to re-evaluate, without asking for the read
-      set. *)
-
-  val sources : reads -> (source * int) list
-  (** Every (source, generation-at-read) pair the frame read, flattened
-      on demand: the solver asks only when it condenses the dependency
-      graph. *)
+  val begin_evaluation : unit -> unit
+  (** Called by the solver before each evaluation of an entry. *)
 
   (** {2 Application memo statistics} *)
 

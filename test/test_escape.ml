@@ -221,21 +221,23 @@ let apply_units =
         Alcotest.(check (pair int int)) "no hits, no misses" (0, 0) (D.cache_stats ()));
   ]
 
-(* The read-set contract of the application memo: what a [watch] frame
-   reads ([sources]) for a computation, which touches make a memo entry stale, and
-   when a [watch] frame is notified.  A memo entry stands for its
-   computation, so the reads of the memos it hit are its reads too,
-   however deep they sit.  Each case runs in a fresh solver state. *)
+(* The read-set contract of the dependency tracker ([Framework.Deps])
+   under the application memo: what a [watch] frame reads ([sources]) for
+   a computation, which touches make a memo entry stale, and when a
+   [watch] frame is notified.  A memo entry stands for its computation,
+   so the reads of the memos it hit are its reads too, however deep they
+   sit.  Each case runs in a fresh solver state. *)
 let reads_units =
+  let module Deps = Framework.Deps in
   let fresh f = D.with_state (D.create_state ()) f in
   let int_int = Ty.Arrow (Ty.Int, Ty.Int) in
   let x = D.base ~ty:Ty.Int (one 0) in
-  let sids reads = List.sort compare (List.map (fun (s, _) -> D.source_id s) reads) in
+  let sids reads = List.sort compare (List.map (fun (s, _) -> Deps.id s) reads) in
   (* a memoized function whose body notes [s] *)
   let reader ?(runs = ref 0) s =
     D.v ~ty:int_int ~esc:zero ~app:(fun y ->
         incr runs;
-        D.note_read s;
+        Deps.note_read s;
         D.base ~ty:Ty.Int y.D.esc)
   in
   (* a memoized function whose body applies each of [gs] *)
@@ -247,22 +249,22 @@ let reads_units =
   [
     Alcotest.test_case "hit-contributes-its-reads" `Quick (fun () ->
         fresh @@ fun () ->
-        let s1 = D.new_source () and s2 = D.new_source () in
+        let s1 = Deps.source () and s2 = Deps.source () in
         let inner = reader s2 in
         ignore (D.apply inner x);
         let outer =
           D.v ~ty:int_int ~esc:zero ~app:(fun y ->
-              D.note_read s1;
+              Deps.note_read s1;
               D.apply inner y)
         in
         D.reset_stats ();
-        let _, reads = D.watch ~notify:ignore (fun () -> D.apply outer x) in
+        let _, reads = Deps.watch ~notify:ignore (fun () -> D.apply outer x) in
         checki "inner hit" 1 (fst (D.cache_stats ()));
         Alcotest.(check (list int))
-          "both sources" (sids [ (s1, 0); (s2, 0) ]) (sids (D.sources reads)));
+          "both sources" (sids [ (s1, 0); (s2, 0) ]) (sids (Deps.sources reads)));
     Alcotest.test_case "deep-touch-stales-the-outer-memo" `Quick (fun () ->
         fresh @@ fun () ->
-        let s2 = D.new_source () and other = D.new_source () in
+        let s2 = Deps.source () and other = Deps.source () in
         let inner = reader s2 in
         let middle = over [ inner ] in
         let runs = ref 0 and seen = ref (-1) in
@@ -275,13 +277,13 @@ let reads_units =
         ignore (D.apply outer x);
         checki "first run" 1 !runs;
         (* an unrelated touch leaves the entry valid *)
-        D.touch other;
+        Deps.touch other;
         let before = D.invalidations () in
         ignore (D.apply outer x);
         checki "still cached" 1 !runs;
         checki "nothing invalidated" before (D.invalidations ());
         (* s2 was read two memo levels below [outer] *)
-        D.touch s2;
+        Deps.touch s2;
         ignore (D.apply outer x);
         checki "body re-ran" 2 !runs;
         checki "outer discarded before its body re-ran" (before + 1) !seen);
@@ -290,7 +292,7 @@ let reads_units =
         (* 40 levels of two entries, each applying both entries below:
            2^40 paths over 81 entries, so every walk must mark what it
            has visited *)
-        let s = D.new_source () and other = D.new_source () in
+        let s = Deps.source () and other = Deps.source () in
         let leaf = reader s in
         let rec build n below =
           if n = 0 then below
@@ -299,16 +301,16 @@ let reads_units =
         let top_runs = ref 0 in
         let top = over ~runs:top_runs (build 40 [ leaf ]) in
         let notified = ref 0 in
-        let _, reads = D.watch ~notify:(fun () -> incr notified) (fun () -> D.apply top x) in
-        Alcotest.(check (list int)) "one source" [ D.source_id s ] (sids (D.sources reads));
-        D.touch other;
-        let _, reads = D.watch ~notify:ignore (fun () -> D.apply top x) in
-        Alcotest.(check (list int)) "hit reports it" [ D.source_id s ] (sids (D.sources reads));
+        let _, reads = Deps.watch ~notify:(fun () -> incr notified) (fun () -> D.apply top x) in
+        Alcotest.(check (list int)) "one source" [ Deps.id s ] (sids (Deps.sources reads));
+        Deps.touch other;
+        let _, reads = Deps.watch ~notify:ignore (fun () -> D.apply top x) in
+        Alcotest.(check (list int)) "hit reports it" [ Deps.id s ] (sids (Deps.sources reads));
         checki "cached" 1 !top_runs;
-        D.touch s;
+        Deps.touch s;
         checki "one touch, one notify" 1 !notified;
         checki "every entry stale" 0
-          (List.length (List.filter (fun e -> not (D.entry_stale e)) (D.memo_entries ())));
+          (List.length (List.filter (fun e -> not (Deps.stale e)) (D.memo_entries ())));
         ignore (D.apply top x);
         checki "recomputed" 2 !top_runs);
     Alcotest.test_case "watch-notified-once-two-levels-down" `Quick (fun () ->
@@ -316,35 +318,35 @@ let reads_units =
         List.iter
           (fun hit ->
             fresh @@ fun () ->
-            let s = D.new_source () and other = D.new_source () in
+            let s = Deps.source () and other = Deps.source () in
             let middle = over [ reader s ] in
             if hit then ignore (D.apply middle x);
             D.reset_stats ();
             let notified = ref 0 in
-            let _ = D.watch ~notify:(fun () -> incr notified) (fun () -> D.apply middle x) in
+            let _ = Deps.watch ~notify:(fun () -> incr notified) (fun () -> D.apply middle x) in
             checki "hit or computed" (if hit then 1 else 0) (fst (D.cache_stats ()));
-            D.touch other;
+            Deps.touch other;
             checki "an unrelated touch notifies nobody" 0 !notified;
-            D.touch s;
+            Deps.touch s;
             checki "first touch notifies" 1 !notified;
-            D.touch s;
+            Deps.touch s;
             checki "second touch does not" 1 !notified)
           [ false; true ]);
     Alcotest.test_case "linking-a-stale-entry-notifies-at-once" `Quick (fun () ->
         fresh @@ fun () ->
-        let s = D.new_source () in
+        let s = Deps.source () in
         (* its own computation moves what it read *)
         let runs = ref 0 in
         let mover =
           D.v ~ty:int_int ~esc:zero ~app:(fun y ->
               incr runs;
-              D.note_read s;
-              D.touch s;
+              Deps.note_read s;
+              Deps.touch s;
               D.base ~ty:Ty.Int y.D.esc)
         in
         let notified = ref 0 and seen = ref (-1) in
         let _ =
-          D.watch
+          Deps.watch
             ~notify:(fun () -> incr notified)
             (fun () ->
               ignore (D.apply mover x);
@@ -357,20 +359,20 @@ let reads_units =
         checki "discarded at lookup" (before + 1) (D.invalidations ()));
     Alcotest.test_case "aborted-reads-land-in-the-enclosing-frame" `Quick (fun () ->
         fresh @@ fun () ->
-        let s = D.new_source () in
+        let s = Deps.source () in
         let failing =
           D.v ~ty:int_int ~esc:zero ~app:(fun _ ->
-              D.note_read s;
+              Deps.note_read s;
               raise Exit)
         in
         let notified = ref 0 in
         let _, reads =
-          D.watch
+          Deps.watch
             ~notify:(fun () -> incr notified)
             (fun () -> try ignore (D.apply failing x) with Exit -> ())
         in
-        Alcotest.(check (list int)) "read set" [ D.source_id s ] (sids (D.sources reads));
-        D.touch s;
+        Alcotest.(check (list int)) "read set" [ Deps.id s ] (sids (Deps.sources reads));
+        Deps.touch s;
         checki "the catching frame is notified" 1 !notified);
     Alcotest.test_case "random-touches-match-the-pull-definition" `Quick (fun () ->
         (* random layered memo functions over four sources, some of
@@ -381,7 +383,7 @@ let reads_units =
         let pick l = List.filter (fun _ -> Random.State.int rand 3 = 0) l in
         for _ = 1 to 200 do
           fresh @@ fun () ->
-          let srcs = List.init 4 (fun _ -> D.new_source ()) in
+          let srcs = List.init 4 (fun _ -> Deps.source ()) in
           let args = [ x; D.base ~ty:Ty.Int (one 1) ] in
           let fns = Array.make 8 (D.bottom int_int) in
           Array.iteri
@@ -390,13 +392,13 @@ let reads_units =
               let moves = if Random.State.int rand 8 = 0 then pick srcs else [] in
               fns.(i) <-
                 D.v ~ty:int_int ~esc:zero ~app:(fun y ->
-                    List.iter D.note_read reads;
+                    List.iter Deps.note_read reads;
                     let r =
                       List.fold_left
                         (fun acc j -> D.join acc (D.apply fns.(j) y))
                         (D.bottom Ty.Int) below
                     in
-                    List.iter D.touch moves;
+                    List.iter Deps.touch moves;
                     r))
             fns;
           let watches = ref [] in
@@ -405,61 +407,98 @@ let reads_units =
                let f = fns.(Random.State.int rand 8) in
                let y = List.nth args (Random.State.int rand 2) in
                let notified = ref 0 in
-               let _, reads = D.watch ~notify:(fun () -> incr notified) (fun () -> D.apply f y) in
+               let _, reads = Deps.watch ~notify:(fun () -> incr notified) (fun () -> D.apply f y) in
                watches := (notified, reads) :: !watches
-             else D.touch (List.nth srcs (Random.State.int rand 4)));
+             else Deps.touch (List.nth srcs (Random.State.int rand 4)));
             let j = Stale_oracle.judge () in
             List.iter (fun e -> ignore (Stale_oracle.stale j e)) (D.memo_entries ());
             List.iter
-              (fun (e, pulled) -> checkb "entry flag" pulled (D.entry_stale e))
+              (fun (e, pulled) -> checkb "entry flag" pulled (Deps.stale e))
               (Stale_oracle.verdicts j);
             List.iter
               (fun (notified, reads) ->
                 let moved =
-                  List.exists (fun (s, g) -> D.generation s <> g) (D.sources reads)
+                  List.exists (fun (s, g) -> Deps.generation s <> g) (Deps.sources reads)
                 in
                 checki "watch notified" (Bool.to_int moved) !notified)
               !watches
           done
         done);
-    Alcotest.test_case "flow-watch-notified-once" `Quick (fun () ->
-        (* the flag analyses keep flat frames: a read notifies its own
-           frame only, not the one around it *)
-        let module U = Framework.Usage.D in
-        U.with_state (U.create_state ()) @@ fun () ->
-        let s = U.new_source () and other = U.new_source () in
-        let outer = ref 0 and inner = ref 0 in
-        let (_, reads), _ =
-          U.with_reads
-            ~notify:(fun () -> incr outer)
-            (fun () ->
-              U.with_reads
-                ~notify:(fun () -> incr inner)
-                (fun () ->
-                  U.note_read s;
-                  U.note_read s))
+    Alcotest.test_case "sources-in-first-read-order" `Quick (fun () ->
+        (* direct reads and the reads of a hit entry, interleaved: each
+           source is listed once, where it was first read *)
+        fresh @@ fun () ->
+        let s1 = Deps.source () and s2 = Deps.source () and s3 = Deps.source () in
+        let inner = reader s1 in
+        ignore (D.apply inner x);
+        let _, reads =
+          Deps.watch ~notify:ignore (fun () ->
+              Deps.note_read s3;
+              Deps.note_read s2;
+              ignore (D.apply inner x);
+              Deps.note_read s3)
         in
         Alcotest.(check (list int))
-          "flat reads" [ U.source_id s; U.source_id s ]
-          (List.map (fun (s, _) -> U.source_id s) (U.sources reads));
-        U.touch other;
+          "first-read order" (List.map Deps.id [ s3; s2; s1 ])
+          (List.map (fun (s, _) -> Deps.id s) (Deps.sources reads)));
+    Alcotest.test_case "flow-watch-notified-once" `Quick (fun () ->
+        (* an evaluation's frame is isolated: a read notifies its own
+           frame only, not the one around it, and is listed once *)
+        let s = Deps.source () and other = Deps.source () in
+        let outer = ref 0 and inner = ref 0 in
+        let (_, reads), _ =
+          Deps.watch
+            ~notify:(fun () -> incr outer)
+            (fun () ->
+              Deps.watch
+                ~notify:(fun () -> incr inner)
+                (fun () ->
+                  Deps.note_read s;
+                  Deps.note_read s))
+        in
+        Alcotest.(check (list int))
+          "one read" [ Deps.id s ]
+          (List.map (fun (s, _) -> Deps.id s) (Deps.sources reads));
+        Deps.touch other;
         checki "unrelated touch" 0 !inner;
-        U.touch s;
-        U.touch s;
+        Deps.touch s;
+        Deps.touch s;
         checki "inner notified once" 1 !inner;
         checki "outer read nothing" 0 !outer);
     Alcotest.test_case "product-watch-notified-once" `Quick (fun () ->
-        (* a product read lands on both sides; the touch reaches both,
-           and still notifies once *)
-        let module P = Analyses.Product.PD in
-        P.with_state (P.create_state ()) @@ fun () ->
-        let s = P.new_source () in
-        let notified = ref 0 in
-        let _, reads = P.with_reads ~notify:(fun () -> incr notified) (fun () -> P.note_read s) in
+        (* both components of escape x usage read [g] through the global
+           hook, escape inside its memoized applications and usage
+           directly: the evaluation's one frame lists the source once
+           and a touch notifies it once *)
+        let prog = Nml.Infer.infer_program (Surface.of_string "letrec g l = l; f l = g l in f [1]") in
+        let body = Nml.Infer.instantiate_def prog "f" None in
+        let s = Deps.source () in
+        let evaluate (module S : Framework.Spec.S) =
+          let calls = ref 0 in
+          let global _ ty =
+            incr calls;
+            Deps.note_read s;
+            S.bottom ty
+          in
+          S.with_state (S.create_state ()) @@ fun () ->
+          let ctx = S.make_ctx ~d:(fun () -> 1) ~global ~max_iters:10 in
+          let notified = ref 0 in
+          let _, reads =
+            Deps.watch
+              ~notify:(fun () -> incr notified)
+              (fun () -> S.equal ~d:1 (S.transfer ctx body) (S.bottom body.Nml.Tast.ty))
+          in
+          (!calls, reads, notified)
+        in
+        let by_escape, _, _ = evaluate (module Escape.Espec) in
+        let by_usage, _, _ = evaluate (module Framework.Usage.D) in
+        checkb "each component reads it" true (by_escape > 0 && by_usage > 0);
+        let calls, reads, notified = evaluate (module Analyses.Product.PD) in
+        checki "the product reads it through both" (by_escape + by_usage) calls;
         Alcotest.(check (list int))
-          "one product source" [ P.source_id s ]
-          (List.map (fun (s, _) -> P.source_id s) (P.sources reads));
-        P.touch s;
+          "one product source" [ Deps.id s ]
+          (List.map (fun (s, _) -> Deps.id s) (Deps.sources reads));
+        Deps.touch s;
         checki "one notify" 1 !notified);
   ]
 

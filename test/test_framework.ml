@@ -98,7 +98,7 @@ let flag_table_units =
 
 (* Solve [src] and run every global test, then judge every complete memo
    entry — and every entry its trace reaches — by the pull definition
-   ([Stale_oracle]); the flag [Dvalue.touch] pushed must agree.  Returns
+   ([Stale_oracle]); the flag [Deps.touch] pushed must agree.  Returns
    how many entries were judged and how many of them were stale. *)
 let check_stale_flags src =
   let t = Fix.of_source src in
@@ -108,7 +108,7 @@ let check_stale_flags src =
   List.iter (fun e -> ignore (Stale_oracle.stale j e)) (D.memo_entries ());
   List.fold_left
     (fun (n, k) (e, pulled) ->
-      checkb "pushed flag is the pull verdict" pulled (D.entry_stale e);
+      checkb "pushed flag is the pull verdict" pulled (Framework.Deps.stale e);
       (n + 1, if pulled then k + 1 else k))
     (0, 0) (Stale_oracle.verdicts j)
 
