@@ -1,4 +1,4 @@
-.PHONY: all build test goldens goldens-update goldens-regen check vet bench bench-smoke bench-gate bench-tables batch-smoke lint-smoke serve-smoke framework-smoke sharing-smoke vm-smoke ci clean
+.PHONY: all build test goldens goldens-update goldens-regen tables-update check vet bench bench-smoke bench-gate bench-tables batch-smoke lint-smoke serve-smoke framework-smoke sharing-smoke vm-smoke ci clean
 
 all: build
 
@@ -29,6 +29,14 @@ goldens-regen: build
 	  $$N optimize $$f > $$b.optimized; \
 	  $$N compile $$f -O --dump-bytecode > $$b.bytecode; \
 	done
+
+# Re-renders every section of test/fixpoints.table and test/flags.table
+# from its stored source and rewrites both files, so that `git diff
+# test/*.table` shows exactly which verdicts and counters moved.  The
+# test suite's legacy-differential and flag-table groups check the same
+# renderings against the committed files.
+tables-update: build
+	dune exec test/support/tables_update.exe
 
 # The differential soundness harness with fault injection on.
 check: build

@@ -24,7 +24,8 @@
 
    Exit codes: 0 clean, 1 findings / divergence / user or usage error,
    2 storage exhausted (Out_of_memory), 3 step budget exhausted
-   (Out_of_fuel), 124 internal error. *)
+   (Out_of_fuel), 124 internal error, 125 an exception that escaped
+   every handler. *)
 
 open Cmdliner
 
@@ -113,12 +114,28 @@ let print_findings ?rules format ~schema counts ds line =
 
 (* ---- commands -------------------------------------------------------------- *)
 
+(* nmlc's exit codes, listed in the EXIT STATUS section of every
+   command's --help *)
+let exits =
+  [
+    Cmd.Exit.info 0 ~doc:"on success, with nothing to report.";
+    Cmd.Exit.info 1
+      ~doc:
+        "on findings, diagnostics, a soundness divergence, a runtime error of the \
+         program, or a usage error (unknown command, bad option value, missing file).";
+    Cmd.Exit.info 2 ~doc:"when the heap is exhausted ($(b,--heap) N $(b,--no-grow)).";
+    Cmd.Exit.info 3 ~doc:"when the step budget is exhausted ($(b,--fuel) N).";
+    Cmd.Exit.info 124 ~doc:"on an internal error: a bug in nmlc itself, never a bad input.";
+    Cmd.Exit.info 125 ~doc:"on an exception that escaped every handler: also a bug in nmlc.";
+  ]
+
+
 let parse_cmd =
   let run input =
     with_input input (fun file src ->
         Format.printf "%a@." Nml.Surface.pp (Nml.Surface.of_string ~file src))
   in
-  Cmd.v (Cmd.info "parse" ~doc:"Parse and pretty-print a program") Term.(const run $ source)
+  Cmd.v (Cmd.info ~exits "parse" ~doc:"Parse and pretty-print a program") Term.(const run $ source)
 
 let typecheck_cmd =
   let run input =
@@ -128,7 +145,7 @@ let typecheck_cmd =
           prog.Nml.Infer.schemes;
         Format.printf "main : %a@." Nml.Ty.pp (Nml.Infer.main_ground prog).Nml.Tast.ty)
   in
-  Cmd.v (Cmd.info "typecheck" ~doc:"Infer and print definition type schemes")
+  Cmd.v (Cmd.info ~exits "typecheck" ~doc:"Infer and print definition type schemes")
     Term.(const run $ source)
 
 let eval_cmd =
@@ -136,7 +153,7 @@ let eval_cmd =
     with_typed input (fun prog ->
         Format.printf "%a@." Nml.Eval.pp_value (Nml.Eval.run ?fuel prog.Nml.Infer.surface))
   in
-  Cmd.v (Cmd.info "eval" ~doc:"Run the reference interpreter")
+  Cmd.v (Cmd.info ~exits "eval" ~doc:"Run the reference interpreter")
     Term.(const run $ source $ fuel_arg "Bound the number of evaluation steps.")
 
 let stats_json stats =
@@ -292,7 +309,7 @@ let analyze_cmd =
       "List the registered analyses (name, question, abstract domain) and exit."
   in
   Cmd.v
-    (Cmd.info "analyze" ~doc:"Escape analysis report (global tests and sharing)")
+    (Cmd.info ~exits "analyze" ~doc:"Escape analysis report (global tests and sharing)")
     Term.(
       const run $ source $ func $ enumerate $ local $ show_stats $ json $ analysis
       $ listing)
@@ -442,7 +459,7 @@ let batch_cmd =
        analyze --list-analyses)."
   in
   Cmd.v
-    (Cmd.info "batch"
+    (Cmd.info ~exits "batch"
        ~doc:"Analyze or lint many programs in parallel through the persistent summary \
              cache")
     Term.(
@@ -488,7 +505,7 @@ let mono_cmd =
           r.Nml.Mono.instances)
   in
   Cmd.v
-    (Cmd.info "mono" ~doc:"Monomorphize: one copy of each definition per used instance")
+    (Cmd.info ~exits "mono" ~doc:"Monomorphize: one copy of each definition per used instance")
     Term.(const run $ source)
 
 let optimize_cmd =
@@ -499,7 +516,7 @@ let optimize_cmd =
         Format.printf "%a@." Runtime.Ir.pp r.Optimize.Transform.ir)
   in
   Cmd.v
-    (Cmd.info "optimize" ~doc:"Apply the storage optimizations and print the program")
+    (Cmd.info ~exits "optimize" ~doc:"Apply the storage optimizations and print the program")
     Term.(const run $ source $ options_term)
 
 let run_cmd =
@@ -560,7 +577,7 @@ let run_cmd =
        same heap policy, same statistics)."
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Execute on the storage simulator and print statistics")
+    (Cmd.info ~exits "run" ~doc:"Execute on the storage simulator and print statistics")
     Term.(
       const run $ source $ options_term $ optimized $ heap $ no_grow $ check $ compare
       $ fuel_arg "Bound the number of machine steps." $ policy $ nursery $ no_regions
@@ -595,7 +612,7 @@ let compile_cmd =
        nest, plus the conversion report."
   in
   Cmd.v
-    (Cmd.info "compile"
+    (Cmd.info ~exits "compile"
        ~doc:"Lower through the bytecode middle-end (ANF, closure conversion) and \
              print the requested stage; with no dump flag, print the closure-\
              conversion report")
@@ -655,7 +672,7 @@ let check_cmd =
       & info [] ~docv:"FILE" ~doc:"Additional program files to check.")
   in
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info ~exits "check"
        ~doc:"Differential soundness harness: reference interpreter vs machine under \
              fault injection, on the builtin corpus and random programs")
     Term.(
@@ -713,7 +730,7 @@ let vet_cmd =
   in
   let seed = opt Arg.int 0 [ "seed" ] "S" "Seed for --mutate; equal seeds reproduce runs." in
   Cmd.v
-    (Cmd.info "vet"
+    (Cmd.info ~exits "vet"
        ~doc:"Independently re-verify the optimizer's storage annotations, reporting \
              violated proof obligations as source-located diagnostics")
     Term.(
@@ -785,7 +802,7 @@ let lint_cmd =
        reuse candidate).  The cache is bypassed.  Expected to exit nonzero."
   in
   Cmd.v
-    (Cmd.info "lint"
+    (Cmd.info ~exits "lint"
        ~doc:"Escape-informed lint rules: missed reuse opportunities, heap-doomed \
              results, Theorem-1 instance-invariance self-audit, dead spines, unused \
              bindings and unreachable branches, with inline \
@@ -850,7 +867,7 @@ let serve_cmd =
        exercise the supervision, deadline and self-heal machinery."
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info ~exits "serve"
        ~doc:"A fault-tolerant analysis daemon: framed JSON-RPC over a Unix socket \
              or stdio, the summary cache held hot in memory, per-request deadlines, \
              bounded-queue load shedding, supervised worker domains and a clean \
@@ -885,7 +902,7 @@ let serve_cmd =
 
 let () =
   let doc = "escape analysis on lists (Park & Goldberg, PLDI 1992)" in
-  let info = Cmd.info "nmlc" ~version:"1.0.0" ~doc in
+  let info = Cmd.info ~exits "nmlc" ~version:"1.0.0" ~doc in
   let cmd =
     Cmd.group info
       [

@@ -31,21 +31,6 @@ let with_esc esc t =
 
 let with_ty ty t = { t with ty }
 
-(* ---- application memo entries ------------------------------------------ *)
-
-(* A memoized application: its value while and after it is computed, and
-   its half of the dependency tracker ([Framework.Deps]), which records
-   what the computation read and goes stale for good when any of that
-   moves on. *)
-module Deps = Framework.Deps
-
-type centry = {
-  mutable value : t;
-  mutable complete : bool;
-  mutable reentered : bool;
-  deps : Deps.entry;
-}
-
 (* ---- solver state --------------------------------------------------------- *)
 
 (* Everything mutable the application engine works over, hoisted out of
@@ -55,31 +40,25 @@ type centry = {
    - [d]: the chain bound, the largest spine count seen so far;
    - [intern_table]: probe/worst-case value interning (one physical value,
      hence one id, per (kind, esc, type));
-   - [cache]: the application memo;
-   - [probe_table]: probe families per (d, type);
-   - hit/miss/invalidation counters. *)
+   - [memo]: the pending-application memo ([Framework.Pending]), with
+     its hit/miss/invalidation counters;
+   - [probe_table]: probe families per (d, type). *)
 
-type arg_key = Kbase of Besc.t | Kfun of int | Kprod of Besc.t * arg_key * arg_key
+module Pending = Framework.Pending
 
 type state = {
   mutable d : int;
   intern_table : (string, t) Hashtbl.t;
-  cache : (int * arg_key, centry) Hashtbl.t;
+  memo : (t, Besc.t) Pending.t;
   probe_table : (int * string, t list) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable invalidated : int;
 }
 
 let create_state () =
   {
     d = 0;
     intern_table = Hashtbl.create 64;
-    cache = Hashtbl.create 4096;
+    memo = Pending.create 4096;
     probe_table = Hashtbl.create 64;
-    hits = 0;
-    misses = 0;
-    invalidated = 0;
   }
 
 (* The ambient state is domain-local: a domain that never installs a
@@ -257,9 +236,9 @@ let rec mark_component ~path t =
 
 let rec key_of arg =
   match Ty.shape arg.ty with
-  | Ty.Sbase -> Kbase arg.esc
-  | Ty.Sarrow _ -> Kfun arg.id
-  | Ty.Sprod _ -> Kprod (arg.esc, key_of (fst_of arg), key_of (snd_of arg))
+  | Ty.Sbase -> Pending.Base arg.esc
+  | Ty.Sarrow _ -> Pending.Fun arg.id
+  | Ty.Sprod _ -> Pending.Prod (arg.esc, key_of (fst_of arg), key_of (snd_of arg))
 
 (* Probe values are cached per (bound, type) so repeated comparisons apply
    the same values and hit the application cache. *)
@@ -314,90 +293,20 @@ and join a b =
       ~esc:(Besc.join a.esc b.esc)
       ~app:(fun x -> join (apply a x) (apply b x))
 
-(* Pending analysis: a cyclic re-entry on the same (function, argument)
-   returns the entry's current approximation; the outer activation then
-   re-runs the body until the approximation is stable.  The domain is
-   finite and all operators are monotone, so the loop terminates; the
-   iteration cap is a defensive backstop that widens to top (the safe
-   direction).  A first run that never re-entered stores the body's own
-   value: bottom joined with it is the same function, and keeping its id
-   keeps its own memo entries hitting.  A direct value cannot re-enter
-   and is rebuilt with a fresh id wherever it occurs, so it skips all
-   of this and runs as if inlined. *)
-and apply f x = if f.direct then f.app x else memo_apply f x
+(* A direct value cannot re-enter and is rebuilt with a fresh id
+   wherever it occurs, so it skips the memo and runs as if inlined. *)
+and apply f x =
+  if f.direct then f.app x
+  else Pending.apply domain (current_state ()).memo (f.id, key_of x) f.ty f.app x
 
-and memo_apply f x =
-  let st = current_state () in
-  let key = (f.id, key_of x) in
-  match Hashtbl.find_opt st.cache key with
-  | Some e when e.complete ->
-      if not (Deps.stale e.deps) then begin
-        st.hits <- st.hits + 1;
-        (* a hit stands in for the computation: whatever encloses this
-           application read what the entry read *)
-        Deps.use e.deps;
-        e.value
-      end
-      else begin
-        (* an entry this application depended on changed: discard just
-           this memo and recompute against the current values *)
-        st.invalidated <- st.invalidated + 1;
-        Hashtbl.remove st.cache key;
-        memo_apply f x
-      end
-  | Some e ->
-      (* re-entered while computing: yield the approximation *)
-      e.reentered <- true;
-      e.value
-  | None ->
-      st.misses <- st.misses + 1;
-      let result_ty =
-        match Ty.shape f.ty with
-        | Ty.Sarrow (_, b) -> b
-        | Ty.Sbase | Ty.Sprod _ -> f.ty (* err will raise before the type is used *)
-      in
-      let e =
-        { value = bottom result_ty; complete = false; reentered = false; deps = Deps.entry () }
-      in
-      Hashtbl.add st.cache key e;
-      let rec loop n =
-        e.reentered <- false;
-        let r = f.app x in
-        if n = 0 && not e.reentered then e.value <- with_ty result_ty r
-        else
-          let widened = join e.value r in
-          if e.reentered && not (equal widened e.value) then begin
-            e.value <- widened;
-            if n >= 64 then e.value <- top ~d:st.d result_ty else loop (n + 1)
-          end
-          else e.value <- widened
-      in
-      (* the computation runs in the entry's frame; an aborted one is
-         dropped, and what it read lands in the enclosing frame *)
-      (try Deps.run e.deps loop 0
-       with exn ->
-         Hashtbl.remove st.cache key;
-         raise exn);
-      e.complete <- true;
-      e.value
+and domain =
+  { Pending.bottom; top = (fun ty -> top ~d:(current_d ()) ty); join; equal; with_ty }
 
 let apply_all f xs = List.fold_left apply f xs
 
-let memo_entries () =
-  Hashtbl.fold
-    (fun _ e acc -> if e.complete then e.deps :: acc else acc)
-    (current_state ()).cache []
-
-let cache_stats () =
-  let st = current_state () in
-  (st.hits, st.misses)
-
-let invalidations () = (current_state ()).invalidated
-
-let reset_stats () =
-  let st = current_state () in
-  st.hits <- 0;
-  st.misses <- 0;
-  st.invalidated <- 0
+let memo_entries () = Pending.entries (current_state ()).memo
+let cache_stats () = Pending.stats (current_state ()).memo
+let invalidations () = Pending.invalidations (current_state ()).memo
+let reset_stats () = Pending.reset_stats (current_state ()).memo
 
 let pp ppf t = Format.fprintf ppf "@[%a : %a@]" Besc.pp t.esc Ty.pp t.ty

@@ -18,29 +18,24 @@
     {b Pending application.}  The function component of a recursive
     definition's abstract value re-enters itself when applied (the
     abstract [cdr] is the identity, so recursive calls repeat the same
-    abstract arguments).  {!apply} therefore performs the classic
-    {e pending analysis} of higher-order abstract interpretation: each
-    (function id, argument key) gets a table entry; a cyclic re-entry
-    returns the entry's current approximation (initially the bottom of
-    the result type); when the body's result exceeds the approximation
-    the application is re-run until it stabilizes.  Domains are finite
-    (section 3.5), so this terminates and computes the least fixpoint of
-    the self-application.  An activation that was not re-entered stores
-    the body's own value, not its join with the initial bottom: the two
-    are the same function, but the value's [id] is the memo key of every
-    later application of it, and a join would mint a fresh id nobody
-    has applied yet.  Completed entries also serve as a memo table,
-    which makes evaluation polynomial where naive unfolding is
-    exponential in the Kleene depth.  A {!direct} value (a primitive, one
-    of its partial applications, an arrow-shaped bottom) skips all of
-    this: it cannot re-enter, and it is rebuilt under a fresh id wherever
-    it occurs, so a memo entry for it could never be hit.  Every
-    recursion still passes through a memoized value.
+    abstract arguments).  {!apply} is the pending, memoized application
+    every domain shares ({!Framework.Pending}): Kleene iteration of each
+    (function id, argument key) entry from the bottom of the result type,
+    widened to top after 64 rounds, with completed entries serving as a
+    memo table.  This module supplies the argument key and the lattice
+    operations.  A {!direct} value (a primitive, one of its partial
+    applications, an arrow-shaped bottom) skips the memo: it cannot
+    re-enter, and it is rebuilt under a fresh id wherever it occurs, so
+    a memo entry for it could never be hit.  Every recursion still
+    passes through a memoized value.
 
     The argument key of a base-shaped argument is its basic escape value
     (exact: such a value is determined by it); for an arrow-shaped
     argument it is the value's [id] (sound: same id, same value); for a
-    product it is the tuple of component keys.
+    product it is the pair's own escape value and the component keys.
+    Ids are an infinite key space, so a function already pending on a
+    function-keyed argument and applied to another one yields top of
+    its result type ({!Framework.Pending}).
 
     {b Chain bound.}  Extensional comparison probes functions with every
     element of the basic chain [B_e] up to the bound [d] of the current
@@ -148,12 +143,11 @@ val current_d : unit -> int
     The bodies behind abstract function components read other
     definitions' values {e at application time} (through the solver's
     global hook), so a memoized application silently depends on solver
-    state that may move between fixpoint passes.  Rather than dropping
-    the whole memo table between passes, each memo entry is an entry of
-    the shared dependency tracker ({!Framework.Deps}): its computation
-    runs in the entry's frame, a hit links the entry into the enclosing
-    frame, and {!apply} discards the entry only once a source it read,
-    directly or below, has been touched since. *)
+    state that may move between fixpoint passes.  The memo is kept
+    across passes: each entry is an entry of the shared dependency
+    tracker ({!Framework.Deps}), and {!apply} discards it only once a
+    source it read, directly or below, has been touched since
+    ({!Framework.Pending}). *)
 
 val memo_entries : unit -> Framework.Deps.entry list
 (** The tracker entries of the current state's complete memo entries:

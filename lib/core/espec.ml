@@ -28,10 +28,6 @@ type state = Dvalue.state
 let create_state = Dvalue.create_state
 let with_state = Dvalue.with_state
 let ensure_d = Dvalue.ensure_d
-
-(* the memo outlives evaluations: its entries go stale through the
-   dependency tracker instead *)
-let begin_evaluation () = ()
 let memo_stats = Dvalue.cache_stats
 let invalidations = Dvalue.invalidations
 

@@ -6,13 +6,11 @@
     the entry's value and touches it ({!touch}) when the value grows.
     Each evaluation runs in a {!watch} frame, whose owner is notified the
     first time something it read moves; the frame's read set ({!sources})
-    is the instance-level dependency graph, flattened only on demand.  A
-    domain whose application memo outlives one evaluation (the escape
-    domain, [Escape.Dvalue]) runs each memoized computation in an
-    {!entry} frame ({!run}) and links the entry wherever it is hit
-    ({!use}), so a touch stales exactly the memo entries that read the
-    source, however deep.  A domain whose memo lives for one evaluation
-    only never opens an entry frame.
+    is the instance-level dependency graph, flattened only on demand.
+    The application memo every domain shares ({!Pending}) outlives
+    evaluations: it runs each memoized computation in an {!entry} frame
+    ({!run}) and links the entry wherever it is hit ({!use}), so a touch
+    stales exactly the memo entries that read the source, however deep.
 
     An entry records the (source, generation) pairs its computation read
     itself and links to the completed entries it hit or finished, not

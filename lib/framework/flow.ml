@@ -25,18 +25,15 @@
    ([bottom]), apply the definition's abstract value, and read the
    accumulated flags off the result.
 
-   Application performs the same pending analysis as [Escape.Dvalue]:
-   each (function id, argument key) pair gets a memo entry; a cyclic
-   re-entry returns the entry's current approximation (initially the
-   bottom of the result type) and the application is re-run until it
-   stabilizes — flag domains are finite, so this terminates for
-   first-order argument positions exactly as the escape engine does.
-   The memo is valid within one solver evaluation (entry values it read
-   may move between fixpoint iterations), so it is dropped when the next
-   evaluation begins ([begin_evaluation]); its entries are never linked
-   into the dependency tracker ({!Deps}), hence [invalidations] is
-   always 0.  The solver's own read frames notice every read of another
-   entry's value.
+   Application is the pending, memoized application every domain
+   shares ({!Pending}): each (function id, argument key) pair gets a memo
+   entry, a cyclic re-entry returns the entry's current approximation
+   and the application is re-run until it stabilizes.  The memo has the
+   escape domain's lifetime: it outlives solver evaluations, each entry
+   is linked into the dependency tracker ({!Deps}), and a touched
+   source stales exactly the entries that read it.  Flow keeps only
+   the case of a value without a function component (a worst-case
+   stage), which absorbs and exercises its argument.
 
    [Make] is generative: each instantiation owns private per-domain
    ambient state, and every solver installs its own [state], so two
@@ -108,46 +105,26 @@ module Make (F : FLAGS) () = struct
 
   (* ---- per-solver state -------------------------------------------------- *)
 
-  type akey = Kflags of F.t | Kid of int | Kpair of akey * akey
+  type state = (value, F.t) Pending.t
 
-  type centry = {
-    mutable cvalue : value;
-    mutable complete : bool;
-    mutable reentered : bool;
-  }
-
-  type state = {
-    memo : (int * akey, centry) Hashtbl.t;  (* pending/memoized applications *)
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let create_state () = { memo = Hashtbl.create 64; hits = 0; misses = 0 }
-
+  (* a flag solver's memo is small and a compile keeps many flag solvers
+     alive: 4,096 buckets, the escape memo's size, raised the run-reuse
+     benchmark's peak heap by a fifth *)
+  let create_state () = Pending.create 64
   let ambient : state Domain.DLS.key = Domain.DLS.new_key create_state
-  let installed : state option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-  let current_state () =
-    match Domain.DLS.get installed with
-    | Some s -> s
-    | None -> Domain.DLS.get ambient
+  let current_state () = Domain.DLS.get ambient
 
   let with_state s f =
-    let prev = Domain.DLS.get installed in
-    Domain.DLS.set installed (Some s);
-    Fun.protect ~finally:(fun () -> Domain.DLS.set installed prev) f
+    let prev = Domain.DLS.get ambient in
+    Domain.DLS.set ambient s;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set ambient prev) f
 
   (* flags carry no chain: the bound is never read *)
   let ensure_d _ = ()
 
-  (* the memo's reads are not tracked, so it must not outlive the
-     evaluation it was filled by *)
-  let begin_evaluation () = Hashtbl.reset (current_state ()).memo
-
-  let memo_stats () =
-    let s = current_state () in
-    (s.hits, s.misses)
-  let invalidations () = 0
+  let memo_stats () = Pending.stats (current_state ())
+  let invalidations () = Pending.invalidations (current_state ())
+  let memo_entries () = Pending.entries (current_state ())
 
   (* ---- values ------------------------------------------------------------ *)
 
@@ -189,7 +166,11 @@ module Make (F : FLAGS) () = struct
   (* the interesting argument: dep at every structural level *)
 
   let with_ty ty v = { v with ty }
-  let map_flags f v = { v with id = Atomic.fetch_and_add next_id 1; flags = f v.flags }
+  (* a value whose flags do not change is the same value: keeping its id
+     keeps the memo keys of its applications stable *)
+  let map_flags f v =
+    let flags = f v.flags in
+    if F.equal flags v.flags then v else { v with id = Atomic.fetch_and_add next_id 1; flags }
 
   let rec join a b =
     mk ~ty:a.ty
@@ -205,53 +186,27 @@ module Make (F : FLAGS) () = struct
         | (Some _ as p), None | None, (Some _ as p) -> p
         | None, None -> None)
 
-  let rec akey_of v =
+  (* The argument key: exact and finite for base and product shapes (a
+     pair's own flags reach the result through [fst_of]/[snd_of], so they
+     are part of it), the value id for arrow shapes. *)
+  let rec key_of v =
     match v.prod with
-    | Some (a, b) -> Kpair (akey_of a, akey_of b)
-    | None -> ( match v.app with Some _ -> Kid v.id | None -> Kflags v.flags)
+    | Some (a, b) -> Pending.Prod (v.flags, key_of a, key_of b)
+    | None -> ( match v.app with Some _ -> Pending.Fun v.id | None -> Pending.Base v.flags)
 
   let result_ty_of f =
     match Ty.repr f.ty with Ty.Arrow (_, b) -> b | _ -> f.ty
 
-  (* Pending, memoized application (the [Dvalue.apply] engine).  The
-     argument key is structural for base and product shapes — exact and
-     finite — and the value id for arrow shapes (sound: same id, same
-     value). *)
+  (* Pending, memoized application ({!Pending}, shared with the escape
+     domain); a value without a function component is applied here. *)
   let rec apply f x =
     match f.app with
     | None ->
         (* a worst-case stage lost the structure: absorb and exercise *)
         saturate (F.join f.flags (worst (total x))) (result_ty_of f)
-    | Some g -> (
-        let st = current_state () in
-        let k = (f.id, akey_of x) in
-        match Hashtbl.find_opt st.memo k with
-        | Some ce when ce.complete ->
-            st.hits <- st.hits + 1;
-            ce.cvalue
-        | Some ce ->
-            (* cyclic re-entry: current approximation *)
-            ce.reentered <- true;
-            ce.cvalue
-        | None ->
-            st.misses <- st.misses + 1;
-            let ce =
-              { cvalue = bottom (result_ty_of f); complete = false; reentered = false }
-            in
-            Hashtbl.add st.memo k ce;
-            let rec run n =
-              ce.reentered <- false;
-              let v = g x in
-              let v' = join ce.cvalue v in
-              let changed = not (equal_v ce.cvalue v') in
-              ce.cvalue <- v';
-              if changed && ce.reentered then
-                if n >= 64 then ce.cvalue <- top ~d:0 (result_ty_of f)
-                else run (n + 1)
-            in
-            run 0;
-            ce.complete <- true;
-            ce.cvalue)
+    | Some g -> Pending.apply domain (current_state ()) (f.id, key_of x) f.ty g x
+
+  and domain = { Pending.bottom; top = top ~d:0; join; equal = equal_v; with_ty }
 
   (* extensional comparison on the canonical probe set {interesting,
      bottom} per arrow level — finite and monotone, which is all the

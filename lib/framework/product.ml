@@ -39,10 +39,6 @@ end = struct
     A.ensure_d d;
     B.ensure_d d
 
-  let begin_evaluation () =
-    A.begin_evaluation ();
-    B.begin_evaluation ()
-
   (* ---- memo (delegated) --------------------------------------------------- *)
 
   let memo_stats () =

@@ -117,7 +117,6 @@ module Make (S : Spec.S) = struct
     e.evals <- e.evals + 1;
     t.evaluated <- t.evaluated + 1;
     S.record_iteration t.ctx;
-    S.begin_evaluation ();
     let grown, reads =
       Deps.watch
         ~notify:(fun () -> e.dirty <- true)

@@ -20,11 +20,11 @@
       abstract interpreter {!Interp.Make}.
 
     Dependency tracking is not a Spec's business: the solver tracks what
-    each evaluation read with {!Deps}, and a domain whose application
-    memo outlives one evaluation links its memo entries into the same
-    tracker.  A domain whose memo must not outlive an evaluation drops it
-    in [begin_evaluation]; one with no application memo reports zero
-    [memo_stats]/[invalidations]. *)
+    each evaluation read with {!Deps}, and a domain's application memo
+    ({!Pending}, one for every domain) links its entries into the same
+    tracker, so the memo outlives evaluations and a touch stales exactly
+    the entries that read the touched source.  A domain with no
+    application memo reports zero [memo_stats]/[invalidations]. *)
 
 (** The transfer function and the context it runs under.  {!Interp.Make}
     implements it once for every domain; {!Product.Make} pairs two. *)
@@ -91,9 +91,6 @@ module type S = sig
   val ensure_d : int -> unit
   (** Raise the current state's chain bound to at least the given
       value (monotone: growing [d] only refines comparisons). *)
-
-  val begin_evaluation : unit -> unit
-  (** Called by the solver before each evaluation of an entry. *)
 
   (** {2 Application memo statistics} *)
 

@@ -184,6 +184,52 @@ let path table =
 
 let sections table = parse (In_channel.with_open_text (path table) In_channel.input_all)
 
+(* Every section re-rendered from its stored source: the table's text
+   with each body replaced by what the renderer prints now, and every
+   other line (comments, blank lines, headers, [max_iters], sources)
+   kept as it was.  [update] writes it back ([make tables-update]). *)
+let rerendered table =
+  let text = In_channel.with_open_text (path table) In_channel.input_all in
+  let lines = String.split_on_char '\n' text in
+  let lines = if String.ends_with ~suffix:"\n" text then List.rev (List.tl (List.rev lines)) else lines in
+  let b = Buffer.create (String.length text) in
+  let line l =
+    Buffer.add_string b l;
+    Buffer.add_char b '\n'
+  in
+  let render max_iters src = Buffer.add_string b (table.render ?max_iters (String.concat "\n" (List.rev src))) in
+  let outside l = l = "" || l.[0] = '#' in
+  (* [`Source] while reading a section's header lines and source, [`Body]
+     while dropping its old body, [`Out] between sections *)
+  let rec go state = function
+    | [] -> ( match state with `Source (m, src) -> render m src | `Body | `Out -> ())
+    | l :: rest when String.starts_with ~prefix:"== " l ->
+        (match state with `Source (m, src) -> render m src | `Body | `Out -> ());
+        line l;
+        go (`Source (None, [])) rest
+    | l :: rest -> (
+        match state with
+        | `Source (m, src) when l <> "" && l.[0] = '|' ->
+            line l;
+            go (`Source (m, String.sub l 1 (String.length l - 1) :: src)) rest
+        | `Source (_, []) when String.starts_with ~prefix:"max_iters " l ->
+            line l;
+            go (`Source (Some (int_of_string (String.sub l 10 (String.length l - 10))), [])) rest
+        | `Source (m, src) ->
+            render m src;
+            if outside l then (line l; go `Out rest) else go `Body rest
+        | `Body -> if outside l then (line l; go `Out rest) else go `Body rest
+        | `Out ->
+            line l;
+            go `Out rest)
+  in
+  go `Out lines;
+  Buffer.contents b
+
+let update table =
+  let text = rerendered table in
+  Out_channel.with_open_text (path table) (fun oc -> output_string oc text)
+
 (* One check per test name the table's headers carry with [prefix], in
    table order.  A check re-renders every section of its test from the
    stored source and fails on the first that differs, printing both. *)

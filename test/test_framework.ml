@@ -15,9 +15,12 @@
      at the default cap and at [max_iters 1], pinned in
      [test/flags.table].
    - Memo staleness: over the same programs, every stale flag the
-     application engine pushed from a touched source must equal the pull
-     definition ([Stale_oracle]: some read in the entry's transitive
-     trace has moved on).
+     escape, usage and sharing solvers' memos pushed from a touched
+     source must equal the pull definition ([Stale_oracle]: some read in
+     the entry's transitive trace has moved on).
+   - The flag domains' memo: a re-application hits, a first run keeps
+     the body's value, a touch stales an entry that is then recomputed,
+     and a usage solver counts invalidations.
    - Golden files: the rendered report, solver-stats block, optimized
      program and optimized bytecode of every example program must be
      byte-identical to the captures in [test/golden/] ([make goldens]
@@ -96,21 +99,53 @@ let flag_table_units =
 
 (* ---- memo staleness: pushed flags against the pull definition ------------ *)
 
-(* Solve [src] and run every global test, then judge every complete memo
-   entry — and every entry its trace reaches — by the pull definition
-   ([Stale_oracle]); the flag [Deps.touch] pushed must agree.  Returns
-   how many entries were judged and how many of them were stale. *)
-let check_stale_flags src =
-  let t = Fix.of_source src in
-  ignore (Fixpoint_table.verdicts t);
-  Fix.with_state t @@ fun () ->
+(* Judge every given memo entry — and every entry its trace reaches — by
+   the pull definition ([Stale_oracle]); the flag [Deps.touch] pushed
+   must agree.  Returns how many entries were judged and how many of
+   them were stale. *)
+let judge_entries entries =
   let j = Stale_oracle.judge () in
-  List.iter (fun e -> ignore (Stale_oracle.stale j e)) (D.memo_entries ());
+  List.iter (fun e -> ignore (Stale_oracle.stale j e)) entries;
   List.fold_left
     (fun (n, k) (e, pulled) ->
       checkb "pushed flag is the pull verdict" pulled (Framework.Deps.stale e);
       (n + 1, if pulled then k + 1 else k))
     (0, 0) (Stale_oracle.verdicts j)
+
+(* Every parameter's verdict of every definition, so that a flag solver
+   has applied every value the table's verdicts apply. *)
+let all_verdicts prog arity verdict =
+  List.iter
+    (fun (f, _) ->
+      for arg = 1 to arity f do
+        ignore (verdict f arg)
+      done)
+    prog.Nml.Infer.schemes
+
+(* Solve [src] with the escape, usage and sharing solvers, run every
+   global test, then judge each solver's complete memo entries: one
+   (judged, stale) pair per solver, in that order. *)
+let check_stale_flags src =
+  let t = Fix.of_source src in
+  ignore (Fixpoint_table.verdicts t);
+  let escape = Fix.with_state t (fun () -> judge_entries (D.memo_entries ())) in
+  let prog = infer src in
+  let usage =
+    let t = Usage.Solver.make prog in
+    all_verdicts prog
+      (fun f -> Ty.arity (Usage.Solver.instance_ty t f))
+      (fun f arg -> Usage.arg_verdict t f ~arg);
+    Usage.Solver.with_state t (fun () -> judge_entries (Usage.D.memo_entries ()))
+  in
+  let sharing =
+    let module S = Framework.Alias in
+    let t = S.Solver.make prog in
+    all_verdicts prog
+      (fun f -> Ty.arity (S.Solver.instance_ty t f))
+      (fun f arg -> S.arg_verdict t f ~arg);
+    S.Solver.with_state t (fun () -> judge_entries (S.D.memo_entries ()))
+  in
+  [ escape; usage; sharing ]
 
 let stale_units =
   [
@@ -119,16 +154,86 @@ let stale_units =
           List.map snd Check.Harness.builtin_corpus
           @ (wide_chain_src :: recursion_nest_src :: random_corpus ())
         in
-        let judged, stale =
+        let totals =
           List.fold_left
-            (fun (n, k) src ->
-              let n', k' = check_stale_flags src in
-              (n + n', k + k'))
-            (0, 0) corpus
+            (fun acc src ->
+              List.map2 (fun (n, k) (n', k') -> (n + n', k + k')) acc (check_stale_flags src))
+            [ (0, 0); (0, 0); (0, 0) ]
+            corpus
         in
-        (* neither verdict may be vacuous *)
-        checkb (Printf.sprintf "some stale (%d of %d)" stale judged) true (stale > 0);
-        checkb "some valid" true (judged > stale));
+        (* neither verdict may be vacuous, for any of the three memos *)
+        List.iter2
+          (fun name (judged, stale) ->
+            checkb (Printf.sprintf "%s: some stale (%d of %d)" name stale judged) true (stale > 0);
+            checkb (name ^ ": some valid") true (judged > stale))
+          [ "escape"; "usage"; "sharing" ] totals);
+  ]
+
+(* ---- the flag domains' memo ---------------------------------------------- *)
+
+(* The flag domains apply through the same pending memo as the escape
+   domain ([Framework.Pending]): it outlives one solver evaluation, its
+   entries go stale through [Deps] and are recomputed at their next
+   lookup, and a first run that was not re-entered stores the body's own
+   value.  Each case runs in a fresh usage state. *)
+let flag_memo_units =
+  let module U = Usage.D in
+  let module Deps = Framework.Deps in
+  let fresh f = U.with_state (U.create_state ()) f in
+  let int_int = Ty.Arrow (Ty.Int, Ty.Int) in
+  let x = U.base ~ty:Ty.Int Usage.Flags.bot in
+  [
+    Alcotest.test_case "re-application-hits-the-memo" `Quick (fun () ->
+        fresh @@ fun () ->
+        let runs = ref 0 in
+        let f = U.func ~ty:int_int ~flags:Usage.Flags.bot (fun y -> incr runs; y) in
+        ignore (U.apply f x);
+        ignore (U.apply f x);
+        checki "one body run" 1 !runs;
+        Alcotest.(check (pair int int)) "one hit, one miss" (1, 1) (U.memo_stats ()));
+    Alcotest.test_case "not-re-entered-keeps-the-body-value" `Quick (fun () ->
+        fresh @@ fun () ->
+        let g = U.func ~ty:int_int ~flags:Usage.Flags.bot (fun y -> y) in
+        let f = U.func ~ty:(Ty.Arrow (Ty.Int, int_int)) ~flags:Usage.Flags.bot (fun _ -> g) in
+        checki "same id" g.U.id (U.apply f x).U.id);
+    Alcotest.test_case "touch-stales-and-recomputes" `Quick (fun () ->
+        fresh @@ fun () ->
+        let s = Deps.source () in
+        let runs = ref 0 in
+        let f =
+          U.func ~ty:int_int ~flags:Usage.Flags.bot (fun y ->
+              incr runs;
+              Deps.note_read s;
+              y)
+        in
+        ignore (U.apply f x);
+        ignore (U.apply f x);
+        checki "cached" 1 !runs;
+        checki "nothing invalidated" 0 (U.invalidations ());
+        Deps.touch s;
+        checkb "entry stale" true (List.for_all Deps.stale (U.memo_entries ()));
+        ignore (U.apply f x);
+        checki "recomputed" 2 !runs;
+        checki "one invalidation" 1 (U.invalidations ()));
+    Alcotest.test_case "usage-solver-invalidates" `Quick (fun () ->
+        (* in a mutual recursion, a memo entry on a definition's value
+           that did not change read the other definition in an earlier
+           evaluation: the other's growth stales it, and its next lookup
+           discards and recomputes it *)
+        let prog =
+          infer
+            "letrec ev x = if null x then true else od (cdr x); od y = if null y then false \
+             else ev (cdr y) in ev [1, 2]"
+        in
+        let t = Usage.Solver.make prog in
+        all_verdicts prog
+          (fun f -> Ty.arity (Usage.Solver.instance_ty t f))
+          (fun f arg -> Usage.arg_verdict t f ~arg);
+        let s = Usage.Solver.stats t in
+        checkb
+          (Printf.sprintf "invalidated %d" s.Framework.Solver.stats_cache_invalidated)
+          true
+          (s.Framework.Solver.stats_cache_invalidated > 0));
   ]
 
 (* ---- golden files --------------------------------------------------------- *)
@@ -870,6 +975,7 @@ let () =
       ("legacy-differential", legacy_units);
       ("flag-table", flag_table_units);
       ("stale-oracle", stale_units);
+      ("flag-memo", flag_memo_units);
       ("golden", golden_units);
       ("lattice-laws", lattice_units);
       ("witnesses", witness_units);
