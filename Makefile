@@ -160,10 +160,13 @@ sharing-smoke: build
 # The analysis daemon end to end through the CLI: a socket server with
 # the slow-request fault armed, every method exercised by the one-shot
 # client, the daemon's vet output byte-identical to `nmlc vet` on every
-# example and on the spine-liveness hints witness, the in-band error
-# taxonomy (SRV001 on a garbage payload, SRV004 on a blown deadline,
-# counted exactly once by a server that still answers), and a clean
-# shutdown drain (exit 0).
+# example and on the spine-liveness hints witness, its analyze output
+# byte-identical to `nmlc batch --no-cache` on every example (cold, then
+# warm with zero evaluations), the in-band error taxonomy (SRV001 on a
+# garbage payload, SRV004 on a blown deadline, counted exactly once by a
+# server that still answers), and a clean shutdown drain (exit 0).  A
+# second server started on the flushed cache directory must then answer
+# every example with the same output and zero evaluations.
 serve-smoke: build
 	rm -rf _build/serve_smoke && mkdir -p _build/serve_smoke
 	set -e; \
@@ -189,12 +192,35 @@ serve-smoke: build
 	  cmp $$O/cli.out $$O/daemon.out \
 	    || { echo "serve-smoke: daemon vet differs from nmlc vet on $$f"; exit 1; }; \
 	done; \
+	analyze_matches() { \
+	  $$N serve --connect $$S --call analyze --file $$1 > $$O/resp; \
+	  printf '%b' "$$(sed -n 's/.*"output": "\(.*\)", "errors".*/\1/p' $$O/resp)" \
+	    > $$O/daemon.out; \
+	  cmp $$O/$$(basename $$1).batch $$O/daemon.out \
+	    || { echo "serve-smoke: daemon analyze ($$2) differs from nmlc batch on $$1"; exit 1; }; \
+	}; \
+	for f in examples/programs/*.nml; do \
+	  $$N batch --no-cache $$f | sed '1d;$$d' > $$O/$$(basename $$f).batch; \
+	  analyze_matches $$f cold; \
+	  analyze_matches $$f warm; \
+	  grep -q '"evaluations": 0,' $$O/resp \
+	    || { echo "serve-smoke: warm analyze of $$f evaluated"; exit 1; }; \
+	done; \
 	( $$N serve --connect $$S --raw 'this is not json' || true ) \
 	  | grep -q 'SRV001'; \
 	( $$N serve --connect $$S --call analyze \
 	    --file examples/programs/reverse.nml --deadline-ms 1 || true ) \
 	  | grep -q 'SRV004'; \
 	$$N serve --connect $$S --call status | grep -q '"timeouts": 1,'; \
+	$$N serve --connect $$S --call shutdown | grep -q '"stopping": true'; \
+	wait $$SRV; \
+	$$N serve --socket $$S --cache _build/serve_smoke/cache --jobs 1 --quiet & SRV=$$!; \
+	for i in $$(seq 1 100); do [ -S $$S ] && break; sleep 0.1; done; \
+	for f in examples/programs/*.nml; do \
+	  analyze_matches $$f flushed; \
+	  grep -q '"evaluations": 0,' $$O/resp \
+	    || { echo "serve-smoke: $$f evaluated on the flushed cache"; exit 1; }; \
+	done; \
 	$$N serve --connect $$S --call shutdown | grep -q '"stopping": true'; \
 	wait $$SRV
 

@@ -120,6 +120,87 @@ let rec equal a b =
       ( Const _ | Prim _ | Var _ | App _ | Lam _ | If _ | Letrec _ ) ) ->
       false
 
+(* One tag per constructor in pre-order, so the string is a prefix
+   code: names carry their length, integers end in ';', and a letrec its
+   binding count.  Locations are not written, so two expressions get one
+   key exactly when [equal] holds. *)
+let prim_tag = function
+  | Add -> '+'
+  | Sub -> '-'
+  | Mul -> '*'
+  | Div -> '/'
+  | Mod -> '%'
+  | Eq -> '='
+  | Ne -> '!'
+  | Lt -> '<'
+  | Le -> '['
+  | Gt -> '>'
+  | Ge -> ']'
+  | And -> '&'
+  | Or -> '|'
+  | Not -> '~'
+  | Cons -> 'c'
+  | Car -> 'h'
+  | Cdr -> 't'
+  | Null -> 'n'
+  | Pair -> 'p'
+  | Fst -> '1'
+  | Snd -> '2'
+  | Node -> 'o'
+  | Isleaf -> 'e'
+  | Label -> 'b'
+  | Left -> 'l'
+  | Right -> 'r'
+
+let add_name b x =
+  Buffer.add_string b (string_of_int (String.length x));
+  Buffer.add_char b ':';
+  Buffer.add_string b x
+
+let rec add_key b = function
+  | Const (_, Cint n) ->
+      Buffer.add_char b 'i';
+      Buffer.add_string b (string_of_int n);
+      Buffer.add_char b ';'
+  | Const (_, Cbool true) -> Buffer.add_char b 'T'
+  | Const (_, Cbool false) -> Buffer.add_char b 'F'
+  | Const (_, Cnil) -> Buffer.add_char b 'N'
+  | Const (_, Cleaf) -> Buffer.add_char b 'L'
+  | Prim (_, p) ->
+      Buffer.add_char b 'p';
+      Buffer.add_char b (prim_tag p)
+  | Var (_, x) ->
+      Buffer.add_char b 'v';
+      add_name b x
+  | App (_, f, a) ->
+      Buffer.add_char b 'a';
+      add_key b f;
+      add_key b a
+  | Lam (_, x, e) ->
+      Buffer.add_char b 'l';
+      add_name b x;
+      add_key b e
+  | If (_, c, t, e) ->
+      Buffer.add_char b '?';
+      add_key b c;
+      add_key b t;
+      add_key b e
+  | Letrec (_, bs, e) ->
+      Buffer.add_char b 'r';
+      Buffer.add_string b (string_of_int (List.length bs));
+      Buffer.add_char b ';';
+      List.iter
+        (fun (x, rhs) ->
+          add_name b x;
+          add_key b rhs)
+        bs;
+      add_key b e
+
+let key e =
+  let b = Buffer.create 64 in
+  add_key b e;
+  Buffer.contents b
+
 let free_vars e =
   let seen = Hashtbl.create 16 in
   let acc = ref [] in

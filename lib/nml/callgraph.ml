@@ -55,8 +55,9 @@ let of_program (prog : Infer.program) =
   let edges =
     Array.map
       (fun name ->
-        let tast = Infer.instantiate_def prog name None in
-        List.filter_map (fun x -> Hashtbl.find_opt by_name x) (Tast.free_vars tast))
+        List.filter_map
+          (fun x -> Hashtbl.find_opt by_name x)
+          (Ast.free_vars (Infer.def_rhs prog name)))
       names
   in
   { names; edges; by_name }

@@ -22,8 +22,11 @@ end
 type t
 
 val of_program : Infer.program -> t
-(** Extracts the reference graph from the simplest monotyped instance of
-    every definition (references are instance-independent). *)
+(** Reads the reference graph off every definition's surface right-hand
+    side ({!Infer.def_rhs}) with {!Ast.free_vars}, typing nothing: a
+    typed instance erases to the same tree, so its free variables are
+    the same (the [callgraph] group of [test/test_batch.ml] checks this
+    against {!Infer.instantiate_def} on a corpus). *)
 
 val defs : t -> string list
 (** Definition names, in program order. *)

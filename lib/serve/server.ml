@@ -104,10 +104,13 @@ let quarantine_count t =
 (* Deterministic (no clocks, no pids), so [status] is cram-testable. *)
 let status_json t =
   let a = Atomic.get in
-  let mem, dirty =
+  let mem, mem_bytes, dirty =
     match t.cfg.store with
-    | None -> (0, 0)
-    | Some s -> (Cache.Store.memory_entries s, Cache.Store.dirty_entries s)
+    | None -> (0, 0, 0)
+    | Some s ->
+        ( Cache.Store.memory_entries s,
+          Cache.Store.memory_bytes s,
+          Cache.Store.dirty_entries s )
   in
   let pool_stat f = match t.pool with None -> 0 | Some p -> f p in
   J.Obj
@@ -126,6 +129,7 @@ let status_json t =
       ("quarantined", J.int (quarantine_count t));
       ("queue_depth", J.int (Squeue.length t.queue));
       ("memory_entries", J.int mem);
+      ("memory_bytes", J.int mem_bytes);
       ("dirty_entries", J.int dirty);
       (* storage-machine activity aggregated across every evaluation this
          process ever ran (lint rules and vet mutants execute programs) *)
