@@ -94,21 +94,10 @@ let analyze spec ?store prog =
       let hits = ref 0 and misses = ref 0 in
       List.iter
         (fun (key, members) ->
-          let decode = record_of_json spec ~key ~members in
+          (* a record that does not decode (old schema, another
+             analysis, a different member set) is a miss *)
           let cached =
-            match Store.load store ~key with
-            | None -> None
-            | Some j -> (
-                match decode j with
-                | Some defs -> Some defs
-                | None -> (
-                    (* the loaded copy (possibly the in-memory tier) is
-                       corrupted: self-heal by rebuilding the entry from
-                       the on-disk store before falling back to a cold
-                       re-solve *)
-                    match Store.reload store ~key with
-                    | None -> None
-                    | Some j -> decode j))
+            Option.bind (Store.load store ~key) (record_of_json spec ~key ~members)
           in
           match cached with
           | Some defs ->

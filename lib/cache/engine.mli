@@ -39,7 +39,7 @@ val record_of_json :
 
 val analyze : 'summary spec -> ?store:Store.t -> Nml.Infer.program -> 'summary outcome
 (** Without [store], one cold session summarizes every definition.  With
-    it, warm SCCs are decoded from their stored records (self-healing a
-    corrupted in-memory tier from disk) and only the missing SCCs'
-    members are solved; a fully warm program performs zero entry
+    it, warm SCCs are decoded from their stored records (a record that
+    does not decode is a miss) and only the missing SCCs' members are
+    solved; a fully warm program performs zero entry
     evaluations. *)
