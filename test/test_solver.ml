@@ -223,6 +223,36 @@ let memo_units =
           (Ty.to_string (List.assoc "f" (Fix.instances a))));
   ]
 
+(* ---- one chain bound ------------------------------------------------------ *)
+
+let examples_dir =
+  let local = Filename.concat (Filename.concat ".." "examples") "programs" in
+  if Sys.file_exists local then local else Filename.concat "examples" "programs"
+
+let example_programs () =
+  Sys.readdir examples_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".nml")
+  |> List.sort String.compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_text (Filename.concat examples_dir f) In_channel.input_all))
+
+let bound_units =
+  [
+    Alcotest.test_case "domain-state-holds-the-solver-bound" `Quick (fun () ->
+        (* the solver hands its chain bound to the escape domain only
+           through [ensure_d]: after solving [main] and every global test,
+           the domain state reads the bound the solver reports *)
+        List.iter
+          (fun (name, src) ->
+            let t = Fix.of_source src in
+            ignore (Fix.main_value t);
+            List.iter
+              (fun (f, _) -> ignore (An.global_all t f))
+              (Fix.program t).Nml.Infer.schemes;
+            checki name (Fix.d t) (Fix.with_state t D.current_d))
+          (Check.Harness.builtin_corpus @ example_programs ()));
+  ]
+
 let () =
   Alcotest.run "solver"
     [
@@ -232,4 +262,5 @@ let () =
       ("isolation", isolation_units);
       ("efficiency", efficiency_units);
       ("memo", memo_units);
+      ("bound", bound_units);
     ]
