@@ -48,10 +48,8 @@ let key_of_def t name = Hashtbl.find_opt t.by_def name
 (* One inference of a member's simplest instance: its type key and the
    depth of its cone. *)
 let member prog name =
-  let tast = Infer.instantiate_def prog name None in
-  let d = ref 0 in
-  Nml.Tast.iter_tys (fun ty -> d := max !d (Ty.max_list_depth ty)) tast;
-  (Ty.key tast.Nml.Tast.ty, !d)
+  let tast = Infer.simplest prog name in
+  (Ty.key tast.Nml.Tast.ty, Nml.Tast.max_list_depth tast)
 
 let of_program ?(analysis = "escape") prog =
   let cg = Nml.Callgraph.of_program prog in

@@ -104,8 +104,8 @@ let solve (prog : Infer.program) =
   let defs =
     List.map
       (fun (name, _) ->
-        let typed = Infer.instantiate_def prog name None in
-        Tast.iter_tys (fun ty -> dbound := max !dbound (Ty.max_list_depth ty)) typed;
+        let typed = Infer.simplest prog name in
+        dbound := max !dbound (Tast.max_list_depth typed);
         let params, body = strip_lams typed in
         let arg_tys = Ty.arg_tys typed.Tast.ty (List.length params) in
         if not (List.for_all base_shaped arg_tys && base_shaped body.Tast.ty) then

@@ -10,18 +10,11 @@ let name = "escape"
 type value = Dvalue.t
 
 let bottom = Dvalue.bottom
-let top = Dvalue.top
+
+(* the chain bound is the installed state's, as in [Dvalue]'s memo *)
+let top ty = Dvalue.top ~d:(Dvalue.current_d ()) ty
 let join = Dvalue.join
-
-let equal ~d a b =
-  Dvalue.ensure_d d;
-  Dvalue.equal a b
-
-let leq ~d a b =
-  Dvalue.ensure_d d;
-  Dvalue.leq a b
-
-let widen ~d ty _v = Dvalue.top ~d ty
+let equal = Dvalue.equal
 
 type state = Dvalue.state
 

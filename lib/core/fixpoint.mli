@@ -51,10 +51,10 @@ val value : t -> string -> Nml.Ty.t option -> Dvalue.t
     if [ty] is not an instance of [f]'s scheme. *)
 
 val instance_ty : t -> string -> Nml.Ty.t
-(** Ground type of the simplest instance of a definition.  Memoized per
-    solver: by Theorem 1 that instance is a fixed fact of the program, so
-    it is inferred on the first call only and every later call returns
-    the same (fully ground) type.
+(** Ground type of the simplest instance of a definition.  By Theorem 1
+    that instance is a fixed fact of the program, so it is read from the
+    program's table ({!Nml.Infer.simplest}): typed on the first call
+    only, and every later call returns the same (fully ground) type.
     @raise Invalid_argument for unknown definitions. *)
 
 val eval_expr : t -> Nml.Tast.texpr -> Dvalue.t

@@ -125,16 +125,9 @@ let call ppf t fname args =
 
 let kleene_trace ?(max_iters = 12) ppf (prog : Nml.Infer.program) =
   let defs =
-    List.map (fun (name, _) -> (name, Nml.Infer.instantiate_def prog name None)) prog.Nml.Infer.schemes
+    List.map (fun (name, _) -> (name, Nml.Infer.simplest prog name)) prog.Nml.Infer.schemes
   in
-  let d =
-    List.fold_left
-      (fun acc (_, tast) ->
-        let m = ref acc in
-        Nml.Tast.iter_tys (fun ty -> m := max !m (Ty.max_list_depth ty)) tast;
-        !m)
-      0 defs
-  in
+  let d = List.fold_left (fun acc (_, tast) -> max acc (Nml.Tast.max_list_depth tast)) 0 defs in
   Dvalue.ensure_d d;
   (* the G-style probe application of a definition's current iterate *)
   let g_escs value tast =
@@ -170,7 +163,7 @@ let kleene_trace ?(max_iters = 12) ppf (prog : Nml.Infer.program) =
     Format.fprintf ppf "iterate %d %a@," !k pp_row row;
     (* Jacobi: next iterate of every body under the snapshot *)
     let ctx =
-      Espec.make_ctx ~d:Dvalue.current_d ~max_iters:100 ~global:(fun x _ty ->
+      Espec.make_ctx ~max_iters:100 ~global:(fun x _ty ->
           match List.assoc_opt x snapshot with
           | Some v -> v
           | None -> invalid_arg (Printf.sprintf "kleene_trace: unknown %s" x))

@@ -59,7 +59,6 @@ module type FLAGS = sig
 
   val join : t -> t -> t
   val equal : t -> t -> bool
-  val leq : t -> t -> bool
 
   val dep : t -> bool
   val mark_dep : t -> t
@@ -160,7 +159,7 @@ module Make (F : FLAGS) () = struct
     | Ty.Sprod (t1, t2) ->
         mk ~ty ~flags ~app:None ~prod:(Some (saturate flags t1, saturate flags t2))
 
-  let top ~d:_ ty = saturate F.top ty
+  let top ty = saturate F.top ty
 
   let probe ty = saturate (F.mark_dep F.bot) ty
   (* the interesting argument: dep at every structural level *)
@@ -206,15 +205,15 @@ module Make (F : FLAGS) () = struct
         saturate (F.join f.flags (worst (total x))) (result_ty_of f)
     | Some g -> Pending.apply domain (current_state ()) (f.id, key_of x) f.ty g x
 
-  and domain = { Pending.bottom; top = top ~d:0; join; equal = equal_v; with_ty }
+  and domain = { Pending.bottom; top; join; equal; with_ty }
 
   (* extensional comparison on the canonical probe set {interesting,
      bottom} per arrow level — finite and monotone, which is all the
      solver's convergence test needs *)
-  and equal_v a b =
+  and equal a b =
     F.equal a.flags b.flags
     && (match (a.prod, b.prod) with
-       | Some (a1, a2), Some (b1, b2) -> equal_v a1 b1 && equal_v a2 b2
+       | Some (a1, a2), Some (b1, b2) -> equal a1 b1 && equal a2 b2
        | None, None -> true
        | _ -> false)
     &&
@@ -223,25 +222,8 @@ module Make (F : FLAGS) () = struct
     | _ -> (
         match Ty.repr a.ty with
         | Ty.Arrow (arg, _) ->
-            equal_v (apply a (probe arg)) (apply b (probe arg))
-            && equal_v (apply a (bottom arg)) (apply b (bottom arg))
-        | _ -> true)
-
-  let rec leq_v a b =
-    F.leq a.flags b.flags
-    && (match (a.prod, b.prod) with
-       | Some (a1, a2), Some (b1, b2) -> leq_v a1 b1 && leq_v a2 b2
-       | None, None -> true
-       | Some (a1, a2), None -> leq_v a1 b && leq_v a2 b
-       | None, Some _ -> true)
-    &&
-    match (a.app, b.app) with
-    | None, None -> true
-    | _ -> (
-        match Ty.repr a.ty with
-        | Ty.Arrow (arg, _) ->
-            leq_v (apply a (probe arg)) (apply b (probe arg))
-            && leq_v (apply a (bottom arg)) (apply b (bottom arg))
+            equal (apply a (probe arg)) (apply b (probe arg))
+            && equal (apply a (bottom arg)) (apply b (bottom arg))
         | _ -> true)
 
   let apply_all f xs = List.fold_left apply f xs
@@ -334,10 +316,6 @@ module Make (F : FLAGS) () = struct
                   (fun r -> with_ty tr (join (join l x) r))))
 
   (* ---- Spec plumbing ----------------------------------------------------- *)
-
-  let equal ~d:_ a b = equal_v a b
-  let leq ~d:_ a b = leq_v a b
-  let widen ~d ty _v = top ~d ty
 
   include Interp.Make (struct
     type nonrec value = value

@@ -25,10 +25,10 @@ module type DOMAIN = sig
   type value
 
   val bottom : Ty.t -> value
-  val top : d:int -> Ty.t -> value
+  val top : Ty.t -> value
   val join : value -> value -> value
 
-  val equal : d:int -> value -> value -> bool
+  val equal : value -> value -> bool
   (** Convergence test of a nested [letrec] round. *)
 
   val apply : value -> value -> value
@@ -54,7 +54,6 @@ module Make (D : DOMAIN) : Spec.TRANSFER with type value := D.value = struct
   module Env = Map.Make (String)
 
   type ctx = {
-    d : unit -> int;
     global : string -> Ty.t -> D.value;
     max_iters : int;
     mutable iters : int;
@@ -66,8 +65,8 @@ module Make (D : DOMAIN) : Spec.TRANSFER with type value := D.value = struct
             dominate *)
   }
 
-  let make_ctx ~d ~global ~max_iters =
-    { d; global; max_iters; iters = 0; capped = false; fv_cache = [] }
+  let make_ctx ~global ~max_iters =
+    { global; max_iters; iters = 0; capped = false; fv_cache = [] }
 
   let iterations ctx = ctx.iters
   let record_iteration ctx = ctx.iters <- ctx.iters + 1
@@ -118,14 +117,13 @@ module Make (D : DOMAIN) : Spec.TRANSFER with type value := D.value = struct
     let rec iterate n current =
       if n >= ctx.max_iters then begin
         ctx.capped <- true;
-        List.map (fun (x, rhs) -> (x, D.top ~d:(ctx.d ()) rhs.Tast.ty)) bs
+        List.map (fun (x, rhs) -> (x, D.top rhs.Tast.ty)) bs
       end
       else begin
         ctx.iters <- ctx.iters + 1;
         let envk = build current in
         let next = List.map (fun (x, rhs) -> (x, eval ctx envk rhs)) bs in
-        let d = ctx.d () in
-        if List.for_all2 (fun (_, v_old) (_, v_new) -> D.equal ~d v_old v_new) current next
+        if List.for_all2 (fun (_, v_old) (_, v_new) -> D.equal v_old v_new) current next
         then next
         else iterate (n + 1) next
       end

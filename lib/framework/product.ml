@@ -22,11 +22,9 @@ end = struct
   type value = A.value * B.value
 
   let bottom ty = (A.bottom ty, B.bottom ty)
-  let top ~d ty = (A.top ~d ty, B.top ~d ty)
+  let top ty = (A.top ty, B.top ty)
   let join (a1, b1) (a2, b2) = (A.join a1 a2, B.join b1 b2)
-  let equal ~d (a1, b1) (a2, b2) = A.equal ~d a1 a2 && B.equal ~d b1 b2
-  let leq ~d (a1, b1) (a2, b2) = A.leq ~d a1 a2 && B.leq ~d b1 b2
-  let widen ~d ty (a, b) = (A.widen ~d ty a, B.widen ~d ty b)
+  let equal (a1, b1) (a2, b2) = A.equal a1 a2 && B.equal b1 b2
 
   (* ---- per-solver state --------------------------------------------------- *)
 
@@ -51,10 +49,10 @@ end = struct
 
   type ctx = { ca : A.ctx; cb : B.ctx }
 
-  let make_ctx ~d ~global ~max_iters =
+  let make_ctx ~global ~max_iters =
     {
-      ca = A.make_ctx ~d ~global:(fun n ty -> fst (global n ty)) ~max_iters;
-      cb = B.make_ctx ~d ~global:(fun n ty -> snd (global n ty)) ~max_iters;
+      ca = A.make_ctx ~global:(fun n ty -> fst (global n ty)) ~max_iters;
+      cb = B.make_ctx ~global:(fun n ty -> snd (global n ty)) ~max_iters;
     }
 
   let transfer ctx tast = (A.transfer ctx.ca tast, B.transfer ctx.cb tast)

@@ -7,13 +7,13 @@
    which every analysis shares.  Convergence is decided by the Spec's [equal]
    ([Dvalue.equal] for the escape analysis).
 
-   The solver also owns the per-definition facts every lookup needs.  By
-   Theorem 1 only the simplest monomorphic instance of a definition has
-   to be analysed, so that instance's type is a fixed fact of the
-   program: [instance_ty] infers it once per solver and memoizes it, and
-   the same table answers [is_def].  Entries are keyed by the definition
-   and {!Nml.Ty.key} of the instance — written into a buffer, one key
-   per printed type.
+   By Theorem 1 only the simplest monomorphic instance of a definition
+   has to be analysed, so that instance is a fixed fact of the program:
+   the program types it once ({!Nml.Infer.simplest}), and [instance_ty]
+   and a demand at that instance read it there.  Entries are keyed by
+   the definition and {!Nml.Ty.key} of the instance — written into a
+   buffer, one key per printed type.  The chain bound reaches the domain
+   only through [S.ensure_d], after every tree the solver absorbs.
 
    The [stats] type lives outside the functor on purpose: it is shared
    across all instantiations, so every analysis reports the same
@@ -72,7 +72,6 @@ module Make (S : Spec.S) = struct
     prog : Infer.program;
     state : S.state;  (* this solver's private engine state *)
     cache : (string * string, entry) Hashtbl.t;  (* (name, [Ty.key] of the instance) *)
-    simplest : (string, Ty.t Lazy.t) Hashtbl.t;  (* one per definition: its simplest instance *)
     by_sid : (int, entry) Hashtbl.t;  (* source id -> entry *)
     mutable order : entry list;  (* insertion order, newest first *)
     mutable dbound : int;
@@ -89,16 +88,16 @@ module Make (S : Spec.S) = struct
   }
 
   let absorb_tree_depth t tast =
-    Tast.iter_tys (fun ty -> t.dbound <- max t.dbound (Ty.max_list_depth ty)) tast;
+    t.dbound <- max t.dbound (Tast.max_list_depth tast);
     S.ensure_d t.dbound
 
-  let is_def t name = Hashtbl.mem t.simplest name
+  let is_def t name = Infer.is_def t.prog name
 
   (* The result is fully ground, so sharing it between callers is safe. *)
   let instance_ty t name =
-    match Hashtbl.find_opt t.simplest name with
-    | Some ty -> Lazy.force ty
-    | None -> invalid_arg (Printf.sprintf "Fixpoint.instance_ty: unknown definition %s" name)
+    if not (is_def t name) then
+      invalid_arg (Printf.sprintf "Fixpoint.instance_ty: unknown definition %s" name);
+    Infer.simplest_instance t.prog name
 
   (* ---- evaluation -------------------------------------------------------- *)
 
@@ -122,7 +121,7 @@ module Make (S : Spec.S) = struct
         ~notify:(fun () -> e.dirty <- true)
         (fun () ->
           let v = S.transfer t.ctx e.tast in
-          if S.equal ~d:t.dbound e.value v then None
+          if S.equal e.value v then None
           else Some (S.join e.value v))
     in
     e.deps <-
@@ -158,7 +157,11 @@ module Make (S : Spec.S) = struct
     match Hashtbl.find_opt t.cache k with
     | Some e -> e
     | None ->
-        let tast = Infer.instantiate_def t.prog name (Some ty) in
+        let simplest = Infer.simplest t.prog name in
+        let tast =
+          if Ty.equal ty simplest.Tast.ty then simplest
+          else Infer.instantiate_def t.prog name (Some ty)
+        in
         absorb_tree_depth t tast;
         let e =
           {
@@ -193,17 +196,11 @@ module Make (S : Spec.S) = struct
   let make ?(max_iters = 200) prog =
     let state = S.create_state () in
     let hits0, misses0 = S.with_state state S.memo_stats in
-    let simplest = Hashtbl.create 32 in
-    List.iter
-      (fun (name, _) ->
-        Hashtbl.replace simplest name (lazy (Infer.simplest_instance prog name)))
-      prog.Infer.schemes;
     let t =
       {
         prog;
         state;
         cache = Hashtbl.create 32;
-        simplest;
         by_sid = Hashtbl.create 32;
         order = [];
         dbound = 0;
@@ -218,7 +215,6 @@ module Make (S : Spec.S) = struct
         invalidated0 = S.with_state state S.invalidations;
         ctx =
           S.make_ctx
-            ~d:(fun () -> 0)
             ~global:(fun name _ ->
               invalid_arg
                 (Printf.sprintf "Fixpoint: %s demanded before initialization" name))
@@ -229,10 +225,7 @@ module Make (S : Spec.S) = struct
        exists because the record cannot recursively mention itself
        through a function call *)
     t.ctx <-
-      S.make_ctx
-        ~d:(fun () -> t.dbound)
-        ~global:(fun name ty -> global_hook t name ty)
-        ~max_iters;
+      S.make_ctx ~global:(fun name ty -> global_hook t name ty) ~max_iters;
     let main = Infer.main_ground prog in
     S.with_state state (fun () -> absorb_tree_depth t main);
     t
@@ -250,7 +243,7 @@ module Make (S : Spec.S) = struct
   let widen_all t =
     List.iter
       (fun e ->
-        e.value <- S.widen ~d:t.dbound e.tast.Tast.ty e.value;
+        e.value <- S.top e.tast.Tast.ty;
         Deps.touch e.source;
         if e.evals = 0 then e.evals <- 1)
       t.order;

@@ -5,12 +5,14 @@
     domain plus transfer functions behind one solver — specialized to
     this compiler's demand-driven, instance-memoizing engine:
 
-    - an {e abstract domain} over the monomorphized types
-      ([bottom]/[top], [join]/[leq], probe-based [equal], [widen]);
+    - an {e abstract domain} over the monomorphized types ([bottom],
+      [top], [join] and the probe-based convergence test [equal]);
     - {e per-solver state} ([create_state]/[with_state]): every solver
       owns a private state (memo tables, chain bound) so concurrently
       live solvers — including solvers in different domains — are
-      shared-nothing;
+      shared-nothing.  The chain bound lives only there: the solver
+      raises it with [ensure_d], and [top] and [equal] read it from the
+      installed state;
     - a {e transfer function} over the typed AST, evaluated under a
       context whose [global] hook resolves top-level definitions at
       ground instance types (the solver supplies it and memoizes per
@@ -32,15 +34,10 @@ module type TRANSFER = sig
   type value
   type ctx
 
-  val make_ctx :
-    d:(unit -> int) ->
-    global:(string -> Nml.Ty.t -> value) ->
-    max_iters:int ->
-    ctx
-  (** [d] reads the solver's current chain bound (it may grow as
-      instances are demanded); [global] resolves a top-level definition
-      at a ground instance type (the solver's demand hook); [max_iters]
-      caps the Kleene iteration of every nested [letrec] group. *)
+  val make_ctx : global:(string -> Nml.Ty.t -> value) -> max_iters:int -> ctx
+  (** [global] resolves a top-level definition at a ground instance type
+      (the solver's demand hook); [max_iters] caps the Kleene iteration
+      of every nested [letrec] group. *)
 
   val transfer : ctx -> Nml.Tast.texpr -> value
   (** Abstract value of a closed typed expression (definition body)
@@ -63,23 +60,15 @@ module type S = sig
   val bottom : Nml.Ty.t -> value
   (** Least element of the domain at a type. *)
 
-  val top : d:int -> Nml.Ty.t -> value
-  (** Greatest element at a type, bounded by the chain bound [d]. *)
+  val top : Nml.Ty.t -> value
+  (** Greatest element at a type, bounded by the installed state's chain
+      bound.  The solver also widens to it when iteration hits the cap. *)
 
   val join : value -> value -> value
   (** Least upper bound; keeps the left operand's type. *)
 
-  val equal : d:int -> value -> value -> bool
+  val equal : value -> value -> bool
   (** Convergence test (extensional / probe-based where needed). *)
-
-  val leq : d:int -> value -> value -> bool
-  (** Partial order consistent with [join] (used by law tests and
-      clients; the engine itself decides convergence with [equal]). *)
-
-  val widen : d:int -> Nml.Ty.t -> value -> value
-  (** Safe over-approximation applied when iteration hits the cap.
-      Must be an upper bound of its argument; the canonical
-      implementation is [fun ~d ty _ -> top ~d ty]. *)
 
   (** {2 Per-solver state} *)
 
@@ -90,7 +79,8 @@ module type S = sig
 
   val ensure_d : int -> unit
   (** Raise the current state's chain bound to at least the given
-      value (monotone: growing [d] only refines comparisons). *)
+      value (monotone: growing [d] only refines comparisons).  The only
+      way the solver's bound reaches the domain. *)
 
   (** {2 Application memo statistics} *)
 

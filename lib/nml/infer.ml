@@ -202,12 +202,15 @@ let infer_expr ?(env = empty_env) e = infer ~level:1 env e
 
 type defs = Ast.expr Env.t
 
+type instances = (string, Tast.texpr) Hashtbl.t
+
 type program = {
   surface : Surface.t;
   schemes : (string * scheme) list;
   main : Tast.texpr;
   env : env;
   defs : defs;
+  simplest : instances;
 }
 
 let infer_group ~level env (defs : (string * Ast.expr) list) =
@@ -231,7 +234,7 @@ let infer_program (surface : Surface.t) : program =
   let env = List.fold_left (fun env (x, s) -> Env.add x s env) empty_env schemes in
   let main = infer ~level:1 env surface.Surface.main in
   let defs = List.fold_left (fun m (x, rhs) -> Env.add x rhs m) Env.empty surface.Surface.defs in
-  { surface; schemes; main; env; defs }
+  { surface; schemes; main; env; defs; simplest = Hashtbl.create 16 }
 
 let def_scheme p name = Env.find name p.env
 let is_def p name = Env.mem name p.env
@@ -251,9 +254,17 @@ let instantiate_def p name inst =
   Tast.default_ground trhs;
   trhs
 
-let simplest_instance p name =
-  let t = instantiate_def p name None in
-  t.Tast.ty
+(* By Theorem 1 the simplest instance is a fixed fact of the program:
+   each definition is typed at it once, on first use. *)
+let simplest p name =
+  match Hashtbl.find_opt p.simplest name with
+  | Some t -> t
+  | None ->
+      let t = instantiate_def p name None in
+      Hashtbl.add p.simplest name t;
+      t
+
+let simplest_instance p name = (simplest p name).Tast.ty
 
 let main_ground p =
   Tast.default_ground p.main;

@@ -9,7 +9,11 @@
     polymorphic definitions (the [car^s] annotations depend on the
     instance), a typed {!program} keeps the surface right-hand sides and
     re-types them on demand at any ground instance with
-    {!instantiate_def}. *)
+    {!instantiate_def}.  By Theorem 1 only each definition's simplest
+    instance has to be analysed, so the program also carries that
+    instance, typed once on first use ({!simplest}): the solver, the
+    summary-cache key, the reports and the monomorphizer all read it
+    there. *)
 
 exception Error of Loc.t * string
 
@@ -42,12 +46,16 @@ val unify : Loc.t -> Ty.t -> Ty.t -> unit
 type defs
 (** Right-hand sides by name. *)
 
+type instances
+(** The simplest instances typed so far, by name. *)
+
 type program = {
   surface : Surface.t;
   schemes : (string * scheme) list;  (** one scheme per definition, in order *)
   main : Tast.texpr;  (** typed main expression *)
   env : env;  (** every definition bound to its scheme, built once *)
   defs : defs;  (** see {!def_rhs} *)
+  simplest : instances;  (** see {!simplest} *)
 }
 
 val infer_program : Surface.t -> program
@@ -70,16 +78,23 @@ val instantiate_def : program -> string -> Ty.t option -> Tast.texpr
     with recursive occurrences of [f] fixed at type [ty] (monomorphic
     recursion), then grounds every remaining type variable to [int].
     [instantiate_def p f None] produces the {e simplest monotyped
-    instance} of [f] (section 5): a fresh instance grounded to [int].
-    The resulting tree is fully ground: every [car] has a definite spine
-    annotation.
+    instance} of [f] (section 5): a fresh instance grounded to [int];
+    {!simplest} types it once per program.  The resulting tree is fully
+    ground: every [car] has a definite spine annotation.
 
     It costs O(body + log defs): the right-hand side is typed under the
     program's prebuilt [p.env] with only [f] rebound, never an
     environment rebuilt from every scheme. *)
 
+val simplest : program -> string -> Tast.texpr
+(** The simplest monotyped instance of a definition
+    ([instantiate_def p f None]), typed on the first call and the same
+    tree on every later one.  Like the program's type variables, the
+    table belongs to one domain.
+    @raise Invalid_argument for unknown names. *)
+
 val simplest_instance : program -> string -> Ty.t
-(** Ground type of the simplest monotyped instance of a definition. *)
+(** Ground type of {!simplest}. *)
 
 val main_ground : program -> Tast.texpr
 (** The typed main expression with any residual variables grounded to

@@ -72,8 +72,7 @@ let monomorphize ?(max_instances = 1000) (prog : Infer.program) =
   List.iter
     (fun name ->
       if not (Hashtbl.mem per_def_count name) then begin
-        let tast = Infer.instantiate_def prog name None in
-        ignore (name_for name tast.Tast.ty);
+        ignore (name_for name (Infer.simplest_instance prog name));
         drain ()
       end)
     def_names;

@@ -78,6 +78,11 @@ let rec iter_tys f e =
       List.iter (fun (_, b) -> iter_tys f b) bs;
       iter_tys f body
 
+let max_list_depth e =
+  let d = ref 0 in
+  iter_tys (fun ty -> d := max !d (Ty.max_list_depth ty)) e;
+  !d
+
 let free_vars e = Ast.free_vars (erase e)
 let size e = Ast.size (erase e)
 let pp ppf e = Pretty.pp ppf (erase e)

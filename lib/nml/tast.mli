@@ -37,8 +37,11 @@ val free_vars : texpr -> string list
 (** Free identifiers in order of first occurrence. *)
 
 val iter_tys : (Ty.t -> unit) -> texpr -> unit
-(** Applies the function to the type of every node (used to compute the
-    per-program spine bound [d]). *)
+(** Applies the function to the type of every node. *)
+
+val max_list_depth : texpr -> int
+(** The largest {!Ty.max_list_depth} of any node's type: what a tree
+    contributes to the per-program chain bound [d]. *)
 
 val size : texpr -> int
 

@@ -481,12 +481,13 @@ let reads_units =
             S.bottom ty
           in
           S.with_state (S.create_state ()) @@ fun () ->
-          let ctx = S.make_ctx ~d:(fun () -> 1) ~global ~max_iters:10 in
+          S.ensure_d 1;
+          let ctx = S.make_ctx ~global ~max_iters:10 in
           let notified = ref 0 in
           let _, reads =
             Deps.watch
               ~notify:(fun () -> incr notified)
-              (fun () -> S.equal ~d:1 (S.transfer ctx body) (S.bottom body.Nml.Tast.ty))
+              (fun () -> S.equal (S.transfer ctx body) (S.bottom body.Nml.Tast.ty))
           in
           (!calls, reads, notified)
         in
