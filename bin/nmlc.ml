@@ -211,7 +211,7 @@ let analyze_escape prog func enumerate local show_stats json =
         (fun (name, _) ->
           let inst = Nml.Infer.simplest_instance prog name in
           Format.printf "%s : %s@." name (Nml.Ty.to_string inst);
-          for i = 1 to Nml.Ty.arity inst do
+          for i = 1 to Nml.Ty.params inst do
             Format.printf "  G(%s, %d) = %s@." name i
               (Escape.Besc.to_string (Escape.Enumerate.global e name ~arg:i))
           done)

@@ -97,7 +97,7 @@ type def_report = {
    components' ambient engines. *)
 let arg_report t name ~arg =
   Solver.global_test t name ~arg @@ fun (va, vb) ty ->
-  let arg_tys = Ty.arg_tys ty (Ty.arity ty) in
+  let arg_tys = Ty.arg_tys ty (Ty.params ty) in
   let esc =
     Escape.Dvalue.total_esc
       (Escape.Dvalue.apply_all va
@@ -119,7 +119,7 @@ let arg_report t name ~arg =
 
 let report t name =
   let ty = Solver.instance_ty t name in
-  let m = Ty.arity ty in
+  let m = Ty.params ty in
   {
     r_name = name;
     r_ty = Ty.to_string ty;

@@ -23,7 +23,7 @@ let check_arg ~what ~arg ~arity =
 
 let global ?inst ?arity t fname ~arg =
   let inst = match inst with Some ty -> ty | None -> Fixpoint.instance_ty t fname in
-  let arity = match arity with Some n -> n | None -> Ty.arity inst in
+  let arity = match arity with Some n -> n | None -> Ty.params inst in
   check_arg ~what:"global" ~arg ~arity;
   Fixpoint.with_state t @@ fun () ->
   let arg_tys = Ty.arg_tys inst arity in
@@ -45,7 +45,7 @@ let global ?inst ?arity t fname ~arg =
 
 let global_all ?inst t fname =
   let inst = match inst with Some ty -> ty | None -> Fixpoint.instance_ty t fname in
-  let arity = Ty.arity inst in
+  let arity = Ty.params inst in
   List.init arity (fun j -> global ~inst t fname ~arg:(j + 1))
 
 (* Splits an application node into head and arguments. *)
@@ -101,7 +101,7 @@ let rec component_ty path ty =
 
 let global_components ?inst t fname ~arg =
   let inst = match inst with Some ty -> ty | None -> Fixpoint.instance_ty t fname in
-  let arity = Ty.arity inst in
+  let arity = Ty.params inst in
   check_arg ~what:"global_components" ~arg ~arity;
   Fixpoint.with_state t @@ fun () ->
   let arg_tys = Ty.arg_tys inst arity in

@@ -131,7 +131,7 @@ let kleene_trace ?(max_iters = 12) ppf (prog : Nml.Infer.program) =
   Dvalue.ensure_d d;
   (* the G-style probe application of a definition's current iterate *)
   let g_escs value tast =
-    let n = Ty.arity tast.Nml.Tast.ty in
+    let n = Ty.params tast.Nml.Tast.ty in
     let arg_tys = Ty.arg_tys tast.Nml.Tast.ty n in
     List.mapi
       (fun i _ ->

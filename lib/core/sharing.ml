@@ -38,7 +38,7 @@ let result_unshared_given ?inst t fname ~args_unshared =
 let call_fresh_depth t fname ~args_unshared =
   match
     let inst = Fixpoint.instance_ty t fname in
-    if Ty.arity inst <> List.length args_unshared then 0
+    if Ty.params inst <> List.length args_unshared then 0
     else (result_unshared_given t fname ~args_unshared).unshared_top
   with
   | d -> d

@@ -103,7 +103,7 @@ let arg_verdict t ?inst name ~arg =
   let ty =
     match inst with Some ty -> ty | None -> Solver.instance_ty t name
   in
-  let m = Ty.arity ty in
+  let m = Ty.params ty in
   let base_typed =
     arg >= 1 && arg <= m
     && match Ty.repr (List.nth (Ty.arg_tys ty m) (arg - 1)) with

@@ -236,7 +236,7 @@ module Make (F : FLAGS) () = struct
       (apply_all f
          (List.mapi
             (fun j aty -> if j = arg - 1 then probe aty else bottom aty)
-            (Ty.arg_tys ty (Ty.arity ty))))
+            (Ty.arg_tys ty (Ty.params ty))))
 
   (* ---- abstract semantics ------------------------------------------------ *)
 

@@ -338,9 +338,9 @@ module Make (S : Spec.S) = struct
      solver's state. *)
   let global_test t ?inst name ~arg test =
     let ty = match inst with Some ty -> ty | None -> instance_ty t name in
-    let m = Ty.arity ty in
+    let m = Ty.params ty in
     if arg < 1 || arg > m then
-      invalid_arg (Printf.sprintf "%s global test: %s has arity %d" S.name name m);
+      invalid_arg (Printf.sprintf "%s global test: %s has %d parameter(s)" S.name name m);
     let v = value t name (Some ty) in
     with_state t (fun () -> test v ty)
 

@@ -111,7 +111,7 @@ let dead_spine_params t =
   List.filter_map
     (fun (name, _scheme) ->
       let ty = Solver.instance_ty t name in
-      let m = Nml.Ty.arity ty in
+      let m = Nml.Ty.params ty in
       let is_list ty = match Nml.Ty.repr ty with Nml.Ty.List _ -> true | _ -> false in
       let idxs =
         Nml.Ty.arg_tys ty m

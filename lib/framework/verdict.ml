@@ -39,7 +39,7 @@ let report ~ty name verdict =
     r_name = name;
     r_ty = Nml.Ty.to_string ty;
     r_args =
-      List.init (Nml.Ty.arity ty) (fun i -> { a_index = i + 1; a_verdict = verdict (i + 1) });
+      List.init (Nml.Ty.params ty) (fun i -> { a_index = i + 1; a_verdict = verdict (i + 1) });
   }
 
 (* [trailer] prints any derived lines after the per-parameter ones. *)

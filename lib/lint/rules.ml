@@ -83,9 +83,9 @@ let missed_reuse ctx ~members =
           if n = 0 then None
           else
             let inst = Fix.instance_ty t name in
-            if Ty.arity inst < n then None
+            if Ty.params inst < n then None
             else
-              let full = Ty.arity inst in
+              let full = Ty.params inst in
               let args_unshared = List.map Ty.spines (Ty.arg_tys inst full) in
               let site_kind ty =
                 match Ty.repr ty with
@@ -193,7 +193,7 @@ let invariance ctx =
           | Some rhs ->
               let t = Rule.solver ctx in
               let arity =
-                Nml.Infer.scheme_arity (Nml.Infer.def_scheme ctx.Rule.prog orig)
+                Nml.Infer.scheme_params (Nml.Infer.def_scheme ctx.Rule.prog orig)
               in
               List.filter_map
                 (fun i ->
@@ -277,7 +277,7 @@ let dead_spine ctx ~members =
          definition never constrains shows up as a bare variable, and it
          is spiny at the instances that matter *)
       let sty = Nml.Infer.scheme_ty (Nml.Infer.def_scheme ctx.Rule.prog name) in
-      if Ty.arity sty < n then []
+      if Ty.params sty < n then []
       else
         List.combine params (Ty.arg_tys sty n)
         |> List.mapi (fun k (p, ty) -> finding name rhs n (k + 1) p ty)
@@ -393,7 +393,7 @@ let wasted_spine_in ctx e =
         match head with
         | A.Var (_, g) when (not (List.mem g bound)) && is_def g ->
             let t = Lazy.force ctx.Rule.spinelive in
-            let m = Ty.arity (Framework.Spinelive.Solver.instance_ty t g) in
+            let m = Ty.params (Framework.Spinelive.Solver.instance_ty t g) in
             List.iteri
               (fun j a ->
                 let j = j + 1 in

@@ -82,7 +82,7 @@ let generalize ~level t =
 
 let mono t = { vars = []; body = t }
 let scheme_ty s = instantiate ~level:1 s
-let scheme_arity s = Ty.arity s.body
+let scheme_params s = Ty.params s.body
 
 let pp_scheme ppf s =
   (* a fresh instantiation prints with canonical variable names *)

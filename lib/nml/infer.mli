@@ -26,8 +26,9 @@ val mono : Ty.t -> scheme
 val scheme_ty : scheme -> Ty.t
 (** A fresh instantiation of the scheme (new variables every call). *)
 
-val scheme_arity : scheme -> int
-(** {!Ty.arity} of the scheme body (instance independent). *)
+val scheme_params : scheme -> int
+(** {!Ty.params} of the scheme body: the parameters every instance
+    has. *)
 
 val pp_scheme : Format.formatter -> scheme -> unit
 

@@ -44,6 +44,8 @@ let rec arity t =
   | List elt | Tree elt -> arity elt
   | Int | Bool | Prod _ | Var _ -> 0
 
+let rec params t = match repr t with Arrow (_, b) -> 1 + params b | _ -> 0
+
 type shape = Sbase | Sarrow of t * t | Sprod of t * t
 
 let rec shape t =

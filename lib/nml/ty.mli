@@ -49,9 +49,17 @@ val owns_cells : t -> bool
     of the argument's heap, where an [int] element cannot. *)
 
 val arity : t -> int
-(** The paper's [m]: number of arguments a function of this type can take
-    before returning a primitive value.  [arity (a -> b) = 1 + arity b],
-    [arity (t list) = arity t] (Definition 2), 0 for [int]/[bool]. *)
+(** The paper's [m] (Definition 2): [arity (a -> b) = 1 + arity b],
+    [arity (t list) = arity t], 0 for [int]/[bool].  It counts the
+    arrows of list and tree {e element} types too, so it exceeds
+    {!params} when a function returns a list of functions:
+    [arity ('a list -> (int -> int) list) = 2]. *)
+
+val params : t -> int
+(** The parameter count: the top-level arrows, [params (a -> b) = 1 +
+    params b] and 0 for any other type.  A global test [G(f, i)] and
+    every per-parameter verdict range over [1..params], the arguments a
+    call of [f] can pass; {!arg_tys} peels at most that many. *)
 
 type shape = Sbase | Sarrow of t * t | Sprod of t * t
 
@@ -67,7 +75,8 @@ val result_ty : t -> int -> t
     fails on non-arrows. *)
 
 val arg_tys : t -> int -> t list
-(** [arg_tys t n] is the list of the first [n] argument types. *)
+(** [arg_tys t n] is the list of the first [n] argument types;
+    [n] must not exceed {!params}. *)
 
 val equal : t -> t -> bool
 (** Structural equality up to links; unbound variables equal only

@@ -52,7 +52,7 @@ let candidates t (surface : Nml.Surface.t) =
       if List.for_all (fun (cons, node) -> cons = [] && node = []) sites then None
       else
         let inst = Fix.instance_ty t name in
-        if Ty.arity inst < n then None
+        if Ty.params inst < n then None
         else
           let rec pick i = function
             | [] -> None
@@ -149,7 +149,7 @@ let alias_resolve t (surface : Nml.Surface.t) cands at =
           let by_alias =
             match
               let ty = Alias.Solver.instance_ty at g in
-              if Ty.arity ty <> m then 0
+              if Ty.params ty <> m then 0
               else
                 let verdicts =
                   List.init m (fun i -> Alias.arg_verdict at g ~arg:(i + 1))

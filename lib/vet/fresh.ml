@@ -41,7 +41,7 @@ let depth ?share t ~defs env e =
               match
                 let inst = Fix.instance_ty t g in
                 let m = List.length args in
-                if Ty.arity inst <> m then 0
+                if Ty.params inst <> m then 0
                 else
                   let u = List.map (go env) args in
                   let t2 =

@@ -95,7 +95,7 @@ let flag_block ~make ~instance_ty ~verdict ~stats ~letter ~name prog =
   let b = Buffer.create 256 in
   List.iter
     (fun (f, _) ->
-      for i = 1 to Nml.Ty.arity (instance_ty t f) do
+      for i = 1 to Nml.Ty.params (instance_ty t f) do
         Printf.bprintf b "%s(%s, %d) = %s\n" letter f i (verdict t f i)
       done)
     prog.Nml.Infer.schemes;

@@ -133,7 +133,7 @@ let check_stale_flags src =
   let usage =
     let t = Usage.Solver.make prog in
     all_verdicts prog
-      (fun f -> Ty.arity (Usage.Solver.instance_ty t f))
+      (fun f -> Ty.params (Usage.Solver.instance_ty t f))
       (fun f arg -> Usage.arg_verdict t f ~arg);
     Usage.Solver.with_state t (fun () -> judge_entries (Usage.D.memo_entries ()))
   in
@@ -141,7 +141,7 @@ let check_stale_flags src =
     let module S = Framework.Alias in
     let t = S.Solver.make prog in
     all_verdicts prog
-      (fun f -> Ty.arity (S.Solver.instance_ty t f))
+      (fun f -> Ty.params (S.Solver.instance_ty t f))
       (fun f arg -> S.arg_verdict t f ~arg);
     S.Solver.with_state t (fun () -> judge_entries (S.D.memo_entries ()))
   in
@@ -227,7 +227,7 @@ let flag_memo_units =
         in
         let t = Usage.Solver.make prog in
         all_verdicts prog
-          (fun f -> Ty.arity (Usage.Solver.instance_ty t f))
+          (fun f -> Ty.params (Usage.Solver.instance_ty t f))
           (fun f arg -> Usage.arg_verdict t f ~arg);
         let s = Usage.Solver.stats t in
         checkb
@@ -609,7 +609,7 @@ let check_product_consistency src =
   let et = Fix.make prog in
   List.iter
     (fun (name, _) ->
-      let m = Ty.arity (Product.Solver.instance_ty pt name) in
+      let m = Ty.params (Product.Solver.instance_ty pt name) in
       for i = 1 to m do
         let a = Product.arg_report pt name ~arg:i in
         let u_alone = Usage.arg_verdict ut name ~arg:i in
