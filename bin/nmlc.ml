@@ -327,15 +327,14 @@ let batch_cmd =
     if lint then begin
       if not (String.equal analysis "escape") then
         failwith "--lint runs the lint rules; it does not take --analysis";
-      Some (fun ~store path -> Lint.Batch.analyze_file ~store path)
+      fun ~store path -> Lint.Batch.analyze_file ~store path
     end
     else
       match Analyses.Registry.find analysis with
       | None ->
           failwith
             (Printf.sprintf "unknown analysis %s (try nmlc analyze --list-analyses)" analysis)
-      | Some e when String.equal e.Analyses.Registry.name "escape" -> None
-      | Some e -> Some (fun ~store path -> Analyses.Registry.batch_job e ~store path)
+      | Some e -> fun ~store path -> Analyses.Registry.batch_job e ~store path
   in
   let print_results ~lint format results =
     let module B = Cache.Batch in
@@ -423,7 +422,7 @@ let batch_cmd =
             Fun.protect
               ~finally:(fun () -> List.iter (fun (s, b) -> Sys.set_signal s b) previous)
               (fun () ->
-                Cache.Batch.run ?analyze ?store
+                Cache.Batch.run ~analyze ?store
                   ~stop:(fun () -> Atomic.get interrupted)
                   ~jobs:(jobs jobs_n) files)
           in

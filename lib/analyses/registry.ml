@@ -20,12 +20,15 @@ type outcome = {
   scc_misses : int;
 }
 
+type job = store:Cache.Store.t option -> ?source:string -> string -> Cache.Batch.result
+
 type entry = {
   name : string;  (* canonical registry / cache-namespace name *)
   aliases : string list;
   domain : string;  (* one-line abstract-domain description *)
   doc : string;  (* one-line "what question does it answer" *)
   run : ?store:Cache.Store.t -> Nml.Infer.program -> outcome;
+  job : job;
 }
 
 (* ---- codec helpers ---------------------------------------------------------- *)
@@ -54,9 +57,22 @@ let of_engine output (o : _ Engine.outcome) =
 
 (* ---- escape ----------------------------------------------------------------- *)
 
+(* rendered by the batch driver's escape job, so both print the same bytes *)
 let escape_run ?store prog =
-  let o = Cache.Summary.analyze ?store prog in
-  of_engine (Format.asprintf "%a" Escape.Report.pp_program_summaries o.Engine.summaries) o
+  let r = Cache.Batch.of_program ?store ~path:"" prog in
+  {
+    output = r.Cache.Batch.output;
+    defs = r.defs;
+    evaluations = r.evaluations;
+    scc_hits = r.scc_hits;
+    scc_misses = r.scc_misses;
+  }
+
+(* Escape's per-file job is the batch driver's own, test hooks included. *)
+let escape_job ~store ?source path =
+  match source with
+  | None -> Cache.Batch.analyze_file ?store path
+  | Some src -> Cache.Batch.analyze_source ?store ~path src
 
 (* ---- the flag analyses: one codec over each verdict table ------------------- *)
 
@@ -139,6 +155,19 @@ let run_spec spec pp ?store prog =
   let o = Engine.analyze spec ?store prog in
   of_engine (render pp o.Engine.summaries) o
 
+(* A per-file job with the {!Cache.Batch.result} shape over [run], so the
+   flag analyses ride the batch pool (and the serve daemon) like escape. *)
+let run_job run ~store ?source path =
+  Cache.Batch.protect path (fun () ->
+      let src = match source with Some src -> src | None -> Nml.Front.read path in
+      let o = run ?store (Nml.Front.of_string ~file:path src) in
+      Cache.Batch.result ~defs:o.defs ~evaluations:o.evaluations ~scc_hits:o.scc_hits
+        ~scc_misses:o.scc_misses path o.output)
+
+let spec_entry ~name ~aliases ~domain ~doc spec pp =
+  let run = run_spec spec pp in
+  { name; aliases; domain; doc; run; job = run_job run }
+
 (* ---- escape × usage reduced product ----------------------------------------- *)
 
 let product_def_to_json (r : Product.def_report) =
@@ -206,35 +235,23 @@ let all =
       domain = "B_e chains <e,s> over list spines (Park-Goldberg)";
       doc = "which bottom spines of each argument may escape into the result";
       run = escape_run;
+      job = escape_job;
     };
-    {
-      name = "usage";
-      aliases = [ "strictness" ];
-      domain = "dep x use bits per argument";
-      doc = "is each argument inspected, retained, both, or neither";
-      run = run_spec usage_spec Usage.pp_def_report;
-    };
-    {
-      name = "spine-liveness";
-      aliases = [ "liveness" ];
-      domain = "dep x head x tail bits per argument (Karkare-style)";
-      doc = "which part of each argument's heap structure the callee needs";
-      run = run_spec spinelive_spec Spinelive.pp_def_report;
-    };
-    {
-      name = "escape-x-usage";
-      aliases = [ "product" ];
-      domain = "reduced product of escape and usage";
-      doc = "storage verdicts per argument: dead / scratch / spine-scratch / retained";
-      run = run_spec product_spec Product.pp_def_report;
-    };
-    {
-      name = "sharing";
-      aliases = [ "alias" ];
-      domain = "dep x spine sharing pairs per argument (Hill-Spoto-style)";
-      doc = "may the result share cells (or its spine) with each argument";
-      run = run_spec alias_spec Alias.pp_def_report;
-    };
+    spec_entry ~name:"usage" ~aliases:[ "strictness" ] ~domain:"dep x use bits per argument"
+      ~doc:"is each argument inspected, retained, both, or neither" usage_spec
+      Usage.pp_def_report;
+    spec_entry ~name:"spine-liveness" ~aliases:[ "liveness" ]
+      ~domain:"dep x head x tail bits per argument (Karkare-style)"
+      ~doc:"which part of each argument's heap structure the callee needs" spinelive_spec
+      Spinelive.pp_def_report;
+    spec_entry ~name:"escape-x-usage" ~aliases:[ "product" ]
+      ~domain:"reduced product of escape and usage"
+      ~doc:"storage verdicts per argument: dead / scratch / spine-scratch / retained"
+      product_spec Product.pp_def_report;
+    spec_entry ~name:"sharing" ~aliases:[ "alias" ]
+      ~domain:"dep x spine sharing pairs per argument (Hill-Spoto-style)"
+      ~doc:"may the result share cells (or its spine) with each argument" alias_spec
+      Alias.pp_def_report;
   ]
 
 let names = List.map (fun e -> e.name) all
@@ -242,12 +259,4 @@ let names = List.map (fun e -> e.name) all
 let find name =
   List.find_opt (fun e -> String.equal e.name name || List.mem name e.aliases) all
 
-(* A per-file job with the {!Cache.Batch.result} shape, so any registered
-   analysis rides the batch pool (and the serve daemon) exactly like the
-   escape default does. *)
-let batch_job e ~store ?source path =
-  Cache.Batch.protect path (fun () ->
-      let src = match source with Some src -> src | None -> Nml.Front.read path in
-      let o = e.run ?store (Nml.Front.of_string ~file:path src) in
-      Cache.Batch.result ~defs:o.defs ~evaluations:o.evaluations ~scc_hits:o.scc_hits
-        ~scc_misses:o.scc_misses path o.output)
+let batch_job e = e.job

@@ -69,12 +69,13 @@ let test_hooks path =
       raise (Injected_crash path)
   | _ -> ()
 
-let of_source ?store ~path src =
-  let o = Summary.analyze ?store (Nml.Front.of_string ~file:path src) in
+let of_program ?store ~path prog =
+  let o = Summary.analyze ?store prog in
   result ~defs:(List.length o.Engine.summaries) ~evaluations:o.Engine.evaluations
     ~scc_hits:o.Engine.scc_hits ~scc_misses:o.Engine.scc_misses path
     (Format.asprintf "%a@." Escape.Report.pp_program_summaries o.Engine.summaries)
 
+let of_source ?store ~path src = of_program ?store ~path (Nml.Front.of_string ~file:path src)
 let analyze_source ?store ~path src = protect path (fun () -> of_source ?store ~path src)
 
 let analyze_file ?store path =

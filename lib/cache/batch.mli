@@ -48,6 +48,11 @@ val protect : string -> (unit -> result) -> result
     (and {!run} additionally guards every callback, so even a job that
     raises through its own protection only costs its own slot). *)
 
+val of_program : ?store:Store.t -> path:string -> Nml.Infer.program -> result
+(** The escape report of a typed program, rendered as [nmlc analyze]
+    prints it: the one escape renderer every caller shares.  Unprotected;
+    [path] only labels the result. *)
+
 val analyze_file : ?store:Store.t -> string -> result
 (** One file, inline (the sequential baseline the differential tests
     compare the pool against). *)

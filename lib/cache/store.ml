@@ -26,8 +26,7 @@
    without walking).  In write-back mode, saves only mark entries dirty
    and [flush] publishes them.  The tier is always rebuildable from
    disk: a memory entry that fails to parse is dropped and re-read from
-   disk by [load] itself (one entry), and [drop_memory] empties the tier
-   wholesale. *)
+   disk by [load] itself. *)
 
 type memory = {
   tbl : (string, string) Hashtbl.t;  (* key -> record bytes *)
@@ -178,14 +177,6 @@ let flush t =
       in
       List.iter (fun (key, bytes) -> disk_save t ~key bytes) pending;
       List.length pending
-
-let drop_memory t =
-  match t.memory with
-  | None -> ()
-  | Some m ->
-      with_memory m (fun () ->
-          Hashtbl.reset m.tbl;
-          Hashtbl.reset m.dirty)
 
 (* Each record keeps the first half of its bytes: a torn copy, which no
    longer parses. *)

@@ -20,8 +20,7 @@
     {!flush} publishes all dirty entries through the atomic-rename path
     (the server calls it periodically and on drain).  The memory tier is
     strictly a cache of the disk tier plus unflushed writes: {!load}
-    heals one corrupted entry from [.nmlc-cache/], and after
-    {!drop_memory} the tier refills from there. *)
+    heals a corrupted entry from [.nmlc-cache/]. *)
 
 type t
 
@@ -45,10 +44,6 @@ val save : t -> key:string -> Nml.Json.t -> unit
 val flush : t -> int
 (** Publishes every dirty (write-back) entry to disk; returns how many
     were written.  [0] when there is no memory tier or nothing dirty. *)
-
-val drop_memory : t -> unit
-(** Empties the memory tier (entries and dirty marks).  Subsequent
-    loads rebuild it lazily from disk. *)
 
 val corrupt_memory : t -> int
 (** Fault-injection hook ([nmlc serve --inject-fault cache-corrupt]):

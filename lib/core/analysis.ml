@@ -143,17 +143,3 @@ let typed_call t fname args =
   tcall
 
 let local t fname args ~arg = local_call t (typed_call t fname args) ~arg
-
-let local_all t fname args =
-  let tcall = typed_call t fname args in
-  List.init (List.length args) (fun j -> local_call t tcall ~arg:(j + 1))
-
-let pp_verdict ppf v =
-  let k = escaping_spines v in
-  Format.fprintf ppf "@[G/L(%s, %d) = %a:" v.func v.arg Besc.pp v.esc;
-  (if not (escapes v) then Format.fprintf ppf " no part of the argument escapes"
-   else if v.spines = 0 then Format.fprintf ppf " the argument may escape"
-   else
-     Format.fprintf ppf " top %d of %d spine(s) do not escape; bottom %d may"
-       (non_escaping_top_spines v) v.spines k);
-  Format.fprintf ppf "@]"

@@ -52,8 +52,6 @@ val local : Fixpoint.t -> string -> Nml.Ast.expr list -> arg:int -> verdict
     its actual abstract function component but is marked [<1,s_i>], and
     the others are marked [<0,0>]. *)
 
-val local_all : Fixpoint.t -> string -> Nml.Ast.expr list -> verdict list
-
 val local_call : Fixpoint.t -> Nml.Tast.texpr -> arg:int -> verdict
 (** Local test on an already-typed application node [f e1 ... en] (the
     head must be a variable naming a definition). *)
@@ -81,5 +79,3 @@ val global_components :
 val pp_path : Format.formatter -> Dvalue.component list -> unit
 (** [".fst.snd"], or ["(whole)"] for the empty path. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-(** e.g. ["G(append, 1) = <1,0>: top 1 of 1 spine(s) do not escape"]. *)

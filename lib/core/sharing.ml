@@ -53,11 +53,3 @@ let argument_unshared_after ?inst t fname ~arg ~args_unshared =
   let u_i = List.nth args_unshared (arg - 1) in
   max 0 (min u_i (d_i - esc_i))
 
-let pp_info ppf i =
-  Format.fprintf ppf
-    "@[<hov 2>%s: result has %d spine(s),@ top %d unshared@ (arg spines %a, arg escapes %a)@]"
-    i.func i.result_spines i.unshared_top
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") Format.pp_print_int)
-    i.arg_spines
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") Format.pp_print_int)
-    i.arg_escapes

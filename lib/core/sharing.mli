@@ -52,4 +52,3 @@ val argument_unshared_after :
     escape the call — i.e. the paper's reuse budget
     [min u_i (d_i - esc_i)] (section 6, in-place reuse). *)
 
-val pp_info : Format.formatter -> info -> unit

@@ -340,4 +340,3 @@ let parse ?(file = "<string>") src =
   | t -> error st (Printf.sprintf "trailing input starting with %s" (Token.to_string t)));
   e
 
-let parse_expr = parse

@@ -34,5 +34,3 @@ val parse : ?file:string -> string -> Ast.program
     by end of file.  @raise Error on syntax errors, and propagates
     {!Lexer.Error}. *)
 
-val parse_expr : ?file:string -> string -> Ast.expr
-(** Alias of {!parse} (a program is an expression). *)

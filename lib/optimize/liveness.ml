@@ -143,5 +143,3 @@ let select sites =
   List.fold_left
     (fun kept s -> if List.for_all (exclusive s) kept then kept @ [ s ] else kept)
     [] sites
-
-let selected_sites e ~param = select (eligible_sites e ~param)

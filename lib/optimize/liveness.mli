@@ -16,8 +16,8 @@
 
     Two eligible sites may both be rewritten only if they cannot both
     execute in one activation — i.e. they sit in different branches of
-    some conditional.  {!selected_sites} returns a maximal prefix-greedy
-    set of pairwise-exclusive eligible sites. *)
+    some conditional.  {!select} keeps a maximal prefix-greedy set of
+    pairwise-exclusive sites. *)
 
 type site = {
   id : int;  (** index of the cons application in traversal (pre-)order *)
@@ -47,9 +47,6 @@ val eligible_node_sites : Nml.Ast.expr -> param:string -> site list
 
 val select : site list -> site list
 (** Greedy maximal pairwise-exclusive subset, preferring earlier sites. *)
-
-val selected_sites : Nml.Ast.expr -> param:string -> site list
-(** [select (eligible_sites e ~param)]. *)
 
 val exclusive : site -> site -> bool
 (** Whether two sites are in different branches of a common conditional

@@ -95,19 +95,14 @@ let dispatch t (req : Protocol.request) =
   in
   match req.meth with
   | Protocol.Analyze -> (
-      match req.analysis with
-      | None | Some "escape" -> (
-          match source with
-          | None -> Cache.Batch.analyze_file ?store:t.store path
-          | Some src -> Cache.Batch.analyze_source ?store:t.store ~path src)
-      | Some name -> (
-          match Analyses.Registry.find name with
-          | None ->
-              (* a user error, not a crash: rendered as a code-1 diagnostic
-                 through the same protection the default path uses *)
-              Cache.Batch.protect "<request>" (fun () ->
-                  failwith (Printf.sprintf "unknown analysis %s" name))
-          | Some e -> Analyses.Registry.batch_job e ~store:t.store ?source path))
+      let name = Option.value req.analysis ~default:"escape" in
+      match Analyses.Registry.find name with
+      | None ->
+          (* a user error, not a crash: rendered as a code-1 diagnostic
+             through the same protection every job uses *)
+          Cache.Batch.protect "<request>" (fun () ->
+              failwith (Printf.sprintf "unknown analysis %s" name))
+      | Some e -> Analyses.Registry.batch_job e ~store:t.store ?source path)
   | Protocol.Lint -> (
       match source with
       | None -> Lint.Batch.analyze_file ~store:t.store path

@@ -18,13 +18,6 @@ module J = Nml.Json
 
 type meth = Analyze | Vet | Lint | Status | Shutdown
 
-let meth_name = function
-  | Analyze -> "analyze"
-  | Vet -> "vet"
-  | Lint -> "lint"
-  | Status -> "status"
-  | Shutdown -> "shutdown"
-
 let meth_of_name = function
   | "analyze" -> Some Analyze
   | "vet" -> Some Vet
@@ -53,18 +46,6 @@ let srv_overload = "SRV005"
 let srv_crash = "SRV006"
 let srv_quarantined = "SRV007"
 let srv_draining = "SRV008"
-
-let srv_codes =
-  [
-    (srv_malformed, "malformed frame or unparsable JSON payload");
-    (srv_invalid, "invalid request: bad id, unknown method or bad params");
-    (srv_oversized, "frame exceeds the server's size limit");
-    (srv_deadline, "deadline exceeded; the in-flight result is discarded");
-    (srv_overload, "request shed under load; retry after retry_after_ms");
-    (srv_crash, "a worker crashed while processing the request");
-    (srv_quarantined, "input quarantined after crashing a worker");
-    (srv_draining, "server is draining and accepts no new work");
-  ]
 
 (* ---- parsing ---------------------------------------------------------------- *)
 

@@ -8,7 +8,6 @@
 
 type meth = Analyze | Vet | Lint | Status | Shutdown
 
-val meth_name : meth -> string
 val meth_of_name : string -> meth option
 
 type request = {
@@ -52,6 +51,3 @@ val srv_quarantined : string  (** SRV007 *)
 
 val srv_draining : string  (** SRV008 *)
 
-val srv_codes : (string * string) list
-(** Every code with its one-line meaning, for docs and the smoke
-    tests. *)

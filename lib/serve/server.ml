@@ -313,6 +313,18 @@ let connection t ~rfd ~wfd =
 let flush_store t =
   match t.cfg.store with None -> 0 | Some s -> Cache.Store.flush s
 
+(* The write-back timer both transports poll from their loop: publishes
+   the dirty summaries once more than 2 s have passed since the last
+   publication. *)
+let flush_timer t =
+  let last_flush = ref (Unix.gettimeofday ()) in
+  fun () ->
+    let now = Unix.gettimeofday () in
+    if now -. !last_flush > 2. then begin
+      last_flush := now;
+      ignore (flush_store t)
+    end
+
 let drain t =
   log t "serve: draining";
   (* let in-flight requests finish being answered (their connection
@@ -374,7 +386,7 @@ let serve_socket t path =
   Unix.bind lfd (Unix.ADDR_UNIX path);
   Unix.listen lfd 64;
   log t "serve: listening on %s" path;
-  let last_flush = ref (Unix.gettimeofday ()) in
+  let tick = flush_timer t in
   while not (Atomic.get t.stop) do
     (match Unix.select [ lfd ] [] [] 0.2 with
     | [ _ ], _, _ -> (
@@ -390,11 +402,7 @@ let serve_socket t path =
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
     | _ -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    let now = Unix.gettimeofday () in
-    if now -. !last_flush > 2. then begin
-      last_flush := now;
-      ignore (flush_store t)
-    end
+    tick ()
   done;
   (try Unix.close lfd with Unix.Unix_error _ -> ())
 
@@ -407,14 +415,10 @@ let serve_stdio t =
         Atomic.set conn_done true)
       ()
   in
-  let last_flush = ref (Unix.gettimeofday ()) in
+  let tick = flush_timer t in
   while not (Atomic.get t.stop || Atomic.get conn_done) do
     Thread.delay 0.05;
-    let now = Unix.gettimeofday () in
-    if now -. !last_flush > 2. then begin
-      last_flush := now;
-      ignore (flush_store t)
-    end
+    tick ()
   done;
   Atomic.set t.stop true;
   (* if the peer closed stdin the thread joins immediately; if the stop
