@@ -166,7 +166,9 @@ sharing-smoke: build
 # garbage payload, SRV004 on a blown deadline, counted exactly once by a
 # server that still answers), and a clean shutdown drain (exit 0).  A
 # second server started on the flushed cache directory must then answer
-# every example with the same output and zero evaluations.
+# every example with the same output and zero evaluations, and its
+# analyze output with `params.analysis` set to each flag analysis must be
+# byte-identical to `nmlc batch --no-cache --analysis` on every example.
 serve-smoke: build
 	rm -rf _build/serve_smoke && mkdir -p _build/serve_smoke
 	set -e; \
@@ -199,6 +201,18 @@ serve-smoke: build
 	  cmp $$O/$$(basename $$1).batch $$O/daemon.out \
 	    || { echo "serve-smoke: daemon analyze ($$2) differs from nmlc batch on $$1"; exit 1; }; \
 	}; \
+	flag_matches() { \
+	  $$N batch --no-cache --analysis $$2 $$1 | sed '1d;$$d' > $$O/flag.batch; \
+	  $$N serve --connect $$S --raw \
+	    "{\"id\": 1, \"method\": \"analyze\", \"params\": {\"path\": \"$$1\", \"analysis\": \"$$2\"}}" \
+	    > $$O/resp; \
+	  grep -q '"code": 0' $$O/resp \
+	    || { echo "serve-smoke: daemon analyze --analysis $$2 failed on $$1"; exit 1; }; \
+	  printf '%b' "$$(sed -n 's/.*"output": "\(.*\)", "errors".*/\1/p' $$O/resp)" \
+	    > $$O/daemon.out; \
+	  cmp $$O/flag.batch $$O/daemon.out \
+	    || { echo "serve-smoke: daemon analyze --analysis $$2 differs from nmlc batch on $$1"; exit 1; }; \
+	}; \
 	for f in examples/programs/*.nml; do \
 	  $$N batch --no-cache $$f | sed '1d;$$d' > $$O/$$(basename $$f).batch; \
 	  analyze_matches $$f cold; \
@@ -220,6 +234,7 @@ serve-smoke: build
 	  analyze_matches $$f flushed; \
 	  grep -q '"evaluations": 0,' $$O/resp \
 	    || { echo "serve-smoke: $$f evaluated on the flushed cache"; exit 1; }; \
+	  for a in usage spine-liveness escape-x-usage sharing; do flag_matches $$f $$a; done; \
 	done; \
 	$$N serve --connect $$S --call shutdown | grep -q '"stopping": true'; \
 	wait $$SRV

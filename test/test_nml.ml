@@ -701,14 +701,15 @@ let examples_dir =
   let local = Filename.concat (Filename.concat ".." "examples") "programs" in
   if Sys.file_exists local then local else Filename.concat "examples" "programs"
 
+let example_programs () =
+  Sys.readdir examples_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".nml")
+  |> List.sort String.compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_text (Filename.concat examples_dir f) In_channel.input_all))
+
 let equivalence_corpus () =
-  let examples =
-    Sys.readdir examples_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".nml")
-    |> List.sort String.compare
-    |> List.map (fun f ->
-           (f, In_channel.with_open_text (Filename.concat examples_dir f) In_channel.input_all))
-  in
+  let examples = example_programs () in
   let rand = Random.State.make [| 16 |] in
   let generated =
     List.init 100 (fun i ->
@@ -758,6 +759,22 @@ let instantiate_tests =
               p.Infer.schemes)
           (equivalence_corpus ());
         checkb "compared a real corpus" true (!compared > 200));
+    Alcotest.test_case "simplest-instance-is-typed-once" `Quick (fun () ->
+        (* the program's table hands out one tree per definition, and it
+           prints like a fresh simplest instance *)
+        List.iter
+          (fun (label, src) ->
+            let p = Infer.infer_program (Surface.of_string src) in
+            List.iter
+              (fun (name, _) ->
+                let what = Printf.sprintf "%s: %s" label name in
+                let first = Infer.simplest p name in
+                checkb (what ^ " is the same tree") true (first == Infer.simplest p name);
+                checks what
+                  (Ty.to_string (Infer.instantiate_def p name None).Tast.ty)
+                  (Ty.to_string first.Tast.ty))
+              p.Infer.schemes)
+          (example_programs () @ Check.Harness.builtin_corpus));
   ]
 
 (* ---- instance keys ----------------------------------------------------- *)

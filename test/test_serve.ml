@@ -523,12 +523,57 @@ let with_server ?fault ?jobs ?queue_cap ?deadline_ms f =
   wait_for_socket sock;
   Fun.protect ~finally:stop (fun () -> f ~dir ~sock ~store)
 
+let examples_dir =
+  let local = Filename.concat (Filename.concat ".." "examples") "programs" in
+  if Sys.file_exists local then local else Filename.concat "examples" "programs"
+
+let example_files () =
+  Sys.readdir examples_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".nml")
+  |> List.sort String.compare
+  |> List.map (Filename.concat examples_dir)
+
+(* the [output] of a successful reply *)
+let reply_output json =
+  match Option.bind (J.member "result" json) (J.member "output") with
+  | Some (J.Str s) -> s
+  | _ -> Alcotest.fail ("not a successful analyze reply: " ^ J.to_string json)
+
 (* the batch rendering of a result, in the chaos client's format *)
 let batch_rendering (r : Batch.result) =
   Printf.sprintf "[%d]\n%s%s" r.Batch.code r.Batch.output r.Batch.errors
 
 let server_units =
   [
+    Alcotest.test_case "every-analysis-matches-its-batch-job" `Quick (fun () ->
+        (* one dispatch path: the daemon resolves [params.analysis]
+           through the registry, so each reply is its batch job's output *)
+        with_server @@ fun ~dir:_ ~sock ~store:_ ->
+        List.iter
+          (fun (e : Analyses.Registry.entry) ->
+            List.iter
+              (fun path ->
+                let served =
+                  reply_output
+                    (rpc sock
+                       (J.to_string
+                          (J.Obj
+                             [
+                               ("id", J.int 1);
+                               ("method", J.Str "analyze");
+                               ( "params",
+                                 J.Obj
+                                   [
+                                     ("path", J.Str path);
+                                     ("analysis", J.Str e.Analyses.Registry.name);
+                                   ] );
+                             ])))
+                in
+                checks
+                  (Printf.sprintf "%s %s" e.Analyses.Registry.name path)
+                  (Analyses.Registry.batch_job e ~store:None path).Batch.output served)
+              (example_files ()))
+          Analyses.Registry.all);
     Alcotest.test_case "chaos-storm-with-three-way-differential" `Slow (fun () ->
         with_server @@ fun ~dir ~sock ~store:_ ->
         let files = corpus dir in
