@@ -45,8 +45,8 @@ type t = {
 let sccs t = t.sccs
 let key_of_def t name = Hashtbl.find_opt t.by_def name
 
-(* One inference of a member's simplest instance: its type key and the
-   depth of its cone. *)
+(* A member's simplest instance, typed once per program: its type key
+   and the depth of its cone. *)
 let member prog name =
   let tast = Infer.simplest prog name in
   (Ty.key tast.Nml.Tast.ty, Nml.Tast.max_list_depth tast)

@@ -7,6 +7,9 @@
    variables hold; a nested [letrec] group is solved by Jacobi-style
    Kleene iteration from bottom, every right-hand side of round k+1
    evaluated under the round-k values, and widened to [top] at the cap.
+   The context holds no chain bound: [top] and the round test [equal]
+   read it from the domain's installed state, which the solver raises
+   with [ensure_d].
 
    A domain supplies only what differs between the analyses: its
    lattice and [apply], its [C] tables, how a lambda folds a captured
