@@ -169,12 +169,15 @@ sharing-smoke: build
 # every example with the same output and zero evaluations, and its
 # analyze output with `params.analysis` set to each flag analysis must be
 # byte-identical to `nmlc batch --no-cache --analysis` on every example.
+# The daemon's lint output must equal `nmlc batch --lint --no-cache` on
+# every example.  A trap stops the background server if any check fails.
 serve-smoke: build
 	rm -rf _build/serve_smoke && mkdir -p _build/serve_smoke
 	set -e; \
 	N=_build/default/bin/nmlc.exe; S=_build/serve_smoke/s.sock; \
 	$$N serve --socket $$S --cache _build/serve_smoke/cache --jobs 2 \
 	  --inject-fault slow-request --quiet & SRV=$$!; \
+	trap 'kill $$SRV 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 100); do [ -S $$S ] && break; sleep 0.1; done; \
 	$$N serve --connect $$S --call status | grep -q '"workers": 2'; \
 	$$N serve --connect $$S --call analyze --file examples/programs/reverse.nml \
@@ -213,7 +216,16 @@ serve-smoke: build
 	  cmp $$O/flag.batch $$O/daemon.out \
 	    || { echo "serve-smoke: daemon analyze --analysis $$2 differs from nmlc batch on $$1"; exit 1; }; \
 	}; \
+	lint_matches() { \
+	  $$N batch --lint --no-cache $$1 | sed '1d;$$d' > $$O/lint.batch; \
+	  $$N serve --connect $$S --call lint --file $$1 > $$O/resp; \
+	  printf '%b' "$$(sed -n 's/.*"output": "\(.*\)", "errors".*/\1/p' $$O/resp)" \
+	    > $$O/daemon.out; \
+	  cmp $$O/lint.batch $$O/daemon.out \
+	    || { echo "serve-smoke: daemon lint differs from nmlc batch --lint on $$1"; exit 1; }; \
+	}; \
 	for f in examples/programs/*.nml; do \
+	  lint_matches $$f; \
 	  $$N batch --no-cache $$f | sed '1d;$$d' > $$O/$$(basename $$f).batch; \
 	  analyze_matches $$f cold; \
 	  analyze_matches $$f warm; \

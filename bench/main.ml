@@ -981,6 +981,9 @@ let builtin_files dir =
    examples. *)
 let batch_corpus dir = builtin_files dir @ example_files ()
 
+(* the escape job, as [nmlc batch] runs it *)
+let escape = Analyses.Registry.job (Option.get (Analyses.Registry.find "escape"))
+
 (* The cold and warm phases of a summary-cache experiment, as
    (phase, wall, results): the cold run is timed once (a second run
    would be warm), the warm rerun repeatedly. *)
@@ -1019,12 +1022,12 @@ let s3 =
         let files = batch_corpus dir in
         List.map
           (fun jobs ->
-            let results = Cache.Batch.run ~jobs files in
+            let results = Cache.Batch.run ~analyze:escape ~jobs files in
             let count f = List.fold_left (fun a r -> a + f r) 0 results in
             let wall =
               measure_ns
                 (Printf.sprintf "jobs%d" jobs)
-                (fun () -> ignore (Cache.Batch.run ~jobs files))
+                (fun () -> ignore (Cache.Batch.run ~analyze:escape ~jobs files))
             in
             [
               ("workload", J.Str "batch-scaling");
@@ -1064,7 +1067,7 @@ let s4 =
         write_file edited_file (edit_src "cons (car l) nil");
         let files = batch_corpus dir @ [ edited_file ] in
         let store = Cache.Store.create (Filename.concat dir "cache") in
-        let run () = Cache.Batch.run ~store ~jobs:1 files in
+        let run () = Cache.Batch.run ~analyze:escape ~store ~jobs:1 files in
         let cold, warm = cold_warm run in
         (* edited: one definition's body changes, so only its SCC and the
            readers above it re-solve; everything else still hits *)
@@ -1113,7 +1116,7 @@ let s5_measure () =
     (fun (e : Analyses.Registry.entry) ->
       let cold, warm =
         cold_warm (fun () ->
-            List.map (fun p -> Analyses.Registry.batch_job e ~store:(Some store) p) files)
+            List.map (fun p -> Analyses.Registry.job e ~store:(Some store) p) files)
       in
       List.map
         (fun phase ->
@@ -1220,7 +1223,7 @@ let s6_measure = function
       let files = example_files () in
       let cold, warm =
         cold_warm (fun () ->
-            List.map (fun p -> Analyses.Registry.batch_job e ~store:(Some store) p) files)
+            List.map (fun p -> Analyses.Registry.job e ~store:(Some store) p) files)
       in
       List.map
         (fun phase -> ("workload", J.Str "sharing-cache") :: phase_fields phase)
@@ -1301,10 +1304,9 @@ let l1_measure () =
   in
   let files = batch_corpus dir @ random_files in
   let store = Cache.Store.create (Filename.concat dir "cache") in
-  let lint ~store path = Lint.Batch.analyze_file ~store path in
   (* warm: every record replays without forcing the fixpoint solver *)
   let ((_, _, cold) as c), ((_, _, warm) as w) =
-    cold_warm (fun () -> Cache.Batch.run ~analyze:lint ~store ~jobs:1 files)
+    cold_warm (fun () -> Cache.Batch.run ~analyze:Lint.Batch.job ~store ~jobs:1 files)
   in
   let identical =
     List.equal

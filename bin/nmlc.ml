@@ -273,14 +273,13 @@ let analyze_cmd =
             in
             if enumerate || local || json || func <> None then
               failwith "--enumerate/--local/--json/-f apply to the escape analysis only";
-            let o = e.Analyses.Registry.run prog in
-            print_string o.Analyses.Registry.output;
+            let r = e.Analyses.Registry.run ~path:"" prog in
+            print_string r.Cache.Batch.output;
             if show_stats then
               Format.printf
                 "-- solver --@.analysis            %s@.definitions         \
                  %d@.entry evaluations   %d@."
-                e.Analyses.Registry.name o.Analyses.Registry.defs
-                o.Analyses.Registry.evaluations)
+                e.Analyses.Registry.name r.Cache.Batch.defs r.Cache.Batch.evaluations)
   in
   let func = opt_some Arg.string [ "f"; "fun" ] "NAME" "Analyze a single definition." in
   let enumerate =
@@ -327,14 +326,14 @@ let batch_cmd =
     if lint then begin
       if not (String.equal analysis "escape") then
         failwith "--lint runs the lint rules; it does not take --analysis";
-      fun ~store path -> Lint.Batch.analyze_file ~store path
+      Lint.Batch.job
     end
     else
       match Analyses.Registry.find analysis with
       | None ->
           failwith
             (Printf.sprintf "unknown analysis %s (try nmlc analyze --list-analyses)" analysis)
-      | Some e -> fun ~store path -> Analyses.Registry.batch_job e ~store path
+      | Some e -> Analyses.Registry.job e
   in
   let print_results ~lint format results =
     let module B = Cache.Batch in
@@ -468,7 +467,9 @@ let batch_cmd =
            count)."
       $ cache_arg $ no_cache $ lint $ format $ analysis)
 
-let options_term =
+(* [nmlc run] takes no --pretenure: the heap it runs on decides that pass
+   ({!Pipeline.lower}) *)
+let options_term ~pretenure =
   let mk m r a s b p =
     {
       Optimize.Transform.monomorphize = not m;
@@ -488,10 +489,12 @@ let options_term =
          flow-sensitive sharing analysis."
     $ flag [ "no-stack" ] "Disable stack allocation."
     $ flag [ "no-block" ] "Disable block allocation."
-    $ flag [ "pretenure" ]
-        "Retarget escape-doomed cons sites (escaping literal spines, the result spine \
-         of main) to tenured-at-birth allocation.  A hint for the generational heap; a \
-         no-op under the legacy heap.")
+    $ (if not pretenure then const false
+       else
+         flag [ "pretenure" ]
+           "Retarget escape-doomed cons sites (escaping literal spines, the result \
+            spine of main) to tenured-at-birth allocation.  A hint for the generational \
+            heap; a no-op under the legacy heap."))
 
 let mono_cmd =
   let run input =
@@ -516,7 +519,7 @@ let optimize_cmd =
   in
   Cmd.v
     (Cmd.info ~exits "optimize" ~doc:"Apply the storage optimizations and print the program")
-    Term.(const run $ source $ options_term)
+    Term.(const run $ source $ options_term ~pretenure:true)
 
 let run_cmd =
   let run input options optimized heap_size no_grow check compare fuel policy
@@ -578,9 +581,9 @@ let run_cmd =
   Cmd.v
     (Cmd.info ~exits "run" ~doc:"Execute on the storage simulator and print statistics")
     Term.(
-      const run $ source $ options_term $ optimized $ heap $ no_grow $ check $ compare
-      $ fuel_arg "Bound the number of machine steps." $ policy $ nursery $ no_regions
-      $ no_pretenure $ backend)
+      const run $ source $ options_term ~pretenure:false $ optimized $ heap $ no_grow
+      $ check $ compare $ fuel_arg "Bound the number of machine steps." $ policy
+      $ nursery $ no_regions $ no_pretenure $ backend)
 
 let compile_cmd =
   let run input options optimized dump_anf dump_bytecode =
@@ -615,7 +618,9 @@ let compile_cmd =
        ~doc:"Lower through the bytecode middle-end (ANF, closure conversion) and \
              print the requested stage; with no dump flag, print the closure-\
              conversion report")
-    Term.(const run $ source $ options_term $ optimized $ dump_anf $ dump_bytecode)
+    Term.(
+      const run $ source $ options_term ~pretenure:true $ optimized $ dump_anf
+      $ dump_bytecode)
 
 let fault_arg doc =
   opt (Arg.enum Check.Harness.faults) Check.Harness.No_fault [ "inject-fault" ] "KIND" doc
@@ -733,7 +738,7 @@ let vet_cmd =
        ~doc:"Independently re-verify the optimizer's storage annotations, reporting \
              violated proof obligations as source-located diagnostics")
     Term.(
-      const run $ source $ options_term $ format $ mutate $ seed
+      const run $ source $ options_term ~pretenure:true $ format $ mutate $ seed
       $ fault_arg
           "Vet a deliberately broken annotation (arena: widen a stack/block verdict; \
            dcons: misuse a reuse verdict) instead of the optimizer's output.  Expected \

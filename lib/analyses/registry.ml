@@ -12,67 +12,18 @@ module Spinelive = Framework.Spinelive
 module Alias = Framework.Alias
 module Verdict = Framework.Verdict
 
-type outcome = {
-  output : string;  (* rendered report, one block per definition *)
-  defs : int;
-  evaluations : int;
-  scc_hits : int;
-  scc_misses : int;
-}
-
-type job = store:Cache.Store.t option -> ?source:string -> string -> Cache.Batch.result
-
 type entry = {
   name : string;  (* canonical registry / cache-namespace name *)
   aliases : string list;
   domain : string;  (* one-line abstract-domain description *)
   doc : string;  (* one-line "what question does it answer" *)
-  run : ?store:Cache.Store.t -> Nml.Infer.program -> outcome;
-  job : job;
+  run : ?store:Cache.Store.t -> path:string -> Nml.Infer.program -> Cache.Batch.result;
 }
-
-(* ---- codec helpers ---------------------------------------------------------- *)
-
-let fail = failwith
-let str = function J.Str s -> s | _ -> fail "expected a string"
-let num = function J.Num f -> int_of_float f | _ -> fail "expected a number"
-let arr = function J.Arr xs -> xs | _ -> fail "expected an array"
-
-let get field j =
-  match J.member field j with Some v -> v | None -> fail ("missing field " ^ field)
 
 let render pp summaries =
   Format.asprintf "@[<v 0>%a@]@."
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "@,@,") pp)
     summaries
-
-let of_engine output (o : _ Engine.outcome) =
-  {
-    output;
-    defs = List.length o.Engine.summaries;
-    evaluations = o.Engine.evaluations;
-    scc_hits = o.Engine.scc_hits;
-    scc_misses = o.Engine.scc_misses;
-  }
-
-(* ---- escape ----------------------------------------------------------------- *)
-
-(* rendered by the batch driver's escape job, so both print the same bytes *)
-let escape_run ?store prog =
-  let r = Cache.Batch.of_program ?store ~path:"" prog in
-  {
-    output = r.Cache.Batch.output;
-    defs = r.defs;
-    evaluations = r.evaluations;
-    scc_hits = r.scc_hits;
-    scc_misses = r.scc_misses;
-  }
-
-(* Escape's per-file job is the batch driver's own, test hooks included. *)
-let escape_job ~store ?source path =
-  match source with
-  | None -> Cache.Batch.analyze_file ?store path
-  | Some src -> Cache.Batch.analyze_source ?store ~path src
 
 (* ---- the flag analyses: one codec over each verdict table ------------------- *)
 
@@ -84,13 +35,13 @@ let flag_spec ~analysis ?(extra = fun _ -> []) verdicts session :
   let arg_of_json = function
     | J.Arr [ i; v ] ->
         {
-          Verdict.a_index = num i;
+          Verdict.a_index = J.num i;
           a_verdict =
-            (match Verdict.of_name verdicts (str v) with
+            (match Verdict.of_name verdicts (J.str v) with
             | Some v -> v
-            | None -> fail ("bad " ^ analysis ^ " verdict"));
+            | None -> failwith ("bad " ^ analysis ^ " verdict"));
         }
-    | _ -> fail ("bad " ^ analysis ^ " arg")
+    | _ -> failwith ("bad " ^ analysis ^ " arg")
   in
   {
     Engine.analysis;
@@ -116,9 +67,9 @@ let flag_spec ~analysis ?(extra = fun _ -> []) verdicts session :
     of_json =
       (fun j ->
         {
-          Verdict.r_name = str (get "name" j);
-          r_ty = str (get "inst" j);
-          r_args = List.map arg_of_json (arr (get "args" j));
+          Verdict.r_name = J.str (J.get "name" j);
+          r_ty = J.str (J.get "inst" j);
+          r_args = List.map arg_of_json (J.arr (J.get "args" j));
         });
     session;
   }
@@ -151,22 +102,14 @@ let alias_spec =
       let t = Alias.Solver.make prog in
       { Engine.summarize = Alias.report t; evaluations = (fun () -> Alias.Solver.evaluations t) })
 
-let run_spec spec pp ?store prog =
-  let o = Engine.analyze spec ?store prog in
-  of_engine (render pp o.Engine.summaries) o
-
-(* A per-file job with the {!Cache.Batch.result} shape over [run], so the
-   flag analyses ride the batch pool (and the serve daemon) like escape. *)
-let run_job run ~store ?source path =
-  Cache.Batch.protect path (fun () ->
-      let src = match source with Some src -> src | None -> Nml.Front.read path in
-      let o = run ?store (Nml.Front.of_string ~file:path src) in
-      Cache.Batch.result ~defs:o.defs ~evaluations:o.evaluations ~scc_hits:o.scc_hits
-        ~scc_misses:o.scc_misses path o.output)
-
 let spec_entry ~name ~aliases ~domain ~doc spec pp =
-  let run = run_spec spec pp in
-  { name; aliases; domain; doc; run; job = run_job run }
+  let run ?store ~path prog =
+    let o = Engine.analyze spec ?store prog in
+    Cache.Batch.result ~defs:(List.length o.Engine.summaries)
+      ~evaluations:o.Engine.evaluations ~scc_hits:o.Engine.scc_hits
+      ~scc_misses:o.Engine.scc_misses path (render pp o.Engine.summaries)
+  in
+  { name; aliases; domain; doc; run }
 
 (* ---- escape × usage reduced product ----------------------------------------- *)
 
@@ -192,22 +135,22 @@ let product_def_to_json (r : Product.def_report) =
 
 let product_def_of_json j =
   let req of_name s =
-    match of_name s with Some v -> v | None -> fail ("bad verdict " ^ s)
+    match of_name s with Some v -> v | None -> failwith ("bad verdict " ^ s)
   in
   {
-    Product.r_name = str (get "name" j);
-    r_ty = str (get "inst" j);
+    Product.r_name = J.str (J.get "name" j);
+    r_ty = J.str (J.get "inst" j);
     r_args =
       List.map
         (fun a ->
           {
-            Product.a_index = num (get "arg" a);
-            a_usage = req Usage.verdict_of_name (str (get "usage" a));
-            a_esc = req Escape.Besc.of_string (str (get "esc" a));
-            a_spines = num (get "spines" a);
-            a_verdict = req Product.verdict_of_name (str (get "verdict" a));
+            Product.a_index = J.num (J.get "arg" a);
+            a_usage = req Usage.verdict_of_name (J.str (J.get "usage" a));
+            a_esc = req Escape.Besc.of_string (J.str (J.get "esc" a));
+            a_spines = J.num (J.get "spines" a);
+            a_verdict = req Product.verdict_of_name (J.str (J.get "verdict" a));
           })
-        (arr (get "args" j));
+        (J.arr (J.get "args" j));
   }
 
 let product_spec : Product.def_report Engine.spec =
@@ -234,8 +177,7 @@ let all =
       aliases = [];
       domain = "B_e chains <e,s> over list spines (Park-Goldberg)";
       doc = "which bottom spines of each argument may escape into the result";
-      run = escape_run;
-      job = escape_job;
+      run = Cache.Batch.of_program;
     };
     spec_entry ~name:"usage" ~aliases:[ "strictness" ] ~domain:"dep x use bits per argument"
       ~doc:"is each argument inspected, retained, both, or neither" usage_spec
@@ -259,4 +201,6 @@ let names = List.map (fun e -> e.name) all
 let find name =
   List.find_opt (fun e -> String.equal e.name name || List.mem name e.aliases) all
 
-let batch_job e = e.job
+let job e =
+  Cache.Batch.job (fun ?store ~path src ->
+      e.run ?store ~path (Nml.Front.of_string ~file:path src))

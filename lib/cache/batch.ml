@@ -7,8 +7,10 @@
    merged report in input order no matter which domain finished first.
 
    The pool is analysis-agnostic: [run ~analyze] distributes any
-   per-file job with the same result shape (the lint engine rides it
-   via [Lint.Batch]); the default job is the escape-summary analysis.
+   per-file [job], and [job] is the one way to build one: it takes the
+   request's source or reads the file and renders it under [protect].
+   Every analysis in [Analyses.Registry], the lint engine and the
+   daemon's vet are jobs built that way.
 
    Robustness: the per-file jobs protect themselves ([protect]), but the
    pool additionally guards every callback invocation, so an exception
@@ -51,10 +53,10 @@ let () =
     | Injected_crash path -> Some (Printf.sprintf "injected crash on %s" path)
     | _ -> None)
 
-(* Test hooks for the robustness story, deliberately placed *outside*
-   [protect]: NMLC_TEST_CRASH_FILE=<basename> raises through the job so
-   the pool-level guard must catch it, NMLC_TEST_SLOW_MS=<ms> stalls
-   every job so a signal can land mid-batch. *)
+(* Test hooks for the robustness story, run by [run] before every job
+   and deliberately *outside* [protect]: NMLC_TEST_CRASH_FILE=<basename>
+   raises so the pool-level guard must catch it, NMLC_TEST_SLOW_MS=<ms>
+   stalls every file so a signal can land mid-batch. *)
 let test_hooks path =
   (match Sys.getenv_opt "NMLC_TEST_SLOW_MS" with
   | Some ms -> (
@@ -69,29 +71,32 @@ let test_hooks path =
       raise (Injected_crash path)
   | _ -> ()
 
+type job = store:Store.t option -> ?source:string -> string -> result
+
+let job render ~store ?source path =
+  protect path (fun () ->
+      let src = match source with Some src -> src | None -> Nml.Front.read path in
+      render ?store ~path src)
+
 let of_program ?store ~path prog =
   let o = Summary.analyze ?store prog in
   result ~defs:(List.length o.Engine.summaries) ~evaluations:o.Engine.evaluations
     ~scc_hits:o.Engine.scc_hits ~scc_misses:o.Engine.scc_misses path
     (Format.asprintf "%a@." Escape.Report.pp_program_summaries o.Engine.summaries)
 
-let of_source ?store ~path src = of_program ?store ~path (Nml.Front.of_string ~file:path src)
-let analyze_source ?store ~path src = protect path (fun () -> of_source ?store ~path src)
+let analyze_source ?store ~path src =
+  job
+    (fun ?store ~path src -> of_program ?store ~path (Nml.Front.of_string ~file:path src))
+    ~store ~source:src path
 
-let analyze_file ?store path =
-  test_hooks path;
-  protect path (fun () -> of_source ?store ~path (Nml.Front.read path))
-
-let run ?analyze ?store ?(stop = fun () -> false) ~jobs paths =
-  let analyze =
-    match analyze with
-    | Some f -> f
-    | None -> fun ~store path -> analyze_file ?store path
-  in
-  (* the pool-level guard: a job that raises through its own protection
-     still only costs its own slot *)
+let run ~(analyze : job) ?store ?(stop = fun () -> false) ~jobs paths =
+  (* the pool-level guard: a job (or a test hook) that raises through
+     its own protection still only costs its own slot *)
   let safe_analyze path =
-    match analyze ~store path with
+    match
+      test_hooks path;
+      analyze ~store path
+    with
     | r -> r
     | exception e ->
         result ~code:124 path ""

@@ -37,39 +37,48 @@ val result :
 (** [result path output], every count [0] and no errors unless given. *)
 
 exception Injected_crash of string
-(** Raised by the [NMLC_TEST_CRASH_FILE] hook {e outside} {!protect},
-    so the pool-level guard (not the per-file one) must contain it. *)
+(** Raised by the [NMLC_TEST_CRASH_FILE] hook, which {!run} calls
+    {e outside} {!protect}, so the pool-level guard (not the per-file
+    one) must contain it. *)
 
 val protect : string -> (unit -> result) -> result
 (** Runs a per-file job under the driver's exception regime
     ({!Nml.Front.failure}): front-end rejections become a rendered
     diagnostic with code [1], anything unknown becomes code [124] — one bad file never takes down the pool.
-    Analysis callbacks passed to {!run} should wrap themselves in it
-    (and {!run} additionally guards every callback, so even a job that
-    raises through its own protection only costs its own slot). *)
+    Every {!val-job} runs under it (and {!run} additionally guards every
+    job, so even one that raises through its own protection only costs
+    its own slot). *)
+
+type job = store:Store.t option -> ?source:string -> string -> result
+(** A per-file command: [job ~store ?source path] renders the program
+    [source], or else the file at [path] ([path] then only labels
+    diagnostics and the result). *)
+
+val job : (?store:Store.t -> path:string -> string -> result) -> job
+(** [job render] takes the given source or reads the file and runs
+    [render ?store ~path src] under {!protect}: the one constructor of
+    every per-file command ([nmlc batch], the daemon's methods). *)
 
 val of_program : ?store:Store.t -> path:string -> Nml.Infer.program -> result
 (** The escape report of a typed program, rendered as [nmlc analyze]
-    prints it: the one escape renderer every caller shares.  Unprotected;
-    [path] only labels the result. *)
-
-val analyze_file : ?store:Store.t -> string -> result
-(** One file, inline (the sequential baseline the differential tests
-    compare the pool against). *)
+    prints it: the one escape renderer every caller shares (it is the
+    registry's escape entry).  Unprotected; [path] only labels the
+    result. *)
 
 val analyze_source : ?store:Store.t -> path:string -> string -> result
-(** The same job on in-memory source text ([path] only labels
-    diagnostics) — what [nmlc serve] runs for requests that carry a
-    ["source"] instead of a ["path"]. *)
+(** The escape job on in-memory source text ([path] only labels
+    diagnostics). *)
 
 val run :
-  ?analyze:(store:Store.t option -> string -> result) ->
+  analyze:job ->
   ?store:Store.t ->
   ?stop:(unit -> bool) ->
   jobs:int ->
   string list ->
   result list
-(** Results in input order.  [stop] is polled between files; once it
+(** Results in input order.  Before each file the pool runs the
+    [NMLC_TEST_SLOW_MS]/[NMLC_TEST_CRASH_FILE] test hooks, outside the
+    job's {!protect}.  [stop] is polled between files; once it
     returns [true] the pool drains — in-flight files finish normally,
     unstarted files come back with code [130] and empty output. *)
 

@@ -48,17 +48,11 @@ let record_to_json spec ~key summaries =
 
 (* [None] on any shape mismatch: the caller treats it as a miss. *)
 let record_of_json spec ~key ~members j =
-  let str = function J.Str s -> s | _ -> failwith "expected a string" in
   match
-    let schema = str (Option.get (J.member "schema" j)) in
-    let analysis = str (Option.get (J.member "analysis" j)) in
-    let stored_key = str (Option.get (J.member "key" j)) in
-    let defs =
-      match J.member "defs" j with
-      | Some (J.Arr xs) -> List.map spec.of_json xs
-      | _ -> failwith "expected defs"
-    in
-    (schema, analysis, stored_key, defs)
+    ( J.str (J.get "schema" j),
+      J.str (J.get "analysis" j),
+      J.str (J.get "key" j),
+      List.map spec.of_json (J.arr (J.get "defs" j)) )
   with
   | exception _ -> None
   | schema, analysis, stored_key, defs ->
@@ -70,6 +64,17 @@ let record_of_json spec ~key ~members j =
         && names = List.sort String.compare members
       then Some defs
       else None
+
+let lookup store ~key ~decode ~encode ~hits ~misses compute =
+  match Option.bind (Store.load store ~key) decode with
+  | Some v ->
+      incr hits;
+      v
+  | None ->
+      incr misses;
+      let v = compute () in
+      Store.save store ~key (encode v);
+      v
 
 let analyze spec ?store prog =
   match store with
@@ -96,18 +101,13 @@ let analyze spec ?store prog =
         (fun (key, members) ->
           (* a record that does not decode (old schema, another
              analysis, a different member set) is a miss *)
-          let cached =
-            Option.bind (Store.load store ~key) (record_of_json spec ~key ~members)
+          let defs =
+            lookup store ~key ~hits ~misses
+              ~decode:(record_of_json spec ~key ~members)
+              ~encode:(record_to_json spec ~key)
+              (fun () -> List.map (the_session ()).summarize members)
           in
-          match cached with
-          | Some defs ->
-              incr hits;
-              List.iter (fun d -> Hashtbl.replace by_name (spec.def_name d) d) defs
-          | None ->
-              incr misses;
-              let defs = List.map (the_session ()).summarize members in
-              List.iter (fun d -> Hashtbl.replace by_name (spec.def_name d) d) defs;
-              Store.save store ~key (record_to_json spec ~key defs))
+          List.iter (fun d -> Hashtbl.replace by_name (spec.def_name d) d) defs)
         (Skey.sccs keys);
       {
         summaries =

@@ -37,6 +37,20 @@ val record_of_json :
 (** [None] on any mismatch — schema, analysis stamp, key, member set, or
     a decoder exception: the caller treats it as a miss. *)
 
+val lookup :
+  Store.t ->
+  key:string ->
+  decode:(Nml.Json.t -> 'a option) ->
+  encode:('a -> Nml.Json.t) ->
+  hits:int ref ->
+  misses:int ref ->
+  (unit -> 'a) ->
+  'a
+(** The one per-record cache lookup: the record stored under [key] if it
+    loads and decodes (counted in [hits]); otherwise (counted in
+    [misses]) [compute ()], saved under [key] before it is returned.
+    Every SCC of {!analyze} and both lint record kinds go through it. *)
+
 val analyze : 'summary spec -> ?store:Store.t -> Nml.Infer.program -> 'summary outcome
 (** Without [store], one cold session summarizes every definition.  With
     it, warm SCCs are decoded from their stored records (a record that

@@ -13,8 +13,6 @@ module J = Nml.Json
 module Report = Escape.Report
 module Besc = Escape.Besc
 
-exception Decode of string
-
 let arg_to_json (a : Report.arg_summary) =
   J.Obj
     [
@@ -42,42 +40,31 @@ let def_to_json (s : Report.def_summary) =
      ]
     @ sharing)
 
-let get field j =
-  match J.member field j with
-  | Some v -> v
-  | None -> raise (Decode ("missing field " ^ field))
-
-let str = function J.Str s -> s | _ -> raise (Decode "expected a string")
-let num = function J.Num f -> int_of_float f | _ -> raise (Decode "expected a number")
-let arr = function J.Arr xs -> xs | _ -> raise (Decode "expected an array")
-
 let esc j =
-  let s = str j in
-  match Besc.of_string s with Some e -> e | None -> raise (Decode ("bad escape value " ^ s))
+  let s = J.str j in
+  match Besc.of_string s with Some e -> e | None -> failwith ("bad escape value " ^ s)
 
 let arg_of_json j =
   {
-    Report.s_arg = num (get "arg" j);
-    s_spines = num (get "spines" j);
-    s_esc = esc (get "esc" j);
+    Report.s_arg = J.num (J.get "arg" j);
+    s_spines = J.num (J.get "spines" j);
+    s_esc = esc (J.get "esc" j);
     s_components =
       List.map
-        (function
-          | J.Arr [ p; e ] -> (str p, esc e)
-          | _ -> raise (Decode "bad component"))
-        (arr (get "components" j));
+        (function J.Arr [ p; e ] -> (J.str p, esc e) | _ -> failwith "bad component")
+        (J.arr (J.get "components" j));
   }
 
 let def_of_json j =
   {
-    Report.s_name = str (get "name" j);
-    s_inst = str (get "inst" j);
-    s_args = List.map arg_of_json (arr (get "args" j));
+    Report.s_name = J.str (J.get "name" j);
+    s_inst = J.str (J.get "inst" j);
+    s_args = List.map arg_of_json (J.arr (J.get "args" j));
     s_sharing =
       (match J.member "sharing" j with
       | None -> None
-      | Some (J.Arr [ a; b ]) -> Some (num a, num b)
-      | Some _ -> raise (Decode "bad sharing"));
+      | Some (J.Arr [ a; b ]) -> Some (J.num a, J.num b)
+      | Some _ -> failwith "bad sharing");
   }
 
 (* ---- cache-aware analysis -------------------------------------------------- *)
@@ -99,9 +86,6 @@ let engine_spec : Report.def_summary Engine.spec =
           evaluations = (fun () -> Escape.Fixpoint.evaluations t);
         });
   }
-
-let record_to_json ~key summaries = Engine.record_to_json engine_spec ~key summaries
-let record_of_json ~key ~members j = Engine.record_of_json engine_spec ~key ~members j
 
 type outcome = Report.def_summary Engine.outcome
 

@@ -19,11 +19,3 @@ val analyze : ?store:Store.t -> Nml.Infer.program -> outcome
 
 val def_to_json : Escape.Report.def_summary -> Nml.Json.t
 val def_of_json : Nml.Json.t -> Escape.Report.def_summary
-val record_to_json : key:string -> Escape.Report.def_summary list -> Nml.Json.t
-
-val record_of_json :
-  key:string -> members:string list -> Nml.Json.t -> Escape.Report.def_summary list option
-(** [None] on any schema, key or member mismatch — a miss, never an
-    error. *)
-
-exception Decode of string

@@ -1,19 +1,11 @@
-(** The per-file lint job for [nmlc batch --lint].
+(** The per-file lint job for [nmlc batch --lint] and the daemon's
+    [lint] method.
 
-    Plugs into {!Cache.Batch.run} via its [~analyze] parameter: same
-    exception regime, same result shape, with [findings] populated and
-    the cache counters coming from the lint record store. *)
+    Built with {!Cache.Batch.job}: same exception regime, same result
+    shape, with [findings] populated and the cache counters coming from
+    the lint record store. *)
 
-val analyze_file :
-  ?config:Registry.config -> store:Cache.Store.t option -> string -> Cache.Batch.result
-(** One file, inline: read, {!Engine.run}, render.  Exit code [1] when
-    findings survive configuration and suppression, [0] otherwise. *)
-
-val analyze_source :
-  ?config:Registry.config ->
-  store:Cache.Store.t option ->
-  path:string ->
-  string ->
-  Cache.Batch.result
-(** The same job on in-memory source text ([path] only labels
-    diagnostics) — the [nmlc serve] entry point. *)
+val job : Cache.Batch.job
+(** {!Engine.run} under the default configuration, rendered as
+    [nmlc lint] prints it.  Exit code [1] when findings survive
+    suppression, [0] otherwise. *)

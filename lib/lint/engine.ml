@@ -122,6 +122,10 @@ let run ?(config = Registry.default) ?store ?(fault = Rule.No_fault) ~file src =
   let raw =
     match store with
     | Some store when fault = Rule.No_fault ->
+        let lookup key =
+          Cache.Engine.lookup store ~key ~hits ~misses ~decode:(record_of_json ~key)
+            ~encode:(record_to_json ~key)
+        in
         let starts = line_starts src in
         let skey = Cache.Skey.of_program prog in
         let scc_findings =
@@ -140,31 +144,11 @@ let run ?(config = Registry.default) ?store ?(fault = Rule.No_fault) ~file src =
                     Printf.sprintf "%s@%s=%s" name loc text)
                   members
               in
-              let key = scc_key ~escape_key ~file ~descriptors in
-              match Option.bind (Cache.Store.load store ~key) (record_of_json ~key) with
-              | Some findings ->
-                  incr hits;
-                  findings
-              | None ->
-                  incr misses;
-                  let findings = run_rules_scc ctx ~members in
-                  Cache.Store.save store ~key (record_to_json ~key findings);
-                  findings)
+              lookup (scc_key ~escape_key ~file ~descriptors) (fun () ->
+                  run_rules_scc ctx ~members))
             (Cache.Skey.sccs skey)
         in
-        let key = program_key ~file ~src in
-        let program_findings =
-          match Option.bind (Cache.Store.load store ~key) (record_of_json ~key) with
-          | Some findings ->
-              incr hits;
-              findings
-          | None ->
-              incr misses;
-              let findings = run_rules_program ctx in
-              Cache.Store.save store ~key (record_to_json ~key findings);
-              findings
-        in
-        scc_findings @ program_findings
+        scc_findings @ lookup (program_key ~file ~src) (fun () -> run_rules_program ctx)
     | _ ->
         let members = List.map fst surface.Nml.Surface.defs in
         run_rules_scc ctx ~members @ run_rules_program ctx

@@ -14,6 +14,13 @@ let int i = Num (float_of_int i)
 
 let member name = function Obj fs -> List.assoc_opt name fs | _ -> None
 
+let get name j =
+  match member name j with Some v -> v | None -> failwith ("missing field " ^ name)
+
+let str = function Str s -> s | _ -> failwith "expected a string"
+let num = function Num f -> int_of_float f | _ -> failwith "expected a number"
+let arr = function Arr xs -> xs | _ -> failwith "expected an array"
+
 let add_string b s =
   Buffer.add_char b '"';
   String.iter

@@ -20,6 +20,14 @@ val int : int -> t
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on other constructors. *)
 
+(** {2 Decoders}  The ones every summary-cache record codec uses; each
+    raises [Failure] on a missing field or a constructor mismatch. *)
+
+val get : string -> t -> t
+val str : t -> string
+val num : t -> int
+val arr : t -> t list
+
 val emit : ?indent:int -> Buffer.t -> t -> unit
 (** Appends the rendering to a buffer.  Objects print on one line;
     arrays break one element per line at [indent]. *)

@@ -72,14 +72,7 @@ let optimize_with t options (surface : Nml.Surface.t) =
       in
       (ir, stack_report, block_report, rep.Annotate.pretenure_sites)
     end
-    else begin
-      let defs_ir =
-        List.map (fun (n, rhs) -> (n, Ir.of_ast rhs)) surface'.Nml.Surface.defs
-      in
-      let main_ir = Ir.of_ast surface'.Nml.Surface.main in
-      let prog = match defs_ir with [] -> main_ir | ds -> Ir.Letrec (ds, main_ir) in
-      (prog, None, None, 0)
-    end
+    else (Ir.of_program surface', None, None, 0)
   in
   { ir = add_defs ir primed; reuse_report; stack_report; block_report; pretenure_sites }
 

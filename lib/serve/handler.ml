@@ -1,8 +1,10 @@
 (* The per-request worker job: dispatches one parsed request to the
-   same per-file entry points [nmlc batch] uses, so a successful server
-   response is byte-identical to the batch output for the same input —
-   the three-way differential (server ≡ warm batch ≡ cold batch) holds
-   by construction, not by re-implementation.
+   same per-file job [nmlc batch] runs ({!Cache.Batch.job} over an
+   [Analyses.Registry] entry, [Lint.Batch.job], or [vet], built the
+   same way), so a successful server response is byte-identical to the
+   batch output for the same input — the three-way differential
+   (server ≡ warm batch ≡ cold batch) holds by construction, not by
+   re-implementation.
 
    Toolchain failures of the analyzed program (parse errors, type
    errors, even internal errors) are *successful* RPCs whose result
@@ -72,11 +74,9 @@ let result_json (r : Cache.Batch.result) =
       ("errors", J.Str r.errors);
     ]
 
-(* exactly what [nmlc vet] prints for the program ([source], else the
-   file at [path]) *)
-let vet_result ~path source =
-  Cache.Batch.protect path (fun () ->
-      let src = match source with Some src -> src | None -> Nml.Front.read path in
+(* exactly what [nmlc vet] prints for the program *)
+let vet =
+  Cache.Batch.job (fun ?store:_ ~path src ->
       let typed = Nml.Front.of_string ~file:path src in
       let ir = Pipeline.lower (Pipeline.Optimized Optimize.Transform.all) typed in
       let ds, summary =
@@ -88,28 +88,30 @@ let vet_result ~path source =
            (Printf.sprintf "vet: %d annotation(s) audited, %d finding(s)"
               summary.Vet.Verify.audited findings)))
 
+(* a user error, not a crash: rendered as a code-1 diagnostic through
+   the same protection every job uses *)
+let unknown_analysis name ~store:_ ?source:_ _ =
+  Cache.Batch.protect "<request>" (fun () ->
+      failwith (Printf.sprintf "unknown analysis %s" name))
+
 let dispatch t (req : Protocol.request) =
+  let job =
+    match req.meth with
+    | Protocol.Analyze -> (
+        let name = Option.value req.analysis ~default:"escape" in
+        match Analyses.Registry.find name with
+        | None -> unknown_analysis name
+        | Some e -> Analyses.Registry.job e)
+    | Protocol.Lint -> Lint.Batch.job
+    | Protocol.Vet -> vet
+    | Protocol.Status | Protocol.Shutdown ->
+        assert false (* answered inline by the server, never queued *)
+  in
   (* a path wins over a source *)
   let path, source =
     match req.path with Some path -> (path, None) | None -> ("<request>", req.source)
   in
-  match req.meth with
-  | Protocol.Analyze -> (
-      let name = Option.value req.analysis ~default:"escape" in
-      match Analyses.Registry.find name with
-      | None ->
-          (* a user error, not a crash: rendered as a code-1 diagnostic
-             through the same protection every job uses *)
-          Cache.Batch.protect "<request>" (fun () ->
-              failwith (Printf.sprintf "unknown analysis %s" name))
-      | Some e -> Analyses.Registry.batch_job e ~store:t.store ?source path)
-  | Protocol.Lint -> (
-      match source with
-      | None -> Lint.Batch.analyze_file ~store:t.store path
-      | Some src -> Lint.Batch.analyze_source ~store:t.store ~path src)
-  | Protocol.Vet -> vet_result ~path source
-  | Protocol.Status | Protocol.Shutdown ->
-      assert false (* answered inline by the server, never queued *)
+  job ~store:t.store ?source path
 
 let handle t (job : Pool.job) : Pool.resp =
   let req = job.Pool.req in

@@ -9,6 +9,9 @@ module Skey = Cache.Skey
 module Store = Cache.Store
 module Summary = Cache.Summary
 module Batch = Cache.Batch
+
+(* the escape job, as [nmlc batch] runs it *)
+let escape = Analyses.Registry.job (Option.get (Analyses.Registry.find "escape"))
 module Report = Escape.Report
 module Examples = Nml.Examples
 
@@ -380,8 +383,8 @@ let differential_units =
         in
         with_dir "corpus" @@ fun dir ->
         let files = write_corpus dir sources in
-        let sequential = List.map (fun f -> Batch.analyze_file f) files in
-        let pooled = Batch.run ~jobs:8 files in
+        let sequential = List.map (fun f -> escape ~store:None f) files in
+        let pooled = Batch.run ~analyze:escape ~jobs:8 files in
         List.iter2
           (fun s p ->
             let so, se, sc = result_triple s and po, pe, pc = result_triple p in
@@ -391,12 +394,12 @@ let differential_units =
           sequential pooled;
         (* and through a shared store, the reports still match *)
         let store = Store.create (Filename.concat dir "cache") in
-        let cached = Batch.run ~store ~jobs:8 files in
+        let cached = Batch.run ~analyze:escape ~store ~jobs:8 files in
         List.iter2
           (fun s p ->
             checks (s.Batch.path ^ " cached stdout") s.Batch.output p.Batch.output)
           sequential cached;
-        let warm = Batch.run ~store ~jobs:8 files in
+        let warm = Batch.run ~analyze:escape ~store ~jobs:8 files in
         checki "warm corpus is free" 0
           (List.fold_left (fun acc r -> acc + r.Batch.evaluations) 0 warm));
     Alcotest.test_case "error-files-are-isolated" `Quick (fun () ->
@@ -406,7 +409,7 @@ let differential_units =
         let missing = Filename.concat dir "missing.nml" in
         write_file good base_src;
         write_file bad "letrec f l = cons x nil in f [1]";
-        let rs = Batch.run ~jobs:2 [ good; bad; missing ] in
+        let rs = Batch.run ~analyze:escape ~jobs:2 [ good; bad; missing ] in
         checki "three results" 3 (List.length rs);
         (match rs with
         | [ g; b; m ] ->

@@ -735,14 +735,14 @@ let cache_units =
         let prog () = infer Examples.partition_sort_program in
         List.iter
           (fun (e : Registry.entry) ->
-            let cold = e.Registry.run ~store (prog ()) in
+            let cold = e.Registry.run ~store ~path:"" (prog ()) in
             checkb (e.Registry.name ^ " cold run solves") true
-              (cold.Registry.evaluations > 0);
-            let warm = e.Registry.run ~store (prog ()) in
-            checki (e.Registry.name ^ " warm evaluations") 0 warm.Registry.evaluations;
-            checki (e.Registry.name ^ " warm misses") 0 warm.Registry.scc_misses;
+              (cold.Cache.Batch.evaluations > 0);
+            let warm = e.Registry.run ~store ~path:"" (prog ()) in
+            checki (e.Registry.name ^ " warm evaluations") 0 warm.Cache.Batch.evaluations;
+            checki (e.Registry.name ^ " warm misses") 0 warm.Cache.Batch.scc_misses;
             checks (e.Registry.name ^ " warm output is identical")
-              cold.Registry.output warm.Registry.output)
+              cold.Cache.Batch.output warm.Cache.Batch.output)
           Registry.all);
     Alcotest.test_case "record-carries-the-analysis-stamp" `Quick (fun () ->
         let spec = Registry.spinelive_spec in

@@ -14,6 +14,9 @@ module Server = Serve.Server
 module Fault = Serve.Fault
 module Store = Cache.Store
 module Batch = Cache.Batch
+
+(* the escape job, as [nmlc batch] runs it *)
+let escape = Analyses.Registry.job (Option.get (Analyses.Registry.find "escape"))
 module Examples = Nml.Examples
 
 let checkb = Alcotest.check Alcotest.bool
@@ -415,9 +418,9 @@ let pool_units =
               ("c.nml", Examples.partition_sort_program);
             ]
         in
-        let analyze ~store path =
+        let analyze ~store ?source path =
           if Filename.basename path = "b.nml" then failwith "kaboom"
-          else Batch.analyze_file ?store path
+          else escape ~store ?source path
         in
         let rs = Batch.run ~analyze ~jobs:2 files in
         (match rs with
@@ -431,7 +434,7 @@ let pool_units =
     Alcotest.test_case "raising-through-protect-is-contained" `Quick (fun () ->
         let rs =
           Batch.run
-            ~analyze:(fun ~store:_ _ -> raise (Batch.Injected_crash "x"))
+            ~analyze:(fun ~store:_ ?source:_ _ -> raise (Batch.Injected_crash "x"))
             ~jobs:1 [ "x.nml" ]
         in
         match rs with
@@ -543,6 +546,14 @@ let reply_output json =
 let batch_rendering (r : Batch.result) =
   Printf.sprintf "[%d]\n%s%s" r.Batch.code r.Batch.output r.Batch.errors
 
+(* ... and of a successful reply *)
+let reply_rendering json =
+  match J.member "result" json with
+  | Some r ->
+      Printf.sprintf "[%d]\n%s%s" (J.num (J.get "code" r)) (J.str (J.get "output" r))
+        (J.str (J.get "errors" r))
+  | None -> Alcotest.fail ("not a successful reply: " ^ J.to_string json)
+
 let server_units =
   [
     Alcotest.test_case "every-analysis-matches-its-batch-job" `Quick (fun () ->
@@ -571,9 +582,19 @@ let server_units =
                 in
                 checks
                   (Printf.sprintf "%s %s" e.Analyses.Registry.name path)
-                  (Analyses.Registry.batch_job e ~store:None path).Batch.output served)
+                  (Analyses.Registry.job e ~store:None path).Batch.output served)
               (example_files ()))
-          Analyses.Registry.all);
+          Analyses.Registry.all;
+        (* and the lint and vet methods are their batch jobs too *)
+        List.iter
+          (fun (meth, (job : Batch.job)) ->
+            List.iter
+              (fun path ->
+                checks (meth ^ " " ^ path)
+                  (batch_rendering (job ~store:None path))
+                  (reply_rendering (call sock ~meth path)))
+              (example_files ()))
+          [ ("lint", Lint.Batch.job); ("vet", Serve.Handler.vet) ]);
     Alcotest.test_case "chaos-storm-with-three-way-differential" `Slow (fun () ->
         with_server @@ fun ~dir ~sock ~store:_ ->
         let files = corpus dir in
@@ -606,10 +627,10 @@ let server_units =
             | Some (_ :: _ :: _) ->
                 Alcotest.fail (path ^ ": server responses disagree with each other")
             | Some [ served ] ->
-                let cold = batch_rendering (Batch.analyze_file path) in
-                ignore (Batch.analyze_file ~store:warm_store path);
+                let cold = batch_rendering (escape ~store:None path) in
+                ignore (escape ~store:(Some warm_store) path);
                 let warm =
-                  batch_rendering (Batch.analyze_file ~store:warm_store path)
+                  batch_rendering (escape ~store:(Some warm_store) path)
                 in
                 checks (path ^ " server = cold batch") cold served;
                 checks (path ^ " server = warm batch") warm served)
@@ -765,7 +786,7 @@ let server_units =
         checkb "socket unlinked" true (not (Sys.file_exists sock));
         (* a cold process is warm from the flushed entries *)
         let disk = Store.create (Store.root store) in
-        let r = Batch.analyze_file ~store:disk (List.hd files) in
+        let r = escape ~store:(Some disk) (List.hd files) in
         checki "warm from the drained store" 0 r.Batch.evaluations);
     Alcotest.test_case "draining-server-refuses-new-work" `Quick (fun () ->
         with_server @@ fun ~dir ~sock ~store:_ ->
