@@ -251,29 +251,15 @@ serve-smoke: build
 	$$N serve --connect $$S --call shutdown | grep -q '"stopping": true'; \
 	wait $$SRV
 
-# The bytecode backend end to end through the CLI: every shipped example
-# runs on the VM with the same result and storage counters as the
-# interpreter, both print the value the reference interpreter (`nmlc
-# eval`) prints, with the arena escape check on at every arena exit of
-# both, once optimized on the generational heap and once unoptimized on
-# the default legacy heap (where plain conses, not annotated ones, reach
-# the interpreter's fused cons); the compile command disassembles, and
-# the differential oracle passes with the VM as its third leg.
+# The bytecode backend end to end through the CLI: the compile command
+# disassembles, and the differential oracle passes with the VM as its
+# third leg.  The per-example comparison of both backends' `nmlc run
+# --check-arenas` output (result and storage counters, optimized on the
+# generational heap and unoptimized on the legacy one) and of their
+# results with `nmlc eval` is the cram test test/cli/backends_agree.t,
+# which `dune runtest` runs.
 vm-smoke: build
-	set -e; N=_build/default/bin/nmlc.exe; \
-	for f in examples/programs/*.nml; do \
-	  $$N eval $$f > _build/vm_smoke_eval.out; \
-	  for opts in "-O --policy generational" ""; do \
-	    $$N run $$f $$opts --check-arenas --backend vm > _build/vm_smoke_vm.out; \
-	    $$N run $$f $$opts --check-arenas > _build/vm_smoke_interp.out; \
-	    cmp _build/vm_smoke_vm.out _build/vm_smoke_interp.out \
-	      || { echo "vm-smoke: $$f diverges between backends ($${opts:-unoptimized})"; exit 1; }; \
-	    for out in _build/vm_smoke_vm.out _build/vm_smoke_interp.out; do \
-	      sed -n 's/^[a-z]* result: //p' $$out | cmp - _build/vm_smoke_eval.out \
-	        || { echo "vm-smoke: $$f: $$out differs from nmlc eval ($${opts:-unoptimized})"; exit 1; }; \
-	    done; \
-	  done; \
-	done
+	dune build @test/cli/backends_agree
 	dune exec bin/nmlc.exe -- compile examples/programs/reverse.nml --dump-bytecode \
 	  | grep -q 'tailcall'
 	dune exec bin/nmlc.exe -- check --count 40 --seed 7 --chaos

@@ -8,12 +8,17 @@
    and [Openarena]/[Closearena] delimit bump-allocated regions that are
    reclaimed wholesale.
 
-   Storage policy is the same word-polymorphic {!Runtime.Heap} the
-   tree-walking machine uses, with the same collection discipline
-   (minor collections stop at old cells, chaos mode forces collections
-   at pseudo-random allocation points and poisons freed cells), so the
-   VM slots directly into the differential soundness oracle as a third
-   leg next to the reference interpreter and the storage simulator.
+   Storage is the word-polymorphic {!Runtime.Heap} the tree-walking
+   machine uses, and so is the collector: the heap owns allocation, the
+   collections and their counters, the per-cell mark step, chaos
+   (forced collections at pseudo-random allocation points, poisoned
+   freed cells), the arena stacks with the [--check-arenas] walk, and
+   the in-place [DCONS]/[DNODE] writes.  The VM supplies only its roots
+   (the frame chain from [m.top], under the root masks below) and how
+   to trace its own values ([Clos] environments and partial arguments,
+   filled [Slotv]s), so it slots directly into the differential
+   soundness oracle as a third leg next to the reference interpreter
+   and the storage simulator.
 
    Root masks: registers are handed out as a stack and never cleared,
    so a dead register may still hold a stale pointer.  At compile time
@@ -69,7 +74,7 @@ and clos = {
   fn : int;
   env : value array;
   pap : value list;  (** collected arguments, in application order *)
-  mutable cmark : bool;
+  mutable cmark : int;  (** the {!Runtime.Heap.stamp} of the last traversal that traced it *)
   mutable hints : int list;
       (** 1-based parameters the spine-liveness analysis proved dead *)
 }
@@ -120,9 +125,9 @@ type code = { funcs : func array; entry : func; report : Closure.report }
 
 let report (c : code) = c.report
 
-exception Error of string
+exception Error = H.Error
 exception Out_of_memory = H.Out_of_memory
-exception Out_of_fuel
+exception Out_of_fuel = H.Out_of_fuel
 exception Internal of string
 
 let () =
@@ -130,7 +135,7 @@ let () =
     | Internal msg -> Some ("the bytecode backend broke an invariant: " ^ msg)
     | _ -> None)
 
-let error fmt = Format.kasprintf (fun m -> raise (Error m)) fmt
+let error = H.error
 let internal fmt = Format.kasprintf (fun m -> raise (Internal m)) fmt
 
 (* ---- compilation ---------------------------------------------------------- *)
@@ -447,14 +452,6 @@ let compile (ir : Ir.expr) : code =
 
 (* ---- the machine state ---------------------------------------------------- *)
 
-type chaos = Runtime.Machine.chaos = {
-  gc_period : int;
-  poison : bool;
-  chaos_seed : int;
-}
-
-let no_chaos = Runtime.Machine.no_chaos
-
 type frame = {
   func : func;
   mutable pc : int;
@@ -479,71 +476,18 @@ let rec bottom =
 
 type t = {
   heap : value H.t;
-  check_arenas : bool;
   stats : Stats.t;
-  chaos : chaos;
-  mutable rng : int;
   mutable fuel : int;  (** -1 = unlimited *)
   mutable top : frame;  (** the current frame, stored at each allocation *)
   mutable low : int;
       (** the lowest depth that ran since the last collection: a frame
           below it still holds what the last collection saw *)
-  arena_stacks : (int, value H.arena list) Hashtbl.t;
-  mutable marked_closures : clos list;
 }
-
-let poison_value = Int 0x7EADBEEF
-
-let create ?(heap_size = 4096) ?(grow = true) ?(check_arenas = false) ?fuel
-    ?(chaos = no_chaos) ?(config = H.legacy) () =
-  let stats = Stats.create () in
-  let scrub (c : value H.cell) =
-    if chaos.poison then begin
-      c.H.car <- poison_value;
-      c.H.cdr <- poison_value;
-      c.H.lbl <- poison_value;
-      stats.Stats.poisoned <- stats.Stats.poisoned + 1
-    end
-    else begin
-      c.H.car <- Nil;
-      c.H.cdr <- Nil;
-      c.H.lbl <- Nil
-    end
-  in
-  let kind_of = function
-    | Int _ | Bool _ | Nil | Leaf -> H.Scalar
-    | Ptr a | Pair a | Tree a -> H.Ptr a
-    | Clos _ | Slotv _ -> H.Funval
-  in
-  {
-    heap =
-      H.create ~heap_size ~grow ~chaos_period:chaos.gc_period ~config ~nil:Nil ~scrub
-        ~kind_of ~stats ();
-    check_arenas;
-    stats;
-    chaos;
-    rng = chaos.chaos_seed lxor 0x2545F4914F6CDD1D;
-    fuel = (match fuel with Some f -> f | None -> -1);
-    top = bottom;
-    low = 0;
-    arena_stacks = Hashtbl.create 8;
-    marked_closures = [];
-  }
-
-let stats t = t.stats
-let live_cells t = H.live t.heap
-let free_cells t = H.free_length t.heap
-let used_cells t = H.used t.heap
-let config t = H.config t.heap
 
 let[@inline] tick m =
   m.stats.Stats.steps <- m.stats.Stats.steps + 1;
   if m.fuel = 0 then raise Out_of_fuel;
   if m.fuel > 0 then m.fuel <- m.fuel - 1
-
-let chaos_draw m =
-  m.rng <- ((m.rng * 0x5DEECE66D) + 0xB) land 0xFFFFFFFFFFFF;
-  m.rng lsr 16
 
 let type_name = function
   | Int _ -> "int"
@@ -554,41 +498,48 @@ let type_name = function
   | Clos _ -> "function"
   | Slotv _ -> "binding"
 
-let use_after_free what a =
-  error "chaos poison: %s reads cell %d after it was freed (use after free)" what a
-
-let[@inline] cell_read m what a =
-  let c = H.get m.heap a in
-  if m.chaos.poison && c.H.free then use_after_free what a;
-  c
-
 (* ---- garbage collection --------------------------------------------------- *)
 
-let rec mark m ~stop_old v =
-  match v with
-  | Int _ | Bool _ | Nil | Leaf -> ()
-  | Ptr a | Pair a | Tree a ->
-      let c = H.get m.heap a in
-      if m.chaos.poison && c.H.free then
-        error "chaos poison: the collector reached freed cell %d from a live root" a;
-      if (not (stop_old && c.H.old)) && not c.H.marked then begin
-        c.H.marked <- true;
-        m.stats.Stats.marked <- m.stats.Stats.marked + 1;
-        mark m ~stop_old c.H.car;
-        mark m ~stop_old c.H.cdr;
-        mark m ~stop_old c.H.lbl
-      end
+(* [visit] on every value a closure (the first time this traversal
+   reaches it) or a filled letrec slot holds *)
+let children ~stamp visit = function
   | Clos c ->
-      if not c.cmark then begin
-        c.cmark <- true;
-        m.marked_closures <- c :: m.marked_closures;
-        Array.iter (mark m ~stop_old) c.env;
-        List.iter (mark m ~stop_old) c.pap
+      if c.cmark <> stamp then begin
+        c.cmark <- stamp;
+        Array.iter visit c.env;
+        List.iter visit c.pap
       end
-  | Slotv s -> ( match s.sv with Some v -> mark m ~stop_old v | None -> ())
+  | Slotv { sv = Some v; _ } -> visit v
+  | Slotv { sv = None; _ } | Int _ | Bool _ | Nil | Leaf | Ptr _ | Pair _ | Tree _ -> ()
+
+(* the marker of one collection *)
+let marker m ~stop_old =
+  let stamp = H.stamp m.heap in
+  let rec mark v =
+    match v with
+    | Int _ | Bool _ | Nil | Leaf -> ()
+    | Ptr a | Pair a | Tree a ->
+        let c = H.mark m.heap ~stop_old a in
+        if not c.H.free then begin
+          mark c.H.car;
+          mark c.H.cdr;
+          mark c.H.lbl
+        end
+    | Clos _ | Slotv _ -> children ~stamp mark v
+  in
+  mark
 
 (* a stopped frame sits on the safepoint it last executed *)
 let live_regs fr = fr.func.roots.(fr.pc - 1)
+
+(* [visit] on the live registers and the environment of [fr] and of
+   every frame below it down to depth [floor] *)
+let rec iter_frames visit ~floor fr =
+  if fr.depth >= floor then begin
+    IS.iter (fun r -> visit fr.regs.(r)) (live_regs fr);
+    Array.iter visit fr.env;
+    iter_frames visit ~floor fr.caller
+  end
 
 (* A minor collection marks only the frames at or above [m.low].  One
    below it has not run since the last collection, so its registers and
@@ -597,68 +548,39 @@ let live_regs fr = fr.func.roots.(fr.pc - 1)
    through the remembered sets.  The frame at [m.low] is included: the
    return that lowered the mark wrote into it.  Either kind of
    collection leaves the mark at the current frame. *)
-let mark_roots m ~stop_old =
-  let floor = if stop_old then m.low else 0 in
-  let rec go fr =
-    if fr.depth >= floor then begin
-      IS.iter (fun r -> mark m ~stop_old fr.regs.(r)) (live_regs fr);
-      Array.iter (mark m ~stop_old) fr.env;
-      go fr.caller
-    end
-  in
-  go m.top;
+let mark_roots m ~stop_old mark =
+  iter_frames mark ~floor:(if stop_old then m.low else 0) m.top;
   m.low <- m.top.depth
 
-let unmark_closures m =
-  List.iter (fun c -> c.cmark <- false) m.marked_closures;
-  m.marked_closures <- []
+let kind_of = function
+  | Int _ | Bool _ | Nil | Leaf -> H.Scalar
+  | Ptr a | Pair a | Tree a -> H.Ptr a
+  | Clos _ | Slotv _ -> H.Funval
 
-let collect m =
-  let t0 = Stats.now_ns () in
-  let marked0 = m.stats.Stats.marked and swept0 = m.stats.Stats.swept in
-  m.stats.Stats.gc_runs <- m.stats.Stats.gc_runs + 1;
-  if H.is_generational m.heap then
-    m.stats.Stats.major_gcs <- m.stats.Stats.major_gcs + 1;
-  mark_roots m ~stop_old:false;
-  H.sweep_all m.heap;
-  unmark_closures m;
-  let cells = m.stats.Stats.marked - marked0 + (m.stats.Stats.swept - swept0) in
-  Stats.record_pause m.stats ~cells ~ns:(Stats.now_ns () -. t0)
+let poison_value = Int 0x7EADBEEF
 
-let minor_collect m =
-  let t0 = Stats.now_ns () in
-  let marked0 = m.stats.Stats.marked and swept0 = m.stats.Stats.swept in
-  let scanned = H.remembered_size m.heap in
-  m.stats.Stats.gc_runs <- m.stats.Stats.gc_runs + 1;
-  m.stats.Stats.minor_gcs <- m.stats.Stats.minor_gcs + 1;
-  mark_roots m ~stop_old:true;
-  H.iter_remembered m.heap (fun a ->
-      let c = H.get m.heap a in
-      if not c.H.free then begin
-        mark m ~stop_old:true c.H.car;
-        mark m ~stop_old:true c.H.cdr;
-        mark m ~stop_old:true c.H.lbl
-      end);
-  H.sweep_nursery m.heap;
-  unmark_closures m;
-  let cells =
-    m.stats.Stats.marked - marked0 + (m.stats.Stats.swept - swept0) + scanned
+let create ?(heap_size = 4096) ?(grow = true) ?(check_arenas = false) ?fuel
+    ?(chaos = H.no_chaos) ?(config = H.legacy) () =
+  let stats = Stats.create () in
+  let m =
+    {
+      heap =
+        H.create ~heap_size ~grow ~check_arenas ~chaos ~config ~nil:Nil ~poison:poison_value
+          ~kind_of ~stats ();
+      stats;
+      fuel = (match fuel with Some f -> f | None -> -1);
+      top = bottom;
+      low = 0;
+    }
   in
-  Stats.record_pause m.stats ~cells ~ns:(Stats.now_ns () -. t0)
+  H.set_tracer m.heap { H.marker = marker m; roots = mark_roots m; children };
+  m
 
-(* ---- allocation ----------------------------------------------------------- *)
-
-let current_arena m = function
-  | Ir.Heap | Ir.Pretenured -> None
-  | Ir.Arena sid -> (
-      match Hashtbl.find_opt m.arena_stacks sid with
-      | Some (a :: _) -> Some a
-      | Some [] | None -> error "cons targets arena %d, but no such arena is open" sid)
-
-let hooks =
-  { H.minor = minor_collect; major = collect; draw = chaos_draw; arena = current_arena }
-
-let alloc_cell m target hd tl = H.alloc m.heap hooks m target hd tl
+let stats t = t.stats
+let live_cells t = H.live t.heap
+let free_cells t = H.free_length t.heap
+let used_cells t = H.used t.heap
+let config t = H.config t.heap
 
 (* ---- primitives ----------------------------------------------------------- *)
 
@@ -677,20 +599,20 @@ let delta1 m p a =
   | Ast.Cdr, Nil -> error "cdr of nil"
   | Ast.Cdr, v -> error "cdr of a %s" (type_name v)
   | Ast.Null, v -> error "null of a %s" (type_name v)
-  | Ast.Fst, Pair a -> (cell_read m "fst" a).H.car
+  | Ast.Fst, Pair a -> (H.read m.heap "fst" a).H.car
   | Ast.Fst, v -> error "fst of a %s" (type_name v)
-  | Ast.Snd, Pair a -> (cell_read m "snd" a).H.cdr
+  | Ast.Snd, Pair a -> (H.read m.heap "snd" a).H.cdr
   | Ast.Snd, v -> error "snd of a %s" (type_name v)
   | Ast.Isleaf, Leaf -> Bool true
   | Ast.Isleaf, Tree _ -> Bool false
   | Ast.Isleaf, v -> error "isleaf of a %s" (type_name v)
-  | Ast.Label, Tree a -> (cell_read m "label" a).H.lbl
+  | Ast.Label, Tree a -> (H.read m.heap "label" a).H.lbl
   | Ast.Label, Leaf -> error "label of leaf"
   | Ast.Label, v -> error "label of a %s" (type_name v)
-  | Ast.Left, Tree a -> (cell_read m "left" a).H.car
+  | Ast.Left, Tree a -> (H.read m.heap "left" a).H.car
   | Ast.Left, Leaf -> error "left of leaf"
   | Ast.Left, v -> error "left of a %s" (type_name v)
-  | Ast.Right, Tree a -> (cell_read m "right" a).H.cdr
+  | Ast.Right, Tree a -> (H.read m.heap "right" a).H.cdr
   | Ast.Right, Leaf -> error "right of leaf"
   | Ast.Right, v -> error "right of a %s" (type_name v)
   | _ -> internal "primitive %s applied to 1 argument" (Ast.prim_name p)
@@ -719,12 +641,7 @@ let delta2 p a b =
 let do_dcons m p hd tl =
   match p with
   | Ptr a ->
-      let c = H.get m.heap a in
-      if c.H.free then error "DCONS on a freed cell";
-      c.H.car <- hd;
-      c.H.cdr <- tl;
-      H.barrier m.heap a;
-      m.stats.Stats.dcons_reuses <- m.stats.Stats.dcons_reuses + 1;
+      H.dcons m.heap a hd tl;
       p
   | Nil -> error "DCONS on nil (no cell to reuse)"
   | v -> error "DCONS on a %s (no cell to reuse)" (type_name v)
@@ -732,59 +649,22 @@ let do_dcons m p hd tl =
 let do_dnode m p l x r =
   match p with
   | Tree a ->
-      let c = H.get m.heap a in
-      if c.H.free then error "DNODE on a freed cell";
-      c.H.car <- l;
-      c.H.lbl <- x;
-      c.H.cdr <- r;
-      H.barrier m.heap a;
-      m.stats.Stats.dcons_reuses <- m.stats.Stats.dcons_reuses + 1;
+      H.dnode m.heap a l x r;
       p
   | Leaf -> error "DNODE on leaf (no cell to reuse)"
   | v -> error "DNODE on a %s (no cell to reuse)" (type_name v)
 
 let do_alloc m sh al a b =
   match sh with
-  | Anf.Scons -> Ptr (alloc_cell m al a b)
-  | Anf.Spair -> Pair (alloc_cell m al a b)
+  | Anf.Scons -> Ptr (H.alloc m.heap al a b)
+  | Anf.Spair -> Pair (H.alloc m.heap al a b)
   | Anf.Snode -> internal "malformed allocation"
 
 let do_node m al l x r =
   (match (l, r) with
   | (Leaf | Tree _), (Leaf | Tree _) -> ()
   | _ -> error "node: children must be trees");
-  let addr = alloc_cell m al l r in
-  (H.get m.heap addr).H.lbl <- x;
-  H.barrier m.heap addr;
-  Tree addr
-
-(* ---- arena safety check --------------------------------------------------- *)
-
-let reachable_into_arena m roots sid =
-  let seen = Hashtbl.create 256 in
-  let seen_clos = ref [] in
-  let hit = ref false in
-  let rec walk = function
-    | Int _ | Bool _ | Nil | Leaf -> ()
-    | Ptr a | Pair a | Tree a ->
-        if not (Hashtbl.mem seen a) then begin
-          Hashtbl.add seen a ();
-          let c = H.get m.heap a in
-          if c.H.arena = sid then hit := true;
-          walk c.H.car;
-          walk c.H.cdr;
-          walk c.H.lbl
-        end
-    | Clos c ->
-        if not (List.memq c !seen_clos) then begin
-          seen_clos := c :: !seen_clos;
-          Array.iter walk c.env;
-          List.iter walk c.pap
-        end
-    | Slotv s -> ( match s.sv with Some v -> walk v | None -> ())
-  in
-  List.iter walk roots;
-  !hit
+  Tree (H.alloc_node m.heap al l x r)
 
 (* ---- execution ------------------------------------------------------------ *)
 
@@ -902,29 +782,14 @@ let saturated_frame funcs (c : clos) a ~dst ~caller =
   callee
 
 let extend (c : clos) a =
-  Clos { fn = c.fn; env = c.env; pap = c.pap @ [ a ]; cmark = false; hints = c.hints }
+  Clos { fn = c.fn; env = c.env; pap = c.pap @ [ a ]; cmark = 0; hints = c.hints }
 
-(* leave arena [sid]; with [--check-arenas], first check that no cell
-   of it is reachable from [o] or the roots of [fr] and its callers *)
+(* leave arena [sid]; with [--check-arenas], the walk starts from [o]
+   and the roots of [fr] and its callers *)
 let close_arena m fr sid o =
-  let a, stack =
-    match Hashtbl.find_opt m.arena_stacks sid with
-    | Some (a :: rest) -> (a, rest)
-    | Some [] | None -> internal "closing arena %d with none open" sid
-  in
-  Hashtbl.replace m.arena_stacks sid stack;
-  if m.check_arenas then begin
-    let rec frame_roots acc fr =
-      if fr == bottom then acc
-      else
-        let acc = Array.to_list fr.env @ acc in
-        frame_roots (IS.fold (fun r acc -> fr.regs.(r) :: acc) (live_regs fr) acc) fr.caller
-    in
-    let roots = load fr o :: frame_roots [] fr in
-    if reachable_into_arena m roots a.H.dyn_id then
-      error "arena safety violation: a cell of arena %d escapes its scope" sid
-  end;
-  H.close_arena m.heap a
+  H.close_arena m.heap sid ~roots:(fun visit ->
+      visit (load fr o);
+      iter_frames visit ~floor:0 fr)
 
 (* One instruction of the current frame [fr] at [pc] of its [code]; the
    header's "Dispatch" paragraph says when [fr.pc] and [m.top] are
@@ -939,8 +804,8 @@ let rec step m funcs fr code pc =
       let v = load fr a in
       fr.regs.(d) <-
         (match (p, v) with
-        | Ast.Car, Ptr a -> (cell_read m "car" a).H.car
-        | Ast.Cdr, Ptr a -> (cell_read m "cdr" a).H.cdr
+        | Ast.Car, Ptr a -> (H.read m.heap "car" a).H.car
+        | Ast.Cdr, Ptr a -> (H.read m.heap "cdr" a).H.cdr
         | Ast.Null, Nil -> Bool true
         | Ast.Null, Ptr _ -> Bool false
         | _ -> delta1 m p v);
@@ -988,7 +853,7 @@ let rec step m funcs fr code pc =
       for k = 0 to Array.length caps - 1 do
         env.(k) <- load_raw fr caps.(k)
       done;
-      fr.regs.(d) <- Clos { fn = fid; env; pap = []; cmark = false; hints = [] };
+      fr.regs.(d) <- Clos { fn = fid; env; pap = []; cmark = 0; hints = [] };
       step m funcs fr code (pc + 1)
   | Call (d, fid, fo, az) -> (
       match load fr fo with
@@ -1051,18 +916,12 @@ let rec step m funcs fr code pc =
       | _ -> internal "Setslot on a non-slot register");
       tag_hints m funcs name v;
       step m funcs fr code (pc + 1)
-  | Openarena (kind, sid) ->
-      if (H.config m.heap).H.regions then begin
-        let a = H.open_arena m.heap ~kind in
-        let stack = Option.value ~default:[] (Hashtbl.find_opt m.arena_stacks sid) in
-        Hashtbl.replace m.arena_stacks sid (a :: stack)
-      end;
+  | Openarena (_, sid) ->
+      H.open_arena m.heap sid;
       step m funcs fr code (pc + 1)
   | Closearena (sid, o) ->
-      if (H.config m.heap).H.regions then begin
-        fr.pc <- pc + 1;
-        close_arena m fr sid o
-      end;
+      fr.pc <- pc + 1;
+      close_arena m fr sid o;
       step m funcs fr code (pc + 1)
 
 (* return [v] from [fr] into its caller, or end the run; the caller now

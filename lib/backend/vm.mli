@@ -1,11 +1,11 @@
 (** A compact register VM executing closure-converted bytecode.
 
     The third leg of the differential oracle next to the reference
-    interpreter and the storage machine: same storage policy layer
-    ({!Runtime.Heap}), same collection discipline (minor collections
-    stop at old cells, chaos mode forces collections at deterministic
-    pseudo-random points and poisons freed cells), same observable
-    semantics — but flat closure environments, direct known calls, real
+    interpreter and the storage machine: the same store and the same
+    collector ({!Runtime.Heap} owns allocation, collection, chaos, the
+    arenas and in-place reuse; the VM supplies its roots and how to
+    trace its closures and letrec slots), same observable semantics —
+    but flat closure environments, direct known calls, real
     tail calls, and heap primitives that honor the optimizer's verdicts
     natively ([Alloc] carries its placement, [Reuse] overwrites in
     place, arenas bump-allocate and free wholesale).
@@ -33,7 +33,7 @@ and clos = {
   fn : int;
   env : value array;
   pap : value list;
-  mutable cmark : bool;
+  mutable cmark : int;  (** the {!Runtime.Heap.stamp} of the last traversal that traced it *)
   mutable hints : int list;
 }
 
@@ -43,10 +43,12 @@ type code
 (** A compiled program: one bytecode function per lambda nest plus the
     entry sequence. *)
 
-exception Error of string  (** a program fault: the user's bug *)
+exception Error of string
+(** {!Runtime.Heap.Error}: a program fault, the user's bug. *)
 
-exception Out_of_memory
-exception Out_of_fuel
+exception Out_of_memory  (** {!Runtime.Heap.Out_of_memory} *)
+
+exception Out_of_fuel  (** {!Runtime.Heap.Out_of_fuel} *)
 
 exception Internal of string  (** a backend invariant broke: our bug *)
 
@@ -57,14 +59,6 @@ val compile : Runtime.Ir.expr -> code
 
 val report : code -> Closure.report
 
-type chaos = Runtime.Machine.chaos = {
-  gc_period : int;
-  poison : bool;
-  chaos_seed : int;
-}
-
-val no_chaos : chaos
-
 type t
 
 val create :
@@ -72,7 +66,7 @@ val create :
   ?grow:bool ->
   ?check_arenas:bool ->
   ?fuel:int ->
-  ?chaos:chaos ->
+  ?chaos:Runtime.Heap.chaos ->
   ?config:Runtime.Heap.config ->
   unit ->
   t

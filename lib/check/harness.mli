@@ -6,7 +6,7 @@
     injection (fixed-size tiny heaps, forced collections at pseudo-random
     allocation points, freed-cell poisoning) with arena validation on —
     and all outcomes are compared.  A run stopped by a resource limit
-    ({!Runtime.Machine.Out_of_memory}/[Out_of_fuel]) proves nothing and
+    ({!Runtime.Heap.Out_of_memory}/{!Runtime.Heap.Out_of_fuel}) proves nothing and
     is accepted; a crash or a different answer where the reference
     produced a value is a soundness divergence.  After every run on
     either backend the {!Runtime.Stats} counters and the store are

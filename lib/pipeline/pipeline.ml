@@ -43,7 +43,7 @@ type run = {
 
 (* a fault of the program reads the same whichever backend found it *)
 let program_fault f =
-  try f () with M.Error msg | V.Error msg -> raise (Nml.Eval.Runtime_error msg)
+  try f () with Heap.Error msg -> raise (Nml.Eval.Runtime_error msg)
 
 let execute ?heap_size ?grow ?check_arenas ?fuel ?chaos ~config backend ir =
   let finish eval read stats ~live ~free ~used =
@@ -51,9 +51,7 @@ let execute ?heap_size ?grow ?check_arenas ?fuel ?chaos ~config backend ir =
       match program_fault eval with
       | w -> Ok (lazy (program_fault (fun () -> read w)))
       | exception
-          ((Nml.Eval.Runtime_error _ | Heap.Out_of_memory | M.Out_of_fuel | V.Out_of_fuel) as e)
-        ->
-          Error e
+          ((Nml.Eval.Runtime_error _ | Heap.Out_of_memory | Heap.Out_of_fuel) as e) -> Error e
     in
     { result; stats; live = live (); free = free (); used = used () }
   in
@@ -88,6 +86,6 @@ let failure ?format =
           ( 2,
             "error: out of memory: the cell store is exhausted even after a collection \
              (raise --heap, or drop --no-grow)\n" )
-    | M.Out_of_fuel | Nml.Eval.Out_of_fuel | V.Out_of_fuel ->
+    | Heap.Out_of_fuel | Nml.Eval.Out_of_fuel ->
         Some (3, "error: out of fuel: the step budget is exhausted (raise --fuel)\n")
     | _ -> None)

@@ -38,7 +38,7 @@ type run = {
       (** the value read back on demand (a dangling or functional result
           raises {!Nml.Eval.Runtime_error} when forced), or why the run
           stopped: {!Nml.Eval.Runtime_error} for a fault of the program,
-          {!Runtime.Heap.Out_of_memory}, or the backend's [Out_of_fuel] *)
+          {!Runtime.Heap.Out_of_memory}, or {!Runtime.Heap.Out_of_fuel} *)
   stats : Runtime.Stats.t;
   live : int;
   free : int;  (** free-list length *)
@@ -50,7 +50,7 @@ val execute :
   ?grow:bool ->
   ?check_arenas:bool ->
   ?fuel:int ->
-  ?chaos:Runtime.Machine.chaos ->
+  ?chaos:Runtime.Heap.chaos ->
   config:Runtime.Heap.config ->
   backend ->
   Runtime.Ir.expr ->

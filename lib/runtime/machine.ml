@@ -19,7 +19,7 @@ type word =
 and closure = {
   lam : lam;
   cenv : env;
-  mutable cmark : bool;
+  mutable cmark : int;  (** the {!Heap.stamp} of the last traversal that traced it *)
   mutable hints : int list;
       (** 1-based parameters the spine-liveness analysis proved dead;
           tagged when a letrec binding with advisory hints is filled *)
@@ -54,7 +54,7 @@ and code =
   | Ccall of code * code array  (** [f a1 ... an], [n >= 2] *)
   | Cif of code * code * code
   | Cletrec of rec_binding array * hidden * code
-  | Carena of Ir.arena_kind * int * code
+  | Carena of int * code
   | Cprim1 of Ast.prim * code
   | Cprim2 of Ast.prim * code * code
   | Ccons of Ir.alloc * code * code
@@ -66,19 +66,8 @@ and code =
 and lam = { param : string; hidden : hidden; body : code }
 and rec_binding = { name : string; arity : int; rhs : code }
 
-type chaos = {
-  gc_period : int;
-      (** >0: force a collection at pseudo-random allocation points, on
-          average one every [gc_period] allocations; 0 disables *)
-  poison : bool;
-      (** scribble over freed cells and fail any read through a dangling
-          pointer, so an unsound escape verdict crashes deterministically *)
-  chaos_seed : int;  (** seed of the deterministic fault-injection PRNG *)
-}
-
 type t = {
   heap : word H.t;
-  check_arenas : bool;
   stats : Stats.t;
   mutable shadow : word list;  (** explicit GC root stack *)
   mutable env_stack : env list;  (** environments of active frames *)
@@ -87,75 +76,14 @@ type t = {
       (** per stack, the suffix at the lowest entry it was popped down to
           since the last collection (which resets it to the top), or
           [[]]: the entries below it hold what that collection saw *)
-  arena_stacks : (int, word H.arena list) Hashtbl.t;
-      (** static id -> dynamic arenas *)
-  mutable marked_closures : closure list;
   mutable fuel : int;  (** -1 = unlimited *)
-  chaos : chaos;
-  mutable rng : int;  (** fault-injection PRNG state *)
 }
 
-exception Error of string
+exception Error = H.Error
 exception Out_of_memory = H.Out_of_memory
-exception Out_of_fuel
+exception Out_of_fuel = H.Out_of_fuel
 
-let error fmt = Format.kasprintf (fun msg -> raise (Error msg)) fmt
-let no_chaos = { gc_period = 0; poison = false; chaos_seed = 0 }
-
-let poison_word = Wint 0x7EADBEEF
-(** scribbled into freed cells under [chaos.poison]: a dangling read that
-    slips past the barriers yields this recognizable junk instead of a
-    plausible [Wnil] *)
-
-let create ?(heap_size = 4096) ?(grow = true) ?(check_arenas = false) ?fuel
-    ?(chaos = no_chaos) ?(config = H.legacy) () =
-  let stats = Stats.create () in
-  (* scrub a cell as it is freed; poisoning makes any later read through
-     a stale pointer junk instead of a believable empty cell *)
-  let scrub (c : word H.cell) =
-    if chaos.poison then begin
-      c.H.car <- poison_word;
-      c.H.cdr <- poison_word;
-      c.H.lbl <- poison_word;
-      stats.Stats.poisoned <- stats.Stats.poisoned + 1
-    end
-    else begin
-      c.H.car <- Wnil;
-      c.H.cdr <- Wnil;
-      c.H.lbl <- Wnil
-    end
-  in
-  let kind_of = function
-    | Wint _ | Wbool _ | Wnil | Wleaf -> H.Scalar
-    | Wptr a | Wpair a | Wtree a -> H.Ptr a
-    | Wprim (_, []) | Wcons_at (_, []) | Wnode_at (_, []) | Wdcons []
-    | Wdnode [] ->
-        H.Scalar
-    | Wclos _ | Wprim _ | Wcons_at _ | Wnode_at _ | Wdcons _ | Wdnode _ ->
-        H.Funval
-  in
-  {
-    heap =
-      H.create ~heap_size ~grow ~chaos_period:chaos.gc_period ~config ~nil:Wnil ~scrub
-        ~kind_of ~stats ();
-    check_arenas;
-    stats;
-    shadow = [];
-    env_stack = [];
-    shadow_low = [];
-    env_low = [];
-    arena_stacks = Hashtbl.create 8;
-    marked_closures = [];
-    fuel = (match fuel with Some f -> f | None -> -1);
-    chaos;
-    rng = chaos.chaos_seed lxor 0x2545F4914F6CDD1D;
-  }
-
-let stats t = t.stats
-let live_cells t = H.live t.heap
-let free_cells t = H.free_length t.heap
-let used_cells t = H.used t.heap
-let config t = H.config t.heap
+let error = H.error
 
 let[@inline] tick m =
   m.stats.Stats.steps <- m.stats.Stats.steps + 1;
@@ -180,20 +108,6 @@ let[@inline] pop_env m =
   m.env_stack <- List.tl l;
   if l == m.env_low then m.env_low <- m.env_stack
 
-(* the 48-bit LCG of java.util.Random; the low bits are weak, so draws
-   use the high 32 *)
-let chaos_draw m =
-  m.rng <- ((m.rng * 0x5DEECE66D) + 0xB) land 0xFFFFFFFFFFFF;
-  m.rng lsr 16
-
-(* a cell read through [car]/[cdr]/[fst]/[snd]/[label]/[left]/[right];
-   under poisoning a read of a freed cell is a deterministic crash *)
-let cell_read m what a =
-  let c = H.get m.heap a in
-  if m.chaos.poison && c.H.free then
-    error "chaos poison: %s reads cell %d after it was freed (use after free)" what a;
-  c
-
 (* ---- garbage collection ------------------------------------------------ *)
 
 (* [f] on every visible binding of [env]: every filled slot of its
@@ -214,36 +128,39 @@ let iter_env f env =
   in
   go 0 env
 
+(* [visit] on every word a function-like word holds: a closure's
+   visible bindings, the first time this traversal reaches it, and a
+   partial application's arguments *)
+let children ~stamp visit = function
+  | Wclos c ->
+      if c.cmark <> stamp then begin
+        c.cmark <- stamp;
+        iter_env visit c.cenv
+      end
+  | Wprim (_, args) | Wcons_at (_, args) | Wnode_at (_, args) | Wdcons args | Wdnode args ->
+      List.iter visit args
+  | Wint _ | Wbool _ | Wnil | Wleaf | Wptr _ | Wpair _ | Wtree _ -> ()
 
-(* one marker for both collection kinds: a minor collection
+(* the marker of one collection, of either kind: a minor collection
    ([stop_old:true]) treats old and arena-resident cells as roots-of-
    nothing — it never traverses them, so its pause is proportional to
    the young survivors, not the live set *)
-let rec mark_with m ~stop_old w =
-  match w with
-  | Wint _ | Wbool _ | Wnil | Wleaf -> ()
-  | Wptr a | Wpair a | Wtree a ->
-      let c = H.get m.heap a in
-      if m.chaos.poison && c.H.free then
-        error "chaos poison: the collector reached freed cell %d from a live root" a;
-      if (not (stop_old && c.H.old)) && not c.H.marked then begin
-        c.H.marked <- true;
-        m.stats.Stats.marked <- m.stats.Stats.marked + 1;
-        mark_with m ~stop_old c.H.car;
-        mark_with m ~stop_old c.H.cdr;
-        mark_with m ~stop_old c.H.lbl
-      end
-  | Wclos c ->
-      if not c.cmark then begin
-        c.cmark <- true;
-        m.marked_closures <- c :: m.marked_closures;
-        mark_env m ~stop_old c.cenv
-      end
-  | Wprim (_, args) | Wcons_at (_, args) | Wnode_at (_, args) | Wdcons args
-  | Wdnode args ->
-      List.iter (mark_with m ~stop_old) args
-
-and mark_env m ~stop_old env = iter_env (mark_with m ~stop_old) env
+let marker m ~stop_old =
+  let stamp = H.stamp m.heap in
+  let rec mark w =
+    match w with
+    | Wint _ | Wbool _ | Wnil | Wleaf -> ()
+    | Wptr a | Wpair a | Wtree a ->
+        let c = H.mark m.heap ~stop_old a in
+        if not c.H.free then begin
+          mark c.H.car;
+          mark c.H.cdr;
+          mark c.H.lbl
+        end
+    | Wclos _ | Wprim _ | Wcons_at _ | Wnode_at _ | Wdcons _ | Wdnode _ ->
+        children ~stamp mark w
+  in
+  mark
 
 (* A minor collection marks only the entries from the top down to each
    stack's mark, inclusive.  One below it still holds what the last
@@ -251,77 +168,60 @@ and mark_env m ~stop_old env = iter_env (mark_with m ~stop_old) env
    and an old cell reaches a younger one only through the remembered
    sets.  A major collection marks every entry; either kind resets the
    marks to the tops. *)
-let mark_roots m ~stop_old =
-  let rec scan mark low = function
+let mark_roots m ~stop_old mark =
+  let rec scan f low = function
     | [] -> ()
     | x :: rest as l ->
-        mark x;
-        if not (stop_old && l == low) then scan mark low rest
+        f x;
+        if not (stop_old && l == low) then scan f low rest
   in
-  scan (mark_with m ~stop_old) m.shadow_low m.shadow;
-  scan (mark_env m ~stop_old) m.env_low m.env_stack;
+  scan mark m.shadow_low m.shadow;
+  scan (iter_env mark) m.env_low m.env_stack;
   m.shadow_low <- m.shadow;
   m.env_low <- m.env_stack
 
-let unmark_closures m =
-  List.iter (fun c -> c.cmark <- false) m.marked_closures;
-  m.marked_closures <- []
+let collect m = H.collect m.heap
+let collect_minor m = H.collect_minor m.heap
 
-(* a full mark-sweep; under the generational policy this is the major
-   collection, promoting every survivor *)
-let collect m =
-  let t0 = Stats.now_ns () in
-  let marked0 = m.stats.Stats.marked and swept0 = m.stats.Stats.swept in
-  m.stats.Stats.gc_runs <- m.stats.Stats.gc_runs + 1;
-  if H.is_generational m.heap then
-    m.stats.Stats.major_gcs <- m.stats.Stats.major_gcs + 1;
-  mark_roots m ~stop_old:false;
-  H.sweep_all m.heap;
-  unmark_closures m;
-  let cells =
-    m.stats.Stats.marked - marked0 + (m.stats.Stats.swept - swept0)
+(* ---- creation ------------------------------------------------------------- *)
+
+let kind_of = function
+  | Wint _ | Wbool _ | Wnil | Wleaf -> H.Scalar
+  | Wptr a | Wpair a | Wtree a -> H.Ptr a
+  | Wprim (_, []) | Wcons_at (_, []) | Wnode_at (_, []) | Wdcons [] | Wdnode [] -> H.Scalar
+  | Wclos _ | Wprim _ | Wcons_at _ | Wnode_at _ | Wdcons _ | Wdnode _ -> H.Funval
+
+(* scribbled into freed cells under [chaos.poison]: a dangling read that
+   slips past the checks yields this recognizable junk instead of a
+   plausible [Wnil] *)
+let poison_word = Wint 0x7EADBEEF
+
+let create ?(heap_size = 4096) ?(grow = true) ?(check_arenas = false) ?fuel
+    ?(chaos = H.no_chaos) ?(config = H.legacy) () =
+  let stats = Stats.create () in
+  let m =
+    {
+      heap =
+        H.create ~heap_size ~grow ~check_arenas ~chaos ~config ~nil:Wnil ~poison:poison_word
+          ~kind_of ~stats ();
+      stats;
+      shadow = [];
+      env_stack = [];
+      shadow_low = [];
+      env_low = [];
+      fuel = (match fuel with Some f -> f | None -> -1);
+    }
   in
-  Stats.record_pause m.stats ~cells ~ns:(Stats.now_ns () -. t0)
+  H.set_tracer m.heap { H.marker = marker m; roots = mark_roots m; children };
+  m
 
-(* a nursery collection: mark from the roots stopping at old cells, scan
-   the remembered sets for old-to-young edges, sweep only the nursery
-   chain, promote the survivors *)
-let minor_collect m =
-  let t0 = Stats.now_ns () in
-  let marked0 = m.stats.Stats.marked and swept0 = m.stats.Stats.swept in
-  let scanned = H.remembered_size m.heap in
-  m.stats.Stats.gc_runs <- m.stats.Stats.gc_runs + 1;
-  m.stats.Stats.minor_gcs <- m.stats.Stats.minor_gcs + 1;
-  mark_roots m ~stop_old:true;
-  H.iter_remembered m.heap (fun a ->
-      let c = H.get m.heap a in
-      if not c.H.free then begin
-        mark_with m ~stop_old:true c.H.car;
-        mark_with m ~stop_old:true c.H.cdr;
-        mark_with m ~stop_old:true c.H.lbl
-      end);
-  H.sweep_nursery m.heap;
-  unmark_closures m;
-  let cells =
-    m.stats.Stats.marked - marked0 + (m.stats.Stats.swept - swept0) + scanned
-  in
-  Stats.record_pause m.stats ~cells ~ns:(Stats.now_ns () -. t0)
+let stats t = t.stats
+let live_cells t = H.live t.heap
+let free_cells t = H.free_length t.heap
+let used_cells t = H.used t.heap
+let config t = H.config t.heap
 
-let collect_minor m = if H.is_generational m.heap then minor_collect m else collect m
-
-(* ---- allocation --------------------------------------------------------- *)
-
-let current_arena m = function
-  | Ir.Heap | Ir.Pretenured -> None
-  | Ir.Arena sid -> (
-      match Hashtbl.find_opt m.arena_stacks sid with
-      | Some (a :: _) -> Some a
-      | Some [] | None -> error "cons targets arena %d, but no such arena is open" sid)
-
-let hooks =
-  { H.minor = minor_collect; major = collect; draw = chaos_draw; arena = current_arena }
-
-let alloc_cell m target hd tl = Wptr (H.alloc m.heap hooks m target hd tl)
+let alloc_cell m target hd tl = Wptr (H.alloc m.heap target hd tl)
 
 (* ---- primitives ---------------------------------------------------------- *)
 
@@ -345,29 +245,29 @@ let arity_error p n = error "primitive %s applied to %d arguments" (Ast.prim_nam
 let delta1 m p w =
   match (p, w) with
   | Ast.Not, _ -> wbool (not (as_bool w))
-  | Ast.Car, Wptr a -> (cell_read m "car" a).H.car
+  | Ast.Car, Wptr a -> (H.read m.heap "car" a).H.car
   | Ast.Car, Wnil -> error "car of nil"
   | Ast.Car, _ -> error "car of a %s" (type_name w)
-  | Ast.Cdr, Wptr a -> (cell_read m "cdr" a).H.cdr
+  | Ast.Cdr, Wptr a -> (H.read m.heap "cdr" a).H.cdr
   | Ast.Cdr, Wnil -> error "cdr of nil"
   | Ast.Cdr, _ -> error "cdr of a %s" (type_name w)
   | Ast.Null, Wnil -> wtrue
   | Ast.Null, Wptr _ -> wfalse
   | Ast.Null, _ -> error "null of a %s" (type_name w)
-  | Ast.Fst, Wpair a -> (cell_read m "fst" a).H.car
+  | Ast.Fst, Wpair a -> (H.read m.heap "fst" a).H.car
   | Ast.Fst, _ -> error "fst of a %s" (type_name w)
-  | Ast.Snd, Wpair a -> (cell_read m "snd" a).H.cdr
+  | Ast.Snd, Wpair a -> (H.read m.heap "snd" a).H.cdr
   | Ast.Snd, _ -> error "snd of a %s" (type_name w)
   | Ast.Isleaf, Wleaf -> wtrue
   | Ast.Isleaf, Wtree _ -> wfalse
   | Ast.Isleaf, _ -> error "isleaf of a %s" (type_name w)
-  | Ast.Label, Wtree a -> (cell_read m "label" a).H.lbl
+  | Ast.Label, Wtree a -> (H.read m.heap "label" a).H.lbl
   | Ast.Label, Wleaf -> error "label of leaf"
   | Ast.Label, _ -> error "label of a %s" (type_name w)
-  | Ast.Left, Wtree a -> (cell_read m "left" a).H.car
+  | Ast.Left, Wtree a -> (H.read m.heap "left" a).H.car
   | Ast.Left, Wleaf -> error "left of leaf"
   | Ast.Left, _ -> error "left of a %s" (type_name w)
-  | Ast.Right, Wtree a -> (cell_read m "right" a).H.cdr
+  | Ast.Right, Wtree a -> (H.read m.heap "right" a).H.cdr
   | Ast.Right, Wleaf -> error "right of leaf"
   | Ast.Right, _ -> error "right of a %s" (type_name w)
   | _, _ -> arity_error p 1
@@ -398,86 +298,26 @@ let delta2 p a b =
 let do_dcons m p hd tl =
   match p with
   | Wptr a ->
-      let c = H.get m.heap a in
-      if c.H.free then error "DCONS on a freed cell";
-      c.H.car <- hd;
-      c.H.cdr <- tl;
-      (* reuse can write young references into an old or arena cell *)
-      H.barrier m.heap a;
-      m.stats.Stats.dcons_reuses <- m.stats.Stats.dcons_reuses + 1;
-      Wptr a
+      H.dcons m.heap a hd tl;
+      p
   | Wnil -> error "DCONS on nil (no cell to reuse)"
   | w -> error "DCONS on a %s (no cell to reuse)" (type_name w)
 
 let do_dnode m p l x r =
   match p with
   | Wtree a ->
-      let c = H.get m.heap a in
-      if c.H.free then error "DNODE on a freed cell";
-      c.H.car <- l;
-      c.H.lbl <- x;
-      c.H.cdr <- r;
-      H.barrier m.heap a;
-      m.stats.Stats.dcons_reuses <- m.stats.Stats.dcons_reuses + 1;
-      Wtree a
+      H.dnode m.heap a l x r;
+      p
   | Wleaf -> error "DNODE on leaf (no cell to reuse)"
   | w -> error "DNODE on a %s (no cell to reuse)" (type_name w)
 
 (* a tree node at [target]: its children are checked before the cell is
-   allocated, and the label written after *)
+   allocated *)
 let alloc_node m target l x r =
   (match (l, r) with
   | (Wleaf | Wtree _), (Wleaf | Wtree _) -> ()
   | _ -> error "node: children must be trees");
-  match alloc_cell m target l r with
-  | Wptr addr ->
-      (H.get m.heap addr).H.lbl <- x;
-      H.barrier m.heap addr;
-      Wtree addr
-  | _ -> assert false
-
-(* ---- arena safety check --------------------------------------------------- *)
-
-exception Reaches_arena
-
-(* whether a cell of dynamic arena [sid] is reachable from [v], the root
-   stack or the visible bindings of the active frames; a closure is
-   walked once, flagged with [cmark] until the walk ends *)
-let reachable_into_arena m v sid =
-  let seen = Hashtbl.create 256 in
-  let walked = ref [] in
-  let rec walk = function
-    | Wint _ | Wbool _ | Wnil | Wleaf -> ()
-    | Wptr a | Wpair a | Wtree a ->
-        if not (Hashtbl.mem seen a) then begin
-          Hashtbl.add seen a ();
-          let c = H.get m.heap a in
-          if c.H.arena = sid then raise_notrace Reaches_arena;
-          walk c.H.car;
-          walk c.H.cdr;
-          walk c.H.lbl
-        end
-    | Wclos c ->
-        if not c.cmark then begin
-          c.cmark <- true;
-          walked := c :: !walked;
-          iter_env walk c.cenv
-        end
-    | Wprim (_, args) | Wcons_at (_, args) | Wnode_at (_, args) | Wdcons args
-    | Wdnode args ->
-        List.iter walk args
-  in
-  let hit =
-    match
-      walk v;
-      List.iter walk m.shadow;
-      List.iter (iter_env walk) m.env_stack
-    with
-    | () -> false
-    | exception Reaches_arena -> true
-  in
-  List.iter (fun c -> c.cmark <- false) !walked;
-  hit
+  Wtree (H.alloc_node m.heap target l x r)
 
 (* ---- resolution ------------------------------------------------------------ *)
 
@@ -559,7 +399,7 @@ let rec resolve sc (e : Ir.expr) =
       let body = resolve inner body in
       leave sc names;
       Cletrec (bs, hidden, body)
-  | Ir.WithArena (kind, sid, b) -> Carena (kind, sid, go b)
+  | Ir.WithArena (_, sid, b) -> Carena (sid, go b)
 
 (* ---- evaluation ------------------------------------------------------------ *)
 
@@ -594,7 +434,7 @@ let rec eval_code m env c =
           else error "letrec binding %s is used before its definition is evaluated" x
       | Top | Arg _ -> assert false)
   | Cunbound x -> error "unbound identifier %s at run time" x
-  | Clam lam -> Wclos { lam; cenv = env; cmark = false; hints = [] }
+  | Clam lam -> Wclos { lam; cenv = env; cmark = 0; hints = [] }
   | Capp (f, a) ->
       let vf = eval_code m env f in
       push m vf;
@@ -627,23 +467,16 @@ let rec eval_code m env c =
       let v = eval_code m env' body in
       pop_env m;
       v
-  | Carena (kind, sid, body) ->
-      if not (H.config m.heap).H.regions then
-        (* regions disabled (a chaos-harness coverage configuration):
-           no arena is opened, and the allocator sends this arena's
-           sites to the GC heap instead *)
-        eval_code m env body
-      else begin
-        let a = H.open_arena m.heap ~kind in
-        let stack = Option.value ~default:[] (Hashtbl.find_opt m.arena_stacks sid) in
-        Hashtbl.replace m.arena_stacks sid (a :: stack);
-        let v = eval_code m env body in
-        Hashtbl.replace m.arena_stacks sid stack;
-        if m.check_arenas && reachable_into_arena m v a.H.dyn_id then
-          error "arena safety violation: a cell of arena %d escapes its scope" sid;
-        H.close_arena m.heap a;
-        v
-      end
+  | Carena (sid, body) ->
+      H.open_arena m.heap sid;
+      let v = eval_code m env body in
+      (* the arena walk's roots: the body's result, the root stack and
+         the visible bindings of the active frames *)
+      H.close_arena m.heap sid ~roots:(fun visit ->
+          visit v;
+          List.iter visit m.shadow;
+          List.iter (iter_env visit) m.env_stack);
+      v
   (* A fused node ticks as the applications it replaces: once per
      application and once for the primitive before its first operand,
      then once per application after each operand.  Each operand stays
@@ -763,7 +596,7 @@ and curry m vf c next va =
     push_env m env'
   end;
   tick m;
-  Wclos { lam = next; cenv = env'; cmark = false; hints = later_hints c.hints }
+  Wclos { lam = next; cenv = env'; cmark = 0; hints = later_hints c.hints }
 
 (* tag a letrec-bound closure with the advisory dead-spine hints of its
    binder, so calls through the binding can be counted when they bind a

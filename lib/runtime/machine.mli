@@ -29,7 +29,14 @@
     the next lambda of its nest without evaluating that body; each
     ticks and roots its operands as the applications it replaces did.
 
-    Optionally ([~check_arenas:true]) the machine validates, at every
+    The store and the collector are {!Heap}'s: allocation, the
+    collections with their counters, the per-cell mark step, chaos,
+    the arena stacks and in-place reuse.  The machine supplies its roots
+    (the shadow and environment stacks, with their low-water marks) and
+    how to trace its function-like words (closures' visible bindings,
+    the arguments of partial applications).
+
+    Optionally ([~check_arenas:true]) the heap validates, at every
     arena exit, that no cell of the arena is reachable from the arena
     body's result or any live root — executing the safety obligation
     that the escape analysis discharges statically. *)
@@ -54,32 +61,20 @@ type word =
 and closure
 
 exception Error of string
+(** {!Heap.Error}: a fault of the program. *)
+
 exception Out_of_memory
+(** {!Heap.Out_of_memory}. *)
+
 exception Out_of_fuel
-
-type chaos = {
-  gc_period : int;
-      (** [> 0]: force a collection at pseudo-random allocation points,
-          on average one every [gc_period] allocations; [0] disables *)
-  poison : bool;
-      (** scribble over cells as they are freed (by the sweep or at arena
-          exit) and fail any [car]/[cdr]/[fst]/[snd]/[label]/[left]/
-          [right] read of a freed cell, so an unsound escape verdict
-          becomes a deterministic crash instead of a silent wrong answer *)
-  chaos_seed : int;
-      (** seed of the machine's deterministic fault-injection PRNG; runs
-          with equal seeds inject faults at identical points *)
-}
-
-val no_chaos : chaos
-(** No forced collections, no poisoning: the machine of the seed. *)
+(** {!Heap.Out_of_fuel}. *)
 
 val create :
   ?heap_size:int ->
   ?grow:bool ->
   ?check_arenas:bool ->
   ?fuel:int ->
-  ?chaos:chaos ->
+  ?chaos:Heap.chaos ->
   ?config:Heap.config ->
   unit ->
   t
@@ -87,7 +82,7 @@ val create :
     [grow:false] the store never grows: exhausting it after a collection
     raises {!Out_of_memory} (default [grow:true], doubling).
     [check_arenas] enables the arena-safety validation (default false).
-    [fuel] bounds evaluation steps.  [chaos] (default {!no_chaos})
+    [fuel] bounds evaluation steps.  [chaos] (default {!Heap.no_chaos})
     injects faults — forced collections and freed-cell poisoning — for
     the soundness harness ({!Check.Harness}).  [config] selects the
     storage policy (default {!Heap.legacy}, the seed machine;

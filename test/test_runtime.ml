@@ -264,7 +264,7 @@ let arena_tests =
 
 (* ---- chaos mode -------------------------------------------------------------- *)
 
-let chaos_on = { M.gc_period = 1; poison = true; chaos_seed = 7 }
+let chaos_on = { Runtime.Heap.gc_period = 1; poison = true; chaos_seed = 7 }
 
 (* [car] of a cell that died with its arena: the classic consequence of
    an unsound stack-allocation verdict *)
@@ -308,7 +308,7 @@ let chaos_tests =
     Alcotest.test_case "poison-crashes-use-after-free" `Quick (fun () ->
         let m =
           M.create ~check_arenas:false
-            ~chaos:{ M.no_chaos with M.poison = true }
+            ~chaos:{ Runtime.Heap.no_chaos with Runtime.Heap.poison = true }
             ()
         in
         (match M.eval m use_after_free_program with
@@ -319,7 +319,7 @@ let chaos_tests =
     Alcotest.test_case "poison-does-not-disturb-sound-arenas" `Quick (fun () ->
         let m =
           M.create ~check_arenas:true
-            ~chaos:{ chaos_on with M.gc_period = 2 }
+            ~chaos:{ chaos_on with Runtime.Heap.gc_period = 2 }
             ()
         in
         let w = M.eval m region_program in
@@ -533,7 +533,7 @@ let generational_tests =
            bits, exactly as on the legacy heap *)
         let m =
           M.create ~check_arenas:false
-            ~chaos:{ M.no_chaos with M.poison = true }
+            ~chaos:{ Runtime.Heap.no_chaos with Runtime.Heap.poison = true }
             ~config:Runtime.Heap.generational ()
         in
         (match M.eval m use_after_free_program with
