@@ -223,6 +223,14 @@ let infer_group ~level env (defs : (string * Ast.expr) list) =
       (x, trhs))
     defs fresh
 
+(* The program around its schemes: every definition bound in one
+   environment, the main expression typed under it, right-hand sides by
+   name. *)
+let assemble (surface : Surface.t) schemes type_main =
+  let env = List.fold_left (fun env (x, s) -> Env.add x s env) empty_env schemes in
+  let defs = List.fold_left (fun m (x, rhs) -> Env.add x rhs m) Env.empty surface.Surface.defs in
+  { surface; schemes; main = type_main env; env; defs; simplest = Hashtbl.create 16 }
+
 let infer_program (surface : Surface.t) : program =
   check_distinct
     (match surface.Surface.defs with
@@ -230,11 +238,16 @@ let infer_program (surface : Surface.t) : program =
     | [] -> Loc.dummy)
     surface.Surface.defs;
   let typed = infer_group ~level:1 empty_env surface.Surface.defs in
-  let schemes = List.map (fun (x, trhs) -> (x, generalize ~level:0 trhs.Tast.ty)) typed in
-  let env = List.fold_left (fun env (x, s) -> Env.add x s env) empty_env schemes in
-  let main = infer ~level:1 env surface.Surface.main in
-  let defs = List.fold_left (fun m (x, rhs) -> Env.add x rhs m) Env.empty surface.Surface.defs in
-  { surface; schemes; main; env; defs; simplest = Hashtbl.create 16 }
+  assemble surface
+    (List.map (fun (x, trhs) -> (x, generalize ~level:0 trhs.Tast.ty)) typed)
+    (fun env -> infer ~level:1 env surface.Surface.main)
+
+let of_ground_defs defs main =
+  let erase (x, t) = (x, Tast.erase t) in
+  let surface = { Surface.defs = List.map erase defs; main = Tast.erase main } in
+  let p = assemble surface (List.map (fun (x, t) -> (x, mono t.Tast.ty)) defs) (fun _ -> main) in
+  List.iter (fun (x, t) -> Hashtbl.replace p.simplest x t) defs;
+  p
 
 let def_scheme p name = Env.find name p.env
 let is_def p name = Env.mem name p.env

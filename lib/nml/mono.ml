@@ -3,6 +3,7 @@ exception Too_many_instances
 type result = {
   program : Surface.t;
   instances : (string * string * Ty.t) list;
+  typed : Infer.program;
 }
 
 module S = Set.Make (String)
@@ -38,25 +39,30 @@ let monomorphize ?(max_instances = 1000) (prog : Infer.program) =
         Queue.add (def, inst, n) pending;
         n
   in
-  (* Converts a ground typed tree back to surface syntax, renaming every
-     free occurrence of a definition to its instance's copy. *)
-  let rec conv bound (e : Tast.texpr) : Ast.expr =
-    match e.Tast.desc with
-    | Tast.Const c -> Ast.Const (e.Tast.loc, c)
-    | Tast.Prim p -> Ast.Prim (e.Tast.loc, p)
-    | Tast.Var x ->
-        if (not (S.mem x bound)) && is_def x then
-          Ast.Var (e.Tast.loc, name_for x e.Tast.ty)
-        else Ast.Var (e.Tast.loc, x)
-    | Tast.App (f, a) -> Ast.App (e.Tast.loc, conv bound f, conv bound a)
-    | Tast.Lam (x, b) -> Ast.Lam (e.Tast.loc, x, conv (S.add x bound) b)
-    | Tast.If (c, t, f) -> Ast.If (e.Tast.loc, conv bound c, conv bound t, conv bound f)
-    | Tast.Letrec (bs, body) ->
-        let bound = List.fold_left (fun acc (x, _) -> S.add x acc) bound bs in
-        Ast.Letrec
-          ( e.Tast.loc,
-            List.map (fun (x, b) -> (x, conv bound b)) bs,
-            conv bound body )
+  (* Renames every free occurrence of a definition in a ground typed
+     tree to its instance's copy.  Copies are numbered in the order this
+     walk meets them: an application's argument before its function, a
+     conditional's else branch first, a letrec's body before its
+     bindings. *)
+  let rec conv bound (e : Tast.texpr) =
+    let desc =
+      match e.Tast.desc with
+      | Tast.Var x when (not (S.mem x bound)) && is_def x -> Tast.Var (name_for x e.Tast.ty)
+      | (Tast.Const _ | Tast.Prim _ | Tast.Var _) as d -> d
+      | Tast.App (f, a) ->
+          let a = conv bound a in
+          Tast.App (conv bound f, a)
+      | Tast.Lam (x, b) -> Tast.Lam (x, conv (S.add x bound) b)
+      | Tast.If (c, t, f) ->
+          let f = conv bound f in
+          let t = conv bound t in
+          Tast.If (conv bound c, t, f)
+      | Tast.Letrec (bs, body) ->
+          let bound = List.fold_left (fun acc (x, _) -> S.add x acc) bound bs in
+          let body = conv bound body in
+          Tast.Letrec (List.map (fun (x, b) -> (x, conv bound b)) bs, body)
+    in
+    { e with Tast.desc }
   in
   let specialized = Hashtbl.create 16 in
   let drain () =
@@ -66,7 +72,7 @@ let monomorphize ?(max_instances = 1000) (prog : Infer.program) =
       Hashtbl.replace specialized sname (conv S.empty tast)
     done
   in
-  let main_ast = conv S.empty (Infer.main_ground prog) in
+  let main = conv S.empty (Infer.main_ground prog) in
   drain ();
   (* keep library definitions nobody reached, at their simplest instance *)
   List.iter
@@ -91,6 +97,7 @@ let monomorphize ?(max_instances = 1000) (prog : Infer.program) =
           (Option.value ~default:[] (Hashtbl.find_opt groups def)))
       def_names
   in
-  { program = { Surface.defs; main = main_ast }; instances = List.rev !order }
+  let typed = Infer.of_ground_defs defs main in
+  { program = typed.Infer.surface; instances = List.rev !order; typed }
 
 let run ?max_instances surface = monomorphize ?max_instances (Infer.infer_program surface)

@@ -77,11 +77,7 @@ let optimize_with t options (surface : Nml.Surface.t) =
   { ir = add_defs ir primed; reuse_report; stack_report; block_report; pretenure_sites }
 
 let optimize ?(options = all) (prog : Nml.Infer.program) =
-  let prog =
-    if options.monomorphize then
-      Nml.Infer.infer_program (Nml.Mono.monomorphize prog).Nml.Mono.program
-    else prog
-  in
+  let prog = if options.monomorphize then (Nml.Mono.monomorphize prog).Nml.Mono.typed else prog in
   optimize_with (Fix.make prog) options prog.Nml.Infer.surface
 
 let pp_report ppf r =
